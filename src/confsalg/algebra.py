@@ -63,16 +63,6 @@ def coeff_F(da: Fraction, db: Fraction, m: int, n: int, t: int) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
-def _G(da: Fraction, db: Fraction, n: int, j: int) -> Scalar:
-    return Scalar.from_fraction(coeff_G(da, db, n, j))
-
-
-@lru_cache(maxsize=None)
-def _F(da: Fraction, db: Fraction, m: int, n: int, t: int) -> Scalar:
-    return Scalar.from_fraction(coeff_F(da, db, m, n, t))
-
-
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -126,11 +116,6 @@ class Report:
         if len(self.failures) < cap:
             self.failures.append(msg)
 
-    def merge(self, other: "Report") -> None:
-        self.ok = self.ok and other.ok
-        self.checked += other.checked
-        self.failures.extend(other.failures)
-
     def summary(self) -> str:
         if self.ok:
             return "ok (%d instances checked)" % self.checked
@@ -140,6 +125,10 @@ class Report:
 
 
 PHYSICAL_WEIGHTS = {Fraction(2), Fraction(3, 2), Fraction(1), Fraction(1, 2)}
+
+# Largest product index a table may store.  The checkers loop over every n
+# up to the largest stored one; the catalog tables stop at n = 1.
+MAX_N = 64
 
 
 class ReducedAlgebra:
@@ -153,9 +142,20 @@ class ReducedAlgebra:
             raise ValueError("duplicate basis ids")
         if L not in self.index:
             raise ValueError("conformal vector %r not in basis" % L)
+        for b in self.basis:
+            if b.parity not in (0, 1):
+                raise ValueError("basis vector %r has parity %r"
+                                 % (b.id, b.parity))
         self.products = {}
         if products:
             for (n, a, b), el in products.items():
+                if not 0 <= n <= MAX_N:
+                    raise ValueError("product <%s %d %s>: n outside 0..%d"
+                                     % (a, n, b, MAX_N))
+                unknown = [x for x in (a, b, *el) if x not in self.index]
+                if unknown:
+                    raise ValueError("product <%s %d %s> names ids outside "
+                                     "the basis: %r" % (a, n, b, unknown))
                 el = {k: v for k, v in el.items() if v}
                 if el:
                     self.products[(n, a, b)] = el
@@ -263,9 +263,8 @@ class ReducedAlgebra:
     def wedge_gram(self, pairs):
         """Gram matrix of the wedge-square form for an ordered list of
         wedge pairs (u, v) of elements."""
-        els = [(u, v) for (u, v) in pairs]
-        return [[self.form_wedge(u, v, w, z) for (w, z) in els]
-                for (u, v) in els]
+        return [[self.form_wedge(u, v, w, z) for (w, z) in pairs]
+                for (u, v) in pairs]
 
     def form_wedge3(self, u1, u2, u3, v1, v2, v3) -> Scalar:
         """The invariant pairing on the third wedge power of the
@@ -384,7 +383,7 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
         if any(R.weight(t) != 0 for t in two):
             rep.fail("<L 2 %s> is not central of weight 0" % a, max_failures)
     for w in R.weight_dims():
-        if w < 0 or (w <= 0 and w != 0):
+        if w < 0:
             rep.fail("forbidden weight %s" % w, max_failures)
 
     # the quadratic identity
@@ -453,6 +452,15 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     return rep
 
 
+def require_axioms(R: ReducedAlgebra, exc_type, what: str) -> None:
+    """Raise exc_type unless R passes P(2,2) and then H."""
+    rep = check_P_axioms(R, 2, 2)
+    if rep.ok:
+        rep = check_H_axioms(R)
+    if not rep.ok:
+        raise exc_type("%s violates axioms:\n%s" % (what, rep.summary()))
+
+
 def is_physical_shape(R: ReducedAlgebra) -> bool:
     if any(b.weight not in PHYSICAL_WEIGHTS for b in R.basis):
         return False
@@ -477,7 +485,6 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     ids = [b.id for b in R.basis]
     L = R.basis_element(R.L)
     els = {a: R.basis_element(a) for a in ids}
-    wt = {b.id: b.weight for b in R.basis}
     par = {b.id: b.parity for b in R.basis}
     V = R.space(Fraction(3, 2))
     A = R.space(Fraction(1))
@@ -609,8 +616,7 @@ def ideal_closure(R: ReducedAlgebra, seeds) -> Subspace:
     """Smallest subspace containing the seeds and closed under all left
     products by basis vectors."""
     sub = Subspace(R.dim)
-    queue = [dict(s) for s in seeds]
-    for s in queue:
+    for s in seeds:
         sub.add(R.vector(s))
     ids = [b.id for b in R.basis]
     ns = sorted({n for (n, _, _) in R.products})
@@ -628,26 +634,6 @@ def ideal_closure(R: ReducedAlgebra, seeds) -> Subspace:
         pos += 1
         if pos > R.dim + 1:
             raise RuntimeError("ideal closure failed to stabilize")
-    return sub
-
-
-def subalgebra_closure(R: ReducedAlgebra, seeds) -> Subspace:
-    """Smallest subspace containing the seeds and closed under products of
-    its own members."""
-    sub = Subspace(R.dim)
-    for s in seeds:
-        sub.add(R.vector(s))
-    ns = sorted({n for (n, _, _) in R.products})
-    changed = True
-    while changed:
-        changed = False
-        current = [R.element(row) for row in list(sub.rows)]
-        for x in current:
-            for y in current:
-                for n in ns:
-                    prod = R.product_n(x, n, y)
-                    if prod and sub.add(R.vector(prod)):
-                        changed = True
     return sub
 
 
@@ -763,32 +749,6 @@ def alpha_matrix(R: ReducedAlgebra):
             row.append(R.coeff_of_L(x))
         out.append(row)
     return out
-
-
-def beta_tensor(R: ReducedAlgebra):
-    """Sparse table (x, y, z, w) -> coefficient of L in x . y . z o w over
-    quadruples of weight-3/2 basis vectors; zero entries omitted."""
-    V = R.space(Fraction(3, 2))
-    e = R.basis_element
-    out = {}
-    for z in V:
-        for w in V:
-            zw = R.circ(e(z), e(w))
-            if not zw:
-                continue
-            for y in V:
-                yzw = R.bullet(e(y), zw)
-                if not yzw:
-                    continue
-                for x in V:
-                    c = R.coeff_of_L(R.bullet(e(x), yzw))
-                    if c:
-                        out[(x, y, z, w)] = c
-    return out
-
-
-def inner_product_V(R: ReducedAlgebra, u: dict, v: dict) -> Scalar:
-    return R.inner_product(u, v)
 
 
 @dataclass

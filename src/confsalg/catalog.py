@@ -4,7 +4,8 @@ Vir is spanned by the conformal vector alone.  K1, K2, K3, S2, N4alpha and
 CK6 come out of the Clifford-module solver; W2 is the weight-1/2 extension
 of S2 whose triple pairing has the two-dimensional radical; N4 is N4alpha
 at alpha = 0 with the conformal vector moved by the weight-1 invariant.
-Frozen solver outputs for the two expensive members live under golden/.
+Frozen solver outputs for W2 and CK6 live under golden/; a stability test
+compares fresh builds against them, and nothing builds from them.
 """
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ import os
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA
-from .linalg import charpoly, tpoly_str
-from .algebra import (BasisVector, ReducedAlgebra, el_add_into, el_scale,
-                      el_eq, form_V_wedge_V, is_simple)
+from .linalg import Subspace, charpoly, tpoly_str
+from .algebra import (BasisVector, ReducedAlgebra, el_add_into, el_eq,
+                      form_V_wedge_V, is_simple)
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
                         CK6_KERNEL)
 
@@ -132,98 +133,51 @@ def load_golden(name: str) -> ReducedAlgebra:
         return ReducedAlgebra.from_json(fh.read())
 
 
-def save_golden(name: str) -> str:
-    path = golden_path(name)
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(build(name).to_json())
-    return path
-
-
 # -- linear maps between algebras -------------------------------------------
-
-
-class _PartialMap:
-    """A linear map defined on a subspace, kept in echelon form with
-    images carried along.  Rows are source coordinates; pivoting is
-    restricted to the source block so that re-adding a known vector with
-    a conflicting image is detected."""
-
-    def __init__(self, R1: ReducedAlgebra, R2: ReducedAlgebra):
-        self.R1, self.R2 = R1, R2
-        self.rows = []          # (src_vector, image_element)
-
-    def reduce(self, vec, img):
-        vec = list(vec)
-        img = dict(img)
-        for pvt, (row, rimg) in self.rows:
-            c = vec[pvt]
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        vec[k] = vec[k] - c * x
-                el_add_into(img, rimg, -c)
-        return vec, img
-
-    def add(self, el1: dict, el2: dict):
-        """Record el1 -> el2.  Returns True if new, False if implied,
-        raises ValueError on conflict."""
-        vec, img = self.reduce(self.R1.vector(el1), el2)
-        pvt = next((k for k, c in enumerate(vec) if c), None)
-        if pvt is None:
-            img = {k: c for k, c in img.items() if c}
-            if img:
-                raise ValueError("inconsistent images")
-            return False
-        inv = vec[pvt].inv()
-        vec = [c * inv for c in vec]
-        img = el_scale(img, inv)
-        self.rows.append((pvt, (vec, img)))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def apply(self, el: dict) -> dict:
-        vec, img = self.reduce(self.R1.vector(el), {})
-        if any(vec):
-            raise ValueError("element outside the known subspace")
-        return el_scale(img, Scalar.from_int(-1))
-
-    def as_basis_map(self) -> dict:
-        return {b.id: self.apply({b.id: ONE}) for b in self.R1.basis}
 
 
 def extend_v_map(R1: ReducedAlgebra, R2: ReducedAlgebra, phi: dict):
     """Extend a partial map (typically L and the weight-3/2 generators)
     to all of R1 by closing under products.  Returns a full basis map or
-    None when the closure is inconsistent or does not span."""
-    pm = _PartialMap(R1, R2)
+    None when the closure is inconsistent or does not span.
+
+    The map is kept as the span of its graph vectors (x | f(x)).  A pivot
+    past the R1 block means two images for one source; at full rank, row k
+    of the reduced graph is (e_k | f(e_k))."""
+    n1 = R1.dim
+    graph = Subspace(n1 + R2.dim)
+
+    def add(el1, el2) -> bool:
+        if not graph.add(R1.vector(el1) + R2.vector(el2)):
+            return False
+        if graph.pivots[-1] >= n1:
+            raise ValueError("inconsistent images")
+        return True
+
     pairs = [(R1.basis_element(k), dict(v)) for k, v in phi.items()]
     try:
         for el1, el2 in pairs:
-            pm.add(el1, el2)
+            add(el1, el2)
         frontier = list(pairs)
         known = list(pairs)
         ns = sorted({n for (n, _, _) in R1.products})
-        while frontier and pm.dim < R1.dim:
+        while frontier and graph.dim < n1:
             new = []
             for x1, x2 in known:
                 for y1, y2 in frontier:
                     for n in ns:
                         z1 = R1.product_n(x1, n, y1)
                         z2 = R2.product_n(x2, n, y2)
-                        if (z1 or z2) and pm.add(z1, z2):
+                        if (z1 or z2) and add(z1, z2):
                             new.append((z1, z2))
             known.extend(new)
             frontier = new
     except ValueError:
         return None
-    if pm.dim != R1.dim:
+    if graph.dim != n1:
         return None
-    return pm.as_basis_map()
+    return {b.id: R2.element(row[n1:])
+            for b, row in zip(R1.basis, graph.rows)}
 
 
 def iso_check(R1: ReducedAlgebra, R2: ReducedAlgebra, f: dict) -> bool:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .scalars import parse as parse_scalar
@@ -25,15 +24,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def thread_cap() -> int:
-    """Worker cap from CONFSALG_THREADS; verification sweeps never spawn
-    more workers than this.  The default solver is single-threaded."""
-    try:
-        return max(1, int(os.environ.get("CONFSALG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class CliError(Exception):
     def __init__(self, code, msg):
         super().__init__(msg)
@@ -46,7 +36,8 @@ def _load_algebra(path: str) -> ReducedAlgebra:
             return ReducedAlgebra.from_json(fh.read())
     except OSError as exc:
         raise CliError(EXIT_INPUT, "cannot read %s: %s" % (path, exc))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError,
+            RecursionError) as exc:
         raise CliError(EXIT_INPUT, "cannot parse %s: %s" % (path, exc))
 
 

@@ -23,7 +23,6 @@ class Clifford:
         self.npairs = npairs
         self.odd = odd
         self.ngens = 2 * npairs + (1 if odd else 0)
-        self.dimv = self.ngens
         names = []
         for k in range(1, npairs + 1):
             names += ["D%d" % k, "Db%d" % k]
@@ -261,10 +260,6 @@ def grassmann_monomials(n: int):
             for c in combinations(range(1, n + 1), r)]
 
 
-def monomial_multidegree(m: frozenset, n: int) -> tuple:
-    return tuple(1 if k in m else 0 for k in range(1, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # quotients by sums of regular submodules, and multidegree projections
 # ---------------------------------------------------------------------------
@@ -291,19 +286,10 @@ class CliffordQuotient:
     def lmul(self, x: dict, u: dict) -> dict:
         return self.reduce(self.cl.mul(x, u))
 
-    def project_multidegree(self, u: dict, t: tuple) -> dict:
-        """The multidegree-t component of the class of u.
-
-        The rewriting rules only ever delete a paired (D_i, Db_i), so every
-        class has a well-defined decomposition by the shift tuple of its
-        canonical representative."""
-        if len(t) != self.cl.npairs or any(v not in (-1, 0, 1) for v in t):
-            raise ValueError("invalid multidegree %r" % (t,))
-        u = self.reduce(u)
-        return {w: c for w, c in u.items()
-                if self.cl.word_shift(w) == t}
-
     def multidegree_components(self, u: dict) -> dict:
+        """u's class split by multidegree.  The rewriting rules only ever
+        delete a paired (D_i, Db_i), so the shift tuple of the canonical
+        representative's words is well defined."""
         u = self.reduce(u)
         out = {}
         for w, c in u.items():

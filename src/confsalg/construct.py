@@ -20,9 +20,9 @@ from itertools import combinations, product
 from math import comb
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Subspace, rref, linsolve, mat_mul
+from .linalg import Subspace, kernel, left_inverse, mat_vec
 from .algebra import (BasisVector, ReducedAlgebra, coeff_G, coeff_F,
-                      el_add_into, el_scale, check_P_axioms, check_H_axioms)
+                      el_add_into, el_scale, require_axioms, is_simple)
 from .clifford import Clifford, CliffordQuotient
 
 W_L = Fraction(2)
@@ -129,6 +129,7 @@ class _Builder:
             else:
                 gens.append(self.cl.module_generator(tuple(kw)))
         self.quot = CliffordQuotient(self.cl, gens)
+        self.qindex = {w: k for k, w in enumerate(self.quot.keep_words)}
         self.gen_ids = list(range(self.cl.ngens))
         self.gen_names = self.cl.gen_names
         # V inner product in the null basis is the generator pairing
@@ -241,9 +242,8 @@ class _Builder:
 
     def _qvec(self, cls: dict) -> list:
         v = [ZERO] * self.quot.dim
-        idx = {w: k for k, w in enumerate(self.quot.keep_words)}
         for w, c in cls.items():
-            v[idx[w]] = c
+            v[self.qindex[w]] = c
         return v
 
     # -- main build ---------------------------------------------------------
@@ -265,22 +265,18 @@ class _Builder:
         self.weights = {n: w for n, w in zip(names, weights)}
         self.parities = {n: (0 if w.denominator == 1 else 1)
                          for n, w in self.weights.items()}
-        self.qindex = {w: k for k, w in enumerate(self.quot.keep_words)}
         # change of basis between quotient coordinates and the named basis
         n = self.quot.dim
         cols = [self._qvec(c) for c in classes]
-        aug = [[cols[c][r] for c in range(n)] +
-               [ONE if r == c2 else ZERO for c2 in range(n)]
-               for r in range(n)]
-        red, pivots = rref(aug)
-        if pivots != list(range(n)):
+        self.inv = left_inverse([[cols[c][r] for c in range(n)]
+                                 for r in range(n)])
+        if self.inv is None:
             raise InconsistentSpec("graded basis is not a basis")
-        self.inv = [row[n:] for row in red]   # inverse matrix
         self.cols = cols
 
         self.table = {}
         self._row_memo = {}
-        self._fill_L()
+        _fill_L(self.table, self.weights)
         self._fill_V()
         self._fill_composites(a_chosen, f_chosen)
 
@@ -291,16 +287,8 @@ class _Builder:
     # -- coordinates --------------------------------------------------------
 
     def to_reduced(self, cls: dict) -> dict:
-        vec = [ZERO] * self.quot.dim
-        for w, c in cls.items():
-            vec[self.qindex[w]] = c
-        out = {}
-        for k, nm in enumerate(self.names):
-            s = sum((self.inv[k][r] * vec[r]
-                     for r in range(self.quot.dim) if vec[r]), ZERO)
-            if s:
-                out[nm] = s
-        return out
+        return {nm: s for nm, s in
+                zip(self.names, mat_vec(self.inv, self._qvec(cls))) if s}
 
     def to_class(self, el: dict) -> dict:
         out = {}
@@ -464,18 +452,6 @@ class _Builder:
 
     # -- table filling ------------------------------------------------------
 
-    def _set(self, n, a, b, el):
-        el = {k: c for k, c in el.items() if c}
-        if el:
-            self.table[(n, a, b)] = el
-
-    def _fill_L(self):
-        for nm in self.names:
-            w = self.weights[nm]
-            if w:
-                self._set(1, "L", nm, {nm: Scalar.from_fraction(w)})
-                self._set(1, nm, "L", {nm: Scalar.from_fraction(w)})
-
     def _fill_V(self):
         for g in self.gen_ids:
             gnm = self.gen_names[g]
@@ -485,10 +461,10 @@ class _Builder:
                 for n in (0, 1):
                     if (n, gnm, b) in self.table:
                         continue
-                    self._set(n, gnm, b, res[n])
+                    _put(self.table, n, gnm, b, res[n])
                     pb = self.parities[b]
                     sgn = -ONE if (n + pb) % 2 == 0 else ONE
-                    self._set(n, b, gnm, el_scale(res[n], sgn))
+                    _put(self.table, n, b, gnm, el_scale(res[n], sgn))
 
     def _fill_composites(self, a_chosen, f_chosen):
         items = [("A%d" % (k + 1), tag)
@@ -498,18 +474,27 @@ class _Builder:
         for nm, tag in items:
             for b in self.names:
                 for n in (0, 1):
-                    self._set(n, nm, b, self.comp_row(tag, n, b))
+                    _put(self.table, n, nm, b, self.comp_row(tag, n, b))
+
+
+def _put(table: dict, n: int, a: str, b: str, el: dict) -> None:
+    el = {k: c for k, c in el.items() if c}
+    if el:
+        table[(n, a, b)] = el
+
+
+def _fill_L(table: dict, weights: dict) -> None:
+    """<L 1 x> = <x 1 L> = wt(x) x for every x of nonzero weight."""
+    for nm, w in weights.items():
+        if w:
+            _put(table, 1, "L", nm, {nm: Scalar.from_fraction(w)})
+            _put(table, 1, nm, "L", {nm: Scalar.from_fraction(w)})
 
 
 def build_from_spec(spec: BuilderSpec, validate: bool = True) -> ReducedAlgebra:
     R = _Builder(spec).build()
     if validate:
-        rep = check_P_axioms(R, 2, 2)
-        if rep.ok:
-            rep = check_H_axioms(R)
-        if not rep.ok:
-            raise InconsistentSpec("built algebra violates axioms:\n"
-                                   + rep.summary())
+        require_axioms(R, InconsistentSpec, "built algebra")
     return R
 
 
@@ -553,8 +538,7 @@ def _wedge3_insert(out, idxs, coeff):
         del out[key]
 
 
-def build_f_extension(base: ReducedAlgebra, j0_vectors,
-                      validate: bool = True) -> ReducedAlgebra:
+def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     """Extend a Clifford-image algebra with no weight-1/2 part by an
     abstract F dual to (V ^ V ^ V) / J0, with every product forced by the
     invariance of the triple pairing.
@@ -584,17 +568,15 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
         return [red[c] for c in comp]
 
     jmat = [jpair_row(t) for t in range(nw)]   # nw x nf
+    jinv = left_inverse(jmat)
+    if jinv is None:
+        raise InconsistentSpec("triple pairing is degenerate on F")
 
     # inner product and dual basis on V
     gram = base.inner_gram()
-    sol = linsolve(gram, [ZERO] * nv)
-    if sol is None or sol[1]:
+    gram_inv = left_inverse(gram)
+    if gram_inv is None:
         raise InconsistentSpec("degenerate inner product on the base")
-    inv_aug = [[gram[r][c] for c in range(nv)] +
-               [ONE if r == c2 else ZERO for c2 in range(nv)]
-               for r in range(nv)]
-    red, piv = rref(inv_aug)
-    gram_inv = [row[nv:] for row in red]
 
     def act_V_matrix(avec_products) -> list:
         """nv x nv matrix of u -> a . u given a's 0-product with V."""
@@ -632,13 +614,10 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
                 s = sum((W3M[r][t] * jmat[r][l]
                          for r in range(nw) if W3M[r][t]), ZERO)
                 rhs.append(-s)
-            sol = linsolve(jmat, rhs)
-            if sol is None:
+            part = mat_vec(jinv, rhs)
+            if mat_vec(jmat, part) != rhs:
                 raise InconsistentSpec(
                     "the null space of the triple pairing is not invariant")
-            part, ker = sol
-            if ker:
-                raise InconsistentSpec("triple pairing is degenerate on F")
             for r in range(nf):
                 out[r][l] = part[r]
         return out
@@ -676,9 +655,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
                     for key, c in acc.items():
                         s = s + c * jmat[w3idx[key]][l]
                     w[x] = s
-                for r in range(nv):
-                    s = sum((gram_inv[r][x] * w[x]
-                             for x in range(nv) if w[x]), ZERO)
+                for r, s in enumerate(mat_vec(gram_inv, w)):
                     MV[r][ju] = -s
             MF = act_F_matrix(derive_W3(MV))
             # u o (v . f_l) = (u o v) . f_l + (u, v) f_l
@@ -704,8 +681,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
 
     cols = [encode(k) for k in range(nwa)]
     erows = [[cols[c][r] for c in range(nwa)] for r in range(len(cols[0]))]
-    from .linalg import kernel as _kernel
-    K = _kernel(erows)
+    K = kernel(erows)
 
     # derivation action of each formal element on the formal space
     def der_column(b: int, x: int) -> list:
@@ -758,7 +734,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
                     cons.append([img[coord] for img in imgs])
         if not cons:
             break
-        ker = _kernel(cons)
+        ker = kernel(cons)
         if len(ker) == len(nrows):
             break
         nrows = [[sum((kv2[i] * nrows[i][c] for i in range(len(nrows))
@@ -771,33 +747,26 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
     span = Subspace(nwa)
     for row in nullsub.rows:
         span.add(list(row))
-    chosen = []
-    for k in range(nwa):
-        unit = [ZERO] * nwa
-        unit[k] = ONE
-        if span.add(unit):
-            chosen.append(k)
-    na = len(chosen)
-
-    amat_cols = [list(r) for r in nullsub.rows] + \
-                [[ONE if r == k else ZERO for r in range(nwa)]
-                 for k in chosen]
-    amat = [[amat_cols[c][r] for c in range(len(amat_cols))]
-            for r in range(nwa)]
-    nnull = len(nullsub.rows)
-
-    def a_coords(wvec) -> dict:
-        sol = linsolve(amat, list(wvec))
-        if sol is None:
-            raise InconsistentSpec("weight-1 element outside the span")
-        part, _ = sol
-        return {"A%d" % (k + 1): c
-                for k, c in enumerate(part[nnull:]) if c}
 
     def formal_unit(k: int) -> list:
         unit = [ZERO] * nwa
         unit[k] = ONE
         return unit
+
+    chosen = [k for k in range(nwa) if span.add(formal_unit(k))]
+    na = len(chosen)
+
+    amat_cols = [list(r) for r in nullsub.rows] + \
+                [formal_unit(k) for k in chosen]
+    # square and invertible: the chosen units complete the null rows
+    ainv = left_inverse([[amat_cols[c][r] for c in range(len(amat_cols))]
+                         for r in range(nwa)])
+    nnull = len(nullsub.rows)
+
+    def a_coords(wvec) -> dict:
+        part = mat_vec(ainv, wvec)
+        return {"A%d" % (k + 1): c
+                for k, c in enumerate(part[nnull:]) if c}
 
     anames = ["A%d" % (k + 1) for k in range(na)]
     fnames = ["F%d" % (l + 1) for l in range(nf)]
@@ -805,7 +774,6 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
     basis += [BasisVector(v, W_V, 1) for v in V]
     basis += [BasisVector(a, W_A, 0) for a in anames]
     basis += [BasisVector(f, W_F, 1) for f in fnames]
-    names = [b.id for b in basis]
     weights = {b.id: b.weight for b in basis}
 
     ops = {nm: (MVs[k], MFs[k], SGs[k]) for nm, k in zip(anames, chosen)}
@@ -818,27 +786,17 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
         return a_coords(formal_unit(na0 + kv * nf + l))
 
     table = {}
-
-    def put(n, a, b, el):
-        el = {k: c for k, c in el.items() if c}
-        if el:
-            table[(n, a, b)] = el
-
-    for nm in names:
-        w = weights[nm]
-        if w:
-            put(1, "L", nm, {nm: Scalar.from_fraction(w)})
-            put(1, nm, "L", {nm: Scalar.from_fraction(w)})
+    _fill_L(table, weights)
 
     # V x V
     for i, u in enumerate(V):
         for j, v in enumerate(V):
-            put(0, u, v, {"L": gram[i][j]})
+            _put(table, 0, u, v, {"L": gram[i][j]})
             circ = base.product_basis(1, u, v)   # lands in base A
             out = {}
             for a, c in circ.items():
                 el_add_into(out, base_a_coords[a], c)
-            put(1, u, v, out)
+            _put(table, 1, u, v, out)
 
     # A actions and V o A
     half = Scalar.from_fraction(Fraction(1, 2))
@@ -846,37 +804,31 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors,
         MV, MF, SG = ops[anm]
         for j, u in enumerate(V):
             img = {V[r]: MV[r][j] for r in range(nv) if MV[r][j]}
-            put(0, anm, u, img)
-            put(0, u, anm, el_scale(img, -ONE))
+            _put(table, 0, anm, u, img)
+            _put(table, 0, u, anm, el_scale(img, -ONE))
             circ = {fnames[m]: SG[m][j] for m in range(nf) if SG[m][j]}
-            put(1, u, anm, el_scale(circ, half))
-            put(1, anm, u, el_scale(circ, half))
+            _put(table, 1, u, anm, el_scale(circ, half))
+            _put(table, 1, anm, u, el_scale(circ, half))
         for l, fnm in enumerate(fnames):
             img = {fnames[r]: MF[r][l] for r in range(nf) if MF[r][l]}
-            put(0, anm, fnm, img)
-            put(0, fnm, anm, el_scale(img, -ONE))
+            _put(table, 0, anm, fnm, img)
+            _put(table, 0, fnm, anm, el_scale(img, -ONE))
 
     # V . F -> A
     for kv, v in enumerate(V):
         for l, fnm in enumerate(fnames):
             el = vf_coords(kv, l)
-            put(0, v, fnm, el)
-            put(0, fnm, v, el)
+            _put(table, 0, v, fnm, el)
+            _put(table, 0, fnm, v, el)
 
     # A . A through the derivation action on the formal span
     for a1 in anames:
         for a2 in anames:
             img = der_apply(fidx[a1], formal_unit(fidx[a2]))
-            put(0, a1, a2, a_coords(img))
+            _put(table, 0, a1, a2, a_coords(img))
 
     R = ReducedAlgebra(basis, "L", table)
-    if validate:
-        rep = check_P_axioms(R, 2, 2)
-        if rep.ok:
-            rep = check_H_axioms(R)
-        if not rep.ok:
-            raise InconsistentSpec("extension violates axioms:\n"
-                                   + rep.summary())
+    require_axioms(R, InconsistentSpec, "extension")
     return R
 
 
@@ -894,17 +846,6 @@ class CaseReport:
     solutions: list            # list of value tuples over unknowns
     verdicts: dict             # solution tuple -> short verdict string
     notes: list
-
-
-def _affine_str(form) -> str:
-    const, coeffs = form
-    parts = []
-    for k in sorted(coeffs):
-        c = coeffs[k]
-        parts.append("%+d*%s" % (c, k) if c != 1 else "+%s" % k)
-    if const:
-        parts.append("%+d" % const)
-    return "".join(parts).lstrip("+")
 
 
 def _pair_constraints(npairs: int):
@@ -1053,7 +994,6 @@ def exclusion_sweep(dimv: int) -> CaseReport:
                 spec = BuilderSpec.from_alpha(npairs, False, alpha,
                                               CK6_KERNEL)
                 R = build_from_spec(spec)
-                from .algebra import is_simple
                 s = is_simple(R)
                 verdicts[pt] = ("simple algebra of dimension %d"
                                 % R.dim if s.simple else

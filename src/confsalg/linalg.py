@@ -62,7 +62,7 @@ def rref(rows):
         r += 1
         if r == len(rows):
             break
-    return rows[:r] + [row for row in rows[r:]], pivots
+    return rows, pivots
 
 
 def rank(rows) -> int:
@@ -88,26 +88,19 @@ def kernel(rows):
     return basis
 
 
-def linsolve(rows, rhs):
-    """Solve A x = b exactly.
-
-    Returns (particular_solution, kernel_basis) or None when inconsistent.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+def left_inverse(A):
+    """X with X A = I, read off the reduced form of [A | I]; None when the
+    columns of A are dependent.  For b in the column space of A, X b is
+    the unique solution of A x = b."""
+    if not A:
+        return []
+    nrows, ncols = len(A), len(A[0])
+    aug = [list(row) + [ONE if r == c else ZERO for c in range(nrows)]
+           for r, row in enumerate(A)]
     red, pivots = rref(aug)
-    for r in range(len(red)):
-        if all(not x for x in red[r][:ncols]) and red[r][ncols]:
-            return None
-    part = zeros(ncols)
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        part[pc] = red[r][ncols]
-    ker = kernel(rows)
-    return part, ker
+    if pivots[:ncols] != list(range(ncols)):
+        return None
+    return [row[ncols:] for row in red[:ncols]]
 
 
 def charpoly(A):

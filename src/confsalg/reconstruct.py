@@ -11,13 +11,12 @@ here as well.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import rref, kernel, linsolve
+from .linalg import kernel, left_inverse, mat_vec
 from .algebra import (BasisVector, ReducedAlgebra, Report, coeff_G,
-                      el_add_into, el_scale, check_P_axioms, check_H_axioms)
+                      el_add_into, el_scale, require_axioms)
 
 HALF = Fraction(1, 2)
 
@@ -342,8 +341,7 @@ class AxiomVFails(ValueError):
     pass
 
 
-def change_conformal_vector(RA, alpha: Scalar,
-                            validate: bool = True) -> ReducedAlgebra:
+def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
     """The algebra with conformal vector L_a = L - (a/2) d(e1.e2oe3oe4),
     presented on its own reduced subspace."""
     if isinstance(RA, ReducedAlgebra):
@@ -409,12 +407,14 @@ def change_conformal_vector(RA, alpha: Scalar,
 
     kmat = [[ker[c][r] for c in range(len(ker))]
             for r in range(len(coords))]
+    kinv = left_inverse(kmat)   # kernel bases are independent
     op = []
     for v in ker:
-        sol = linsolve(kmat, l1_apply(v))
-        if sol is None:
+        img = l1_apply(v)
+        sol = mat_vec(kinv, img)
+        if mat_vec(kmat, sol) != img:
             raise AxiomVFails("L_(1) does not preserve the kernel")
-        op.append(sol[0])
+        op.append(sol)
     opT = [[op[c][r] for c in range(len(ker))] for r in range(len(ker))]
 
     new_basis, new_vecs = [], []
@@ -461,28 +461,20 @@ def change_conformal_vector(RA, alpha: Scalar,
                         c * Scalar.from_int(comb(i + j, j))
             cols.append(col)
             colkey.append((bi, j))
-    mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(big))]
-    aug = [row + [ONE if r == c else ZERO for c in range(len(big))]
-           for r, row in enumerate(mat)]
-    red, piv = rref(aug)
-    nc = len(cols)
+    dec = left_inverse([[cols[c][r] for c in range(len(cols))]
+                        for r in range(len(big))])
+    if dec is None:
+        raise AxiomVFails("derivatives of the new basis are dependent")
+    # only the d^(0) coordinates are ever read
+    names0 = [new_basis[bi].id for bi, j in colkey if j == 0]
+    dec0 = [row for row, (bi, j) in zip(dec, colkey) if j == 0]
 
     def zero_part(z: dict) -> dict:
         rhs = [ZERO] * len(big)
         for j, el in z.items():
             for x, c in el.items():
                 rhs[bidx[(j, x)]] = c
-        out = {}
-        for r, pc in enumerate(piv):
-            if pc >= nc:
-                continue
-            s = sum((red[r][nc + i] * rhs[i]
-                     for i in range(len(big)) if rhs[i]), ZERO)
-            if s:
-                bi, j = colkey[pc]
-                if j == 0:
-                    out[new_basis[bi].id] = s
-        return out
+        return {nm: s for nm, s in zip(names0, mat_vec(dec0, rhs)) if s}
 
     names = [b.id for b in new_basis]
     dps = {nm: {j: {a: vec[cidx[(j, a)]]
@@ -496,7 +488,6 @@ def change_conformal_vector(RA, alpha: Scalar,
             for n in (0, 1, 2):
                 z = RA.full_product(dps[x], dps[y], n)
                 el = zero_part(z)
-                el = {k: c for k, c in el.items() if c}
                 if n == 2:
                     if x == y == "L":
                         if el:
@@ -507,11 +498,5 @@ def change_conformal_vector(RA, alpha: Scalar,
                 elif el:
                     products[(n, x, y)] = el
     out = ReducedAlgebra(new_basis, "L", products)
-    if validate:
-        rep = check_P_axioms(out, 2, 2)
-        if rep.ok:
-            rep = check_H_axioms(out)
-        if not rep.ok:
-            raise AxiomVFails("changed algebra violates axioms:\n"
-                              + rep.summary())
+    require_axioms(out, AxiomVFails, "changed algebra")
     return out

@@ -210,17 +210,6 @@ class Scalar:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
-
-    def as_gauss(self) -> GaussRat:
-        if not self.is_constant():
-            raise ValueError("scalar is not constant: %s" % self)
-        return self.num[0] if self.num else GR_ZERO
-
     def __bool__(self):
         return bool(self.num)
 
@@ -294,7 +283,7 @@ class Scalar:
                 acc = acc * value + Scalar.from_gauss(c)
             return acc
         den = ev(self.den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("substitution hits a pole")
         return ev(self.num) / den
 
@@ -364,6 +353,14 @@ def _poly_str(poly) -> str:
 
 _TOKEN = re.compile(r"\s*(\d+|[ia()+\-*/^])")
 
+# Bounds that keep one literal from stalling a run or printing past the
+# interpreter's integer string limit.  Catalog coefficients have degree at
+# most 6 in a and small integer coefficients.
+MAX_NESTING = 100
+MAX_DIGITS = 1000
+MAX_DEGREE = 16
+MAX_BITS = 4096
+
 
 class ScalarParseError(ValueError):
     pass
@@ -383,10 +380,33 @@ def _tokenize(text: str):
     return tokens
 
 
+def _bounded(value: Scalar, k: int = 1, bits: bool = True) -> Scalar:
+    """value, or ScalarParseError when value ** k would exceed MAX_DEGREE
+    or, with bits, MAX_BITS.  The degree is checked after each operation,
+    because sums of quotients raise it; coefficients grow fast only under
+    powers, so their size is checked there and on the result."""
+    too_big = (max(len(value.num), len(value.den)) - 1) * k > MAX_DEGREE
+    if bits and not too_big:
+        height = max(max(abs(c.p).bit_length(), abs(c.q).bit_length(),
+                         c.d.bit_length()) for c in value.num + value.den)
+        too_big = height * k > MAX_BITS
+    if too_big:
+        raise ScalarParseError("literal exceeds degree %d or %d-bit "
+                               "coefficients" % (MAX_DEGREE, MAX_BITS))
+    return value
+
+
+def _int(tok: str) -> int:
+    if len(tok) > MAX_DIGITS:
+        raise ScalarParseError("integer longer than %d digits" % MAX_DIGITS)
+    return int(tok)
+
+
 def parse(text: str) -> Scalar:
     """Parse the scalar grammar, e.g. ``(1+2*i - a^2)/(1-a)``."""
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -408,7 +428,8 @@ def parse(text: str) -> Scalar:
         while peek() in ("+", "-"):
             op = take()
             rhs = term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _bounded(value + rhs if op == "+" else value - rhs,
+                             bits=False)
         return value
 
     def term():
@@ -416,7 +437,8 @@ def parse(text: str) -> Scalar:
         while peek() in ("*", "/"):
             op = take()
             rhs = factor()
-            value = value * rhs if op == "*" else value / rhs
+            value = _bounded(value * rhs if op == "*" else value / rhs,
+                             bits=False)
         return value
 
     def factor():
@@ -430,23 +452,29 @@ def parse(text: str) -> Scalar:
             tok = peek()
             if tok is None or not tok.isdigit():
                 raise ScalarParseError("expected integer exponent")
-            value = value ** (sign * int(take()))
+            k = _int(take())
+            value = _bounded(value, k) ** (sign * k)
         return value
 
     def atom():
+        nonlocal depth
         tok = peek()
         if tok is None:
             raise ScalarParseError("unexpected end of input")
-        if tok == "(":
+        if tok in ("(", "-"):
             take()
-            value = expr()
-            if peek() != ")":
-                raise ScalarParseError("expected closing parenthesis")
-            take()
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ScalarParseError("nesting deeper than %d" % MAX_NESTING)
+            if tok == "-":
+                value = -atom()
+            else:
+                value = expr()
+                if peek() != ")":
+                    raise ScalarParseError("expected closing parenthesis")
+                take()
+            depth -= 1
             return value
-        if tok == "-":
-            take()
-            return -atom()
         if tok == "i":
             take()
             return IMAG
@@ -454,10 +482,13 @@ def parse(text: str) -> Scalar:
             take()
             return ALPHA
         if tok.isdigit():
-            return Scalar.from_int(int(take()))
+            return Scalar.from_int(_int(take()))
         raise ScalarParseError("unexpected token %r" % tok)
 
-    value = expr()
+    try:
+        value = expr()
+    except ZeroDivisionError:
+        raise ScalarParseError("division by zero in %r" % text) from None
     if pos != len(tokens):
         raise ScalarParseError("trailing tokens %r" % tokens[pos:])
-    return value
+    return _bounded(value)

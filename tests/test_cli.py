@@ -1,7 +1,10 @@
 """End-to-end runs of the command-line front end."""
 import json
 
-from confsalg.cli import main, thread_cap
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from confsalg.cli import main
 from confsalg import catalog
 
 
@@ -133,10 +136,83 @@ def test_exclude_json(capsys):
     assert len(doc["solutions"]) == 9
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.delenv("CONFSALG_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("CONFSALG_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("CONFSALG_THREADS", "zero")
-    assert thread_cap() == 1
+def _vir_doc():
+    return json.loads(catalog.build("Vir").to_json())
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["products"].append(
+        {"n": 0, "a": "L", "b": "X", "terms": [{"coeff": "1", "basis": "L"}]}),
+    lambda d: d["products"][0]["terms"].append({"coeff": "1", "basis": "X"}),
+    lambda d: d["products"][0].update(n=-1),
+    lambda d: d["products"][0].update(n=10 ** 300),
+    lambda d: d["basis"][0].update(parity=2),
+    lambda d: d["basis"][0].update(weight="2/0"),
+    lambda d: d["basis"][0].update(weight=float("inf")),
+    lambda d: '{"basis": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["unknown-key", "unknown-term", "negative-n", "huge-n", "parity",
+        "zero-denominator", "infinite-weight", "deep-nesting"])
+def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
+    doc = _vir_doc()
+    path = tmp_path / "bad.json"
+    path.write_text(mutate(doc) or json.dumps(doc))
+    for cmd in ("verify", "simplicity"):
+        code, out, err = run(capsys, cmd, str(path))
+        assert code == 2, (cmd, out)
+        assert err.startswith("error: cannot parse")
+
+
+SEEDS = {name: catalog.build(name).to_json() for name in ("Vir", "K1")}
+LITERAL = st.text(alphabet="0123456789ia()+-*/^ ", max_size=24)
+JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      LITERAL,
+                      st.sampled_from(["L", "e1", "X", "1/2", "3/2", ""]))
+JSON_VALUE = st.recursive(
+    JSON_LEAF, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["n", "a", "b", "id", "coeff"]),
+                        inner, max_size=3)),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def garbled(draw):
+    text = SEEDS[draw(st.sampled_from(sorted(SEEDS)))]
+    kind = draw(st.sampled_from(["text", "value", "literal"]))
+    if kind == "text":
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            i = draw(st.integers(min_value=0, max_value=len(text)))
+            j = draw(st.integers(min_value=i, max_value=min(len(text), i + 8)))
+            text = text[:i] + draw(st.text(
+                alphabet='{}[]",:-0123456789eLXia/ ', max_size=4)) + text[j:]
+        return text
+    doc = json.loads(text)
+    if kind == "literal":
+        terms = [t for p in doc["products"] for t in p["terms"]]
+        draw(st.sampled_from(terms))["coeff"] = draw(LITERAL)
+        return json.dumps(doc)
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = draw(JSON_VALUE)
+    return json.dumps(doc)
+
+
+@given(garbled())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_garbled_input_never_raises(tmp_path, capsys, text):
+    path = tmp_path / "garbled.json"
+    path.write_text(text)
+    for cmd in ("verify", "simplicity"):
+        assert main([cmd, str(path)]) in (0, 1, 2, 3)
+    capsys.readouterr()

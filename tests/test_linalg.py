@@ -1,11 +1,9 @@
 """Exact linear algebra: echelon forms, solvers, characteristic
 polynomials."""
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
-from confsalg.linalg import (rref, rank, kernel, linsolve, charpoly,
+from confsalg.linalg import (rref, rank, kernel, left_inverse, charpoly,
                              tpoly_mul, tpoly_str, Subspace, mat_mul,
                              mat_vec)
 
@@ -33,12 +31,14 @@ def test_rank_and_kernel():
         assert sum((row[k] * ker[0][k] for k in range(3)), ZERO) == ZERO
 
 
-def test_linsolve_consistent_and_not():
-    A = M([[1, 1], [1, -1]])
-    part, hom = linsolve(A, [S(3), S(1)])
-    assert part == [S(2), S(1)]
-    assert hom == []
-    assert linsolve(M([[1, 1], [2, 2]]), [S(1), S(3)]) is None
+def test_left_inverse_small_cases():
+    X = left_inverse(M([[1, 1], [1, -1]]))
+    assert mat_vec(X, [S(3), S(1)]) == [S(2), S(1)]
+    assert left_inverse(M([[1, 1], [2, 2]])) is None
+    # tall: the extra row is the sum of the first two
+    X = left_inverse(M([[1, 0], [0, 1], [1, 1]]))
+    assert mat_mul(X, M([[1, 0], [0, 1], [1, 1]])) == M([[1, 0], [0, 1]])
+    assert left_inverse(M([[1, 0, 2], [0, 1, 3]])) is None
 
 
 def test_charpoly_companion():
@@ -104,12 +104,44 @@ def test_cayley_hamilton(rows):
     assert all(x == ZERO for row in acc for x in row)
 
 
-@given(rows3, st.lists(st.integers(min_value=-4, max_value=4),
-                       min_size=3, max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_linsolve_solves(rows, rhs):
-    A = M(rows)
-    b = [S(x) for x in rhs]
-    sol = linsolve(A, b)
-    if sol is not None:
-        assert mat_vec(A, sol[0]) == b
+entries = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    nrows = nrows or draw(st.integers(min_value=1, max_value=4))
+    ncols = ncols or draw(st.integers(min_value=1, max_value=4))
+    return M(draw(st.lists(st.lists(entries, min_size=ncols,
+                                    max_size=ncols),
+                           min_size=nrows, max_size=nrows)))
+
+
+@given(matrices())
+@settings(max_examples=80, deadline=None)
+def test_left_inverse_none_iff_rank_deficient(A):
+    X = left_inverse(A)
+    ncols = len(A[0])
+    assert (X is None) == (rank(A) < ncols)
+    if X is not None:
+        ident = [[ONE if r == c else ZERO for c in range(ncols)]
+                 for r in range(ncols)]
+        assert mat_mul(X, A) == ident
+
+
+@given(st.one_of(matrices(3, 3), matrices()), st.data())
+@settings(max_examples=80, deadline=None)
+def test_left_inverse_solves(A, data):
+    """X b solves A x = b for every b in the column space of A."""
+    X = left_inverse(A)
+    if X is None:
+        return
+    y = [S(v) for v in data.draw(st.lists(entries, min_size=len(A[0]),
+                                          max_size=len(A[0])))]
+    b = mat_vec(A, y)
+    assert mat_vec(X, b) == y
+    assert mat_vec(A, mat_vec(X, b)) == b
+    if len(A) == len(A[0]):
+        # square and invertible: every b is in the column space
+        b = [S(v) for v in data.draw(st.lists(entries, min_size=len(A),
+                                              max_size=len(A)))]
+        assert mat_vec(A, mat_vec(X, b)) == b

@@ -32,6 +32,29 @@ def test_parse_rejects_garbage():
             parse(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "1" + ")" * 2000,      # nesting
+    "-" * 2000 + "1",
+    "((1+a)^9)^9",                      # compounded powers
+    "(1+a)^400",
+    "((2^64)^64)^64",                   # constant height
+    "2^" + "9" * 30,
+    "9" * 1001,
+    "a^9*a^9",                          # degree past the cap by products
+    "1/0", "0^-1",
+])
+def test_parse_bounds(text):
+    with pytest.raises(ScalarParseError):
+        parse(text)
+
+
+def test_parse_within_bounds():
+    assert parse("((1+a)^2)^3") == (ONE + ALPHA) ** 6
+    assert parse("a^16") == ALPHA ** 16
+    assert parse("2^64") == Scalar.from_int(2 ** 64)
+    assert parse("(" * 50 + "1" + ")" * 50) == ONE
+
+
 def test_str_round_trip_samples():
     samples = [ZERO, ONE, -ONE, IMAG, ALPHA, ONE + IMAG,
                (ONE + ALPHA).inv(), ALPHA * ALPHA - ONE,
