@@ -159,6 +159,8 @@ class ReducedAlgebra:
                 el = {k: v for k, v in el.items() if v}
                 if el:
                     self.products[(n, a, b)] = el
+        # the table is not changed after construction
+        self._max_n = max((n for (n, _, _) in self.products), default=0)
 
     # -- basic lookups ------------------------------------------------------
 
@@ -173,7 +175,7 @@ class ReducedAlgebra:
         return len(self.basis)
 
     def max_n(self) -> int:
-        return max((n for (n, _, _) in self.products), default=0)
+        return self._max_n
 
     def basis_element(self, bid: str) -> dict:
         return {bid: ONE}
@@ -301,8 +303,17 @@ class ReducedAlgebra:
                  for b in doc["basis"]]
         products = {}
         for p in doc["products"]:
-            el = {t["basis"]: scalars.parse(t["coeff"]) for t in p["terms"]}
-            products[(int(p["n"]), p["a"], p["b"])] = el
+            key = (int(p["n"]), p["a"], p["b"])
+            if key in products:
+                raise ValueError("product <%s %d %s> is listed twice"
+                                 % (key[1], key[0], key[2]))
+            el = {}
+            for t in p["terms"]:
+                if t["basis"] in el:
+                    raise ValueError("product <%s %d %s> lists term %s twice"
+                                     % (key[1], key[0], key[2], t["basis"]))
+                el[t["basis"]] = scalars.parse(t["coeff"])
+            products[key] = el
         return ReducedAlgebra(basis, doc["L"], products)
 
     # -- mutation helper (for sensitivity tests) ---------------------------

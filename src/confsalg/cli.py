@@ -12,7 +12,7 @@ import json
 import sys
 
 from .scalars import parse as parse_scalar
-from .algebra import (ReducedAlgebra, check_P_axioms, check_H_axioms,
+from .algebra import (MAX_N, ReducedAlgebra, check_P_axioms, check_H_axioms,
                       is_simple_physical, is_simple, is_physical_shape)
 from .construct import (InconsistentSpec, UnderdeterminedSpec,
                         exclusion_sweep)
@@ -74,6 +74,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag in ("mmax", "nmax", "dmax"):
+        if not 0 <= getattr(args, flag) <= MAX_N:
+            raise CliError(EXIT_INPUT, "--%s must lie in 0..%d"
+                           % (flag, MAX_N))
     R = _load_algebra(args.path)
     axioms = [a.strip().upper() for a in args.axioms.split(",") if a.strip()]
     bad = [a for a in axioms if a not in ("P", "H", "C")]

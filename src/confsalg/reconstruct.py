@@ -143,8 +143,12 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                    d_max: int = 4, max_failures: int = 20) -> Report:
     """(C1), (C2), (C3) and the conformal-vector operator identities.
 
-    (C3) runs over all basis triples with the first argument additionally
-    d-shifted; (C2) over all basis pairs with both arguments shifted.
+    (C1) runs over all basis pairs.  (C2) runs over the basis pairs with a
+    nonzero product, both arguments shifted by d^(k) for k <= d_max.  (C3)
+    runs over the basis triples (a, b, c) whose c is a partner of a, of b or
+    of a term of some a_(j) b; for any other c every term vanishes.  Only
+    a = ids[0] is d-shifted in (C3), by d^(k) for k <= d_max; (C1) ties the
+    other shifts to unshifted instances.
     """
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
@@ -230,9 +234,13 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
 
     # (C3): a_(m)(b_(n)c) = (-1)^{pq} b_(n)(a_(m)c)
     #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c
+    # The inner products are computed outside the (m, n) loops: a_(j) b once
+    # per (a, b, k), b_(n) c per (a, b, c), a_(m) c per (a, b, c, k), and
+    # (a_(j) b)_(s) c per (a, b, c, k) for each (j, s) the pairs share.
     for a in ids:
         for b in ids:
-            ab = [RA.full_product({0: {a: ONE}}, {0: {b: ONE}}, j)
+            xb = {0: {b: ONE}}
+            ab = [RA.full_product({0: {a: ONE}}, xb, j)
                   for j in range(R.max_n() + 1)]
             rel = set(RA.partners(a)) | set(RA.partners(b))
             for t in ab:
@@ -240,33 +248,38 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                     for x in el:
                         rel |= RA.partners(x)
             pq = R.parity(a) * R.parity(b)
+            t2_sign = Scalar.from_int(1 if pq % 2 else -1)
+            ajb_by_k = {}
             for c in ids:
                 if c not in rel:
                     continue
+                xc = {0: {c: ONE}}
+                bc = [RA.full_product(xb, xc, n) for n in range(n_max + 1)]
                 for k in range(d_max + 1):
                     xa = {k: {a: ONE}}
-                    xb = {0: {b: ONE}}
-                    xc = {0: {c: ONE}}
+                    if k not in ajb_by_k:
+                        ajb_by_k[k] = [RA.full_product(xa, xb, j)
+                                       for j in range(m_max + 1)]
+                    ajb = ajb_by_k[k]
+                    ac = [RA.full_product(xa, xc, m)
+                          for m in range(m_max + 1)]
+                    t3s = {}
                     for m in range(m_max + 1):
                         for n in range(n_max + 1):
                             rep.checked += 1
-                            lhs = RA.full_product(
-                                xa, RA.full_product(xb, xc, n), m)
-                            t2 = RA.full_product(
-                                xb, RA.full_product(xa, xc, m), n)
-                            dp_add_into(lhs, t2,
-                                        Scalar.from_int(
-                                            1 if pq % 2 else -1))
+                            lhs = RA.full_product(xa, bc[n], m)
+                            t2 = RA.full_product(xb, ac[m], n)
+                            dp_add_into(lhs, t2, t2_sign)
                             for j in range(m + 1):
-                                cj = comb(m, j)
-                                if not cj:
+                                if not ajb[j]:
                                     continue
-                                ajb = RA.full_product(xa, xb, j)
-                                if not ajb:
-                                    continue
-                                t3 = RA.full_product(ajb, xc, m + n - j)
+                                s = m + n - j
+                                t3 = t3s.get((j, s))
+                                if t3 is None:
+                                    t3 = t3s[(j, s)] = RA.full_product(
+                                        ajb[j], xc, s)
                                 dp_add_into(lhs, t3,
-                                            Scalar.from_int(-cj))
+                                            Scalar.from_int(-comb(m, j)))
                             if dp_clean(lhs):
                                 rep.fail(
                                     "(C3) fails: a=%s b=%s c=%s k=%d "

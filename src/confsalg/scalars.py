@@ -216,14 +216,18 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if not other.num:
+        x, y = self.num, other.num
+        if not y:
             return self
-        if not self.num:
+        if not x:
             return other
         if len(self.den) == 1 and len(other.den) == 1:
-            return Scalar(_padd(self.num, other.num), (GR_ONE,), _canon=False)
-        return Scalar(_padd(_pmul(self.num, other.den),
-                            _pmul(other.num, self.den)),
+            if len(x) == 1 and len(y) == 1:
+                # two constants: a canonical denominator of length 1 is 1
+                s = x[0] + y[0]
+                return Scalar((s,), _canon=False) if s else ZERO
+            return Scalar(_padd(x, y), (GR_ONE,), _canon=False)
+        return Scalar(_padd(_pmul(x, other.den), _pmul(y, self.den)),
                       _pmul(self.den, other.den))
 
     def __sub__(self, other):
@@ -233,13 +237,18 @@ class Scalar:
         return Scalar(_pneg(self.num), self.den, _canon=False)
 
     def __mul__(self, other):
-        if not self.num or not other.num:
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
+        x, y = self.num, other.num
+        if not x or not y:
             return ZERO
         if len(self.den) == 1 and len(other.den) == 1:
-            return Scalar(_pmul(self.num, other.num), (GR_ONE,),
-                          _canon=len(self.num) > 1 or len(other.num) > 1)
-        return Scalar(_pmul(self.num, other.num),
-                      _pmul(self.den, other.den))
+            if len(x) == 1 and len(y) == 1:
+                return Scalar((x[0] * y[0],), _canon=False)
+            return Scalar(_pmul(x, y))
+        return Scalar(_pmul(x, y), _pmul(self.den, other.den))
 
     def inv(self) -> "Scalar":
         if not self.num:

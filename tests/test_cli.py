@@ -65,6 +65,19 @@ def test_verify_input_errors(tmp_path, capsys):
     assert run(capsys, "verify", str(good), "--axioms", "Q")[0] == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--mmax", "-1"), ("--nmax", "-1"), ("--dmax", "-1"), ("--mmax", "65"),
+    ("--nmax", "10000"), ("--dmax", "65"),
+])
+def test_verify_bounds_are_input_errors(tmp_path, capsys, flag, value):
+    path = tmp_path / "vir.json"
+    run(capsys, "build", "Vir", "-o", str(path))
+    code, out, err = run(capsys, "verify", str(path), "--axioms", "P,C",
+                         flag, value)
+    assert code == 2 and out == ""
+    assert err == "error: %s must lie in 0..64\n" % flag
+
+
 def test_invariants_output(tmp_path, capsys):
     path = tmp_path / "n4a0.json"
     run(capsys, "build", "N4alpha", "--alpha", "0", "-o", str(path))
@@ -150,8 +163,12 @@ def _vir_doc():
     lambda d: d["basis"][0].update(weight="2/0"),
     lambda d: d["basis"][0].update(weight=float("inf")),
     lambda d: '{"basis": ' + "[" * 100000 + "]" * 100000 + "}",
+    lambda d: d["products"].append(json.loads(json.dumps(d["products"][0]))),
+    lambda d: d["products"][0]["terms"].append(
+        {"coeff": "3", "basis": d["products"][0]["terms"][0]["basis"]}),
 ], ids=["unknown-key", "unknown-term", "negative-n", "huge-n", "parity",
-        "zero-denominator", "infinite-weight", "deep-nesting"])
+        "zero-denominator", "infinite-weight", "deep-nesting",
+        "duplicate-key", "duplicate-term"])
 def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
     doc = _vir_doc()
     path = tmp_path / "bad.json"

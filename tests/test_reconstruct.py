@@ -59,6 +59,31 @@ def test_reconstruction_axioms(name, dmax):
     assert rep.ok, rep.summary()
 
 
+@pytest.mark.parametrize("name", ["K2", "S2"])
+def test_reconstruction_axioms_reject_sign_mutants(name):
+    # K1 is left out: its <e1 0 e1> mutant is K1 rescaled by e1 -> i*e1
+    passed = [label for label, M in catalog.build(name).sign_mutations()
+              if check_C_axioms(M, 2, 2, 1).ok]
+    assert passed == []
+
+
+def test_reconstruction_axioms_failure_list():
+    R = catalog.build("S2")
+    M = dict(R.sign_mutations())["<L 1 L> term L"]
+    rep = check_C_axioms(M, 2, 2, 1)
+    c3 = ["(C3) fails: a=L b=L c=%s k=%d m=%d n=%d" % inst for inst in (
+        ("D1", 0, 0, 1), ("D1", 0, 0, 2), ("D1", 0, 1, 0), ("D1", 0, 2, 0),
+        ("D1", 1, 1, 1), ("D1", 1, 1, 2), ("D1", 1, 2, 0),
+        ("Db1", 0, 0, 1), ("Db1", 0, 0, 2), ("Db1", 0, 1, 0),
+        ("Db1", 0, 2, 0), ("Db1", 1, 1, 1), ("Db1", 1, 1, 2),
+        ("Db1", 1, 2, 0),
+        ("D2", 0, 0, 1), ("D2", 0, 0, 2), ("D2", 0, 1, 0))]
+    assert (rep.ok, rep.checked) == (False, 814)
+    assert rep.failures == ["L_(0) is not d on L",
+                            "L_(1) eigenvalue wrong on L",
+                            "L_(2) derivative rule fails on L"] + c3
+
+
 def test_virasoro_mode_algebra():
     RA = reconstruct(catalog.build("Vir"))
     L = {"L": ONE}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import (Scalar, GaussRat, ZERO, ONE, IMAG, ALPHA,
-                              parse, ScalarParseError)
+                              parse, ScalarParseError, _padd, _pmul)
 
 
 def test_constants():
@@ -90,6 +90,23 @@ def test_ring_laws(x, y, z):
     assert x + ZERO == x
     assert x * ONE == x
     assert x - x == ZERO
+
+
+gauss_constants = st.one_of(st.just(ONE), st.builds(
+    lambda p, q, d: Scalar.from_gauss(GaussRat(p, q, d)),
+    small, small, st.integers(min_value=1, max_value=4)))
+
+
+@given(gauss_constants, gauss_constants)
+@settings(max_examples=100, deadline=None)
+def test_constant_fast_path_matches_general_path(x, y):
+    prod = Scalar(_pmul(x.num, y.num), _pmul(x.den, y.den), _canon=True)
+    total = Scalar(_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)),
+                   _pmul(x.den, y.den), _canon=True)
+    assert x * y == prod and hash(x * y) == hash(prod)
+    assert x + y == total and hash(x + y) == hash(total)
+    assert x + (-x) is ZERO
+    assert hash(x + (-x)) == hash(ZERO)
 
 
 @given(scalars())
