@@ -23,7 +23,7 @@ from math import comb
 
 from . import scalars
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Subspace, kernel
+from .linalg import Subspace, el_add_into, el_scale, kernel
 
 # ---------------------------------------------------------------------------
 # structure coefficients
@@ -67,35 +67,8 @@ def coeff_F(da: Fraction, db: Fraction, m: int, n: int, t: int) -> Fraction:
 # elements
 # ---------------------------------------------------------------------------
 
-# Elements are sparse dicts {basis_id: Scalar} with nonzero values only.
-
-
-def el_scale(x: dict, c: Scalar) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in x.items()}
-
-
-def el_add_into(acc: dict, x: dict, c: Scalar = ONE) -> None:
-    if not c:
-        return
-    for k, v in x.items():
-        s = acc.get(k)
-        s = v * c if s is None else s + v * c
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
-
-
-def el_sub(x: dict, y: dict) -> dict:
-    out = dict(x)
-    el_add_into(out, y, -ONE)
-    return out
-
-
-def el_eq(x: dict, y: dict) -> bool:
-    return not el_sub(x, y)
+# Elements are sparse dicts {basis_id: Scalar} with no zero value; see
+# `linalg` for the helpers that keep this invariant.
 
 
 @dataclass(frozen=True)
@@ -129,6 +102,14 @@ PHYSICAL_WEIGHTS = {Fraction(2), Fraction(3, 2), Fraction(1), Fraction(1, 2)}
 # Largest product index a table may store.  The checkers loop over every n
 # up to the largest stored one; the catalog tables stop at n = 1.
 MAX_N = 64
+
+
+def check_bounds(bounds: dict) -> None:
+    """Raise ValueError unless every named checker bound lies in
+    0..MAX_N."""
+    for name, value in bounds.items():
+        if not 0 <= value <= MAX_N:
+            raise ValueError("%s must lie in 0..%d" % (name, MAX_N))
 
 
 class ReducedAlgebra:
@@ -240,8 +221,8 @@ class ReducedAlgebra:
 
     def coeff_of_L(self, x: dict) -> Scalar:
         """The coefficient of L of an element known to lie in span(L)."""
-        for k, c in x.items():
-            if k != self.L and c:
+        for k in x:
+            if k != self.L:
                 raise ValueError("element not proportional to %s: %r"
                                  % (self.L, x))
         return x.get(self.L, ZERO)
@@ -359,6 +340,7 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                    max_failures: int = 20) -> Report:
     """Skew symmetry, the quadratic identity for m <= m_max and n <= n_max,
     and the conformal-vector conditions, over all basis triples."""
+    check_bounds({"m_max": m_max, "n_max": n_max})
     rep = check_well_formed(R)
     ids = [b.id for b in R.basis]
     nb = R.max_n() + 1
@@ -372,7 +354,7 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                 lhs = R.product_basis(n, a, b)
                 rhs = R.product_basis(n, b, a)
                 sign = -ONE if (n + pa * R.parity(b)) % 2 == 0 else ONE
-                if not el_eq(lhs, el_scale(rhs, sign)):
+                if lhs != el_scale(rhs, sign):
                     rep.fail("skew fails: <%s %d %s>" % (a, n, b),
                              max_failures)
 
@@ -381,14 +363,14 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     rep.checked += 1
     if R.parity(L) != 0 or R.weight(L) != 2:
         rep.fail("conformal vector must be even of weight 2", max_failures)
-    if not el_eq(R.product_basis(1, L, L), {L: Scalar.from_int(2)}):
+    if R.product_basis(1, L, L) != {L: Scalar.from_int(2)}:
         rep.fail("<L 1 L> != 2L", max_failures)
     for a in ids:
         rep.checked += 1
         if R.product_basis(0, L, a):
             rep.fail("<L 0 %s> != 0" % a, max_failures)
         want = {a: Scalar.from_fraction(R.weight(a))} if R.weight(a) else {}
-        if not el_eq(R.product_basis(1, L, a), want):
+        if R.product_basis(1, L, a) != want:
             rep.fail("<L 1 %s> is not weight * %s" % (a, a), max_failures)
         two = R.product_basis(2, L, a)
         if any(R.weight(t) != 0 for t in two):
@@ -503,7 +485,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
 
     for a in ids:
         rep.checked += 1
-        if not el_eq(R.circ(L, els[a]), els[a]):
+        if R.circ(L, els[a]) != els[a]:
             rep.fail("L o %s != %s" % (a, a), max_failures)
         if R.bullet(L, els[a]):
             rep.fail("L . %s != 0" % a, max_failures)
@@ -512,11 +494,11 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         for b in ids:
             rep.checked += 1
             sign = -ONE if par[a] * par[b] else ONE
-            if not el_eq(R.circ(els[a], els[b]),
-                         el_scale(R.circ(els[b], els[a]), sign)):
+            if R.circ(els[a], els[b]) != \
+                    el_scale(R.circ(els[b], els[a]), sign):
                 rep.fail("o-symmetry fails: %s, %s" % (a, b), max_failures)
-            if not el_eq(R.bullet(els[a], els[b]),
-                         el_scale(R.bullet(els[b], els[a]), -sign)):
+            if R.bullet(els[a], els[b]) != \
+                    el_scale(R.bullet(els[b], els[a]), -sign):
                 rep.fail(".-antisymmetry fails: %s, %s" % (a, b), max_failures)
     # inner product lands in span(L)
     for u in V:
@@ -538,7 +520,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 # even product associativity and commutativity
                 lhs = R.circ(ea, R.circ(eb, ec))
                 rhs = R.circ(R.circ(ea, eb), ec)
-                if not el_eq(lhs, rhs):
+                if lhs != rhs:
                     rep.fail("o-associativity fails: %s,%s,%s" % (a, b, c),
                              max_failures)
                 # odd product Jacobi
@@ -561,7 +543,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 lhs = R.bullet(ea, R.circ(els[x], els[y]))
                 rhs = R.circ(R.bullet(ea, els[x]), els[y])
                 el_add_into(rhs, R.circ(els[x], R.bullet(ea, els[y])))
-                if not el_eq(lhs, rhs):
+                if lhs != rhs:
                     rep.fail("derivation law fails: %s on %s o %s"
                              % (a, x, y), max_failures)
 
@@ -573,7 +555,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 lhs = R.circ(els[u], R.bullet(els[v], els[f]))
                 rhs = R.bullet(R.circ(els[u], els[v]), els[f])
                 el_add_into(rhs, R.circ(R.bullet(els[u], els[v]), els[f]))
-                if not el_eq(lhs, rhs):
+                if lhs != rhs:
                     rep.fail("mixed Leibniz fails: %s,%s,%s" % (u, v, f),
                              max_failures)
 
@@ -586,7 +568,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 lhs = R.clifford_act(els[u], R.clifford_act(els[w], els[x]))
                 el_add_into(lhs, R.clifford_act(
                     els[w], R.clifford_act(els[u], els[x])))
-                if not el_eq(lhs, el_scale(els[x], inner2)):
+                if lhs != el_scale(els[x], inner2):
                     rep.fail("square law fails: %s,%s on %s" % (u, w, x),
                              max_failures)
     return rep
@@ -776,7 +758,7 @@ def is_simple(R: ReducedAlgebra) -> SimplicityResult:
     nondegenerate and the triple-annihilated part of the weight-1/2 space
     vanishes.  Otherwise every basis vector must generate the whole space.
     """
-    cen = [c for c in center(R) if c]
+    cen = center(R)
     if cen:
         return SimplicityResult(False, "nonzero center", cen[0])
     V = R.space(Fraction(3, 2))

@@ -13,11 +13,10 @@ import os
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA
-from .linalg import Subspace, charpoly, tpoly_str
-from .algebra import (BasisVector, ReducedAlgebra, el_add_into, el_eq,
-                      form_V_wedge_V, is_simple)
+from .linalg import Subspace, charpoly, el_add_into, tpoly_str
+from .algebra import BasisVector, ReducedAlgebra, form_V_wedge_V, is_simple
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
-                        CK6_KERNEL)
+                        CK6_SPEC)
 
 NAMES = ("Vir", "K1", "K2", "K3", "S2", "W2", "N4", "N4alpha", "CK6")
 
@@ -80,10 +79,7 @@ def _build(name: str, alpha=None) -> ReducedAlgebra:
         from .reconstruct import change_conformal_vector
         return change_conformal_vector(_n4alpha(ZERO), ONE)
     if name == "CK6":
-        zrow = [ZERO] * 3
-        spec = BuilderSpec.from_alpha(3, False, [list(zrow) for _ in range(3)],
-                                      kernel_words=list(CK6_KERNEL))
-        return build_from_spec(spec)
+        return build_from_spec(CK6_SPEC)
     raise UnknownName("no catalog algebra named %r" % name)
 
 
@@ -190,9 +186,6 @@ def iso_check(R1: ReducedAlgebra, R2: ReducedAlgebra, f: dict) -> bool:
     mat = [[f[b.id].get(c.id, ZERO) for b in R1.basis] for c in R2.basis]
     if rank(mat) != R1.dim:
         return False
-    fL = {k: c for k, c in f[R1.L].items() if c}
-    if not el_eq(fL, R2.basis_element(R2.L)):
-        return False
 
     def fmap(el):
         out = {}
@@ -200,13 +193,17 @@ def iso_check(R1: ReducedAlgebra, R2: ReducedAlgebra, f: dict) -> bool:
             el_add_into(out, f[k], c)
         return out
 
+    # fmap drops the zero coefficients a map file may list
+    if fmap(R1.basis_element(R1.L)) != R2.basis_element(R2.L):
+        return False
+
     nmax = max(R1.max_n(), R2.max_n())
     for a in R1.basis:
         for b in R1.basis:
             for n in range(nmax + 1):
                 lhs = fmap(R1.products.get((n, a.id, b.id), {}))
                 rhs = R2.product_n(f[a.id], n, f[b.id])
-                if not el_eq(lhs, rhs):
+                if lhs != rhs:
                     return False
     return True
 

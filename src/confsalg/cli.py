@@ -12,8 +12,8 @@ import json
 import sys
 
 from .scalars import parse as parse_scalar
-from .algebra import (MAX_N, ReducedAlgebra, check_P_axioms, check_H_axioms,
-                      is_simple_physical, is_simple, is_physical_shape)
+from .algebra import (ReducedAlgebra, check_bounds, check_P_axioms,
+                      check_H_axioms, is_simple, is_physical_shape)
 from .construct import (InconsistentSpec, UnderdeterminedSpec,
                         exclusion_sweep)
 from . import catalog
@@ -74,10 +74,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag in ("mmax", "nmax", "dmax"):
-        if not 0 <= getattr(args, flag) <= MAX_N:
-            raise CliError(EXIT_INPUT, "--%s must lie in 0..%d"
-                           % (flag, MAX_N))
+    try:
+        check_bounds({"--" + flag: getattr(args, flag)
+                      for flag in ("mmax", "nmax", "dmax")})
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, str(exc))
     R = _load_algebra(args.path)
     axioms = [a.strip().upper() for a in args.axioms.split(",") if a.strip()]
     bad = [a for a in axioms if a not in ("P", "H", "C")]
@@ -106,7 +107,11 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     R = _load_algebra(args.path)
-    sig = catalog.invariant_signature(R)
+    try:
+        sig = catalog.invariant_signature(R)
+    except ValueError as exc:
+        # e.g. a weight-3/2 bullet product outside span(L)
+        raise CliError(EXIT_INPUT, "cannot analyse %s: %s" % (args.path, exc))
     lines = ["dims: " + " ".join("%s:%d" % (w, n)
                                  for w, n in sig["dims"].items()),
              "charpoly: %s" % (sig["charpoly"] or "-"),
@@ -122,10 +127,10 @@ def _el_str(el: dict) -> str:
 def cmd_simplicity(args) -> int:
     R = _load_algebra(args.path)
     try:
-        res = is_simple_physical(R)
-    except ValueError:
         res = is_simple(R)
-    cond = catalog.triple_form_condition(R)
+        cond = catalog.triple_form_condition(R)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, "cannot analyse %s: %s" % (args.path, exc))
     doc = {"simple": res.simple, "reason": res.reason}
     lines = []
     if res.simple:

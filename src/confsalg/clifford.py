@@ -5,7 +5,8 @@ Generators are ordered D1 < Db1 < D2 < Db2 < ... < e_N (the last only in odd
 dimension).  Words are strictly increasing generator tuples; the rewriting
 rules are Di*Dbi + Dbi*Di = 2, anticommutation for all other pairs, Di^2 =
 Dbi^2 = 0 and e_N^2 = 1.  Coefficients of the rewriting are integers, so
-normal ordering is cached per word pair.
+normal ordering is cached per word pair.  Elements are sparse {word: Scalar}
+dicts, accumulated through `linalg.el_add_into`.
 """
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Subspace
+from .linalg import Subspace, el_add_into
+
+TWO = Scalar.from_int(2)
 
 
 class Clifford:
@@ -50,35 +53,33 @@ class Clifford:
             return self._square(g)
         return self._paired(g, h)
 
+    # The two normal-ordering caches hand out shared dicts: read only.
+
     @lru_cache(maxsize=None)
-    def _word_times_gen(self, word: tuple, g: int):
-        """Normal form of word * g as ((word, int_coeff), ...)."""
+    def _word_times_gen(self, word: tuple, g: int) -> dict:
+        """Normal form of word * g as {word: Scalar}."""
         if not word or word[-1] < g:
-            return ((word + (g,), 1),)
+            return {word + (g,): ONE}
         h = word[-1]
         rest = word[:-1]
         if h == g:
-            s = self._square(g)
-            return ((rest, s),) if s else ()
+            return {rest: ONE} if self._square(g) else {}
         # h > g: use hg = 2(h,g) - gh
-        out = {}
-        if self._paired(h, g):
-            out[rest] = 2
-        for w, c in self._word_times_gen(rest, g):
-            w2 = w + (h,)
-            out[w2] = out.get(w2, 0) - c
-        return tuple((w, c) for w, c in out.items() if c)
+        out = {rest: TWO} if self._paired(h, g) else {}
+        el_add_into(out, {w + (h,): c for w, c in
+                          self._word_times_gen(rest, g).items()}, -ONE)
+        return out
 
     @lru_cache(maxsize=None)
-    def word_mul(self, w1: tuple, w2: tuple):
-        terms = {w1: 1}
+    def word_mul(self, w1: tuple, w2: tuple) -> dict:
+        """Normal form of w1 * w2 as {word: Scalar}."""
+        terms = {w1: ONE}
         for g in w2:
             nxt = {}
             for w, c in terms.items():
-                for w3, c3 in self._word_times_gen(w, g):
-                    nxt[w3] = nxt.get(w3, 0) + c * c3
-            terms = {w: c for w, c in nxt.items() if c}
-        return tuple(terms.items())
+                el_add_into(nxt, self._word_times_gen(w, g), c)
+            terms = nxt
+        return terms
 
     # -- elements ----------------------------------------------------------
 
@@ -86,13 +87,7 @@ class Clifford:
         out = {}
         for wx, cx in x.items():
             for wy, cy in y.items():
-                c = cx * cy
-                for w, k in self.word_mul(wx, wy):
-                    s = out.get(w, ZERO) + c * Scalar.from_int(k)
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+                el_add_into(out, self.word_mul(wx, wy), cx * cy)
         return out
 
     def gen(self, g: int) -> dict:
@@ -129,14 +124,8 @@ class Clifford:
         base = {self.d_word(w): ONE}
         if not sign:
             return base
-        e = self.gen(2 * self.npairs)
-        out = dict(self.mul(base, e))
-        for k, c in base.items():
-            s = out.get(k, ZERO) + (c if sign > 0 else -c)
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+        out = self.mul(base, self.gen(2 * self.npairs))
+        el_add_into(out, base, Scalar.from_int(sign))
         return out
 
     def left_ideal(self, gens) -> Subspace:
@@ -187,7 +176,6 @@ CExt = tuple  # (Scalar, Scalar)
 CX_ZERO = (ZERO, ZERO)
 CX_ONE = (ONE, ZERO)
 CX_C = (ZERO, ONE)
-TWO = Scalar.from_int(2)
 
 
 def cx_add(x: CExt, y: CExt) -> CExt:

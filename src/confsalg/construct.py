@@ -20,9 +20,10 @@ from itertools import combinations, product
 from math import comb
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import Subspace, kernel, left_inverse, mat_vec
+from .linalg import (Subspace, el_add_into, el_scale, kernel, left_inverse,
+                     mat_vec)
 from .algebra import (BasisVector, ReducedAlgebra, coeff_G, coeff_F,
-                      el_add_into, el_scale, require_axioms, is_simple)
+                      require_axioms, is_simple)
 from .clifford import Clifford, CliffordQuotient
 
 W_L = Fraction(2)
@@ -142,14 +143,14 @@ class _Builder:
 
     # -- eta from the wedge form -------------------------------------------
 
-    def eta_coeffs(self, v: int, w: int, z: int) -> dict:
-        """eta(v, w, z) as generator coefficients, solved from
+    def eta(self, v: int, w: int, z: int) -> dict:
+        """eta(v, w, z) as a Clifford element, solved from
         (x, eta(v,w,z)) = (x ^ v, w ^ z) using the null pairing."""
         out = {}
         for g in self.gen_ids:
             c = wedge_lookup(self.spec.wedge_form, self.partner[g], v, w, z)
             if c:
-                out[g] = c
+                out[(g,)] = c
         return out
 
     # -- composite classes in the quotient ---------------------------------
@@ -165,37 +166,26 @@ class _Builder:
 
     def class_a(self, u: int, v: int) -> dict:
         """u o v = [uv] - (u,v)[1]."""
-        el = dict(self.cl.mul({(u,): ONE}, {(v,): ONE}))
-        p = self.cl.gen_pairing(u, v)
-        if p:
-            el[()] = el.get((), ZERO) - Scalar.from_int(p)
+        cl = self.cl
+        el = cl.mul(cl.gen(u), cl.gen(v))
+        el_add_into(el, cl.one(), Scalar.from_int(-cl.gen_pairing(u, v)))
         return self._cls(el)
+
+    def _triple(self, u: int, v: int, w: int) -> dict:
+        """The Clifford element uvw - eta(u,v,w) - (v,w)u."""
+        cl = self.cl
+        el = cl.mul(cl.gen(u), cl.mul(cl.gen(v), cl.gen(w)))
+        el_add_into(el, self.eta(u, v, w), -ONE)
+        el_add_into(el, cl.gen(u), Scalar.from_int(-cl.gen_pairing(v, w)))
+        return el
 
     def class_f(self, u: int, v: int, w: int) -> dict:
         """u o (v o w) = [uvw] - [eta(u,v,w)] - (v,w)[u]."""
-        el = self.cl.mul({(u,): ONE},
-                         self.cl.mul({(v,): ONE}, {(w,): ONE}))
-        el = dict(el)
-        for g, c in self.eta_coeffs(u, v, w).items():
-            el[(g,)] = el.get((g,), ZERO) - c
-        p = self.cl.gen_pairing(v, w)
-        if p:
-            el[(u,)] = el.get((u,), ZERO) - Scalar.from_int(p)
-        return self._cls({k: c for k, c in el.items() if c})
+        return self._cls(self._triple(u, v, w))
 
     def class_g(self, u: int, v: int, w: int, z: int) -> dict:
         """u . (v o (w o z)) = [uvwz] - [u eta(v,w,z)] - (w,z)[uv]."""
-        el = {(v,): ONE}
-        el = self.cl.mul(el, self.cl.mul({(w,): ONE}, {(z,): ONE}))
-        eta = self.eta_coeffs(v, w, z)
-        tail = dict(el)
-        for g, c in eta.items():
-            tail[(g,)] = tail.get((g,), ZERO) - c
-        p = self.cl.gen_pairing(w, z)
-        if p:
-            tail[(v,)] = tail.get((v,), ZERO) - Scalar.from_int(p)
-        out = self.cl.mul({(u,): ONE}, {k: c for k, c in tail.items() if c})
-        return self._cls(out)
+        return self._cls(self.cl.mul(self.cl.gen(u), self._triple(v, w, z)))
 
     # -- basis selection ----------------------------------------------------
 
@@ -272,7 +262,7 @@ class _Builder:
                                  for r in range(n)])
         if self.inv is None:
             raise InconsistentSpec("graded basis is not a basis")
-        self.cols = cols
+        self.classes = dict(zip(names, classes))
 
         self.table = {}
         self._row_memo = {}
@@ -292,17 +282,8 @@ class _Builder:
 
     def to_class(self, el: dict) -> dict:
         out = {}
-        pos = {nm: k for k, nm in enumerate(self.names)}
         for nm, c in el.items():
-            col = self.cols[pos[nm]]
-            for r in range(self.quot.dim):
-                if col[r]:
-                    w = self.quot.keep_words[r]
-                    s = out.get(w, ZERO) + c * col[r]
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+            el_add_into(out, self.classes[nm], c)
         return out
 
     def component(self, el: dict, wt: Fraction) -> dict:
@@ -519,23 +500,12 @@ def _wedge3_basis(nv: int):
 
 def _wedge3_insert(out, idxs, coeff):
     """Add coeff * (v_{i} ^ v_{j} ^ v_{k}) in sorted convention."""
-    i, j, k = idxs
-    if i == j or j == k or i == k:
+    if len(set(idxs)) < 3:
         return
-    perm = sorted(idxs)
     # parity of the permutation taking idxs to sorted order
-    sign = 1
-    lst = list(idxs)
-    for a in range(3):
-        for bb in range(a + 1, 3):
-            if lst[a] > lst[bb]:
-                sign = -sign
-    key = tuple(perm)
-    s = out.get(key, ZERO) + (coeff if sign > 0 else -coeff)
-    if s:
-        out[key] = s
-    elif key in out:
-        del out[key]
+    inversions = sum(idxs[a] > idxs[b] for a, b in combinations(range(3), 2))
+    el_add_into(out, {tuple(sorted(idxs)): coeff},
+                -ONE if inversions % 2 else ONE)
 
 
 def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
@@ -963,6 +933,8 @@ def _zero_branch(npairs: int, alpha_vals: dict) -> bool:
 
 
 CK6_KERNEL = [(1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+# three null pairs, every pair invariant zero
+CK6_SPEC = BuilderSpec.from_alpha(3, False, [[ZERO] * 3] * 3, CK6_KERNEL)
 
 
 def exclusion_sweep(dimv: int) -> CaseReport:
@@ -990,10 +962,7 @@ def exclusion_sweep(dimv: int) -> CaseReport:
                 verdicts[pt] = "unclassified"
         else:
             if dimv == 6:
-                alpha = [[ZERO] * npairs for _ in range(npairs)]
-                spec = BuilderSpec.from_alpha(npairs, False, alpha,
-                                              CK6_KERNEL)
-                R = build_from_spec(spec)
+                R = build_from_spec(CK6_SPEC)
                 s = is_simple(R)
                 verdicts[pt] = ("simple algebra of dimension %d"
                                 % R.dim if s.simple else

@@ -1,4 +1,11 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field: sparse elements and dense
+matrices.
+
+A sparse element is a dict {key: Scalar} that never stores a zero value;
+`el_add_into` and `el_scale` keep that invariant, and every accumulation of
+sparse elements goes through them.  Scalars are canonical, so two sparse
+elements are equal exactly when the dicts are `==`, and an element is zero
+exactly when the dict is empty.
 
 Matrices are lists of rows, rows are lists of `Scalar`.  Everything is
 fraction-free in spirit but implemented by straightforward Gaussian
@@ -7,6 +14,25 @@ elimination, which is exact over the field.
 from __future__ import annotations
 
 from .scalars import Scalar, ZERO, ONE
+
+
+def el_scale(x: dict, c: Scalar) -> dict:
+    if not c:
+        return {}
+    return {k: v * c for k, v in x.items()}
+
+
+def el_add_into(acc: dict, x: dict, c: Scalar = ONE) -> None:
+    """acc += c * x, dropping every key whose value cancels."""
+    if not c:
+        return
+    for k, v in x.items():
+        s = acc.get(k)
+        s = v * c if s is None else s + v * c
+        if s:
+            acc[k] = s
+        elif k in acc:
+            del acc[k]
 
 
 def zeros(n: int) -> list:

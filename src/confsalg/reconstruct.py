@@ -2,11 +2,15 @@
 subspace.
 
 Elements are finite polynomials in the divided powers of d (the translation
-generator), stored as {degree: {basis_id: Scalar}}.  The (n)-products are
-rebuilt from the reduced bracket tables through the j-part coefficients,
-extended to derivatives by the multinomial rule, and checked against the
-conformal axioms.  Mode brackets and the change of conformal vector live
-here as well.
+generator), stored as d-polynomials {degree: element}.  A d-polynomial holds
+no empty degree and its elements hold no zero coefficient (the sparse-element
+invariant of `linalg`), so two d-polynomials are equal exactly when the dicts
+are `==`, and zero exactly when the dict is empty; `dp_add_into` keeps this.
+
+The (n)-products are rebuilt from the reduced bracket tables through the
+j-part coefficients, extended to derivatives by the multinomial rule, and
+checked against the conformal axioms.  Mode brackets and the change of
+conformal vector live here as well.
 """
 from __future__ import annotations
 
@@ -14,9 +18,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .scalars import Scalar, ZERO, ONE
-from .linalg import kernel, left_inverse, mat_vec
-from .algebra import (BasisVector, ReducedAlgebra, Report, coeff_G,
-                      el_add_into, el_scale, require_axioms)
+from .linalg import el_add_into, el_scale, kernel, left_inverse, mat_vec
+from .algebra import (BasisVector, ReducedAlgebra, Report, check_bounds,
+                      coeff_G, require_axioms)
 
 HALF = Fraction(1, 2)
 
@@ -28,29 +32,16 @@ def dpoly(el: dict, j: int = 0) -> dict:
     return {j: dict(el)} if el else {}
 
 
-def dpart(x: dict, j: int) -> dict:
-    return dict(x.get(j, {}))
-
-
-def dp_add_into(acc: dict, x: dict, c: Scalar = ONE) -> None:
-    for j, el in x.items():
+def dp_add_into(acc: dict, x: dict, c: Scalar = ONE, shift: int = 0) -> None:
+    """acc += c * d^(shift) x, with d^(shift) d^(i) = C(i+shift, i) d^(i+shift)
+    on divided powers; a degree whose element cancels is dropped."""
+    for i, el in x.items():
+        j = i + shift
         tgt = acc.setdefault(j, {})
-        el_add_into(tgt, el, c)
-        if not any(tgt.values()):
+        el_add_into(tgt, el, c * Scalar.from_int(comb(j, i)) if i and shift
+                    else c)
+        if not tgt:
             del acc[j]
-
-
-def dp_clean(x: dict) -> dict:
-    out = {}
-    for j, el in x.items():
-        el = {k: c for k, c in el.items() if c}
-        if el:
-            out[j] = el
-    return out
-
-
-def dp_eq(x: dict, y: dict) -> bool:
-    return dp_clean(x) == dp_clean(y)
 
 
 def binom_ff(m: int, j: int) -> Fraction:
@@ -86,7 +77,6 @@ class ReconstructedAlgebra:
                 if g:
                     out[j] = el_scale(el, Scalar.from_fraction(g))
             j += 1
-        out = dp_clean(out)
         self._memo[key] = out
         return out
 
@@ -110,24 +100,17 @@ class ReconstructedAlgebra:
                             base = self.basis_product(a, b, n - k - j)
                             if not base:
                                 continue
-                            c = ca * cb * Scalar.from_int(mult)
-                            for i, bel in base.items():
-                                deg = i + l - j
-                                sh = comb(deg, i)
-                                cc = c if sh == 1 else \
-                                    c * Scalar.from_int(sh)
-                                tgt = out.setdefault(deg, {})
-                                el_add_into(tgt, bel, cc)
-        return dp_clean(out)
+                            dp_add_into(out, base,
+                                        ca * cb * Scalar.from_int(mult), l - j)
+        return out
 
     def partners(self, a: str) -> set:
         """Basis ids with some nonzero product against a, on either side."""
         if self._partners is None:
             table = {}
-            for (n, x, y), el in self.R.products.items():
-                if el:
-                    table.setdefault(x, set()).add(y)
-                    table.setdefault(y, set()).add(x)
+            for (n, x, y) in self.R.products:
+                table.setdefault(x, set()).add(y)
+                table.setdefault(y, set()).add(x)
             self._partners = table
         return self._partners.get(a, set())
 
@@ -150,6 +133,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     a = ids[0] is d-shifted in (C3), by d^(k) for k <= d_max; (C1) ties the
     other shifts to unshifted instances.
     """
+    check_bounds({"m_max": m_max, "n_max": n_max, "d_max": d_max})
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
     R = RA.R
@@ -162,10 +146,10 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     for a in ids:
         ael = {0: {a: ONE}}
         rep.checked += 3
-        if not dp_eq(RA.full_product(Lel, ael, 0), {1: {a: ONE}}):
+        if RA.full_product(Lel, ael, 0) != {1: {a: ONE}}:
             rep.fail("L_(0) is not d on %s" % a, max_failures)
         w = Scalar.from_fraction(R.weight(a))
-        if not dp_eq(RA.full_product(Lel, ael, 1), {0: {a: w}}):
+        if RA.full_product(Lel, ael, 1) != ({0: {a: w}} if w else {}):
             rep.fail("L_(1) eigenvalue wrong on %s" % a, max_failures)
         ok2 = True
         for k in range(0, d_max + 1):
@@ -174,7 +158,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
             coeff = k - 1 + 2 * R.weight(a)
             want = {} if (k == 0 or not coeff) else \
                 {k - 1: {a: Scalar.from_fraction(coeff)}}
-            if not dp_eq(got, want):
+            if got != want:
                 ok2 = False
         if not ok2:
             rep.fail("L_(2) derivative rule fails on %s" % a, max_failures)
@@ -193,7 +177,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                                           n - 1)
                     rhs = {j: el_scale(el, Scalar.from_int(-n))
                            for j, el in rhs.items()}
-                if not dp_eq(lhs, rhs):
+                if lhs != rhs:
                     rep.fail("(C1) fails: a=%s b=%s n=%d" % (a, b, n),
                              max_failures)
                     if len(rep.failures) >= max_failures:
@@ -215,18 +199,12 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                         rhs = {}
                         jmax = k + l + R.max_n() + 1
                         for j in range(jmax + 1):
-                            t = RA.full_product(y, x, n + j)
-                            if not t:
-                                continue
                             sgn = 1 if (j + n + 1) % 2 == 0 else -1
                             if pq % 2:
                                 sgn = -sgn
-                            # multiply by d^{(j)}
-                            for i, el in t.items():
-                                c = Scalar.from_int(sgn * comb(i + j, j))
-                                tgt = rhs.setdefault(i + j, {})
-                                el_add_into(tgt, el, c)
-                        if not dp_eq(lhs, rhs):
+                            dp_add_into(rhs, RA.full_product(y, x, n + j),
+                                        Scalar.from_int(sgn), j)
+                        if lhs != rhs:
                             rep.fail("(C2) fails: a=%s b=%s k=%d l=%d n=%d"
                                      % (a, b, k, l, n), max_failures)
                             if len(rep.failures) >= max_failures:
@@ -280,7 +258,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                                         ajb[j], xc, s)
                                 dp_add_into(lhs, t3,
                                             Scalar.from_int(-comb(m, j)))
-                            if dp_clean(lhs):
+                            if lhs:
                                 rep.fail(
                                     "(C3) fails: a=%s b=%s c=%s k=%d "
                                     "m=%d n=%d" % (a, b, c, k, m, n),
@@ -310,20 +288,9 @@ def mode_bracket(RA, a_el: dict, m: int, b_el: dict, n: int) -> dict:
         s = m + n - j
         for i, el in prod.items():
             # (d^{(i)} x)_(s) = (-1)^i C(s, i) x_(s - i)
-            ci = binom_ff(s, i)
-            if i % 2:
-                ci = -ci
-            c = cj * ci
-            if not c:
-                continue
-            cs = Scalar.from_fraction(c)
-            for x, cx in el.items():
-                key = (x, s - i)
-                v = out.get(key, ZERO) + cs * cx
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+            ci = -binom_ff(s, i) if i % 2 else binom_ff(s, i)
+            el_add_into(out, {(x, s - i): cx for x, cx in el.items()},
+                        Scalar.from_fraction(cj * ci))
     return out
 
 
@@ -373,10 +340,9 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
     # axiom (V) for the new vector
     two = RA.full_product(La, La, 1)
     want = {j: el_scale(el, Scalar.from_int(2)) for j, el in La.items()}
-    if not dp_eq(two, want):
+    if two != want:
         raise AxiomVFails("L_(1) L != 2L for the new vector")
-    if dp_clean(RA.full_product(La, La, 2)) or \
-            dp_clean(RA.full_product(La, La, 3)):
+    if RA.full_product(La, La, 2) or RA.full_product(La, La, 3):
         raise AxiomVFails("higher self-products of the new vector")
 
     # window of d-degrees for the new reduced subspace
@@ -394,9 +360,7 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
             for i, el in img.items():
                 for x, c in el.items():
                     if (i, x) not in ridx:
-                        if c:
-                            raise AxiomVFails("operator leaves the window")
-                        continue
+                        raise AxiomVFails("operator leaves the window")
                     rows[ridx[(i, x)]][cidx[(j, a)]] = c
         return rows
 
@@ -490,11 +454,12 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
         return {nm: s for nm, s in zip(names0, mat_vec(dec0, rhs)) if s}
 
     names = [b.id for b in new_basis]
-    dps = {nm: {j: {a: vec[cidx[(j, a)]]
-                    for a in ids if vec[cidx[(j, a)]]}
-                for j in range(kdeg)}
-           for nm, vec in zip(names, new_vecs)}
-    dps = {nm: dp_clean(v) for nm, v in dps.items()}
+    dps = {}
+    for nm, vec in zip(names, new_vecs):
+        dps[nm] = {}
+        for (j, a), c in zip(coords, vec):
+            if c:
+                dps[nm].setdefault(j, {})[a] = c
     products = {}
     for x in names:
         for y in names:

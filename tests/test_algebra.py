@@ -6,7 +6,7 @@ import pytest
 
 from confsalg.scalars import Scalar, ZERO, ONE
 from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
-                              el_add_into, el_scale, el_eq,
+                              el_add_into, el_scale,
                               check_well_formed, check_P_axioms,
                               check_H_axioms, is_physical_shape, center,
                               ideal_closure, quotient, f3_subspace,
@@ -62,7 +62,6 @@ def test_element_arithmetic():
     el_add_into(x, {"b": Scalar.from_int(-2), "c": ONE})
     assert x == {"a": ONE, "c": ONE}
     assert el_scale(x, ZERO) == {}
-    assert el_eq({"a": ONE}, {"a": ONE, "b": ZERO})
 
 
 # -- reduced algebra plumbing -----------------------------------------------
@@ -100,7 +99,7 @@ def test_product_n_bilinearity():
     rhs = dict(R.product_n(x, 0, R.basis_element("Db1")))
     el_add_into(rhs, R.product_n(x, 0, R.basis_element("e3")),
                 Scalar.from_int(3))
-    assert el_eq(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_physical_shape():

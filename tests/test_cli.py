@@ -179,6 +179,40 @@ def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
         assert err.startswith("error: cannot parse")
 
 
+def _off_span_doc():
+    """L; u, v of weight 3/2; x of weight 1; with the L-rows,
+    <u 1 v> = <v 1 u> = x and <u 0 v> = L + x, which leaves span(L)."""
+    weights = {"L": "2", "u": "3/2", "v": "3/2", "x": "1"}
+    prods = []
+    for b, w in weights.items():
+        prods.append({"n": 1, "a": "L", "b": b,
+                      "terms": [{"coeff": w, "basis": b}]})
+        if b != "L":
+            prods.append({"n": 1, "a": b, "b": "L",
+                          "terms": [{"coeff": w, "basis": b}]})
+    prods += [{"n": 1, "a": "u", "b": "v",
+               "terms": [{"coeff": "1", "basis": "x"}]},
+              {"n": 1, "a": "v", "b": "u",
+               "terms": [{"coeff": "1", "basis": "x"}]},
+              {"n": 0, "a": "u", "b": "v",
+               "terms": [{"coeff": "1", "basis": "L"},
+                         {"coeff": "1", "basis": "x"}]}]
+    return {"basis": [{"id": b, "weight": w, "parity": 1 if "/" in w else 0}
+                      for b, w in weights.items()],
+            "L": "L", "products": prods}
+
+
+@pytest.mark.parametrize("cmd", ["simplicity", "invariants"])
+def test_bullet_product_outside_span_L_is_an_input_error(tmp_path, capsys,
+                                                          cmd):
+    path = tmp_path / "offspan.json"
+    path.write_text(json.dumps(_off_span_doc()))
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot analyse %s: element not "
+                          "proportional to L" % path)
+
+
 SEEDS = {name: catalog.build(name).to_json() for name in ("Vir", "K1")}
 LITERAL = st.text(alphabet="0123456789ia()+-*/^ ", max_size=24)
 JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),

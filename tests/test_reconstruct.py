@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE
-from confsalg.algebra import (check_P_axioms, check_H_axioms,
-                              is_physical_shape)
-from confsalg.reconstruct import (dpoly, dpart, dp_add_into, dp_eq, binom_ff,
+from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
+                              check_H_axioms, is_physical_shape)
+from confsalg.reconstruct import (dpoly, dp_add_into, binom_ff,
                                   reconstruct, check_C_axioms, mode_bracket,
                                   change_conformal_vector, NotN4Shape)
 from confsalg import catalog
@@ -20,10 +20,14 @@ def S(n):
 
 def test_dpoly_helpers():
     x = dpoly({"a": ONE}, 2)
-    assert dpart(x, 2) == {"a": ONE}
-    assert dpart(x, 0) == {}
+    assert x == {2: {"a": ONE}}
+    assert dpoly({}, 1) == {}
+    # d^(1) d^(2) a = C(3, 2) d^(3) a on divided powers
+    y = {}
+    dp_add_into(y, x, S(2), 1)
+    assert y == {3: {"a": S(6)}}
     dp_add_into(x, dpoly({"a": -ONE}, 2))
-    assert dp_eq(x, {})
+    assert x == {}
 
 
 def test_binom_ff_negative_upper_index():
@@ -37,9 +41,9 @@ def test_binom_ff_negative_upper_index():
 def test_virasoro_products():
     RA = reconstruct(catalog.build("Vir"))
     L = dpoly({"L": ONE})
-    assert dp_eq(RA.full_product(L, L, 1), {0: {"L": S(2)}})
+    assert RA.full_product(L, L, 1) == {0: {"L": S(2)}}
     # the 0 product is the derivative of L, in divided powers
-    assert dp_eq(RA.full_product(L, L, 0), {1: {"L": ONE}})
+    assert RA.full_product(L, L, 0) == {1: {"L": ONE}}
     with pytest.raises(ValueError):
         RA.full_product(L, L, -1)
 
@@ -50,7 +54,63 @@ def test_products_extend_to_derivatives():
     a = dpoly({"D1": ONE}, 2)
     got = RA.full_product(dpoly({"L": ONE}), a, 1)
     want = {2: {"D1": Scalar.from_fraction(Fraction(2) + Fraction(3, 2))}}
-    assert dp_eq(got, want)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["Vir", "K2", "S2"])
+def test_full_products_store_no_zero(name):
+    # the sparse invariant on every product that C(1,1,1) forms: no zero
+    # coefficient, no empty d-degree
+    RA = reconstruct(catalog.build(name))
+    full_product = RA.full_product
+    seen = []
+
+    def checked(x, y, n):
+        out = full_product(x, y, n)
+        assert all(el and all(el.values()) for el in out.values())
+        seen.append(bool(out))
+        return out
+
+    RA.full_product = checked
+    assert check_C_axioms(RA, 1, 1, 1).ok
+    assert any(seen)
+
+
+def central_virasoro():
+    """Virasoro with a central vector: <L 1 L> = 2L, <L 3 L> = C/2."""
+    return ReducedAlgebra(
+        [BasisVector("L", Fraction(2), 0), BasisVector("C", Fraction(0), 0)],
+        "L", {(1, "L", "L"): {"L": S(2)},
+              (3, "L", "L"): {"C": Scalar.from_fraction(Fraction(1, 2))}})
+
+
+def test_central_virasoro_reports():
+    # C has weight 0, so L_(1) C = 0: the expected value must be the empty
+    # d-polynomial, never {0: {"C": 0}}.  P accepts this algebra while C
+    # rejects it; the C failures are pinned exactly as the checker gives them.
+    R = central_virasoro()
+    assert check_P_axioms(R, 4, 4).summary() == "ok (221 instances checked)"
+    rep = check_C_axioms(R, 4, 4, 4)
+    c2 = ["(C2) fails: a=L b=L k=0 l=%d n=%d" % inst for inst in (
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3),
+        (2, 0), (2, 1), (2, 2), (2, 3), (2, 4),
+        (3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (4, 0))]
+    assert (rep.ok, rep.checked) == (False, 47)
+    assert rep.failures == ["L_(0) is not d on C",
+                            "L_(2) derivative rule fails on C"] + c2
+
+
+@pytest.mark.parametrize("bounds", [
+    (-1, 0, 0), (0, -1, 0), (0, 0, -1), (65, 0, 0), (0, 10000, 0),
+    (0, 0, 65)])
+def test_checker_bounds_are_value_errors(bounds):
+    R = catalog.build("Vir")
+    m, n, d = bounds
+    with pytest.raises(ValueError, match="must lie in 0..64"):
+        check_C_axioms(R, m, n, d)
+    if d == 0:
+        with pytest.raises(ValueError, match="must lie in 0..64"):
+            check_P_axioms(R, m, n)
 
 
 @pytest.mark.parametrize("name,dmax", [("Vir", 4), ("K2", 4), ("S2", 2)])
