@@ -113,7 +113,12 @@ def check_bounds(bounds: dict) -> None:
 
 
 class ReducedAlgebra:
-    """A finite-dimensional reduced subspace with its indexed products."""
+    """A finite-dimensional reduced subspace with its indexed products.
+
+    `__init__` also builds the partner index: for each id a, the ids b with
+    some stored <a n b>, each with the ids in the terms of any <a n b>.
+    `right_partners` reads it; `live_thirds`, the P and H checkers and
+    `ReconstructedAlgebra.partners` rest on it."""
 
     def __init__(self, basis, L: str, products=None):
         self.basis = list(basis)
@@ -142,6 +147,11 @@ class ReducedAlgebra:
                     self.products[(n, a, b)] = el
         # the table is not changed after construction
         self._max_n = max((n for (n, _, _) in self.products), default=0)
+        index = {}
+        for (n, a, b), el in self.products.items():
+            index.setdefault(a, {}).setdefault(b, set()).update(el)
+        self._partners = {a: {b: tuple(ts) for b, ts in row.items()}
+                          for a, row in index.items()}
 
     # -- basic lookups ------------------------------------------------------
 
@@ -157,6 +167,25 @@ class ReducedAlgebra:
 
     def max_n(self) -> int:
         return self._max_n
+
+    def right_partners(self, a: str) -> dict:
+        """{b: ids in the terms of any stored <a n b>}, over the b with some
+        stored <a n b>; read only."""
+        return self._partners.get(a, {})
+
+    def live_thirds(self, a: str, b: str) -> set:
+        """The c for which some term of the quadratic identity on (a, b, c),
+        or of the o-associativity or .-Jacobi identity, can be nonzero: the
+        c with a stored <b n c> that has a term t with some stored <a k t>;
+        the same with a and b swapped; and the c with a stored <t k c> for
+        a term t of some <a n b>.  For any other c every term of those
+        identities vanishes."""
+        pa, pb = self.right_partners(a), self.right_partners(b)
+        out = {c for c, ts in pb.items() if not pa.keys().isdisjoint(ts)}
+        out.update(c for c, ts in pa.items() if not pb.keys().isdisjoint(ts))
+        for t in pa.get(b, ()):
+            out.update(self.right_partners(t))
+        return out
 
     def basis_element(self, bid: str) -> dict:
         return {bid: ONE}
@@ -195,11 +224,11 @@ class ReducedAlgebra:
         for a, ca in x.items():
             da = self.weight(a)
             for b, cb in y.items():
-                d = da + self.weight(b) - 2
-                if d == 0:
-                    continue
                 tab = self.products.get((1, a, b))
-                if tab:
+                if not tab:
+                    continue
+                d = da + self.weight(b) - 2
+                if d:
                     el_add_into(out, tab, ca * cb / Scalar.from_fraction(d))
         return out
 
@@ -339,7 +368,13 @@ def check_well_formed(R: ReducedAlgebra) -> Report:
 def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                    max_failures: int = 20) -> Report:
     """Skew symmetry, the quadratic identity for m <= m_max and n <= n_max,
-    and the conformal-vector conditions, over all basis triples."""
+    and the conformal-vector conditions, over all basis triples.
+
+    The quadratic identity is evaluated only on the triples (a, b, c) with c
+    in `R.live_thirds(a, b)`; for any other c every term vanishes, and its
+    (m_max + 1) * (n_max + 1) instances count in `checked` as vacuous ones.
+    The visiting order, and so the order of failures, is that of the full
+    loop over a, b, c, m, n."""
     check_bounds({"m_max": m_max, "n_max": n_max})
     rep = check_well_formed(R)
     ids = [b.id for b in R.basis]
@@ -379,55 +414,53 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
         if w < 0:
             rep.fail("forbidden weight %s" % w, max_failures)
 
-    # the quadratic identity
-    wt = {b.id: b.weight for b in R.basis}
+    # the quadratic identity, over the c in R.live_thirds(a, b)
+    weights = sorted(R.weight_dims())
+    wi = {b.id: weights.index(b.weight) for b in R.basis}
     par = {b.id: b.parity for b in R.basis}
+    G, F = _quadratic_coeffs(weights, m_max, n_max, R.max_n())
     prods = R.products
+    vacuous = (m_max + 1) * (n_max + 1)
     for a in ids:
-        da, pa = wt[a], par[a]
+        wa, pa = wi[a], par[a]
         for b in ids:
-            db, pb = wt[b], par[b]
-            sgn = -ONE if (pa * pb) % 2 else ONE
+            wb = wi[b]
+            odd = (pa * par[b]) % 2
+            Fab = F(wa, wb)
+            live_c = R.live_thirds(a, b)
             for c in ids:
-                dc = wt[c]
+                if c not in live_c:
+                    rep.checked += vacuous
+                    continue
+                wc = wi[c]
+                Gbc, Gac = G(wb, wc), G(wa, wc)
                 for m in range(m_max + 1):
                     for n in range(n_max + 1):
                         acc = {}
                         live = False
-                        for j in range(m + 1):
+                        for j, cj in Gbc[m][n]:
                             inner = prods.get((n + j, b, c))
                             if not inner:
                                 continue
-                            g = coeff_G(db, dc, n, j)
-                            if not g:
-                                continue
-                            cj = Scalar.from_fraction(comb(m, j) * g)
                             for t, ct in inner.items():
                                 outer = prods.get((m - j, a, t))
                                 if outer:
                                     live = True
                                     el_add_into(acc, outer, cj * ct)
-                        for j in range(n + 1):
+                        for j, cj in Gac[n][m]:
                             inner = prods.get((m + j, a, c))
                             if not inner:
                                 continue
-                            g = coeff_G(da, dc, m, j)
-                            if not g:
-                                continue
-                            cj = sgn * Scalar.from_fraction(comb(n, j) * g)
                             for t, ct in inner.items():
                                 outer = prods.get((n - j, b, t))
                                 if outer:
                                     live = True
-                                    el_add_into(acc, outer, -(cj * ct))
-                        for j in range(m + n + 1):
+                                    x = cj * ct
+                                    el_add_into(acc, outer, x if odd else -x)
+                        for j, cf in Fab[m][n]:
                             inner = prods.get((j, a, b))
                             if not inner:
                                 continue
-                            f = coeff_F(da, db, m, n, j)
-                            if not f:
-                                continue
-                            cf = Scalar.from_fraction(f)
                             for t, ct in inner.items():
                                 outer = prods.get((m + n - j, t, c))
                                 if outer:
@@ -443,6 +476,35 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                         if not rep.ok and len(rep.failures) >= max_failures:
                             return rep
     return rep
+
+
+def _quadratic_coeffs(weights: list, m_max: int, n_max: int, top: int):
+    """The nonzero coefficients of the quadratic identity, as two functions
+    of a pair (x, y) of positions in `weights`, each table built on first
+    use: G(x, y)[m][n] lists the (j, C(m, j) * coeff_G(wx, wy, n, j)) for
+    j <= m, for m and n up to max(m_max, n_max); F(x, y)[m][n] lists the
+    (j, coeff_F(wx, wy, m, n, j)) for j <= m + n.  Only the j whose inner
+    product <n+j> or <j> can be stored, with n + j or j at most `top`, are
+    listed."""
+    k = max(m_max, n_max) + 1
+
+    @lru_cache(maxsize=None)
+    def G(x, y):
+        wx, wy = weights[x], weights[y]
+        return [[[(j, Scalar.from_fraction(comb(m, j) * c))
+                  for j in range(min(m, top - n) + 1)
+                  if (c := coeff_G(wx, wy, n, j))]
+                 for n in range(k)] for m in range(k)]
+
+    @lru_cache(maxsize=None)
+    def F(x, y):
+        wx, wy = weights[x], weights[y]
+        return [[[(j, Scalar.from_fraction(c))
+                  for j in range(min(m + n, top) + 1)
+                  if (c := coeff_F(wx, wy, m, n, j))]
+                 for n in range(n_max + 1)] for m in range(m_max + 1)]
+
+    return G, F
 
 
 def require_axioms(R: ReducedAlgebra, exc_type, what: str) -> None:
@@ -469,7 +531,11 @@ def is_physical_shape(R: ReducedAlgebra) -> bool:
 def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     """The identities satisfied by the two derived products of a physical
     algebra: unit laws, graded symmetry, associativity of the even product,
-    the Leibniz rules and the Clifford-square law."""
+    the Leibniz rules and the Clifford-square law.
+
+    o-associativity and the .-Jacobi identity are evaluated only on the
+    triples (a, b, c) with c in `R.live_thirds(a, b)`; every other triple
+    counts in `checked` as a vacuous instance, in the same a, b, c order."""
     rep = Report()
     if not is_physical_shape(R):
         rep.fail("not of physical shape "
@@ -514,23 +580,25 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         for b in ids:
             eb, pb = els[b], par[b]
             sgn_ab = -1 if pa * pb else 1
+            live_c = R.live_thirds(a, b)
             for c in ids:
-                ec = els[c]
                 rep.checked += 1
-                # even product associativity and commutativity
-                lhs = R.circ(ea, R.circ(eb, ec))
-                rhs = R.circ(R.circ(ea, eb), ec)
-                if lhs != rhs:
-                    rep.fail("o-associativity fails: %s,%s,%s" % (a, b, c),
-                             max_failures)
-                # odd product Jacobi
-                jac = R.bullet(ea, R.bullet(eb, ec))
-                el_add_into(jac, R.bullet(eb, R.bullet(ea, ec)),
-                            -ONE if sgn_ab > 0 else ONE)
-                el_add_into(jac, R.bullet(R.bullet(ea, eb), ec), -ONE)
-                if jac:
-                    rep.fail(".-Jacobi fails: %s,%s,%s" % (a, b, c),
-                             max_failures)
+                if c in live_c:
+                    ec = els[c]
+                    # even product associativity and commutativity
+                    lhs = R.circ(ea, R.circ(eb, ec))
+                    rhs = R.circ(R.circ(ea, eb), ec)
+                    if lhs != rhs:
+                        rep.fail("o-associativity fails: %s,%s,%s"
+                                 % (a, b, c), max_failures)
+                    # odd product Jacobi
+                    jac = R.bullet(ea, R.bullet(eb, ec))
+                    el_add_into(jac, R.bullet(eb, R.bullet(ea, ec)),
+                                -ONE if sgn_ab > 0 else ONE)
+                    el_add_into(jac, R.bullet(R.bullet(ea, eb), ec), -ONE)
+                    if jac:
+                        rep.fail(".-Jacobi fails: %s,%s,%s" % (a, b, c),
+                                 max_failures)
                 if not rep.ok and len(rep.failures) >= max_failures:
                     return rep
 

@@ -105,6 +105,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
+def _require_algebra(R: ReducedAlgebra, path: str) -> None:
+    """Input error unless R passes P(2,2), and H when it has physical
+    shape: no verdict is given on a table that is not an algebra."""
+    rep = check_P_axioms(R, 2, 2)
+    if rep.ok and is_physical_shape(R):
+        rep = check_H_axioms(R)
+    if not rep.ok:
+        raise CliError(EXIT_INPUT, "%s is not a conformal superalgebra: %s"
+                       % (path, rep.summary()))
+
+
 def cmd_invariants(args) -> int:
     R = _load_algebra(args.path)
     try:
@@ -112,6 +123,7 @@ def cmd_invariants(args) -> int:
     except ValueError as exc:
         # e.g. a weight-3/2 bullet product outside span(L)
         raise CliError(EXIT_INPUT, "cannot analyse %s: %s" % (args.path, exc))
+    _require_algebra(R, args.path)
     lines = ["dims: " + " ".join("%s:%d" % (w, n)
                                  for w, n in sig["dims"].items()),
              "charpoly: %s" % (sig["charpoly"] or "-"),
@@ -131,6 +143,7 @@ def cmd_simplicity(args) -> int:
         cond = catalog.triple_form_condition(R)
     except ValueError as exc:
         raise CliError(EXIT_INPUT, "cannot analyse %s: %s" % (args.path, exc))
+    _require_algebra(R, args.path)
     doc = {"simple": res.simple, "reason": res.reason}
     lines = []
     if res.simple:

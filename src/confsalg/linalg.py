@@ -40,8 +40,10 @@ def zeros(n: int) -> list:
 
 
 def mat_vec(A, v):
-    return [sum((A[r][c] * v[c] for c in range(len(v)) if v[c]), ZERO)
-            for r in range(len(A))]
+    """A v, summing each row over the nonzero entries of v from left to
+    right."""
+    nz = [(c, x) for c, x in enumerate(v) if x]
+    return [sum((row[c] * x for c, x in nz), ZERO) for row in A]
 
 
 def mat_mul(A, B):

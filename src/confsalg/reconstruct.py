@@ -58,7 +58,6 @@ class ReconstructedAlgebra:
     def __init__(self, R: ReducedAlgebra):
         self.R = R
         self._memo = {}
-        self._partners = None
 
     def basis_product(self, a: str, b: str, n: int) -> dict:
         """a_(n) b for reduced basis vectors, as a d-polynomial."""
@@ -105,14 +104,12 @@ class ReconstructedAlgebra:
         return out
 
     def partners(self, a: str) -> set:
-        """Basis ids with some nonzero product against a, on either side."""
-        if self._partners is None:
-            table = {}
-            for (n, x, y) in self.R.products:
-                table.setdefault(x, set()).add(y)
-                table.setdefault(y, set()).add(x)
-            self._partners = table
-        return self._partners.get(a, set())
+        """Basis ids with some nonzero product against a, on either side,
+        read off the partner index of the reduced algebra."""
+        R = self.R
+        out = set(R.right_partners(a))
+        out.update(x for x in R.index if a in R.right_partners(x))
+        return out
 
 
 def reconstruct(R: ReducedAlgebra) -> ReconstructedAlgebra:
@@ -186,7 +183,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x)
     for a in ids:
         for b in ids:
-            if b not in RA.partners(a) and a not in RA.partners(b):
+            if b not in R.right_partners(a) and a not in R.right_partners(b):
                 continue
             pq = R.parity(a) * R.parity(b)
             for k in range(d_max + 1):
@@ -220,7 +217,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
             xb = {0: {b: ONE}}
             ab = [RA.full_product({0: {a: ONE}}, xb, j)
                   for j in range(R.max_n() + 1)]
-            rel = set(RA.partners(a)) | set(RA.partners(b))
+            rel = RA.partners(a) | RA.partners(b)
             for t in ab:
                 for el in t.values():
                     for x in el:

@@ -256,11 +256,16 @@ class Scalar:
         return Scalar(self.den, self.num)
 
     def __truediv__(self, other):
-        if not other.num:
+        x, y = self.num, other.num
+        if not y:
             raise ZeroDivisionError("division by zero scalar")
-        if not self.num:
+        if not x:
             return ZERO
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if len(x) == 1 and len(y) == 1 and \
+                len(self.den) == 1 and len(other.den) == 1:
+            # two constants
+            return Scalar((x[0] * y[0].inv(),), _canon=False)
+        return Scalar(_pmul(x, other.den), _pmul(self.den, y))
 
     def __pow__(self, k: int):
         if k < 0:

@@ -1,5 +1,6 @@
 """Reduced algebras: coefficient functions, axiom checkers, ideals and
 invariant forms."""
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,106 @@ def test_axiom_checkers_catch_mutations():
         ok = check_P_axioms(M, 2, 2, max_failures=1).ok and \
             check_H_axioms(M, max_failures=1).ok
         assert not ok, label
+
+
+def _not_skew():
+    """A table stored on one side only, with products at n = 0, 1, 2."""
+    basis = [BasisVector("L", Fraction(2), 0), BasisVector("u", 3 * H, 1),
+             BasisVector("v", 3 * H, 1), BasisVector("x", Fraction(1), 0),
+             BasisVector("f", H, 1)]
+    one, two = ONE, Scalar.from_int(2)
+    return ReducedAlgebra(basis, "L", {
+        (1, "L", "L"): {"L": two},
+        (0, "L", "x"): {"x": one},
+        (0, "u", "v"): {"L": one, "x": -one},
+        (1, "v", "x"): {"v": one},
+        (0, "x", "u"): {"u": two},
+        (2, "x", "f"): {"x": -one},
+        (1, "f", "u"): {"f": one, "v": one},
+    })
+
+
+def _live_cases(case):
+    if case == "not skew":
+        return [_not_skew()]
+    if case.endswith(" mutants"):
+        return [M for _, M in catalog.build(case.split()[0]).sign_mutations()]
+    return [catalog.build(case)]
+
+
+def _some_term_nonzero(R, a, b, c) -> bool:
+    """Whether a term of the quadratic identity on (a, b, c), at any
+    product indices, or of o-associativity or the .-Jacobi identity on
+    (a, b, c) is nonzero, computed from the products alone."""
+    e = R.basis_element
+    ns = range(R.max_n() + 1)
+    for n1 in ns:
+        for n2 in ns:
+            if R.product_n(e(a), n1, R.product_basis(n2, b, c)) or \
+                    R.product_n(e(b), n1, R.product_basis(n2, a, c)) or \
+                    R.product_n(R.product_basis(n2, a, b), n1, e(c)):
+                return True
+    ea, eb, ec = e(a), e(b), e(c)
+    return any((R.circ(ea, R.circ(eb, ec)), R.circ(R.circ(ea, eb), ec),
+                R.bullet(ea, R.bullet(eb, ec)),
+                R.bullet(eb, R.bullet(ea, ec)),
+                R.bullet(R.bullet(ea, eb), ec)))
+
+
+@pytest.mark.parametrize("case", catalog.NAMES + (
+    "K2 mutants", "K3 mutants", "S2 mutants", "not skew"))
+def test_live_thirds_hold_every_nonzero_term(case):
+    """P and H skip the c outside R.live_thirds(a, b); that is sound only if
+    no term of their identities is nonzero there."""
+    for R in _live_cases(case):
+        ids = [b.id for b in R.basis]
+        for a in ids:
+            for b in ids:
+                live = R.live_thirds(a, b)
+                for c in ids:
+                    if c not in live:
+                        assert not _some_term_nonzero(R, a, b, c), \
+                            (case, a, b, c)
+
+
+def test_live_thirds_prune():
+    R = _not_skew()
+    # <u 0 v> has the term x and <x 0 u> is stored: the term
+    # <<u 0 v> 0 u> of the identity on (u, v, u) is nonzero
+    assert "u" in R.live_thirds("u", "v")
+    assert R.live_thirds("L", "f") == set()
+    ck6 = catalog.build("CK6")
+    ids = [b.id for b in ck6.basis]
+    live = sum(len(ck6.live_thirds(a, b)) for a in ids for b in ids)
+    assert live < ck6.dim ** 3 // 2
+
+
+def test_n4alpha0_mutant_reports_are_pinned():
+    """P(2,2) and H on the sign mutants of N4alpha(0), all 199 at
+    max_failures=1 and every 20th at max_failures=20: (ok, checked,
+    failures) match, by digest, what the loops over every triple gave."""
+    mutants = list(catalog.build("N4alpha", 0).sign_mutations())
+    assert len(mutants) == 199
+    for cap, sample, digest in (
+            (1, mutants, "a28fd921fb335105eac233eaddeb5356"
+                         "322f278bae93e301eaf949045c425d0a"),
+            (20, mutants[::20], "8bdac366f6d554c8a91cdb5374c73c6f"
+                                "5c2697eee51fb939d59762dba8482e42")):
+        lines = []
+        for label, M in sample:
+            for name, rep in (
+                    ("P", check_P_axioms(M, 2, 2, max_failures=cap)),
+                    ("H", check_H_axioms(M, max_failures=cap))):
+                lines.append("%s: %s %s %d %r" % (label, name, rep.ok,
+                                                  rep.checked, rep.failures))
+        if cap == 1:
+            assert lines[:2] == [
+                "<D1 0 Db1> term L: P False 731 "
+                "['skew fails: <D1 0 Db1>']",
+                "<D1 0 Db1> term L: H False 289 "
+                "['.-antisymmetry fails: D1, Db1']"]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            digest, cap
 
 
 def test_failure_report_carries_instances():

@@ -213,6 +213,20 @@ def test_bullet_product_outside_span_L_is_an_input_error(tmp_path, capsys,
                           "proportional to L" % path)
 
 
+@pytest.mark.parametrize("cmd", ["simplicity", "invariants"])
+def test_non_algebra_gets_no_verdict(tmp_path, capsys, cmd):
+    """K2's <D1 0 Db1> term L sign mutant fails P(2,2); neither command
+    may call it simple."""
+    mutant = dict(catalog.build("K2").sign_mutations())["<D1 0 Db1> term L"]
+    path = tmp_path / "k2mut.json"
+    path.write_text(mutant.to_json())
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s is not a conformal superalgebra: "
+                          "FAILED (628 instances checked, 18 failures)\n"
+                          "  skew fails: <D1 0 Db1>\n" % path)
+
+
 SEEDS = {name: catalog.build(name).to_json() for name in ("Vir", "K1")}
 LITERAL = st.text(alphabet="0123456789ia()+-*/^ ", max_size=24)
 JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),

@@ -1,5 +1,7 @@
 """Exact linear algebra: echelon forms, solvers, characteristic
 polynomials."""
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
@@ -145,3 +147,27 @@ def test_left_inverse_solves(A, data):
         b = [S(v) for v in data.draw(st.lists(entries, min_size=len(A),
                                               max_size=len(A)))]
         assert mat_vec(A, mat_vec(X, b)) == b
+
+
+scalar_entries = st.sampled_from([ZERO, ZERO, ONE, S(-2), ALPHA, ONE + ALPHA,
+                                  Scalar.from_fraction(Fraction(1, 3))])
+
+
+@st.composite
+def mat_vec_inputs(draw):
+    """A matrix of any shape up to 4 x 4 (zero rows and columns included)
+    and a vector of its width, each row and the vector possibly all zero."""
+    nrows = draw(st.integers(min_value=0, max_value=4))
+    ncols = draw(st.integers(min_value=0, max_value=4))
+    line = st.one_of(st.just([ZERO] * ncols),
+                     st.lists(scalar_entries, min_size=ncols,
+                              max_size=ncols))
+    return draw(st.lists(line, min_size=nrows, max_size=nrows)), draw(line)
+
+
+@given(mat_vec_inputs())
+@settings(max_examples=100, deadline=None)
+def test_mat_vec_matches_dense_definition(inputs):
+    A, v = inputs
+    dense = [sum((row[c] * v[c] for c in range(len(v))), ZERO) for row in A]
+    assert mat_vec(A, v) == dense

@@ -107,6 +107,11 @@ def test_constant_fast_path_matches_general_path(x, y):
     assert x + y == total and hash(x + y) == hash(total)
     assert x + (-x) is ZERO
     assert hash(x + (-x)) == hash(ZERO)
+    if y:
+        quot = Scalar(_pmul(x.num, y.den), _pmul(x.den, y.num), _canon=True)
+        assert x / y == quot and hash(x / y) == hash(quot)
+    with pytest.raises(ZeroDivisionError):
+        x / ZERO
 
 
 @given(scalars())
