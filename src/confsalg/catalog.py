@@ -124,11 +124,6 @@ def golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, "%s.json" % name.lower())
 
 
-def load_golden(name: str) -> ReducedAlgebra:
-    with open(golden_path(name)) as fh:
-        return ReducedAlgebra.from_json(fh.read())
-
-
 # -- linear maps between algebras -------------------------------------------
 
 

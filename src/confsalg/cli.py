@@ -164,6 +164,12 @@ def cmd_simplicity(args) -> int:
     return EXIT_OK if res.simple else EXIT_CHECK
 
 
+def _map_coeff(c):
+    if not isinstance(c, str):
+        raise ValueError("coefficient %.40r is not a string" % (c,))
+    return parse_scalar(c)
+
+
 def cmd_isocheck(args) -> int:
     R1 = _load_algebra(args.patha)
     R2 = _load_algebra(args.pathb)
@@ -175,7 +181,7 @@ def cmd_isocheck(args) -> int:
     if not isinstance(raw, dict):
         raise CliError(EXIT_INPUT, "map file must be an object")
     try:
-        f = {src: {dst: parse_scalar(c) for dst, c in img.items()}
+        f = {src: {dst: _map_coeff(c) for dst, c in img.items()}
              for src, img in raw.items()}
     except (ValueError, AttributeError) as exc:
         raise CliError(EXIT_INPUT, "bad map entry: %s" % exc)

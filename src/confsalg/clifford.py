@@ -1,5 +1,5 @@
 """Clifford algebra on a null basis, its regular module decomposition, and
-the Grassmann-polynomial spinor representation.
+its quotients by sums of regular submodules.
 
 Generators are ordered D1 < Db1 < D2 < Db2 < ... < e_N (the last only in odd
 dimension).  Words are strictly increasing generator tuples; the rewriting
@@ -13,10 +13,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, TWO
 from .linalg import Subspace, el_add_into
-
-TWO = Scalar.from_int(2)
 
 
 class Clifford:
@@ -105,14 +103,6 @@ class Clifford:
     def element(self, vec) -> dict:
         return {self.words[k]: c for k, c in enumerate(vec) if c}
 
-    def word_shift(self, w: tuple) -> tuple:
-        """Multidegree shift in {-1,0,1}^n of a normal word (e_N ignored)."""
-        t = [0] * self.npairs
-        for g in w:
-            if g < 2 * self.npairs:
-                t[g // 2] += 1 if g % 2 == 0 else -1
-        return tuple(t)
-
     # -- regular module decomposition --------------------------------------
 
     def d_word(self, w) -> tuple:
@@ -163,99 +153,13 @@ class Clifford:
 
 
 # ---------------------------------------------------------------------------
-# spinor representation on Grassmann polynomials
-# ---------------------------------------------------------------------------
-#
-# The even-dimensional part acts on C[x_1..x_n] with Grassmann variables by
-# Di = c * (x_i wedge) and Dbi = c * (contraction d/dx_i), where c is a formal
-# constant with c^2 = 2.  Scalars inside this representation are pairs
-# (a, b) meaning a + b*c.
-
-CExt = tuple  # (Scalar, Scalar)
-
-CX_ZERO = (ZERO, ZERO)
-CX_ONE = (ONE, ZERO)
-CX_C = (ZERO, ONE)
-
-
-def cx_add(x: CExt, y: CExt) -> CExt:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def cx_mul(x: CExt, y: CExt) -> CExt:
-    return (x[0] * y[0] + TWO * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def cx_scale(x: CExt, c: Scalar) -> CExt:
-    return (x[0] * c, x[1] * c)
-
-
-class OddGeneratorInEvenRep(ValueError):
-    pass
-
-
-def _gp_set(poly: dict, mono: frozenset, val: CExt) -> None:
-    if val[0] or val[1]:
-        poly[mono] = val
-    elif mono in poly:
-        del poly[mono]
-
-
-def gp_add_into(acc: dict, x: dict, c: CExt = CX_ONE) -> None:
-    for m, v in x.items():
-        _gp_set(acc, m, cx_add(acc.get(m, CX_ZERO), cx_mul(v, c)))
-
-
-def gp_wedge(i: int, poly: dict) -> dict:
-    """x_i * poly with the sign of moving x_i into sorted position."""
-    out = {}
-    for m, v in poly.items():
-        if i in m:
-            continue
-        sign = sum(1 for j in m if j < i) % 2
-        _gp_set(out, m | {i}, v if sign == 0 else cx_scale(v, -ONE))
-    return out
-
-
-def gp_contract(i: int, poly: dict) -> dict:
-    out = {}
-    for m, v in poly.items():
-        if i not in m:
-            continue
-        sign = sum(1 for j in m if j < i) % 2
-        _gp_set(out, m - {i}, v if sign == 0 else cx_scale(v, -ONE))
-    return out
-
-
-def spinor_rep(cl: Clifford, x: dict, f: dict) -> dict:
-    """Apply a Clifford element to a Grassmann polynomial."""
-    out = {}
-    for word, coeff in x.items():
-        cur = f
-        for g in reversed(word):
-            if g >= 2 * cl.npairs:
-                raise OddGeneratorInEvenRep(
-                    "odd generator has no action in the even representation")
-            i = g // 2 + 1
-            cur = gp_wedge(i, cur) if g % 2 == 0 else gp_contract(i, cur)
-            cur = {m: cx_mul(v, CX_C) for m, v in cur.items()}
-        gp_add_into(out, cur, (coeff, ZERO))
-    return out
-
-
-def grassmann_monomials(n: int):
-    return [frozenset(c) for r in range(n + 1)
-            for c in combinations(range(1, n + 1), r)]
-
-
-# ---------------------------------------------------------------------------
-# quotients by sums of regular submodules, and multidegree projections
+# quotients by sums of regular submodules
 # ---------------------------------------------------------------------------
 
 
 class CliffordQuotient:
-    """Cl(V) / I for I a sum of regular submodules, with the induced left
-    multiplication and the multidegree projections."""
+    """Cl(V) / I for I a sum of regular submodules, with canonical
+    representatives on the non-pivot words."""
 
     def __init__(self, cl: Clifford, kernel_gens):
         self.cl = cl
@@ -270,17 +174,3 @@ class CliffordQuotient:
         """Canonical representative supported on non-pivot words."""
         vec = self.ideal.reduce(self.cl.vector(x))
         return {self.cl.words[k]: vec[k] for k in self.keep if vec[k]}
-
-    def lmul(self, x: dict, u: dict) -> dict:
-        return self.reduce(self.cl.mul(x, u))
-
-    def multidegree_components(self, u: dict) -> dict:
-        """u's class split by multidegree.  The rewriting rules only ever
-        delete a paired (D_i, Db_i), so the shift tuple of the canonical
-        representative's words is well defined."""
-        u = self.reduce(u)
-        out = {}
-        for w, c in u.items():
-            t = self.cl.word_shift(w)
-            out.setdefault(t, {})[w] = c
-        return out

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, HALF
 from .linalg import (Subspace, el_add_into, el_scale, kernel, left_inverse,
                      mat_vec)
 from .algebra import (BasisVector, ReducedAlgebra, coeff_G, coeff_F,
@@ -769,7 +769,6 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
             _put(table, 1, u, v, out)
 
     # A actions and V o A
-    half = Scalar.from_fraction(Fraction(1, 2))
     for anm in anames:
         MV, MF, SG = ops[anm]
         for j, u in enumerate(V):
@@ -777,8 +776,8 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
             _put(table, 0, anm, u, img)
             _put(table, 0, u, anm, el_scale(img, -ONE))
             circ = {fnames[m]: SG[m][j] for m in range(nf) if SG[m][j]}
-            _put(table, 1, u, anm, el_scale(circ, half))
-            _put(table, 1, anm, u, el_scale(circ, half))
+            _put(table, 1, u, anm, el_scale(circ, HALF))
+            _put(table, 1, anm, u, el_scale(circ, HALF))
         for l, fnm in enumerate(fnames):
             img = {fnames[r]: MF[r][l] for r in range(nf) if MF[r][l]}
             _put(table, 0, anm, fnm, img)
@@ -962,7 +961,8 @@ def exclusion_sweep(dimv: int) -> CaseReport:
                 verdicts[pt] = "unclassified"
         else:
             if dimv == 6:
-                R = build_from_spec(CK6_SPEC)
+                from .catalog import build
+                R = build("CK6")
                 s = is_simple(R)
                 verdicts[pt] = ("simple algebra of dimension %d"
                                 % R.dim if s.simple else

@@ -230,19 +230,6 @@ class Subspace:
                 return True
         return False
 
-    def coords(self, vec):
-        """Coordinates of vec in the echelon basis, or None if outside."""
-        vec = list(vec)
-        out = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = vec[pc]
-            out.append(c)
-            if c:
-                vec = [x - c * y for x, y in zip(vec, row)]
-        if any(vec):
-            return None
-        return out
-
     @property
     def dim(self) -> int:
         return len(self.rows)

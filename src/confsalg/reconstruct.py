@@ -17,12 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, HALF
 from .linalg import el_add_into, el_scale, kernel, left_inverse, mat_vec
 from .algebra import (BasisVector, ReducedAlgebra, Report, check_bounds,
                       coeff_G, require_axioms)
-
-HALF = Fraction(1, 2)
 
 
 # -- d-polynomial helpers ---------------------------------------------------
@@ -330,9 +328,8 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
         raise NotN4Shape("missing null-basis vector %s" % exc) from None
     if not U:
         raise NotN4Shape("the quadruple invariant vanishes")
-    half = Scalar.from_fraction(HALF)
     La = {0: {R.L: ONE}}
-    dp_add_into(La, {1: U}, -(alpha * half))
+    dp_add_into(La, {1: U}, -(alpha * HALF))
 
     # axiom (V) for the new vector
     two = RA.full_product(La, La, 1)
@@ -394,7 +391,7 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
     new_basis, new_vecs = [], []
     counters = {}
     for wt, prefix in ((Fraction(2), "L"), (Fraction(3, 2), "V"),
-                       (Fraction(1), "A"), (HALF, "F")):
+                       (Fraction(1), "A"), (Fraction(1, 2), "F")):
         lam = Scalar.from_fraction(wt)
         shifted = [[opT[r][c] - (lam if r == c else ZERO)
                     for c in range(len(ker))] for r in range(len(ker))]

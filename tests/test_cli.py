@@ -130,6 +130,19 @@ def test_isocheck(tmp_path, capsys):
                "--map", str(tmp_path / "none.json"))[0] == 2
 
 
+@pytest.mark.parametrize("coeff", [1, None])
+def test_isocheck_non_string_coefficient_is_an_input_error(tmp_path, capsys,
+                                                           coeff):
+    path = tmp_path / "k1.json"
+    path.write_text(catalog.build("K1").to_json())
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"L": {"L": coeff}, "e1": {"e1": "1"}}))
+    code, out, err = run(capsys, "isocheck", str(path), str(path),
+                         "--map", str(mp))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad map entry")
+
+
 def test_exclude_text(capsys):
     code, out, _ = run(capsys, "exclude", "--dimv", "5")
     assert code == 0
@@ -162,12 +175,15 @@ def _vir_doc():
     lambda d: d["basis"][0].update(parity=2),
     lambda d: d["basis"][0].update(weight="2/0"),
     lambda d: d["basis"][0].update(weight=float("inf")),
+    lambda d: d["basis"][0].update(weight="1e1000000"),
+    lambda d: d["basis"][0].update(weight="2.5"),
     lambda d: '{"basis": ' + "[" * 100000 + "]" * 100000 + "}",
     lambda d: d["products"].append(json.loads(json.dumps(d["products"][0]))),
     lambda d: d["products"][0]["terms"].append(
         {"coeff": "3", "basis": d["products"][0]["terms"][0]["basis"]}),
 ], ids=["unknown-key", "unknown-term", "negative-n", "huge-n", "parity",
-        "zero-denominator", "infinite-weight", "deep-nesting",
+        "zero-denominator", "infinite-weight", "exponent-weight",
+        "decimal-weight", "deep-nesting",
         "duplicate-key", "duplicate-term"])
 def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
     doc = _vir_doc()
@@ -211,6 +227,14 @@ def test_bullet_product_outside_span_L_is_an_input_error(tmp_path, capsys,
     assert code == 2 and out == ""
     assert err.startswith("error: cannot analyse %s: element not "
                           "proportional to L" % path)
+
+
+def test_verify_H_reports_off_span_table(tmp_path, capsys):
+    path = tmp_path / "offspan.json"
+    path.write_text(json.dumps(_off_span_doc()))
+    code, out, err = run(capsys, "verify", str(path), "--axioms", "H")
+    assert code == 1 and err == ""
+    assert "  u . v is not in span(L)\n" in out
 
 
 @pytest.mark.parametrize("cmd", ["simplicity", "invariants"])
@@ -272,12 +296,25 @@ def garbled(draw):
     return json.dumps(doc)
 
 
-@given(garbled())
+MAP_ID = st.sampled_from(["L", "e1", "X"])
+GARBLED_MAP = st.one_of(JSON_VALUE, st.dictionaries(
+    MAP_ID, st.one_of(JSON_VALUE, st.dictionaries(MAP_ID, JSON_VALUE,
+                                                  max_size=2)),
+    max_size=3))
+
+
+@given(garbled(), GARBLED_MAP)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_garbled_input_never_raises(tmp_path, capsys, text):
+def test_garbled_input_never_raises(tmp_path, capsys, text, mapping):
     path = tmp_path / "garbled.json"
     path.write_text(text)
     for cmd in ("verify", "simplicity"):
         assert main([cmd, str(path)]) in (0, 1, 2, 3)
+    seed = tmp_path / "k1.json"
+    seed.write_text(SEEDS["K1"])
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps(mapping))
+    assert main(["isocheck", str(seed), str(seed), "--map", str(mp)]) \
+        in (0, 1, 2)
     capsys.readouterr()

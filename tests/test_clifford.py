@@ -1,13 +1,9 @@
 """Clifford normal ordering, the regular module decomposition and the
-spinor representation."""
-from itertools import product
-
+quotients by regular submodules."""
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE
-from confsalg.clifford import (Clifford, CliffordQuotient, spinor_rep,
-                               grassmann_monomials, OddGeneratorInEvenRep,
-                               cx_mul, CX_ONE, CX_C)
+from confsalg.clifford import Clifford, CliffordQuotient
 import pytest
 
 
@@ -87,35 +83,6 @@ def test_quotient_by_two_modules():
     x = q.reduce(cl.one())
     assert x
     # left multiplication stays inside the quotient coordinates
-    y = q.lmul(cl.gen(0), x)
+    y = q.reduce(cl.mul(cl.gen(0), x))
     for w in y:
         assert w in q.keep_words
-
-
-def test_multidegree_split():
-    cl = Clifford(2)
-    q = CliffordQuotient(cl, [])
-    el = cl.mul(cl.gen(0), cl.gen(3))
-    comps = q.multidegree_components(el)
-    assert set(comps) == {(1, -1)}
-
-
-def test_spinor_rep_matches_clifford_product():
-    cl = Clifford(2)
-    monos = grassmann_monomials(2)
-    f0 = {m: CX_ONE for m in monos[:1]}
-    for g in range(4):
-        for h in range(4):
-            lhs = spinor_rep(cl, cl.mul(cl.gen(g), cl.gen(h)), f0)
-            rhs = spinor_rep(cl, cl.gen(g), spinor_rep(cl, cl.gen(h), f0))
-            assert lhs == rhs
-
-
-def test_spinor_rep_rejects_odd_generator():
-    cl = Clifford(1, odd=True)
-    with pytest.raises(OddGeneratorInEvenRep):
-        spinor_rep(cl, cl.gen(2), {frozenset(): CX_ONE})
-
-
-def test_cx_square_of_c_is_two():
-    assert cx_mul(CX_C, CX_C) == (Scalar.from_int(2), ZERO)
