@@ -24,7 +24,7 @@ from math import comb
 
 from . import scalars
 from .scalars import Scalar, ZERO, ONE, TWO
-from .linalg import Subspace, el_add_into, el_scale, kernel
+from .linalg import Subspace, el_add_into, el_scale, kernel, row_space
 
 # ---------------------------------------------------------------------------
 # structure coefficients
@@ -125,6 +125,14 @@ def _weight(value) -> Fraction:
     if not m or any(g and len(g) > scalars.MAX_DIGITS for g in m.groups()):
         raise ValueError("bad weight %.40r" % (value,))
     return Fraction(text)
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise ValueError("%s must be a JSON integer, not %.40r"
+                         % (what, value))
+    return value
 
 
 class ReducedAlgebra:
@@ -321,11 +329,12 @@ class ReducedAlgebra:
     @staticmethod
     def from_json(text: str) -> "ReducedAlgebra":
         doc = json.loads(text)
-        basis = [BasisVector(b["id"], _weight(b["weight"]), int(b["parity"]))
+        basis = [BasisVector(b["id"], _weight(b["weight"]),
+                             _json_int(b["parity"], "parity"))
                  for b in doc["basis"]]
         products = {}
         for p in doc["products"]:
-            key = (int(p["n"]), p["a"], p["b"])
+            key = (_json_int(p["n"], "product index n"), p["a"], p["b"])
             if key in products:
                 raise ValueError("product <%s %d %s> is listed twice"
                                  % (key[1], key[0], key[2]))
@@ -692,9 +701,7 @@ def center(R: ReducedAlgebra) -> list:
 def ideal_closure(R: ReducedAlgebra, seeds) -> Subspace:
     """Smallest subspace containing the seeds and closed under all left
     products by basis vectors."""
-    sub = Subspace(R.dim)
-    for s in seeds:
-        sub.add(R.vector(s))
+    sub = row_space((R.vector(s) for s in seeds), R.dim)
     ids = [b.id for b in R.basis]
     ns = sorted({n for (n, _, _) in R.products})
     pos = 0
@@ -848,7 +855,7 @@ def is_simple(R: ReducedAlgebra) -> SimplicityResult:
     V = R.space(Fraction(3, 2))
     if V:
         gram = R.inner_gram()
-        ker = kernel(gram) if gram else []
+        ker = kernel(gram)
         if ker:
             witness = {V[k]: c for k, c in enumerate(ker[0]) if c}
             return SimplicityResult(False, "degenerate inner product",

@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA
-from .linalg import Subspace, charpoly, el_add_into, tpoly_str
+from .linalg import Subspace, charpoly, el_add_into, rank, tpoly_str
 from .algebra import BasisVector, ReducedAlgebra, form_V_wedge_V, is_simple
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
                         CK6_SPEC)
@@ -172,12 +172,17 @@ def extend_v_map(R1: ReducedAlgebra, R2: ReducedAlgebra, phi: dict):
 
 
 def iso_check(R1: ReducedAlgebra, R2: ReducedAlgebra, f: dict) -> bool:
-    """True iff the basis map f is an isomorphism of reduced algebras."""
+    """True iff the basis map f is an isomorphism of reduced algebras.
+    Raises ValueError when an image names an id outside R2's basis."""
+    for src, img in f.items():
+        unknown = [t for t in img if t not in R2.index]
+        if unknown:
+            raise ValueError("image of %s names ids outside the target "
+                             "basis: %r" % (src, unknown))
     if R1.dim != R2.dim:
         return False
     if set(f) != {b.id for b in R1.basis}:
         return False
-    from .linalg import rank
     mat = [[f[b.id].get(c.id, ZERO) for b in R1.basis] for c in R2.basis]
     if rank(mat) != R1.dim:
         return False

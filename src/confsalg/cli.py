@@ -185,7 +185,10 @@ def cmd_isocheck(args) -> int:
              for src, img in raw.items()}
     except (ValueError, AttributeError) as exc:
         raise CliError(EXIT_INPUT, "bad map entry: %s" % exc)
-    ok = catalog.iso_check(R1, R2, f)
+    try:
+        ok = catalog.iso_check(R1, R2, f)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, "bad map entry: %s" % exc)
     _emit({"isomorphism": ok},
           ["isomorphism verified" if ok else "not an isomorphism"],
           args.format)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .scalars import Scalar, ZERO, ONE, TWO
-from .linalg import Subspace, el_add_into
+from .linalg import Subspace, el_add_into, row_space
 
 
 class Clifford:
@@ -120,11 +120,8 @@ class Clifford:
 
     def left_ideal(self, gens) -> Subspace:
         """Span of {x * g : x a basis word, g in gens} as a subspace."""
-        sub = Subspace(self.dim)
-        for g in gens:
-            for w in self.words:
-                sub.add(self.vector(self.mul({w: ONE}, g)))
-        return sub
+        return row_space((self.vector(self.mul({w: ONE}, g))
+                          for g in gens for w in self.words), self.dim)
 
     def module_decompose(self):
         """(label, generator, Subspace) triples for the canonical direct
@@ -163,8 +160,7 @@ class CliffordQuotient:
 
     def __init__(self, cl: Clifford, kernel_gens):
         self.cl = cl
-        self.ideal = cl.left_ideal(kernel_gens) if kernel_gens \
-            else Subspace(cl.dim)
+        self.ideal = cl.left_ideal(kernel_gens)
         pivots = set(self.ideal.pivots)
         self.keep = [k for k in range(cl.dim) if k not in pivots]
         self.keep_words = [cl.words[k] for k in self.keep]

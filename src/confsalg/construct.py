@@ -21,7 +21,7 @@ from math import comb
 
 from .scalars import Scalar, ZERO, ONE, HALF
 from .linalg import (Subspace, el_add_into, el_scale, kernel, left_inverse,
-                     mat_vec)
+                     mat_vec, row_space)
 from .algebra import (BasisVector, ReducedAlgebra, coeff_G, coeff_F,
                       require_axioms, is_simple)
 from .clifford import Clifford, CliffordQuotient
@@ -482,10 +482,8 @@ def build_from_spec(spec: BuilderSpec, validate: bool = True) -> ReducedAlgebra:
 def iota_cl4_span(spec: BuilderSpec) -> tuple:
     """(dim of the classes of words of length <= 4, quotient dim)."""
     b = _Builder(spec)
-    sub = Subspace(b.quot.dim)
-    for w in b.cl.words:
-        if len(w) <= 4:
-            sub.add(b._qvec(b.quot.reduce({w: ONE})))
+    sub = row_space((b._qvec(b.quot.reduce({w: ONE}))
+                     for w in b.cl.words if len(w) <= 4), b.quot.dim)
     return sub.dim, b.quot.dim
 
 
@@ -524,9 +522,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     w3idx = {t: k for k, t in enumerate(w3)}
     nw = len(w3)
 
-    j0 = Subspace(nw)
-    for vec in j0_vectors:
-        j0.add(list(vec))
+    j0 = row_space(j0_vectors, nw)
     comp = [k for k in range(nw) if k not in set(j0.pivots)]
     nf = len(comp)
 
@@ -691,14 +687,12 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # largest derivation-invariant subspace of the encoding kernel
     nrows = list(K)
     while True:
-        sub = Subspace(nwa)
-        for row in nrows:
-            sub.add(row)
+        nullsub = row_space(nrows, nwa)
         if not nrows:
             break
         cons = []
         for b in range(nwa):
-            imgs = [sub.reduce(der_apply(b, row)) for row in nrows]
+            imgs = [nullsub.reduce(der_apply(b, row)) for row in nrows]
             for coord in range(nwa):
                 if any(img[coord] for img in imgs):
                     cons.append([img[coord] for img in imgs])
@@ -711,12 +705,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
                        if kv2[i]), ZERO) for c in range(nwa)]
                  for kv2 in ker]
 
-    nullsub = Subspace(nwa)
-    for row in nrows:
-        nullsub.add(row)
-    span = Subspace(nwa)
-    for row in nullsub.rows:
-        span.add(list(row))
+    span = row_space(nullsub.rows, nwa)
 
     def formal_unit(k: int) -> list:
         unit = [ZERO] * nwa
@@ -847,73 +836,40 @@ def _solve_factored(unknowns, constraints):
     """All common zeros of the factored constraints, by branching on which
     affine factor of each constraint vanishes.
 
-    Each equation row is (c_1, ..., c_nu, k) meaning sum c_i x_i + k = 0;
-    systems are kept in reduced echelon form over Fractions.
+    An equation is a row (c_1, ..., c_nu, k) meaning sum c_i x_i + k = 0,
+    and a branch is the `Subspace` its equations span; a pivot in column nu
+    means 0 = 1.  The solutions are tuples of Fractions.
     """
     nu = len(unknowns)
     uidx = {u: k for k, u in enumerate(unknowns)}
-    solutions = []
-    seen = set()
+    solutions = set()
 
-    def to_vec(form):
-        vec = [Fraction(0)] * nu + [Fraction(form[0])]
+    def to_row(form):
+        row = [ZERO] * nu + [Scalar.from_fraction(form[0])]
         for v, c in form[1].items():
-            vec[uidx[v]] += c
-        return vec
+            row[uidx[v]] = Scalar.from_fraction(c)
+        return row
 
-    def reduce(rows, vec):
-        vec = list(vec)
-        for row in rows:
-            pc = next(k for k in range(nu) if row[k])
-            if vec[pc]:
-                f = vec[pc] / row[pc]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return vec
-
-    def with_eq(rows, vec):
-        """rows plus the equation vec, or None when inconsistent."""
-        res = reduce(rows, vec)
-        lead = next((k for k in range(nu) if res[k]), None)
-        if lead is None:
-            return None if res[nu] else rows
-        res = [x / res[lead] for x in res]
-        out = []
-        for row in rows:
-            if row[lead]:
-                row = [x - row[lead] * y for x, y in zip(row, res)]
-            out.append(row)
-        out.append(res)
-        out.sort(key=lambda r: next(k for k in range(nu) if r[k]))
-        return out
-
-    def walk(rows, k):
+    def walk(sub, k):
         if k == len(constraints):
-            if len(rows) < nu:
+            if sub.dim < nu:
                 raise UnderdeterminedSpec(
                     "constraint system leaves free parameters")
-            vals = [Fraction(0)] * nu
-            for row in rows:
-                pc = next(i for i in range(nu) if row[i])
-                vals[pc] = -row[nu] / row[pc]
-            pt = tuple(vals)
-            if pt not in seen:
-                seen.add(pt)
-                solutions.append(pt)
+            # rows are x_i + k_i = 0 in pivot order i = 0..nu-1
+            solutions.add(tuple(Fraction(str(-row[nu])) for row in sub.rows))
             return
-        factors = constraints[k]
-        residuals = [reduce(rows, to_vec(f)) for f in factors]
-        if any(not any(res) for res in residuals):
+        rows = [to_row(f) for f in constraints[k]]
+        if any(sub.contains(row) for row in rows):
             # some factor already vanishes identically on this branch
-            walk(rows, k + 1)
+            walk(sub, k + 1)
             return
-        for res in residuals:
-            new = with_eq(rows, res)
-            if new is not None:
+        for row in rows:
+            new = row_space(sub.rows + [row], nu + 1)
+            if nu not in new.pivots:
                 walk(new, k + 1)
 
-    walk([], 0)
-    solutions.sort()
-    return solutions
+    walk(Subspace(nu + 1), 0)
+    return sorted(solutions)
 
 
 def _zero_branch(npairs: int, alpha_vals: dict) -> bool:

@@ -7,9 +7,13 @@ sparse elements goes through them.  Scalars are canonical, so two sparse
 elements are equal exactly when the dicts are `==`, and an element is zero
 exactly when the dict is empty.
 
-Matrices are lists of rows, rows are lists of `Scalar`.  Everything is
-fraction-free in spirit but implemented by straightforward Gaussian
-elimination, which is exact over the field.
+Matrices are lists of rows, rows are lists of `Scalar`.  `Subspace` is the
+one reduced row echelon form, built up one vector at a time by Gaussian
+elimination, which is exact over the field.  `row_space` spans a list of
+rows with it, and `rank`, `kernel` and `left_inverse` read its rows and
+pivots.  Its other users are the closures (`ideal_closure`, the Clifford
+left ideals, `extend_v_map`'s graph), the builder's change of basis and
+F-extension, and the case solver of the exclusion sweeps.
 """
 from __future__ import annotations
 
@@ -33,10 +37,6 @@ def el_add_into(acc: dict, x: dict, c: Scalar = ONE) -> None:
             acc[k] = s
         elif k in acc:
             del acc[k]
-
-
-def zeros(n: int) -> list:
-    return [ZERO] * n
 
 
 def mat_vec(A, v):
@@ -63,55 +63,26 @@ def mat_mul(A, B):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for k in range(r, len(rows)):
-            if rows[k][c]:
-                pr = k
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [xk - f * xr for xk, xr in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return row_space(rows, len(rows[0]) if rows else 0).dim
 
 
 def kernel(rows):
-    """Basis of the right kernel of the matrix."""
+    """Basis of the right kernel of the matrix, one vector per non-pivot
+    column."""
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    sub = row_space(rows, ncols)
     basis = []
-    for f in free:
-        v = zeros(ncols)
+    for f in range(ncols):
+        if f in sub.pivots:
+            continue
+        v = [ZERO] * ncols
         v[f] = ONE
-        for r, pc in enumerate(pivots):
-            if red[r][f]:
-                v[pc] = -red[r][f]
+        for row, pc in zip(sub.rows, sub.pivots):
+            if row[f]:
+                v[pc] = -row[f]
         basis.append(v)
     return basis
 
@@ -123,12 +94,12 @@ def left_inverse(A):
     if not A:
         return []
     nrows, ncols = len(A), len(A[0])
-    aug = [list(row) + [ONE if r == c else ZERO for c in range(nrows)]
-           for r, row in enumerate(A)]
-    red, pivots = rref(aug)
-    if pivots[:ncols] != list(range(ncols)):
+    sub = row_space([list(row) + [ONE if r == c else ZERO
+                                  for c in range(nrows)]
+                     for r, row in enumerate(A)], ncols + nrows)
+    if sub.pivots[:ncols] != list(range(ncols)):
         return None
-    return [row[ncols:] for row in red[:ncols]]
+    return [row[ncols:] for row in sub.rows[:ncols]]
 
 
 def charpoly(A):
@@ -190,8 +161,10 @@ def tpoly_str(coeffs, var: str = "t") -> str:
 
 
 class Subspace:
-    """A subspace kept as a reduced echelon basis, supporting incremental
-    closure computations."""
+    """A subspace kept as its reduced echelon basis: `rows` in increasing
+    order of `pivots`, each row 1 at its pivot and 0 at every other pivot.
+    That basis depends only on the subspace, not on the order in which
+    vectors are added."""
 
     def __init__(self, dim: int):
         self.dim_ambient = dim
@@ -211,6 +184,8 @@ class Subspace:
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when the dimension grew."""
+        if self.dim == self.dim_ambient:
+            return False
         res = self.reduce(vec)
         for c, x in enumerate(res):
             if x:
@@ -233,3 +208,11 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def row_space(rows, dim: int) -> Subspace:
+    """The Subspace of the length-dim vectors spanned by `rows`."""
+    sub = Subspace(dim)
+    for row in rows:
+        sub.add(row)
+    return sub

@@ -130,6 +130,25 @@ def test_isocheck(tmp_path, capsys):
                "--map", str(tmp_path / "none.json"))[0] == 2
 
 
+def test_isocheck_image_outside_the_target_basis_is_an_input_error(
+        tmp_path, capsys):
+    # L and a weight-0 C with <L 1 L> = 2L; C's image names an unknown id
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({
+        "basis": [{"id": "L", "weight": "2", "parity": 0},
+                  {"id": "C", "weight": "0", "parity": 0}],
+        "L": "L",
+        "products": [{"n": 1, "a": "L", "b": "L",
+                      "terms": [{"coeff": "2", "basis": "L"}]}]}))
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"L": {"L": "1"},
+                              "C": {"C": "1", "ZZZ": "5"}}))
+    code, out, err = run(capsys, "isocheck", str(path), str(path),
+                         "--map", str(mp))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad map entry") and "ZZZ" in err
+
+
 @pytest.mark.parametrize("coeff", [1, None])
 def test_isocheck_non_string_coefficient_is_an_input_error(tmp_path, capsys,
                                                            coeff):
@@ -181,10 +200,17 @@ def _vir_doc():
     lambda d: d["products"].append(json.loads(json.dumps(d["products"][0]))),
     lambda d: d["products"][0]["terms"].append(
         {"coeff": "3", "basis": d["products"][0]["terms"][0]["basis"]}),
+    lambda d: d["basis"][0].update(parity=1.9),
+    lambda d: d["basis"][0].update(parity="1"),
+    lambda d: d["basis"][0].update(parity=True),
+    lambda d: d["products"][0].update(n=1.5),
+    lambda d: d["products"][0].update(n="1"),
+    lambda d: d["products"][0].update(n=True),
 ], ids=["unknown-key", "unknown-term", "negative-n", "huge-n", "parity",
         "zero-denominator", "infinite-weight", "exponent-weight",
         "decimal-weight", "deep-nesting",
-        "duplicate-key", "duplicate-term"])
+        "duplicate-key", "duplicate-term", "float-parity", "string-parity",
+        "bool-parity", "float-n", "string-n", "bool-n"])
 def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
     doc = _vir_doc()
     path = tmp_path / "bad.json"

@@ -9,8 +9,9 @@ from confsalg.algebra import check_P_axioms, check_H_axioms, is_simple
 from confsalg.construct import (assemble_wedge_form, wedge_lookup,
                                 BuilderSpec, build_from_spec,
                                 build_f_extension, iota_cl4_span,
-                                InconsistentSpec, exclusion_sweep,
-                                CK6_KERNEL, _wedge3_basis)
+                                InconsistentSpec, UnderdeterminedSpec,
+                                exclusion_sweep, CK6_KERNEL, _wedge3_basis,
+                                _odd_constraints, _solve_factored)
 
 F1 = Fraction(1)
 
@@ -119,8 +120,47 @@ def test_sweep_odd_dimensions_unsat():
         assert any("2 and -2" in note for note in rep.notes)
 
 
+def _is_fraction_tuples(sols):
+    return all(type(v) is Fraction for s in sols for v in s)
+
+
+def test_solver_two_root_factor():
+    # x (x - 1) = 0
+    sols = _solve_factored(["x"], [[(0, {"x": 1}), (-1, {"x": 1})]])
+    assert sols == [(0,), (1,)]
+    assert _is_fraction_tuples(sols)
+
+
+def test_solver_odd_dimension_pair_is_unsat():
+    assert _solve_factored(*_odd_constraints()) == []
+
+
+def test_solver_rejects_a_free_variable():
+    with pytest.raises(UnderdeterminedSpec):
+        _solve_factored(["x", "y"], [[(0, {"x": 1})]])
+
+
+def test_solver_lists_each_solution_once():
+    # x = 0 makes the first factor of the second constraint vanish already
+    sols = _solve_factored(["x"], [[(0, {"x": 1})],
+                                   [(0, {"x": 2}), (-1, {"x": 1})]])
+    assert sols == [(0,)]
+    # x y = 0 and x - y = 0: both branches reach the origin
+    sols = _solve_factored(["x", "y"], [[(0, {"x": 1}), (0, {"y": 1})],
+                                        [(0, {"x": 1, "y": -1})]])
+    assert sols == [(0, 0)]
+    # 2x = 1 and y (y + x) = 0: rational values
+    sols = _solve_factored(["x", "y"],
+                           [[(-1, {"x": 2})],
+                            [(0, {"y": 1}), (0, {"y": 1, "x": 1})]])
+    assert sols == [(Fraction(1, 2), Fraction(-1, 2)),
+                    (Fraction(1, 2), Fraction(0))]
+    assert _is_fraction_tuples(sols)
+
+
 def test_sweep_dim6_solutions():
     rep = exclusion_sweep(6)
+    assert _is_fraction_tuples(rep.solutions)
     sols = {tuple(int(v) for v in s) for s in rep.solutions}
     assert sols == {(0, 0, 0), (-1, -1, -1), (-1, 1, 1), (1, -1, 1),
                     (1, 1, -1)}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
-from confsalg.linalg import (rref, rank, kernel, left_inverse, charpoly,
+from confsalg.linalg import (rank, kernel, left_inverse, charpoly, row_space,
                              tpoly_mul, tpoly_str, Subspace, mat_mul,
                              mat_vec)
 
@@ -18,10 +18,10 @@ def M(rows):
     return [[S(x) for x in row] for row in rows]
 
 
-def test_rref_identity():
-    red, piv = rref(M([[2, 0], [0, 3]]))
-    assert piv == [0, 1]
-    assert red == M([[1, 0], [0, 1]])
+def test_row_space_reduces_to_identity():
+    sub = row_space(M([[2, 0], [0, 3]]), 2)
+    assert sub.pivots == [0, 1]
+    assert sub.rows == M([[1, 0], [0, 1]])
 
 
 def test_rank_and_kernel():
@@ -68,7 +68,7 @@ def test_charpoly_symbolic():
     assert cp == want
 
 
-def test_subspace_dedup_and_coords():
+def test_subspace_dedup_and_contains():
     sub = Subspace(3)
     assert sub.add([S(1), S(2), S(0)])
     assert not sub.add([S(2), S(4), S(0)])
@@ -171,3 +171,29 @@ def test_mat_vec_matches_dense_definition(inputs):
     A, v = inputs
     dense = [sum((row[c] * v[c] for c in range(len(v))), ZERO) for row in A]
     assert mat_vec(A, v) == dense
+
+
+@st.composite
+def rows_in_two_orders(draw):
+    """Up to 5 rows of width up to 4, integer or symbolic, and a
+    permutation of them."""
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    cell = draw(st.sampled_from([entries.map(S), scalar_entries]))
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    return ncols, rows, draw(st.permutations(rows))
+
+
+@given(rows_in_two_orders())
+@settings(max_examples=100, deadline=None)
+def test_subspace_basis_is_independent_of_insertion_order(case):
+    """The reduced echelon basis depends only on the span, which is what
+    lets rank, kernel and left_inverse read it off any Subspace."""
+    ncols, rows, shuffled = case
+    a, b = row_space(rows, ncols), row_space(shuffled, ncols)
+    assert a.pivots == b.pivots == sorted(a.pivots)
+    assert a.rows == b.rows
+    for row, pc in zip(a.rows, a.pivots):
+        assert [row[p] for p in a.pivots] == [ONE if p == pc else ZERO
+                                              for p in a.pivots]
+    assert all(a.contains(row) for row in rows)
