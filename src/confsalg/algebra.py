@@ -127,11 +127,12 @@ def _weight(value) -> Fraction:
     return Fraction(text)
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; floats, strings and booleans are rejected."""
-    if type(value) is not int:
-        raise ValueError("%s must be a JSON integer, not %.40r"
-                         % (what, value))
+def _json_typed(value, kind: type, what: str):
+    """value when its type is exactly kind, int for a JSON integer or str
+    for a JSON string; floats, booleans and the other kinds are rejected."""
+    if type(value) is not kind:
+        raise ValueError("%s must be a JSON %s, not %.40r" % (
+            what, "integer" if kind is int else "string", value))
     return value
 
 
@@ -329,23 +330,28 @@ class ReducedAlgebra:
     @staticmethod
     def from_json(text: str) -> "ReducedAlgebra":
         doc = json.loads(text)
-        basis = [BasisVector(b["id"], _weight(b["weight"]),
-                             _json_int(b["parity"], "parity"))
+        basis = [BasisVector(_json_typed(b["id"], str, "basis id"),
+                             _weight(b["weight"]),
+                             _json_typed(b["parity"], int, "parity"))
                  for b in doc["basis"]]
         products = {}
         for p in doc["products"]:
-            key = (_json_int(p["n"], "product index n"), p["a"], p["b"])
+            key = (_json_typed(p["n"], int, "product index n"),
+                   _json_typed(p["a"], str, "product id a"),
+                   _json_typed(p["b"], str, "product id b"))
             if key in products:
                 raise ValueError("product <%s %d %s> is listed twice"
                                  % (key[1], key[0], key[2]))
             el = {}
             for t in p["terms"]:
-                if t["basis"] in el:
+                tb = _json_typed(t["basis"], str, "term basis")
+                if tb in el:
                     raise ValueError("product <%s %d %s> lists term %s twice"
-                                     % (key[1], key[0], key[2], t["basis"]))
-                el[t["basis"]] = scalars.parse(t["coeff"])
+                                     % (key[1], key[0], key[2], tb))
+                el[tb] = scalars.parse(t["coeff"])
             products[key] = el
-        return ReducedAlgebra(basis, doc["L"], products)
+        return ReducedAlgebra(basis, _json_typed(doc["L"], str, "L"),
+                              products)
 
     # -- mutation helper (for sensitivity tests) ---------------------------
 

@@ -173,8 +173,11 @@ def extend_v_map(R1: ReducedAlgebra, R2: ReducedAlgebra, phi: dict):
 
 def iso_check(R1: ReducedAlgebra, R2: ReducedAlgebra, f: dict) -> bool:
     """True iff the basis map f is an isomorphism of reduced algebras.
-    Raises ValueError when an image names an id outside R2's basis."""
+    Raises ValueError when a key names an id outside R1's basis or an
+    image one outside R2's; a key missing from f is a plain False."""
     for src, img in f.items():
+        if src not in R1.index:
+            raise ValueError("map key %r is outside the source basis" % src)
         unknown = [t for t in img if t not in R2.index]
         if unknown:
             raise ValueError("image of %s names ids outside the target "

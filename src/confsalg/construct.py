@@ -533,10 +533,9 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
         red = j0.reduce(vec)
         return [red[c] for c in comp]
 
+    # the rows of jmat at comp are the identity: j0.reduce(e_c) = e_c at a
+    # non-pivot c, so jmat x = rhs has at most the solution rhs at comp
     jmat = [jpair_row(t) for t in range(nw)]   # nw x nf
-    jinv = left_inverse(jmat)
-    if jinv is None:
-        raise InconsistentSpec("triple pairing is degenerate on F")
 
     # inner product and dual basis on V
     gram = base.inner_gram()
@@ -580,7 +579,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
                 s = sum((W3M[r][t] * jmat[r][l]
                          for r in range(nw) if W3M[r][t]), ZERO)
                 rhs.append(-s)
-            part = mat_vec(jinv, rhs)
+            part = [rhs[c] for c in comp]
             if mat_vec(jmat, part) != rhs:
                 raise InconsistentSpec(
                     "the null space of the triple pairing is not invariant")
@@ -647,7 +646,6 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
 
     cols = [encode(k) for k in range(nwa)]
     erows = [[cols[c][r] for c in range(nwa)] for r in range(len(cols[0]))]
-    K = kernel(erows)
 
     # derivation action of each formal element on the formal space
     def der_column(b: int, x: int) -> list:
@@ -674,43 +672,25 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
 
     ders = [[der_column(b, x) for x in range(nwa)] for b in range(nwa)]
 
-    def der_apply(b: int, vec: list) -> list:
-        out = [ZERO] * nwa
-        for x, c in enumerate(vec):
-            if c:
-                col = ders[b][x]
-                for r in range(nwa):
-                    if col[r]:
-                        out[r] = out[r] + c * col[r]
-        return out
-
-    # largest derivation-invariant subspace of the encoding kernel
-    nrows = list(K)
-    while True:
-        nullsub = row_space(nrows, nwa)
-        if not nrows:
-            break
-        cons = []
-        for b in range(nwa):
-            imgs = [nullsub.reduce(der_apply(b, row)) for row in nrows]
-            for coord in range(nwa):
-                if any(img[coord] for img in imgs):
-                    cons.append([img[coord] for img in imgs])
-        if not cons:
-            break
-        ker = kernel(cons)
-        if len(ker) == len(nrows):
-            break
-        nrows = [[sum((kv2[i] * nrows[i][c] for i in range(len(nrows))
-                       if kv2[i]), ZERO) for c in range(nwa)]
-                 for kv2 in ker]
-
-    span = row_space(nullsub.rows, nwa)
-
     def formal_unit(k: int) -> list:
         unit = [ZERO] * nwa
         unit[k] = ONE
         return unit
+
+    # The largest derivation-invariant subspace N of the encoding kernel is
+    # a fixpoint: the next N is {x in N : D_b x in N for every b}, the
+    # kernel of the stacked rows of x -> N.reduce(x) and x -> N.reduce(D_b x).
+    nullsub = row_space(kernel(erows), nwa)
+    while True:
+        rows = []
+        for images in [[formal_unit(x) for x in range(nwa)]] + ders:
+            rows += [list(r) for r in zip(*map(nullsub.reduce, images))]
+        nxt = row_space(kernel(rows), nwa)
+        if nxt.dim == nullsub.dim:
+            break
+        nullsub = nxt
+
+    span = row_space(nullsub.rows, nwa)
 
     chosen = [k for k in range(nwa) if span.add(formal_unit(k))]
     na = len(chosen)
@@ -782,8 +762,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # A . A through the derivation action on the formal span
     for a1 in anames:
         for a2 in anames:
-            img = der_apply(fidx[a1], formal_unit(fidx[a2]))
-            _put(table, 0, a1, a2, a_coords(img))
+            _put(table, 0, a1, a2, a_coords(ders[fidx[a1]][fidx[a2]]))
 
     R = ReducedAlgebra(basis, "L", table)
     require_axioms(R, InconsistentSpec, "extension")

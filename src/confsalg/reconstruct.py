@@ -318,7 +318,12 @@ class AxiomVFails(ValueError):
 
 def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
     """The algebra with conformal vector L_a = L - (a/2) d(e1.e2oe3oe4),
-    presented on its own reduced subspace."""
+    presented on its own reduced subspace.
+
+    The new reduced subspace is the kernel of L_a(2) on a window of
+    d-degrees, and its weight-w part is the kernel of L_a(2) stacked on
+    L_a(1) - w.  Products are read back through the d^(0) coordinates of
+    the window over the d^(j)-shifted new basis."""
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
     R = RA.R
@@ -339,65 +344,41 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
     if RA.full_product(La, La, 2) or RA.full_product(La, La, 3):
         raise AxiomVFails("higher self-products of the new vector")
 
-    # window of d-degrees for the new reduced subspace
+    # window of d-degrees for the new reduced subspace: coordinates (j, a)
+    # at j * len(ids) + (position of a), for j < kdeg
     kdeg = 3
     ids = [b.id for b in R.basis]
-    coords = [(j, a) for j in range(kdeg) for a in ids]
-    cidx = {c: k for k, c in enumerate(coords)}
+    pos = {a: k for k, a in enumerate(ids)}
 
-    def opmat(n: int, deg: int):
-        rows = [[ZERO] * len(coords) for _ in range(len(ids) * deg)]
-        ridx = {(j, a): k for k, (j, a) in enumerate(
-            [(j, a) for j in range(deg) for a in ids])}
-        for (j, a) in coords:
-            img = RA.full_product(La, {j: {a: ONE}}, n)
-            for i, el in img.items():
-                for x, c in el.items():
-                    if (i, x) not in ridx:
-                        raise AxiomVFails("operator leaves the window")
-                    rows[ridx[(i, x)]][cidx[(j, a)]] = c
-        return rows
-
-    ker = kernel(opmat(2, kdeg + 2))
-    if len(ker) != len(ids):
-        raise AxiomVFails("new reduced subspace has dimension %d"
-                          % len(ker))
-
-    # weight decomposition of the kernel under the new L_(1)
-    def l1_apply(vec):
-        out = [ZERO] * len(coords)
-        for k, c in enumerate(vec):
-            if not c:
-                continue
-            j, a = coords[k]
-            img = RA.full_product(La, {j: {a: ONE}}, 1)
-            for i, el in img.items():
-                for x, cx in el.items():
-                    out[cidx[(i, x)]] = out[cidx[(i, x)]] + c * cx
+    def dense(z: dict, deg: int) -> list:
+        out = [ZERO] * (deg * len(ids))
+        for j, el in z.items():
+            if j >= deg:
+                raise AxiomVFails("operator leaves the window")
+            for x, c in el.items():
+                out[j * len(ids) + pos[x]] = c
         return out
 
-    kmat = [[ker[c][r] for c in range(len(ker))]
-            for r in range(len(coords))]
-    kinv = left_inverse(kmat)   # kernel bases are independent
-    op = []
-    for v in ker:
-        img = l1_apply(v)
-        sol = mat_vec(kinv, img)
-        if mat_vec(kmat, sol) != img:
-            raise AxiomVFails("L_(1) does not preserve the kernel")
-        op.append(sol)
-    opT = [[op[c][r] for c in range(len(ker))] for r in range(len(ker))]
+    def opmat(n: int):
+        cols = [dense(RA.full_product(La, {j: {a: ONE}}, n), kdeg + 2)
+                for j in range(kdeg) for a in ids]
+        return [list(row) for row in zip(*cols)]
 
-    new_basis, new_vecs = [], []
+    op2 = opmat(2)
+    nker = len(kernel(op2))
+    if nker != len(ids):
+        raise AxiomVFails("new reduced subspace has dimension %d" % nker)
+
+    # weight decomposition of the kernel under the new L_(1)
+    op1 = opmat(1)
+    new_basis, new_dps = [], []
     counters = {}
     for wt, prefix in ((Fraction(2), "L"), (Fraction(3, 2), "V"),
                        (Fraction(1), "A"), (Fraction(1, 2), "F")):
         lam = Scalar.from_fraction(wt)
-        shifted = [[opT[r][c] - (lam if r == c else ZERO)
-                    for c in range(len(ker))] for r in range(len(ker))]
-        for v in kernel(shifted):
-            vec = [sum((v[i] * ker[i][r] for i in range(len(ker))
-                        if v[i]), ZERO) for r in range(len(coords))]
+        shifted = [[x - lam if r == c else x for c, x in enumerate(row)]
+                   for r, row in enumerate(op1)]
+        for vec in kernel(op2 + shifted):
             if prefix == "L":
                 nm = "L"
             else:
@@ -405,55 +386,37 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
                 nm = "%s%d" % (prefix, counters[prefix])
             par = 0 if wt.denominator == 1 else 1
             new_basis.append(BasisVector(nm, wt, par))
-            new_vecs.append(vec)
+            dp = {}
+            for k, c in enumerate(vec):
+                if c:
+                    dp.setdefault(k // len(ids), {})[ids[k % len(ids)]] = c
+            new_dps.append(dp)
     if len(new_basis) != len(ids):
         raise AxiomVFails("new weights are not physical")
     # normalize the weight-2 vector to L_a itself
     lpos = next(k for k, b in enumerate(new_basis) if b.weight == 2)
-    lvec = [ZERO] * len(coords)
-    for j, el in La.items():
-        for x, c in el.items():
-            lvec[cidx[(j, x)]] = c
-    new_vecs[lpos] = lvec
+    new_dps[lpos] = La
+    names = [b.id for b in new_basis]
+    dps = dict(zip(names, new_dps))
 
     # decomposition operator: express window elements over d^{(j)} B_new
     jmax = 3
-    big = [(j, a) for j in range(kdeg + jmax) for a in ids]
-    bidx = {c: k for k, c in enumerate(big)}
     cols = []
-    colkey = []
-    for bi, vec in enumerate(new_vecs):
+    for dp in new_dps:
         for j in range(jmax + 1):
-            col = [ZERO] * len(big)
-            for k, c in enumerate(vec):
-                if c:
-                    i, a = coords[k]
-                    col[bidx[(i + j, a)]] = col[bidx[(i + j, a)]] + \
-                        c * Scalar.from_int(comb(i + j, j))
-            cols.append(col)
-            colkey.append((bi, j))
-    dec = left_inverse([[cols[c][r] for c in range(len(cols))]
-                        for r in range(len(big))])
+            col = {}
+            dp_add_into(col, dp, ONE, j)
+            cols.append(dense(col, kdeg + jmax))
+    dec = left_inverse([list(row) for row in zip(*cols)])
     if dec is None:
         raise AxiomVFails("derivatives of the new basis are dependent")
     # only the d^(0) coordinates are ever read
-    names0 = [new_basis[bi].id for bi, j in colkey if j == 0]
-    dec0 = [row for row, (bi, j) in zip(dec, colkey) if j == 0]
+    dec0 = dec[::jmax + 1]
 
     def zero_part(z: dict) -> dict:
-        rhs = [ZERO] * len(big)
-        for j, el in z.items():
-            for x, c in el.items():
-                rhs[bidx[(j, x)]] = c
-        return {nm: s for nm, s in zip(names0, mat_vec(dec0, rhs)) if s}
+        part = mat_vec(dec0, dense(z, kdeg + jmax))
+        return {nm: s for nm, s in zip(names, part) if s}
 
-    names = [b.id for b in new_basis]
-    dps = {}
-    for nm, vec in zip(names, new_vecs):
-        dps[nm] = {}
-        for (j, a), c in zip(coords, vec):
-            if c:
-                dps[nm].setdefault(j, {})[a] = c
     products = {}
     for x in names:
         for y in names:

@@ -149,6 +149,24 @@ def test_isocheck_image_outside_the_target_basis_is_an_input_error(
     assert err.startswith("error: bad map entry") and "ZZZ" in err
 
 
+def test_isocheck_key_outside_the_source_basis_is_an_input_error(
+        tmp_path, capsys):
+    path = tmp_path / "k1.json"
+    path.write_text(catalog.build("K1").to_json())
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"L": {"L": "1"}, "e1": {"e1": "1"},
+                              "ZZZ": {"L": "1"}}))
+    code, out, err = run(capsys, "isocheck", str(path), str(path),
+                         "--map", str(mp))
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad map entry") and "ZZZ" in err
+    # a key missing from the map stays a check failure
+    mp.write_text(json.dumps({"L": {"L": "1"}}))
+    code, out, _ = run(capsys, "isocheck", str(path), str(path),
+                       "--map", str(mp))
+    assert code == 1 and "not an isomorphism" in out
+
+
 @pytest.mark.parametrize("coeff", [1, None])
 def test_isocheck_non_string_coefficient_is_an_input_error(tmp_path, capsys,
                                                            coeff):
@@ -185,6 +203,13 @@ def _vir_doc():
     return json.loads(catalog.build("Vir").to_json())
 
 
+def _rename_L(doc, new):
+    """Vir's document with its one id written as new wherever it occurs."""
+    doc["basis"][0]["id"] = doc["L"] = new
+    p = doc["products"][0]
+    p["a"] = p["b"] = p["terms"][0]["basis"] = new
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d["products"].append(
         {"n": 0, "a": "L", "b": "X", "terms": [{"coeff": "1", "basis": "L"}]}),
@@ -206,11 +231,21 @@ def _vir_doc():
     lambda d: d["products"][0].update(n=1.5),
     lambda d: d["products"][0].update(n="1"),
     lambda d: d["products"][0].update(n=True),
+    lambda d: _rename_L(d, 7),
+    lambda d: _rename_L(d, True),
+    lambda d: _rename_L(d, 1.5),
+    lambda d: d["basis"][0].update(id=["L"]),
+    lambda d: d.update(L=None),
+    lambda d: d["products"][0].update(a=7),
+    lambda d: d["products"][0].update(b={"L": 1}),
+    lambda d: d["products"][0]["terms"][0].update(basis=7),
 ], ids=["unknown-key", "unknown-term", "negative-n", "huge-n", "parity",
         "zero-denominator", "infinite-weight", "exponent-weight",
         "decimal-weight", "deep-nesting",
         "duplicate-key", "duplicate-term", "float-parity", "string-parity",
-        "bool-parity", "float-n", "string-n", "bool-n"])
+        "bool-parity", "float-n", "string-n", "bool-n", "int-ids",
+        "bool-ids", "float-ids", "list-id", "null-L", "int-a", "object-b",
+        "int-term"])
 def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
     doc = _vir_doc()
     path = tmp_path / "bad.json"

@@ -197,3 +197,30 @@ def test_subspace_basis_is_independent_of_insertion_order(case):
         assert [row[p] for p in a.pivots] == [ONE if p == pc else ZERO
                                               for p in a.pivots]
     assert all(a.contains(row) for row in rows)
+
+
+@st.composite
+def stacked_pairs(draw):
+    """Matrices B and C of one width up to 5, each with 1 to 4 rows,
+    integer or symbolic."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    cell = draw(st.sampled_from([entries.map(S), scalar_entries]))
+    row = st.lists(cell, min_size=ncols, max_size=ncols)
+    return (draw(st.lists(row, min_size=1, max_size=4)),
+            draw(st.lists(row, min_size=1, max_size=4)))
+
+
+@given(stacked_pairs())
+@settings(max_examples=150, deadline=None)
+def test_stacked_kernel_equals_kernel_in_kernel_coordinates(case):
+    """kernel(B + C) is the round trip through K = kernel(B): solve C in
+    K's coordinates and map back.  Both are reduced echelon bases of the
+    same subspace, so they agree vector for vector, in order."""
+    B, C = case
+    K = kernel(B)
+    CK = [list(r) for r in zip(*(mat_vec(C, k) for k in K))] if K else \
+        [[] for _ in C]
+    round_trip = [[sum((v[i] * K[i][c] for i in range(len(K)) if v[i]),
+                       ZERO) for c in range(len(B[0]))]
+                  for v in kernel(CK)]
+    assert kernel(B + C) == round_trip

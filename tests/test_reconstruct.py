@@ -1,16 +1,18 @@
 """Full products from the reduced data, mode brackets, and moving the
 conformal vector."""
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confsalg.scalars import Scalar, ZERO, ONE
+from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
 from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
                               check_H_axioms, is_physical_shape)
 from confsalg.reconstruct import (dpoly, dp_add_into, binom_ff,
                                   reconstruct, check_C_axioms, mode_bracket,
-                                  change_conformal_vector, NotN4Shape)
+                                  change_conformal_vector, NotN4Shape,
+                                  AxiomVFails)
 from confsalg import catalog
 
 
@@ -178,6 +180,37 @@ def test_mode_bracket_antisymmetry(a, m, b, n):
 def test_change_rejects_wrong_shape():
     with pytest.raises(NotN4Shape):
         change_conformal_vector(catalog.build("K2"), ONE)
+
+
+# SHA-256 of to_json() of change_conformal_vector(N4alpha(0), alpha), fixed
+# before the kernels were taken in window coordinates; alpha = 1 is N4.
+CHANGED_JSON_SHA256 = [
+    (ZERO, "b1415169e6ced9ac78c301116f43ed139655e628868e2c84feb3f842449ab3c3"),
+    (ONE, "99995a09544788342b5e624e4fbecfbf1783cb07868e2c3d1b8598cdc0f1bb1b"),
+    (Scalar.from_fraction(Fraction(1, 2)),
+     "059cf2192cc342753c820872a349a6b10dbec4c167e7c1a17baa4796638f4d6d"),
+    (S(-1), "00d46e7709fb1b50fcf44528f156fbbecf0aedac79d254827f9ef4b5842d8c5c"),
+    (ALPHA, "dcdc9df8fbb7d1e6ff5d7a99eee2a541a390632d9c00291ae961892f617742b0"),
+]
+
+
+@pytest.mark.parametrize("alpha,digest", CHANGED_JSON_SHA256,
+                         ids=["0", "1", "1/2", "-1", "a"])
+def test_change_outputs_are_pinned(alpha, digest):
+    R = change_conformal_vector(catalog.build("N4alpha", 0), alpha)
+    assert hashlib.sha256(R.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,exc,message", [
+    ("K2", NotN4Shape, "missing null-basis vector 'D2'"),
+    ("S2", NotN4Shape, "the quadruple invariant vanishes"),
+    ("CK6", AxiomVFails, "new reduced subspace has dimension 35"),
+])
+def test_change_errors_are_pinned(name, exc, message):
+    with pytest.raises(exc) as info:
+        change_conformal_vector(catalog.build(name), ONE)
+    assert type(info.value) is exc
+    assert str(info.value) == message
 
 
 def test_change_at_zero_reproduces_the_base_profile():
