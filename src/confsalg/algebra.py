@@ -373,7 +373,7 @@ class ReducedAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def check_well_formed(R: ReducedAlgebra) -> Report:
+def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     """Weight and parity bookkeeping of the stored tables, plus the
     vanishing bound (every stored product has a finite n and correct
     gradings)."""
@@ -385,10 +385,10 @@ def check_well_formed(R: ReducedAlgebra) -> Report:
             rep.checked += 1
             if R.weight(t) != w:
                 rep.fail("<%s %d %s>: term %s has weight %s, expected %s"
-                         % (a, n, b, t, R.weight(t), w))
+                         % (a, n, b, t, R.weight(t), w), max_failures)
             if R.parity(t) != p:
                 rep.fail("<%s %d %s>: term %s has parity %d, expected %d"
-                         % (a, n, b, t, R.parity(t), p))
+                         % (a, n, b, t, R.parity(t), p), max_failures)
     return rep
 
 
@@ -403,7 +403,7 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     The visiting order, and so the order of failures, is that of the full
     loop over a, b, c, m, n."""
     check_bounds({"m_max": m_max, "n_max": n_max})
-    rep = check_well_formed(R)
+    rep = check_well_formed(R, max_failures)
     ids = [b.id for b in R.basis]
     nb = R.max_n() + 1
 

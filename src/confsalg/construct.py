@@ -4,9 +4,9 @@ The input data is a null-basis space V, a symmetric form on the wedge square
 of V, and a choice of regular submodules to quotient by.  The builder
 realizes the reduced space as Cl(V)/I, grades it by weight through the
 image filtration of the Clifford-to-algebra map, computes all products of
-weight-3/2 elements by Clifford left multiplication, and completes products
-of composite elements by solving single-unknown instances of the quadratic
-identity.
+weight-3/2 elements by Clifford left multiplication, and fills the products
+of each weight-1 element a from the derivation of Cl(V)/I that extends the
+action v -> a . v on V: weight-1 vectors act by derivations.
 
 The same module houses the F-extended construction (the two dim-V = 4
 algebras whose weight-1/2 part is not in the Clifford image) and the
@@ -22,8 +22,7 @@ from math import comb
 from .scalars import Scalar, ZERO, ONE, HALF
 from .linalg import (Subspace, el_add_into, el_scale, kernel, left_inverse,
                      mat_vec, row_space)
-from .algebra import (BasisVector, ReducedAlgebra, coeff_G, coeff_F,
-                      require_axioms, is_simple)
+from .algebra import BasisVector, ReducedAlgebra, require_axioms, is_simple
 from .clifford import Clifford, CliffordQuotient
 
 W_L = Fraction(2)
@@ -209,12 +208,12 @@ class _Builder:
         for u, v in combinations(self.gen_ids, 2):
             c = self.class_a(u, v)
             if c and span.add(self._qvec(c)):
-                a_chosen.append((("a", u, v), c))
+                a_chosen.append(c)
         for v, w in combinations(self.gen_ids, 2):
             for u in self.gen_ids:
                 c = self.class_f(u, v, w)
                 if c and span.add(self._qvec(c)):
-                    f_chosen.append((("f", u, v, w), c))
+                    f_chosen.append(c)
         if span.dim < q.dim:
             for w, z in combinations(self.gen_ids, 2):
                 for v in self.gen_ids:
@@ -223,7 +222,7 @@ class _Builder:
                             break
                         c = self.class_g(u, v, w, z)
                         if c and span.add(self._qvec(c)):
-                            a_chosen.append((("g", u, v, w, z), c))
+                            a_chosen.append(c)
         if span.dim != q.dim:
             raise InconsistentSpec(
                 "image filtration spans %d of %d quotient dimensions"
@@ -241,16 +240,11 @@ class _Builder:
     def build(self) -> ReducedAlgebra:
         one, vrows, a_chosen, f_chosen = self.select_basis()
         names = ["L"] + [self.gen_names[g] for g in self.gen_ids]
-        weights = [W_L] + [W_V] * len(self.gen_ids)
-        classes = [one] + vrows
-        for k, (_, c) in enumerate(a_chosen):
-            names.append("A%d" % (k + 1))
-            weights.append(W_A)
-            classes.append(c)
-        for k, (_, c) in enumerate(f_chosen):
-            names.append("F%d" % (k + 1))
-            weights.append(W_F)
-            classes.append(c)
+        names += ["A%d" % (k + 1) for k in range(len(a_chosen))]
+        names += ["F%d" % (k + 1) for k in range(len(f_chosen))]
+        weights = [W_L] + [W_V] * len(vrows) + [W_A] * len(a_chosen) + \
+                  [W_F] * len(f_chosen)
+        classes = [one] + vrows + a_chosen + f_chosen
         self.names = names
         self.weights = {n: w for n, w in zip(names, weights)}
         self.parities = {n: (0 if w.denominator == 1 else 1)
@@ -265,180 +259,39 @@ class _Builder:
         self.classes = dict(zip(names, classes))
 
         self.table = {}
-        self._row_memo = {}
         _fill_L(self.table, self.weights)
         self._fill_V()
-        self._fill_composites(a_chosen, f_chosen)
+        for nm in names:
+            if self.weights[nm] == W_A:
+                self._fill_A(nm)
 
         basis = [BasisVector(nm, self.weights[nm], self.parities[nm])
                  for nm in names]
         return ReducedAlgebra(basis, "L", self.table)
 
-    # -- coordinates --------------------------------------------------------
-
     def to_reduced(self, cls: dict) -> dict:
         return {nm: s for nm, s in
                 zip(self.names, mat_vec(self.inv, self._qvec(cls))) if s}
 
-    def to_class(self, el: dict) -> dict:
-        out = {}
-        for nm, c in el.items():
-            el_add_into(out, self.classes[nm], c)
-        return out
-
-    def component(self, el: dict, wt: Fraction) -> dict:
-        return {k: c for k, c in el.items() if self.weights[k] == wt}
-
-    # -- product engine -----------------------------------------------------
-
-    def v_product(self, v_el: dict, y_el: dict) -> dict:
-        """Products <v n y> of a weight-3/2 element with anything, from the
-        Clifford left action split by weight."""
-        gname_to_idx = {self.gen_names[g]: g for g in self.gen_ids}
-        cl_v = {(gname_to_idx[nm],): c for nm, c in v_el.items()}
-        out = {0: {}, 1: {}}
-        by_weight = {}
-        for nm, c in y_el.items():
-            by_weight.setdefault(self.weights[nm], {})[nm] = c
-        for wy, part in by_weight.items():
-            cls = self.to_class(part)
-            prod = self.quot.reduce(self.cl.mul(cl_v, cls))
-            red = self.to_reduced(prod)
-            el_add_into(out[0], self.component(red, wy + W_F))
-            circ = self.component(red, wy - W_F)
-            d = W_V + wy - 2
-            if d and circ:
-                el_add_into(out[1], el_scale(circ, Scalar.from_fraction(d)))
-        return out
-
-    def prod_low(self, el: dict, n: int, b_el: dict) -> dict:
-        """<el n b> for el supported on L and the weight-3/2 part."""
-        out = {}
-        Lc = el.get("L")
-        if Lc:
-            if n == 1:
-                for nm, c in b_el.items():
-                    w = self.weights[nm]
-                    if w:
-                        s = Lc * c * Scalar.from_fraction(w)
-                        el_add_into(out, {nm: s})
-        v_el = self.component(el, W_V)
-        if v_el and n <= 1:
-            el_add_into(out, self.v_product(v_el, b_el)[n])
-        rest = {nm: c for nm, c in el.items()
-                if nm != "L" and self.weights[nm] != W_V}
-        if rest:
-            raise InconsistentSpec("unexpected high-height factor %r" % rest)
-        return out
-
-    # -- composite product rows --------------------------------------------
-
-    def comp_row(self, tag, n: int, b: str) -> dict:
-        key = (tag, n, b)
-        if key in self._row_memo:
-            return self._row_memo[key]
-        if n >= 2:
-            val = {}
-        else:
-            val = self._solve_comp(tag, n, b)
-        self._row_memo[key] = val
-        return val
-
-    def comp_prod(self, tag, n: int, B_el: dict) -> dict:
-        if n >= 2:
-            return {}
-        out = {}
-        for b, c in B_el.items():
-            el_add_into(out, self.comp_row(tag, n, b), c)
-        return out
-
-    def _comp_data(self, tag):
-        """(v_element, t, y_element, y_weight, y_parity, y_prod, scale)."""
-        kind = tag[0]
-        if kind == "a":
-            _, u, v = tag
-            v_el = {self.gen_names[u]: ONE}
-            y_el = {self.gen_names[v]: ONE}
-            return v_el, 1, y_el, W_V, 1, \
-                (lambda n, B: self.prod_low(y_el, n, B)), ONE
-        if kind == "f":
-            _, u, v, w = tag
-            v_el = {self.gen_names[u]: ONE}
-            y_tag = ("a", v, w)
-            y_el = self.to_reduced(self.class_a(v, w))
-            return v_el, 1, y_el, W_A, 0, \
-                (lambda n, B: self.comp_prod(y_tag, n, B)), \
-                Scalar.from_int(2)
-        if kind == "g":
-            _, u, v, w, z = tag
-            v_el = {self.gen_names[u]: ONE}
-            y_tag = ("f", v, w, z)
-            y_el = self.to_reduced(self.class_f(v, w, z))
-            return v_el, 0, y_el, W_F, 1, \
-                (lambda n, B: self.comp_prod(y_tag, n, B)), ONE
-        raise ValueError(tag)
-
-    def _solve_comp(self, tag, n0: int, b: str) -> dict:
-        """<(scale * <v t y>) n0 b> via one quadratic-identity instance with
-        the composite as the single unknown."""
-        v_el, t, y_el, wy, py, y_prod, scale = self._comp_data(tag)
-        wb = self.weights[b]
-        b_el = {b: ONE}
-        s = t + n0
-        for m in range(s + 1):
-            n = s - m
-            coeff = coeff_F(W_V, wy, m, n, t)
-            if coeff:
-                break
-        else:
-            raise InconsistentSpec("no usable identity instance for %r" % (tag,))
-
-        # left-hand side of the identity with (a, b, c) = (v, y, basis b)
-        lhs = {}
-        for j in range(m + 1):
-            g = coeff_G(wy, wb, n, j)
-            if not g:
-                continue
-            inner = y_prod(n + j, b_el)
-            if not inner:
-                continue
-            outer = self.prod_low(v_el, m - j, inner) if m - j <= 1 else {}
-            el_add_into(lhs, outer, Scalar.from_fraction(comb(m, j) * g))
-        sign = -ONE if (1 * py) % 2 == 0 else ONE
-        for j in range(n + 1):
-            g = coeff_G(W_V, wb, m, j)
-            if not g:
-                continue
-            inner = self.prod_low(v_el, m + j, b_el) if m + j <= 1 else {}
-            if not inner:
-                continue
-            outer = y_prod(n - j, inner)
-            el_add_into(lhs, outer,
-                        sign * Scalar.from_fraction(comb(n, j) * g))
-        # known right-hand side terms (composites <v j y> with j != t)
-        vy = self.v_product(v_el, y_el)
-        for j in range(s + 1):
-            if j == t:
-                continue
-            f = coeff_F(W_V, wy, m, n, j)
-            if not f:
-                continue
-            vj = vy.get(j, {})
-            if not vj:
-                continue
-            term = self.prod_low(vj, s - j, b_el) if s - j <= 1 else {}
-            el_add_into(lhs, term, -Scalar.from_fraction(f))
-        unknown = el_scale(lhs, Scalar.from_fraction(coeff).inv())
-        return el_scale(unknown, scale)
-
     # -- table filling ------------------------------------------------------
 
     def _fill_V(self):
+        """<g n b> for each generator g and basis name b of weight wb, from
+        the class of g times the class of b: its weight wb + 1/2 part is
+        <g 0 b>, and its weight wb - 1/2 part times 3/2 + wb - 2 is <g 1 b>.
+        The skew partner <b n g> is stored with each."""
+        cl = self.cl
         for g in self.gen_ids:
             gnm = self.gen_names[g]
-            v_el = {gnm: ONE}
             for b in self.names:
-                res = self.v_product(v_el, {b: ONE})
+                wb = self.weights[b]
+                red = self.to_reduced(
+                    self.quot.reduce(cl.mul(cl.gen(g), self.classes[b])))
+                res = [{k: c for k, c in red.items()
+                        if self.weights[k] == wb + W_F},
+                       el_scale({k: c for k, c in red.items()
+                                 if self.weights[k] == wb - W_F},
+                                Scalar.from_fraction(W_V + wb - 2))]
                 for n in (0, 1):
                     if (n, gnm, b) in self.table:
                         continue
@@ -447,15 +300,27 @@ class _Builder:
                     sgn = -ONE if (n + pb) % 2 == 0 else ONE
                     _put(self.table, n, b, gnm, el_scale(res[n], sgn))
 
-    def _fill_composites(self, a_chosen, f_chosen):
-        items = [("A%d" % (k + 1), tag)
-                 for k, (tag, _) in enumerate(a_chosen)]
-        items += [("F%d" % (k + 1), tag)
-                  for k, (tag, _) in enumerate(f_chosen)]
-        for nm, tag in items:
-            for b in self.names:
-                for n in (0, 1):
-                    _put(self.table, n, nm, b, self.comp_row(tag, n, b))
+    def _fill_A(self, a: str):
+        """<a 0 b> and <b 0 a> = -<a 0 b> for a weight-1 name a and every
+        basis name b.  A weight-1 vector acts by derivations, so a acts on
+        Cl(V)/I as the even derivation D_a extending v -> a . v on V, read
+        off the stored <a 0 v>: for a word w = g_1 ... g_k of b's class,
+        D_a(w) = sum_i g_1 ... g_(i-1) (a . g_i) g_(i+1) ... g_k.  Every
+        other product of a is zero by weight or stored by _fill_L and
+        _fill_V."""
+        cl = self.cl
+        act = [{(self.gen_names.index(v),): c for v, c in
+                self.table.get((0, a, self.gen_names[g]), {}).items()}
+               for g in self.gen_ids]
+        for b in self.names:
+            der = {}
+            for w, c in self.classes[b].items():
+                for i, g in enumerate(w):
+                    el_add_into(der, cl.mul(cl.mul({w[:i]: c}, act[g]),
+                                            {w[i + 1:]: ONE}))
+            el = self.to_reduced(self.quot.reduce(der))
+            _put(self.table, 0, a, b, el)
+            _put(self.table, 0, b, a, el_scale(el, -ONE))
 
 
 def _put(table: dict, n: int, a: str, b: str, el: dict) -> None:

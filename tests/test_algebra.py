@@ -13,6 +13,7 @@ from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
                               ideal_closure, quotient, f3_subspace,
                               is_simple, null_pairs, alpha_matrix,
                               form_V_wedge_V)
+from confsalg.reconstruct import check_C_axioms
 from confsalg import catalog
 
 H = Fraction(1, 2)
@@ -80,6 +81,22 @@ def test_weight_rule_enforced():
          (1, "X", "X"): {"X": ONE}})
     rep = check_well_formed(bad)
     assert not rep.ok
+
+
+def test_checkers_keep_to_max_failures():
+    # an L term added to every product of K2 breaks the grading of most of
+    # them, which P reports before its other families
+    K2 = catalog.build("K2")
+    products = {}
+    for key, el in K2.products.items():
+        products[key] = dict(el)
+        el_add_into(products[key], {"L": ONE})
+    M = ReducedAlgebra(K2.basis, "L", products)
+    for rep in (check_P_axioms(M, 2, 2, max_failures=1),
+                check_H_axioms(M, max_failures=1),
+                check_C_axioms(M, 2, 2, 1, max_failures=1)):
+        assert not rep.ok
+        assert len(rep.failures) <= 1
 
 
 def test_json_round_trip_is_byte_identical():

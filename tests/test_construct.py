@@ -1,10 +1,13 @@
 """Solver-side construction: wedge-form assembly, the Clifford-image
 builders, the weight-1/2 extension and the finite case sweeps."""
+import hashlib
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
+from confsalg import catalog
 from confsalg.algebra import check_P_axioms, check_H_axioms, is_simple
 from confsalg.construct import (assemble_wedge_form, wedge_lookup,
                                 BuilderSpec, build_from_spec,
@@ -73,6 +76,61 @@ def test_builder_validates():
                                   kernel_words=[(0,), (1,)])
     with pytest.raises(InconsistentSpec):
         build_from_spec(spec)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of to_json() of the builder's catalog outputs, fixed before the
+# weight-1 rows were filled from the derivation action; W2 and CK6 are
+# pinned by their golden files.
+BUILT_JSON_SHA256 = [
+    ("K1", None,
+     "ee2821f15043124106ec1bc7c7096f2219e0f9ccb4f615243d1688213c460cdf"),
+    ("K2", None,
+     "9ff9c5632a24708048572d9a4d21f9cdf025e786e91774a5d0117585621659b6"),
+    ("K3", None,
+     "f351fa8b610ffc25f4100e6037e9d282679af9fabf7942617413f7554970e89a"),
+    ("S2", None,
+     "f8e6dede71b9e27db7bbc5231652bf253c7bb08de9c0f76dccd5bad7171f3bca"),
+    ("N4alpha", None,
+     "f9860cb25c1036f763c242ac8df88b0471361c4d63a96683991b18e8e21f6037"),
+    ("N4alpha", "1/2",
+     "f81afb0a7b64eb45a2453c233b628ea6cefbc5d754efd5211b070e290a6a87f9"),
+]
+
+
+@pytest.mark.parametrize("name,alpha,digest", BUILT_JSON_SHA256,
+                         ids=["K1", "K2", "K3", "S2", "N4alpha-a",
+                              "N4alpha-1/2"])
+def test_builder_outputs_are_pinned(name, alpha, digest):
+    assert sha256(catalog.build(name, alpha).to_json()) == digest
+
+
+# Two null pairs, alpha in (0, -1, a), and every subset of the four kernel
+# words in order of size: the outcome of each spec is the SHA-256 of
+# to_json() or "InconsistentSpec", and the digest is that of the outcomes
+# joined by newlines, fixed before the weight-1 rows were filled from the
+# derivation action.
+GRID_SHA256 = \
+    "0d1fa10a4e1627176027f583b57ea8e20be9616386dea1b5a7acab07b22c24ac"
+
+
+def test_builder_grid_outcomes_are_pinned():
+    outcomes = []
+    for alpha in (ZERO, S(-1), ALPHA):
+        for r in range(5):
+            for words in combinations(product((0, 1), repeat=2), r):
+                spec = BuilderSpec.from_alpha(
+                    2, False, [[ZERO, alpha], [alpha, ZERO]], list(words))
+                try:
+                    outcomes.append(sha256(build_from_spec(spec).to_json()))
+                except InconsistentSpec:
+                    outcomes.append("InconsistentSpec")
+    assert len(outcomes) == 48
+    assert sum(o != "InconsistentSpec" for o in outcomes) == 11
+    assert sha256("\n".join(outcomes)) == GRID_SHA256
 
 
 def s2():
