@@ -141,8 +141,8 @@ class ReducedAlgebra:
 
     `__init__` also builds the partner index: for each id a, the ids b with
     some stored <a n b>, each with the ids in the terms of any <a n b>.
-    `right_partners` reads it; `live_thirds`, the P and H checkers and
-    `ReconstructedAlgebra.partners` rest on it."""
+    `right_partners` reads it; `live_thirds` and the P and H checkers rest
+    on it."""
 
     def __init__(self, basis, L: str, products=None):
         self.basis = list(basis)

@@ -80,7 +80,9 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc))
     R = _load_algebra(args.path)
-    axioms = [a.strip().upper() for a in args.axioms.split(",") if a.strip()]
+    # each axiom family runs once, in the order it is first named
+    axioms = list(dict.fromkeys(a.strip().upper()
+                                for a in args.axioms.split(",") if a.strip()))
     bad = [a for a in axioms if a not in ("P", "H", "C")]
     if bad or not axioms:
         raise CliError(EXIT_INPUT, "axioms must be a subset of P,H,C")

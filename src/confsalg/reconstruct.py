@@ -1,26 +1,45 @@
 """Reconstruction of the full conformal superalgebra from its reduced
 subspace.
 
-Elements are finite polynomials in the divided powers of d (the translation
-generator), stored as d-polynomials {degree: element}.  A d-polynomial holds
-no empty degree and its elements hold no zero coefficient (the sparse-element
-invariant of `linalg`), so two d-polynomials are equal exactly when the dicts
-are `==`, and zero exactly when the dict is empty; `dp_add_into` keeps this.
-
 The (n)-products are rebuilt from the reduced bracket tables through the
 j-part coefficients, extended to derivatives by the multinomial rule, and
 checked against the conformal axioms.  Mode brackets and the change of
 conformal vector live here as well.
+
+Inside, everything runs on integer indices.  `ReconstructedAlgebra` gives
+each basis id its position p in the basis of N vectors, and the monomial
+d^(k) a, in the divided powers of d (the translation generator), has the
+flat index k*N + p.  A flat element is a sparse element {index: Scalar}
+(the invariant of `linalg`: no zero is stored).  One table, keyed by the
+position pairs (a, b) with a nonzero product, holds for each m the nonzero
+a_(m) b = sum_j d^(j) (...) with the `coeff_G` factors applied, and
+`ReconstructedAlgebra.product` is the one kernel that multiplies flat
+elements from it.  The binomial factors of the derivative rules come from
+a small int -> Scalar cache.
+
+At the API, elements are d-polynomials {degree: element}, which hold no
+empty degree and no zero coefficient, so two d-polynomials are equal
+exactly when the dicts are `==`, and zero exactly when the dict is empty;
+`dp_add_into` keeps this, and `full_product` converts to and from the
+kernel.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .scalars import Scalar, ZERO, ONE, HALF
 from .linalg import el_add_into, el_scale, kernel, left_inverse, mat_vec
 from .algebra import (BasisVector, ReducedAlgebra, Report, check_bounds,
                       coeff_G, require_axioms)
+
+
+@lru_cache(maxsize=256)
+def _int(n: int) -> Scalar:
+    """Scalar.from_int(n), cached: the factors of the derivative rules are
+    few small integers."""
+    return Scalar.from_int(n)
 
 
 # -- d-polynomial helpers ---------------------------------------------------
@@ -51,63 +70,100 @@ def binom_ff(m: int, j: int) -> Fraction:
 
 
 class ReconstructedAlgebra:
-    """K[d]-span of a reduced algebra with the full (n)-products."""
+    """K[d]-span of a reduced algebra with the full (n)-products.
+
+    `pos` maps each basis id to its position, `ids` reads it back, and
+    `partners[p]` holds the positions with some stored product against
+    position p, on either side."""
 
     def __init__(self, R: ReducedAlgebra):
         self.R = R
-        self._memo = {}
-
-    def basis_product(self, a: str, b: str, n: int) -> dict:
-        """a_(n) b for reduced basis vectors, as a d-polynomial."""
-        key = (a, b, n)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        R = self.R
-        wa, wb = R.weight(a), R.weight(b)
-        out = {}
-        j = 0
-        while n + j <= R.max_n():
-            el = R.products.get((n + j, a, b))
-            if el:
-                g = coeff_G(wa, wb, n, j)
+        self.ids = [b.id for b in R.basis]
+        self.N = len(self.ids)
+        self.pos = pos = R.index
+        # table[(pa, pb)][m] = [(j, [(pc, coefficient)])]: a_(m) b is the
+        # sum over j of d^(j) of these elements
+        self._table = table = {}
+        self.partners = partners = [set() for _ in self.ids]
+        for (nj, a, b), el in R.products.items():
+            pa, pb = pos[a], pos[b]
+            partners[pa].add(pb)
+            partners[pb].add(pa)
+            for j in range(nj + 1):
+                g = coeff_G(R.weight(a), R.weight(b), nj - j, j)
                 if g:
-                    out[j] = el_scale(el, Scalar.from_fraction(g))
-            j += 1
-        self._memo[key] = out
+                    g = Scalar.from_fraction(g)
+                    table.setdefault((pa, pb), {}).setdefault(
+                        nj - j, []).append(
+                            (j, [(pos[x], c * g) for x, c in el.items()]))
+
+    def product(self, x: dict, y: dict, n: int) -> dict:
+        """x_(n) y for flat elements and a natural number n, by
+        (d^(k) a)_(n) d^(l) b
+            = (-1)^k C(n, k) sum_j C(n-k, j) d^(l-j) (a_(n-k-j) b)
+        and d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers."""
+        N, table = self.N, self._table
+        out = {}
+        for ix, cx in x.items():
+            k, pa = divmod(ix, N)
+            if k > n:
+                continue
+            top = n - k
+            sign_k = comb(n, k) if k % 2 == 0 else -comb(n, k)
+            for iy, cy in y.items():
+                l, pb = divmod(iy, N)
+                rows = table.get((pa, pb))
+                if rows is None:
+                    continue
+                c = cx * cy
+                for j in range(min(l, top) + 1):
+                    row = rows.get(top - j)
+                    if row is None:
+                        continue
+                    s = l - j
+                    mult = sign_k * comb(top, j)
+                    for i, terms in row:
+                        f = _int(mult * comb(i + s, i)) * c
+                        base = (i + s) * N
+                        for p, v in terms:
+                            key = base + p
+                            v = v * f
+                            old = out.get(key)
+                            if old is not None:
+                                v = old + v
+                                if not v:
+                                    del out[key]
+                                    continue
+                            out[key] = v
+        return out
+
+    def shift(self, x: dict, j: int) -> dict:
+        """d^(j) x for a flat element x."""
+        N = self.N
+        return {ix + j * N: v * _int(comb(ix // N + j, j))
+                for ix, v in x.items()}
+
+    def to_flat(self, x: dict) -> dict:
+        """The flat element of a d-polynomial."""
+        N, pos = self.N, self.pos
+        return {k * N + pos[a]: c for k, el in x.items()
+                for a, c in el.items()}
+
+    def to_dpoly(self, z: dict) -> dict:
+        """The d-polynomial of a flat element."""
+        N, ids = self.N, self.ids
+        out = {}
+        for ix, c in z.items():
+            k, p = divmod(ix, N)
+            out.setdefault(k, {})[ids[p]] = c
         return out
 
     def full_product(self, x: dict, y: dict, n: int) -> dict:
         """x_(n) y for d-polynomials, n a natural number."""
         if n < 0:
             raise ValueError("products are defined for natural n")
-        out = {}
-        for k, xel in x.items():
-            for l, yel in y.items():
-                for j in range(l + 1):
-                    if n - k - j < 0 or k + j > n:
-                        continue
-                    mult = comb(n, k) * comb(n - k, j)
-                    if not mult:
-                        continue
-                    if k % 2:
-                        mult = -mult
-                    for a, ca in xel.items():
-                        for b, cb in yel.items():
-                            base = self.basis_product(a, b, n - k - j)
-                            if not base:
-                                continue
-                            dp_add_into(out, base,
-                                        ca * cb * Scalar.from_int(mult), l - j)
-        return out
-
-    def partners(self, a: str) -> set:
-        """Basis ids with some nonzero product against a, on either side,
-        read off the partner index of the reduced algebra."""
-        R = self.R
-        out = set(R.right_partners(a))
-        out.update(x for x in R.index if a in R.right_partners(x))
-        return out
+        return self.to_dpoly(self.product(self.to_flat(x), self.to_flat(y),
+                                          n))
 
 
 def reconstruct(R: ReducedAlgebra) -> ReconstructedAlgebra:
@@ -127,32 +183,39 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     of a term of some a_(j) b; for any other c every term vanishes.  Only
     a = ids[0] is d-shifted in (C3), by d^(k) for k <= d_max; (C1) ties the
     other shifts to unshifted instances.
+
+    Every product goes through `RA.product` on flat elements, whose index
+    k*N + p is the monomial d^(k) of the basis vector at position p.  (C3)
+    computes its inner products outside the loops that do not change them:
+    b_(n) c once per (b, c), a_(m) c once per (a, c, k), a_(j) b once per
+    (a, b, k), and (a_(j) b)_(s) c once per (a, b, c, k) for each (j, s) the
+    (m, n) pairs share; it forms b_(n)(a_(m) c) only when a_(m) c is nonzero.
     """
     check_bounds({"m_max": m_max, "n_max": n_max, "d_max": d_max})
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
     R = RA.R
     rep = Report()
-    ids = [b.id for b in R.basis]
-    L = R.L
+    ids, N, partners = RA.ids, RA.N, RA.partners
+    product = RA.product
 
     # conformal vector: L_(0) = d, L_(1) = weight, L_(2) on derivatives
-    Lel = {0: {L: ONE}}
-    for a in ids:
-        ael = {0: {a: ONE}}
+    Lel = {RA.pos[R.L]: ONE}
+    for pa, a in enumerate(ids):
+        ael = {pa: ONE}
         rep.checked += 3
-        if RA.full_product(Lel, ael, 0) != {1: {a: ONE}}:
+        if product(Lel, ael, 0) != {N + pa: ONE}:
             rep.fail("L_(0) is not d on %s" % a, max_failures)
         w = Scalar.from_fraction(R.weight(a))
-        if RA.full_product(Lel, ael, 1) != ({0: {a: w}} if w else {}):
+        if product(Lel, ael, 1) != ({pa: w} if w else {}):
             rep.fail("L_(1) eigenvalue wrong on %s" % a, max_failures)
         ok2 = True
         for k in range(0, d_max + 1):
-            got = RA.full_product(Lel, {k: {a: ONE}}, 2)
+            got = product(Lel, {k * N + pa: ONE}, 2)
             # on divided powers: L_(2) d^{(k)} a = (k-1+2w) d^{(k-1)} a
             coeff = k - 1 + 2 * R.weight(a)
             want = {} if (k == 0 or not coeff) else \
-                {k - 1: {a: Scalar.from_fraction(coeff)}}
+                {(k - 1) * N + pa: Scalar.from_fraction(coeff)}
             if got != want:
                 ok2 = False
         if not ok2:
@@ -161,17 +224,15 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
             return rep
 
     # (C1): (d a)_(n) b = -n a_(n-1) b
-    for a in ids:
-        for b in ids:
+    for pa, a in enumerate(ids):
+        for pb, b in enumerate(ids):
             for n in range(n_max + 1):
                 rep.checked += 1
-                lhs = RA.full_product({1: {a: ONE}}, {0: {b: ONE}}, n)
+                lhs = product({N + pa: ONE}, {pb: ONE}, n)
                 rhs = {}
                 if n:
-                    rhs = RA.full_product({0: {a: ONE}}, {0: {b: ONE}},
-                                          n - 1)
-                    rhs = {j: el_scale(el, Scalar.from_int(-n))
-                           for j, el in rhs.items()}
+                    rhs = el_scale(product({pa: ONE}, {pb: ONE}, n - 1),
+                                   _int(-n))
                 if lhs != rhs:
                     rep.fail("(C1) fails: a=%s b=%s n=%d" % (a, b, n),
                              max_failures)
@@ -179,26 +240,28 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                         return rep
 
     # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x)
-    for a in ids:
-        for b in ids:
-            if b not in R.right_partners(a) and a not in R.right_partners(b):
+    for pa, a in enumerate(ids):
+        for pb, b in enumerate(ids):
+            if pb not in partners[pa]:
                 continue
             pq = R.parity(a) * R.parity(b)
             for k in range(d_max + 1):
                 for l in range(d_max + 1):
-                    x = {k: {a: ONE}}
-                    y = {l: {b: ONE}}
+                    x = {k * N + pa: ONE}
+                    y = {l * N + pb: ONE}
                     for n in range(n_max + 1):
                         rep.checked += 1
-                        lhs = RA.full_product(x, y, n)
+                        lhs = product(x, y, n)
                         rhs = {}
                         jmax = k + l + R.max_n() + 1
                         for j in range(jmax + 1):
+                            t = product(y, x, n + j)
+                            if not t:
+                                continue
                             sgn = 1 if (j + n + 1) % 2 == 0 else -1
                             if pq % 2:
                                 sgn = -sgn
-                            dp_add_into(rhs, RA.full_product(y, x, n + j),
-                                        Scalar.from_int(sgn), j)
+                            el_add_into(rhs, RA.shift(t, j), _int(sgn))
                         if lhs != rhs:
                             rep.fail("(C2) fails: a=%s b=%s k=%d l=%d n=%d"
                                      % (a, b, k, l, n), max_failures)
@@ -207,52 +270,53 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
 
     # (C3): a_(m)(b_(n)c) = (-1)^{pq} b_(n)(a_(m)c)
     #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c
-    # The inner products are computed outside the (m, n) loops: a_(j) b once
-    # per (a, b, k), b_(n) c per (a, b, c), a_(m) c per (a, b, c, k), and
-    # (a_(j) b)_(s) c per (a, b, c, k) for each (j, s) the pairs share.
-    for a in ids:
-        for b in ids:
-            xb = {0: {b: ONE}}
-            ab = [RA.full_product({0: {a: ONE}}, xb, j)
-                  for j in range(R.max_n() + 1)]
-            rel = RA.partners(a) | RA.partners(b)
+    bc_by_pair = {}
+    for pa, a in enumerate(ids):
+        ac_by_ck = {}
+        for pb, b in enumerate(ids):
+            xb = {pb: ONE}
+            ab = [product({pa: ONE}, xb, j) for j in range(R.max_n() + 1)]
+            rel = partners[pa] | partners[pb]
             for t in ab:
-                for el in t.values():
-                    for x in el:
-                        rel |= RA.partners(x)
+                for ix in t:
+                    rel |= partners[ix % N]
             pq = R.parity(a) * R.parity(b)
-            t2_sign = Scalar.from_int(1 if pq % 2 else -1)
+            t2_sign = _int(1 if pq % 2 else -1)
             ajb_by_k = {}
-            for c in ids:
-                if c not in rel:
+            for pc, c in enumerate(ids):
+                if pc not in rel:
                     continue
-                xc = {0: {c: ONE}}
-                bc = [RA.full_product(xb, xc, n) for n in range(n_max + 1)]
+                xc = {pc: ONE}
+                bc = bc_by_pair.get((pb, pc))
+                if bc is None:
+                    bc = bc_by_pair[(pb, pc)] = [product(xb, xc, n)
+                                                 for n in range(n_max + 1)]
                 for k in range(d_max + 1):
-                    xa = {k: {a: ONE}}
+                    xa = {k * N + pa: ONE}
                     if k not in ajb_by_k:
-                        ajb_by_k[k] = [RA.full_product(xa, xb, j)
+                        ajb_by_k[k] = [product(xa, xb, j)
                                        for j in range(m_max + 1)]
                     ajb = ajb_by_k[k]
-                    ac = [RA.full_product(xa, xc, m)
-                          for m in range(m_max + 1)]
+                    ac = ac_by_ck.get((pc, k))
+                    if ac is None:
+                        ac = ac_by_ck[(pc, k)] = [product(xa, xc, m)
+                                                  for m in range(m_max + 1)]
                     t3s = {}
                     for m in range(m_max + 1):
                         for n in range(n_max + 1):
                             rep.checked += 1
-                            lhs = RA.full_product(xa, bc[n], m)
-                            t2 = RA.full_product(xb, ac[m], n)
-                            dp_add_into(lhs, t2, t2_sign)
+                            lhs = product(xa, bc[n], m) if bc[n] else {}
+                            if ac[m]:
+                                el_add_into(lhs, product(xb, ac[m], n),
+                                            t2_sign)
                             for j in range(m + 1):
                                 if not ajb[j]:
                                     continue
                                 s = m + n - j
                                 t3 = t3s.get((j, s))
                                 if t3 is None:
-                                    t3 = t3s[(j, s)] = RA.full_product(
-                                        ajb[j], xc, s)
-                                dp_add_into(lhs, t3,
-                                            Scalar.from_int(-comb(m, j)))
+                                    t3 = t3s[(j, s)] = product(ajb[j], xc, s)
+                                el_add_into(lhs, t3, _int(-comb(m, j)))
                             if lhs:
                                 rep.fail(
                                     "(C3) fails: a=%s b=%s c=%s k=%d "

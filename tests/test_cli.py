@@ -65,6 +65,37 @@ def test_verify_input_errors(tmp_path, capsys):
     assert run(capsys, "verify", str(good), "--axioms", "Q")[0] == 2
 
 
+@pytest.mark.parametrize("axioms,runs", [
+    ("P,P", ["P"]), ("p,P", ["P"]), ("C,C", ["C"]),
+    ("H,p,h,C,P", ["H", "P", "C"]),
+])
+def test_verify_runs_each_axiom_once(tmp_path, capsys, monkeypatch, axioms,
+                                     runs):
+    import confsalg.cli as cli_mod
+    import confsalg.reconstruct as reconstruct_mod
+    path = tmp_path / "vir.json"
+    run(capsys, "build", "Vir", "-o", str(path))
+    calls = []
+
+    def counting(family, checker):
+        def wrapped(*args, **kwargs):
+            calls.append(family)
+            return checker(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli_mod, "check_P_axioms",
+                        counting("P", cli_mod.check_P_axioms))
+    monkeypatch.setattr(cli_mod, "check_H_axioms",
+                        counting("H", cli_mod.check_H_axioms))
+    monkeypatch.setattr(reconstruct_mod, "check_C_axioms",
+                        counting("C", reconstruct_mod.check_C_axioms))
+    code, out, _ = run(capsys, "verify", str(path), "--axioms", axioms,
+                       "--mmax", "2", "--nmax", "2", "--dmax", "1")
+    assert code == 0
+    assert calls == runs
+    assert [line.split(":")[0] for line in out.splitlines()] == runs
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--mmax", "-1"), ("--nmax", "-1"), ("--dmax", "-1"), ("--mmax", "65"),
     ("--nmax", "10000"), ("--dmax", "65"),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
+from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
 from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
                               check_H_axioms, is_physical_shape)
 from confsalg.reconstruct import (dpoly, dp_add_into, binom_ff,
@@ -61,19 +61,22 @@ def test_products_extend_to_derivatives():
 
 @pytest.mark.parametrize("name", ["Vir", "K2", "S2"])
 def test_full_products_store_no_zero(name):
-    # the sparse invariant on every product that C(1,1,1) forms: no zero
-    # coefficient, no empty d-degree
+    # the sparse invariant on every product that C(1,1,1) forms through the
+    # flat kernel: no zero coefficient, and no empty d-degree in the
+    # d-polynomial it stands for
     RA = reconstruct(catalog.build(name))
-    full_product = RA.full_product
+    product = RA.product
     seen = []
 
     def checked(x, y, n):
-        out = full_product(x, y, n)
-        assert all(el and all(el.values()) for el in out.values())
+        out = product(x, y, n)
+        assert all(out.values())
+        assert all(el and all(el.values())
+                   for el in RA.to_dpoly(out).values())
         seen.append(bool(out))
         return out
 
-    RA.full_product = checked
+    RA.product = checked
     assert check_C_axioms(RA, 1, 1, 1).ok
     assert any(seen)
 
@@ -233,3 +236,86 @@ def test_change_yields_a_simple_physical_algebra():
     assert is_simple(R).simple
     assert check_P_axioms(R, 3, 3).ok
     assert check_H_axioms(R).ok
+
+
+# -- pinned outputs -----------------------------------------------------------
+#
+# Digests fixed before the reconstruction moved to integer indices: the
+# Reports of C(2,2,1) and a grid of full products and mode brackets must not
+# change with the representation of the product table.
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+def _report_line(label, rep) -> str:
+    # failures keep the order the checker gives them
+    return "%s|%s|%d|%s" % (label, rep.ok, rep.checked,
+                            "|".join(rep.failures))
+
+
+C_REPORTS_SHA256 = \
+    "d0c141b4d55b09f5e0698d1c61faa38ceec1e0fa1237c7aeb65712a93eeffc76"
+
+
+def test_C_reports_are_pinned():
+    lines = []
+    for name, alpha in (("Vir", None), ("K1", None), ("K2", None),
+                        ("K3", None), ("S2", None), ("W2", None),
+                        ("N4", None), ("N4alpha", "a")):
+        R = catalog.build(name, alpha) if alpha else catalog.build(name)
+        lines.append(_report_line(name, check_C_axioms(R, 2, 2, 1)))
+    for name in ("K2", "S2"):
+        for label, M in catalog.build(name).sign_mutations():
+            lines.append(_report_line("%s %s" % (name, label),
+                                      check_C_axioms(M, 2, 2, 1)))
+    assert _digest(lines) == C_REPORTS_SHA256
+
+
+def _dp_str(dp) -> str:
+    return ";".join(sorted("%d %s %s" % (j, x, c)
+                           for j, el in dp.items() for x, c in el.items()))
+
+
+def _grid(R):
+    """Multi-term d-polynomials with terms in d-degrees 0 to 3."""
+    ids = [b.id for b in R.basis]
+    N = len(ids)
+    coeffs = [ONE, S(-2), Scalar.from_fraction(Fraction(3, 2)), IMAG + ONE]
+    out = []
+    for k in range(4):
+        for i in range(N):
+            x = {k: {ids[i]: coeffs[k]}}
+            dp_add_into(x, {3 - k: {ids[(i + 1) % N]: ONE,
+                                    ids[(i + 3) % N]: coeffs[(k + i) % 4]}})
+            out.append(x)
+    return out
+
+
+PRODUCTS_SHA256 = \
+    "b5fbd7b361aaa5fee79a9849c9b0b8dffd8d451f51bb08b49b4497bc6f003a67"
+
+
+def test_full_products_and_mode_brackets_are_pinned():
+    lines = []
+    for label, R in (("K2", catalog.build("K2")),
+                     ("N4alpha(a)", catalog.build("N4alpha", "a")),
+                     ("central Vir", central_virasoro())):
+        RA = reconstruct(R)
+        grid = _grid(R)
+        for u, x in enumerate(grid):
+            for v, y in enumerate(grid):
+                if (u + 2 * v) % 5:
+                    continue
+                for n in range(6):
+                    lines.append("%s %d %d %d full %s" % (
+                        label, u, v, n, _dp_str(RA.full_product(x, y, n))))
+                a_el, b_el = x[min(x)], y[max(y)]
+                for m, n in ((-2, 1), (0, 0), (1, -1), (2, 2)):
+                    br = mode_bracket(RA, a_el, m, b_el, n)
+                    lines.append("%s %d %d %d %d mode %s" % (
+                        label, u, v, m, n, ";".join(sorted(
+                            "%s %d %s" % (x_, s, c)
+                            for (x_, s), c in br.items()))))
+    assert _digest(lines) == PRODUCTS_SHA256
