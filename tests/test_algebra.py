@@ -238,6 +238,36 @@ def test_n4alpha0_mutant_reports_are_pinned():
             digest, cap
 
 
+PH_REPORTS_SHA256 = \
+    "53893247e399b86b91e94d27b6a0cfe8887e95f9ffe1de803261775c5ee604a7"
+
+
+def test_PH_reports_are_pinned():
+    """P(4,4) and H on every catalog algebra and on symbolic N4alpha(a),
+    and P(2,2) and H at max_failures=20 on every sign mutant of K2, K3 and
+    S2: (ok, checked, failures) match, by digest, what the checkers gave
+    when each derived product was computed per call."""
+    lines = []
+
+    def add(label, R, m, n):
+        for name, rep in (("P", check_P_axioms(R, m, n, max_failures=20)),
+                          ("H", check_H_axioms(R, max_failures=20))):
+            lines.append("%s|%s|%s|%d|%s" % (label, name, rep.ok, rep.checked,
+                                             "|".join(rep.failures)))
+
+    for name in catalog.NAMES:
+        add(name, catalog.build(name), 4, 4)
+    add("N4alpha(a)", catalog.build("N4alpha", "a"), 4, 4)
+    mutants = 0
+    for name in ("K2", "K3", "S2"):
+        for label, M in catalog.build(name).sign_mutations():
+            add("%s %s" % (name, label), M, 2, 2)
+            mutants += 1
+    assert mutants == 118
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        PH_REPORTS_SHA256
+
+
 def test_failure_report_carries_instances():
     R = catalog.build("K2")
     label, M = next(iter(R.sign_mutations()))
