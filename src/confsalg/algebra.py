@@ -11,6 +11,10 @@ products survive; two derived products are used throughout:
     a o b = (a <1> b) / (wt(a) + wt(b) - 2)    (0 when the weight sum is 2)
     a . b = a <0> b
 
+Both are read from read-only tables keyed by basis pair, through the one
+kernel that `product_n` also uses: the o table, with its divisions done, is
+built on first use, and the . table is the <0> slice of the stored products.
+
 All checkers return a `Report` listing failing instances instead of raising.
 """
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from . import scalars
@@ -136,13 +140,26 @@ def _json_typed(value, kind: type, what: str):
     return value
 
 
+def _mul(table: dict, x: dict, y: dict) -> dict:
+    """The bilinear extension to elements x, y of a basis-pair table
+    {(a, b): element}."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            tab = table.get((a, b))
+            if tab:
+                el_add_into(out, tab, ca * cb)
+    return out
+
+
 class ReducedAlgebra:
     """A finite-dimensional reduced subspace with its indexed products.
 
     `__init__` also builds the partner index: for each id a, the ids b with
     some stored <a n b>, each with the ids in the terms of any <a n b>.
     `right_partners` reads it; `live_thirds` and the P and H checkers rest
-    on it."""
+    on it.  The derived products read the read-only tables `circ_table`,
+    built on first use, and `bullet_table`, the stored <0> products."""
 
     def __init__(self, basis, L: str, products=None):
         self.basis = list(basis)
@@ -169,11 +186,13 @@ class ReducedAlgebra:
                 el = {k: v for k, v in el.items() if v}
                 if el:
                     self.products[(n, a, b)] = el
-        # the table is not changed after construction
-        self._max_n = max((n for (n, _, _) in self.products), default=0)
-        index = {}
+        # the table is not changed after construction; _by_n[n] holds the
+        # same elements keyed by the pair (a, b)
+        self._by_n, index = {}, {}
         for (n, a, b), el in self.products.items():
+            self._by_n.setdefault(n, {})[a, b] = el
             index.setdefault(a, {}).setdefault(b, set()).update(el)
+        self._max_n = max(self._by_n, default=0)
         self._partners = {a: {b: tuple(ts) for b, ts in row.items()}
                           for a, row in index.items()}
 
@@ -234,30 +253,30 @@ class ReducedAlgebra:
     def product_basis(self, n: int, a: str, b: str) -> dict:
         return self.products.get((n, a, b), {})
 
-    def product_n(self, x: dict, n: int, y: dict) -> dict:
+    @cached_property
+    def circ_table(self) -> dict:
+        """{(a, b): a o b} over the stored <a 1 b> whose weight sum is not 2;
+        read only."""
         out = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                tab = self.products.get((n, a, b))
-                if tab:
-                    el_add_into(out, tab, ca * cb)
+        for (a, b), el in self._by_n.get(1, {}).items():
+            d = self.weight(a) + self.weight(b) - 2
+            if d:
+                out[a, b] = el_scale(el, Scalar.from_fraction(1 / d))
         return out
+
+    @property
+    def bullet_table(self) -> dict:
+        """{(a, b): a . b} over the stored <a 0 b>; read only."""
+        return self._by_n.get(0, {})
+
+    def product_n(self, x: dict, n: int, y: dict) -> dict:
+        return _mul(self._by_n.get(n, {}), x, y)
 
     def circ(self, x: dict, y: dict) -> dict:
-        out = {}
-        for a, ca in x.items():
-            da = self.weight(a)
-            for b, cb in y.items():
-                tab = self.products.get((1, a, b))
-                if not tab:
-                    continue
-                d = da + self.weight(b) - 2
-                if d:
-                    el_add_into(out, tab, ca * cb / Scalar.from_fraction(d))
-        return out
+        return _mul(self.circ_table, x, y)
 
     def bullet(self, x: dict, y: dict) -> dict:
-        return self.product_n(x, 0, y)
+        return _mul(self.bullet_table, x, y)
 
     def clifford_act(self, v: dict, x: dict) -> dict:
         out = self.circ(v, x)
@@ -569,29 +588,28 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                  "(weights, parities or product indices are off)")
         return rep
     ids = [b.id for b in R.basis]
-    L = R.basis_element(R.L)
     els = {a: R.basis_element(a) for a in ids}
     par = {b.id: b.parity for b in R.basis}
     V = R.space(Fraction(3, 2))
     A = R.space(Fraction(1))
     F = R.space(Fraction(1, 2))
+    # the products of two basis vectors are read from the tables
+    C, B, no = R.circ_table, R.bullet_table, {}
 
     for a in ids:
         rep.checked += 1
-        if R.circ(L, els[a]) != els[a]:
+        if C.get((R.L, a), no) != els[a]:
             rep.fail("L o %s != %s" % (a, a), max_failures)
-        if R.bullet(L, els[a]):
+        if (R.L, a) in B:
             rep.fail("L . %s != 0" % a, max_failures)
 
     for a in ids:
         for b in ids:
             rep.checked += 1
             sign = -ONE if par[a] * par[b] else ONE
-            if R.circ(els[a], els[b]) != \
-                    el_scale(R.circ(els[b], els[a]), sign):
+            if C.get((a, b), no) != el_scale(C.get((b, a), no), sign):
                 rep.fail("o-symmetry fails: %s, %s" % (a, b), max_failures)
-            if R.bullet(els[a], els[b]) != \
-                    el_scale(R.bullet(els[b], els[a]), -sign):
+            if B.get((a, b), no) != el_scale(B.get((b, a), no), -sign):
                 rep.fail(".-antisymmetry fails: %s, %s" % (a, b), max_failures)
     # inner product lands in span(L); the square law below reads these
     # values and skips the pairs reported here
@@ -600,7 +618,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         for v in V:
             rep.checked += 1
             try:
-                inner[u, v] = R.inner_product(els[u], els[v])
+                inner[u, v] = R.coeff_of_L(B.get((u, v), no))
             except ValueError:
                 rep.fail("%s . %s is not in span(L)" % (u, v), max_failures)
 
@@ -615,16 +633,16 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 if c in live_c:
                     ec = els[c]
                     # even product associativity and commutativity
-                    lhs = R.circ(ea, R.circ(eb, ec))
-                    rhs = R.circ(R.circ(ea, eb), ec)
+                    lhs = R.circ(ea, C.get((b, c), no))
+                    rhs = R.circ(C.get((a, b), no), ec)
                     if lhs != rhs:
                         rep.fail("o-associativity fails: %s,%s,%s"
                                  % (a, b, c), max_failures)
                     # odd product Jacobi
-                    jac = R.bullet(ea, R.bullet(eb, ec))
-                    el_add_into(jac, R.bullet(eb, R.bullet(ea, ec)),
+                    jac = R.bullet(ea, B.get((b, c), no))
+                    el_add_into(jac, R.bullet(eb, B.get((a, c), no)),
                                 -ONE if sgn_ab > 0 else ONE)
-                    el_add_into(jac, R.bullet(R.bullet(ea, eb), ec), -ONE)
+                    el_add_into(jac, R.bullet(B.get((a, b), no), ec), -ONE)
                     if jac:
                         rep.fail(".-Jacobi fails: %s,%s,%s" % (a, b, c),
                                  max_failures)
@@ -637,9 +655,9 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         for x in ids:
             for y in ids:
                 rep.checked += 1
-                lhs = R.bullet(ea, R.circ(els[x], els[y]))
-                rhs = R.circ(R.bullet(ea, els[x]), els[y])
-                el_add_into(rhs, R.circ(els[x], R.bullet(ea, els[y])))
+                lhs = R.bullet(ea, C.get((x, y), no))
+                rhs = R.circ(B.get((a, x), no), els[y])
+                el_add_into(rhs, R.circ(els[x], B.get((a, y), no)))
                 if lhs != rhs:
                     rep.fail("derivation law fails: %s on %s o %s"
                              % (a, x, y), max_failures)
@@ -649,9 +667,9 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         for v in V:
             for f in F:
                 rep.checked += 1
-                lhs = R.circ(els[u], R.bullet(els[v], els[f]))
-                rhs = R.bullet(R.circ(els[u], els[v]), els[f])
-                el_add_into(rhs, R.circ(R.bullet(els[u], els[v]), els[f]))
+                lhs = R.circ(els[u], B.get((v, f), no))
+                rhs = R.bullet(C.get((u, v), no), els[f])
+                el_add_into(rhs, R.circ(B.get((u, v), no), els[f]))
                 if lhs != rhs:
                     rep.fail("mixed Leibniz fails: %s,%s,%s" % (u, v, f),
                              max_failures)

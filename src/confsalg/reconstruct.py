@@ -359,6 +359,9 @@ def mode_bracket(RA, a_el: dict, m: int, b_el: dict, n: int) -> dict:
 def _null_quadruple(R: ReducedAlgebra) -> dict:
     """The weight-1 invariant e1 . e2 o e3 o e4 written in the null basis:
     -(1/4) (D1+Db1) . (D1-Db1) o ((D2+Db2) o (D2-Db2))."""
+    for bid in ("D2", "Db2", "D1", "Db1"):
+        if bid not in R.index:
+            raise NotN4Shape("missing null-basis vector %r" % bid)
     e = R.basis_element
 
     def pm(p, q, sign):
@@ -391,10 +394,7 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
     R = RA.R
-    try:
-        U = _null_quadruple(R)
-    except KeyError as exc:
-        raise NotN4Shape("missing null-basis vector %s" % exc) from None
+    U = _null_quadruple(R)
     if not U:
         raise NotN4Shape("the quadruple invariant vanishes")
     La = {0: {R.L: ONE}}

@@ -1,11 +1,12 @@
 """Reduced algebras: coefficient functions, axiom checkers, ideals and
 invariant forms."""
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from confsalg.scalars import Scalar, ZERO, ONE
+from confsalg.scalars import Scalar, ZERO, ONE, IMAG, ALPHA
 from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
                               el_add_into, el_scale,
                               check_well_formed, check_P_axioms,
@@ -266,6 +267,78 @@ def test_PH_reports_are_pinned():
     assert mutants == 118
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         PH_REPORTS_SHA256
+
+
+# -- derived-product tables -------------------------------------------------
+
+
+def _weight_two_pair():
+    """<X 1 X> lands in weight 0, so X o X is 0 although <X 1 X> is not."""
+    return ReducedAlgebra(
+        [BasisVector("L", Fraction(2), 0), BasisVector("X", Fraction(1), 0),
+         BasisVector("Z", Fraction(0), 0)],
+        "L", {(1, "L", "L"): {"L": Scalar.from_int(2)},
+              (1, "L", "X"): {"X": ONE}, (1, "X", "L"): {"X": ONE},
+              (1, "X", "X"): {"Z": ONE}, (0, "X", "X"): {"Z": ONE}})
+
+
+def _table_case(name):
+    if name == "weight-two pair":
+        return _weight_two_pair()
+    if name == "N4alpha(a)":
+        return catalog.build("N4alpha", "a")
+    return catalog.build(name)
+
+
+def _seeded_element(R, rng):
+    ids = [b.id for b in R.basis]
+    coeffs = [ONE, Scalar.from_int(-3), Scalar.from_fraction(Fraction(2, 5)),
+              IMAG + ONE, ALPHA]
+    return {bid: rng.choice(coeffs)
+            for bid in rng.sample(ids, min(len(ids), 4))}
+
+
+def _snapshot(R):
+    return ({k: dict(v) for k, v in R.products.items()},
+            {k: dict(v) for k, v in R.circ_table.items()},
+            {k: dict(v) for k, v in R.bullet_table.items()})
+
+
+@pytest.mark.parametrize("name", catalog.NAMES + (
+    "N4alpha(a)", "weight-two pair"))
+def test_derived_product_tables(name):
+    """circ and bullet agree with the per-pair formulas on seeded elements,
+    hand out fresh dicts, and leave the tables as they were through the
+    checkers, the simplicity test and an isomorphism check."""
+    R = _table_case(name)
+    before = _snapshot(R)
+    rng = random.Random(name)
+    for _ in range(20):
+        x, y = _seeded_element(R, rng), _seeded_element(R, rng)
+        want = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                d = R.weight(a) + R.weight(b) - 2
+                if d:
+                    el_add_into(want, R.product_basis(1, a, b),
+                                ca * cb / Scalar.from_fraction(d))
+        assert R.circ(x, y) == want
+        assert R.bullet(x, y) == R.product_n(x, 0, y)
+        # the results are fresh dicts: changing one changes no table
+        pair = ({next(iter(x)): ONE}, {next(iter(y)): ONE})
+        for product in (R.circ, R.bullet):
+            for u, v in ((x, y), pair):
+                first = product(u, v)
+                kept = dict(first)
+                first.clear()
+                first[R.L] = Scalar.from_int(7)
+                assert product(u, v) == kept
+    assert not [k for k in R.circ_table
+                if R.weight(k[0]) + R.weight(k[1]) == 2]
+    check_H_axioms(R)
+    is_simple(R)
+    catalog.iso_check(R, R, {b.id: {b.id: ONE} for b in R.basis})
+    assert _snapshot(R) == before
 
 
 def test_failure_report_carries_instances():
