@@ -1,11 +1,13 @@
 """Catalog builds, frozen solver outputs, maps between algebras and the
 family invariants."""
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, parse
-from confsalg.algebra import ReducedAlgebra, is_physical_shape
+from confsalg.algebra import (ReducedAlgebra, is_physical_shape, is_simple,
+                              ideal_closure, quotient)
 from confsalg import catalog
 from confsalg.catalog import (build, golden_path, extend_v_map,
                               iso_check, swap_map, invariant_signature,
@@ -137,3 +139,46 @@ def test_degenerate_members_are_not_simple():
         assert not res.simple
         assert res.witness
     assert is_simple_physical(build("N4")).simple
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def el_str(R, el):
+    return ",".join("%s:%s" % (k, el[k]) for k in sorted(el, key=R.index.get))
+
+
+# SHA-256 of one line per algebra: the is_simple verdict, reason and
+# witness and, for a non-simple one, the SHA-256 of the quotient by the
+# ideal its witness generates; fixed before the echelon rows became sparse.
+SIMPLICITY_SHA256 = \
+    "25a203c8d6403ddfe12fdef4e43f848fdc5807e72d183bd14d451d97b6b5e508"
+# SHA-256 of the map swap_map(N4alpha(a), N4alpha(-a)), one line per
+# source id; fixed at the same commit.
+SWAP_MAP_SHA256 = \
+    "f1509def2651bd28e3efccdc6e06a1f88e39bbce1ecb28690a5cf5b1641967d9"
+
+
+def test_simplicity_witnesses_and_quotients_are_pinned():
+    lines = []
+    for name, a in [(nm, None) for nm in NAMES] + \
+            [("N4alpha", a) for a in (1, -1, 2)]:
+        R = build(name, a)
+        res = is_simple(R)
+        line = [name, str(a), str(res.simple), res.reason,
+                el_str(R, res.witness or {})]
+        if not res.simple:
+            Q = quotient(R, ideal_closure(R, [res.witness]))
+            line.append(sha256(Q.to_json()))
+        lines.append("|".join(line))
+    assert [ln.split("|")[2] for ln in lines[-3:]] == ["False", "False",
+                                                       "True"]
+    assert sha256("\n".join(lines)) == SIMPLICITY_SHA256
+
+
+def test_swap_map_is_pinned():
+    Rp, Rm = build("N4alpha", ALPHA), build("N4alpha", -ALPHA)
+    f = swap_map(Rp, Rm)
+    text = "\n".join("%s|%s" % (b.id, el_str(Rm, f[b.id])) for b in Rp.basis)
+    assert sha256(text) == SWAP_MAP_SHA256

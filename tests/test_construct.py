@@ -9,6 +9,7 @@ import pytest
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
 from confsalg import catalog
 from confsalg.algebra import check_P_axioms, check_H_axioms, is_simple
+from confsalg.clifford import Clifford, CliffordQuotient
 from confsalg.construct import (assemble_wedge_form, wedge_lookup,
                                 BuilderSpec, build_from_spec,
                                 build_f_extension, iota_cl4_span,
@@ -259,3 +260,40 @@ def test_sweep_dim8_solutions_satisfy_the_constraints():
                         continue
                     assert (a[(i, j)] + a[(j, k)]) * (a[(i, k)] + 1) == 0
                     assert (a[(i, j)] - a[(j, k)]) * (a[(i, k)] - 1) == 0
+
+
+# The quotient Cl(V)/I, the image span of words of length <= 4 and the
+# unvalidated build, for the CK6 kernel and three dim-8 zero-branch kernels:
+# the first 8 words (generator D1 collapses), the CK6-like five words (the
+# image spans 152 of 176 dimensions) and the 8 even-weight words (a table of
+# dimension 128).  Each digest is the SHA-256 of the kernel's keep_words,
+# its iota_cl4_span and its outcome (the InconsistentSpec message or the
+# SHA-256 of to_json()), fixed before the echelon rows became sparse.
+WORDS4 = list(product((0, 1), repeat=4))
+QUOTIENT_BUILDS_SHA256 = [
+    (3, CK6_KERNEL,
+     "46fc6b5cf28d17179188915c4fc8fc60781c227ae03b43704496b37692a1d4d1"),
+    (4, WORDS4[:8],
+     "7d0f149f8c6a12cf733414bf7b2f0b9a1192ddab0a95dc1a4e6ab54a54a88f3b"),
+    (4, [(1, 1, 1, 1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+         (0, 0, 0, 1)],
+     "8ec934d9b0a4ba19e473c61a631b66e91cb40dc6495457bc8420599ce2b6898b"),
+    (4, [w for w in WORDS4 if sum(w) % 2 == 0],
+     "8a957a755f1ccbf48bc1f91b4c0bbbd5710fc307e56ec726fd90837de04af275"),
+]
+
+
+@pytest.mark.parametrize("npairs,words,digest", QUOTIENT_BUILDS_SHA256,
+                         ids=["CK6", "dim8-first8", "dim8-five",
+                              "dim8-even"])
+def test_quotient_builds_are_pinned(npairs, words, digest):
+    cl = Clifford(npairs)
+    q = CliffordQuotient(cl, [cl.module_generator(w) for w in words])
+    spec = BuilderSpec.from_alpha(npairs, False, [[ZERO] * npairs] * npairs,
+                                  words)
+    try:
+        outcome = sha256(build_from_spec(spec, validate=False).to_json())
+    except InconsistentSpec as exc:
+        outcome = str(exc)
+    text = "%r|%r|%s" % (q.keep_words, iota_cl4_span(spec), outcome)
+    assert sha256(text) == digest
