@@ -239,14 +239,14 @@ class ReducedAlgebra:
             out[b.weight] = out.get(b.weight, 0) + 1
         return out
 
-    def vector(self, el: dict) -> list:
-        v = [ZERO] * self.dim
-        for k, c in el.items():
-            v[self.index[k]] = c
-        return v
+    def vector(self, el: dict) -> dict:
+        """el keyed by basis position, the column order of a Subspace."""
+        return {self.index[k]: c for k, c in el.items()}
 
-    def element(self, vec) -> dict:
-        return {self.basis[k].id: c for k, c in enumerate(vec) if c}
+    def element(self, vec: dict) -> dict:
+        """The element of a vector keyed by basis position, in basis
+        order."""
+        return {self.basis[k].id: vec[k] for k in sorted(vec)}
 
     # -- products -----------------------------------------------------------
 
@@ -716,10 +716,8 @@ def center(R: ReducedAlgebra) -> list:
                 if live:
                     rows.append(row)
     if not rows:
-        return [R.element(v) for v in
-                ([ONE if i == j else ZERO for j in range(R.dim)]
-                 for i in range(R.dim))]
-    return [R.element(v) for v in kernel(rows)]
+        return [R.basis_element(a) for a in ids]
+    return [{ids[k]: c for k, c in enumerate(v) if c} for v in kernel(rows)]
 
 
 def ideal_closure(R: ReducedAlgebra, seeds) -> Subspace:
@@ -908,21 +906,15 @@ def is_simple_physical(R: ReducedAlgebra) -> SimplicityResult:
 def quotient(R: ReducedAlgebra, ideal: Subspace) -> ReducedAlgebra:
     """Quotient by a weight-homogeneous ideal, presented on the basis
     vectors at non-pivot coordinates."""
-    pivots = set(ideal.pivots)
-    keep = [k for k in range(R.dim) if k not in pivots]
-    if R.index[R.L] in pivots:
+    if R.index[R.L] in ideal.by_pivot:
         raise ValueError("ideal contains the conformal vector")
-    new_basis = [R.basis[k] for k in keep]
-
-    def project(el: dict) -> dict:
-        vec = ideal.reduce(R.vector(el))
-        return {R.basis[k].id: vec[k] for k in keep if vec[k]}
-
+    new_basis = [b for k, b in enumerate(R.basis)
+                 if k not in ideal.by_pivot]
     kept_ids = {b.id for b in new_basis}
     products = {}
     for (n, a, b), el in R.products.items():
         if a in kept_ids and b in kept_ids:
-            proj = project(el)
+            proj = R.element(ideal.reduce(R.vector(el)))
             if proj:
                 products[(n, a, b)] = proj
     return ReducedAlgebra(new_basis, R.L, products)

@@ -139,7 +139,9 @@ def extend_v_map(R1: ReducedAlgebra, R2: ReducedAlgebra, phi: dict):
     graph = Subspace(n1 + R2.dim)
 
     def add(el1, el2) -> bool:
-        if not graph.add(R1.vector(el1) + R2.vector(el2)):
+        vec = R1.vector(el1)
+        vec.update((n1 + k, c) for k, c in R2.vector(el2).items())
+        if not graph.add(vec):
             return False
         if graph.pivots[-1] >= n1:
             raise ValueError("inconsistent images")
@@ -167,7 +169,7 @@ def extend_v_map(R1: ReducedAlgebra, R2: ReducedAlgebra, phi: dict):
         return None
     if graph.dim != n1:
         return None
-    return {b.id: R2.element(row[n1:])
+    return {b.id: R2.element({k - n1: c for k, c in row.items() if k >= n1})
             for b, row in zip(R1.basis, graph.rows)}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .scalars import Scalar, ZERO, ONE, TWO
+from .scalars import Scalar, ONE, TWO
 from .linalg import Subspace, el_add_into, row_space
 
 
@@ -94,14 +94,12 @@ class Clifford:
     def one(self) -> dict:
         return {(): ONE}
 
-    def vector(self, x: dict) -> list:
-        v = [ZERO] * self.dim
-        for w, c in x.items():
-            v[self.word_index[w]] = c
-        return v
+    def vector(self, x: dict) -> dict:
+        """x keyed by word index, the column order of a Subspace."""
+        return {self.word_index[w]: c for w, c in x.items()}
 
-    def element(self, vec) -> dict:
-        return {self.words[k]: c for k, c in enumerate(vec) if c}
+    def element(self, vec: dict) -> dict:
+        return {self.words[k]: c for k, c in vec.items()}
 
     # -- regular module decomposition --------------------------------------
 
@@ -143,8 +141,7 @@ class Clifford:
     def is_irreducible(self, sub: Subspace) -> bool:
         """Every spanning element generates the whole submodule."""
         for row in sub.rows:
-            gen = self.element(row)
-            if self.left_ideal([gen]).dim != sub.dim:
+            if self.left_ideal([self.element(row)]).dim != sub.dim:
                 return False
         return True
 
@@ -161,12 +158,10 @@ class CliffordQuotient:
     def __init__(self, cl: Clifford, kernel_gens):
         self.cl = cl
         self.ideal = cl.left_ideal(kernel_gens)
-        pivots = set(self.ideal.pivots)
-        self.keep = [k for k in range(cl.dim) if k not in pivots]
-        self.keep_words = [cl.words[k] for k in self.keep]
-        self.dim = len(self.keep)
+        self.keep_words = [w for k, w in enumerate(cl.words)
+                           if k not in self.ideal.by_pivot]
+        self.dim = len(self.keep_words)
 
     def reduce(self, x: dict) -> dict:
         """Canonical representative supported on non-pivot words."""
-        vec = self.ideal.reduce(self.cl.vector(x))
-        return {self.cl.words[k]: vec[k] for k in self.keep if vec[k]}
+        return self.cl.element(self.ideal.reduce(self.cl.vector(x)))

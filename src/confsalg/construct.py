@@ -20,8 +20,8 @@ from itertools import combinations, product
 from math import comb
 
 from .scalars import Scalar, ZERO, ONE, HALF
-from .linalg import (Subspace, el_add_into, el_scale, kernel, left_inverse,
-                     mat_vec, row_space)
+from .linalg import (Subspace, coordinates, el_add_into, el_from_list,
+                     el_scale, kernel, left_inverse, mat_vec, row_space)
 from .algebra import BasisVector, ReducedAlgebra, require_axioms, is_simple
 from .clifford import Clifford, CliffordQuotient
 
@@ -129,7 +129,6 @@ class _Builder:
             else:
                 gens.append(self.cl.module_generator(tuple(kw)))
         self.quot = CliffordQuotient(self.cl, gens)
-        self.qindex = {w: k for k, w in enumerate(self.quot.keep_words)}
         self.gen_ids = list(range(self.cl.ngens))
         self.gen_names = self.cl.gen_names
         # V inner product in the null basis is the generator pairing
@@ -189,16 +188,16 @@ class _Builder:
     # -- basis selection ----------------------------------------------------
 
     def select_basis(self):
-        q = self.quot
+        q, vec = self.quot, self.cl.vector
         span = Subspace(q.dim)
         one = self.class_one()
-        if not span.add(self._qvec(one)):
+        if not span.add(vec(one)):
             raise InconsistentSpec("the identity class vanishes "
                                   "(zero algebra)")
         vrows = []
         for g in self.gen_ids:
             c = self.class_gen(g)
-            if not span.add(self._qvec(c)):
+            if not span.add(vec(c)):
                 raise InconsistentSpec(
                     "generator %s collapses in the quotient"
                     % self.gen_names[g])
@@ -207,12 +206,12 @@ class _Builder:
         a_chosen, f_chosen = [], []
         for u, v in combinations(self.gen_ids, 2):
             c = self.class_a(u, v)
-            if c and span.add(self._qvec(c)):
+            if c and span.add(vec(c)):
                 a_chosen.append(c)
         for v, w in combinations(self.gen_ids, 2):
             for u in self.gen_ids:
                 c = self.class_f(u, v, w)
-                if c and span.add(self._qvec(c)):
+                if c and span.add(vec(c)):
                     f_chosen.append(c)
         if span.dim < q.dim:
             for w, z in combinations(self.gen_ids, 2):
@@ -221,19 +220,13 @@ class _Builder:
                         if span.dim == q.dim:
                             break
                         c = self.class_g(u, v, w, z)
-                        if c and span.add(self._qvec(c)):
+                        if c and span.add(vec(c)):
                             a_chosen.append(c)
         if span.dim != q.dim:
             raise InconsistentSpec(
                 "image filtration spans %d of %d quotient dimensions"
                 % (span.dim, q.dim))
         return one, vrows, a_chosen, f_chosen
-
-    def _qvec(self, cls: dict) -> list:
-        v = [ZERO] * self.quot.dim
-        for w, c in cls.items():
-            v[self.qindex[w]] = c
-        return v
 
     # -- main build ---------------------------------------------------------
 
@@ -249,13 +242,10 @@ class _Builder:
         self.weights = {n: w for n, w in zip(names, weights)}
         self.parities = {n: (0 if w.denominator == 1 else 1)
                          for n, w in self.weights.items()}
-        # change of basis between quotient coordinates and the named basis
-        n = self.quot.dim
-        cols = [self._qvec(c) for c in classes]
-        self.inv = left_inverse([[cols[c][r] for c in range(n)]
-                                 for r in range(n)])
-        if self.inv is None:
-            raise InconsistentSpec("graded basis is not a basis")
+        # coordinates in the named basis; select_basis added each class to
+        # its span, so the classes are independent
+        self.coords = coordinates([self.cl.vector(c) for c in classes],
+                                  self.cl.dim)
         self.classes = dict(zip(names, classes))
 
         self.table = {}
@@ -270,8 +260,8 @@ class _Builder:
         return ReducedAlgebra(basis, "L", self.table)
 
     def to_reduced(self, cls: dict) -> dict:
-        return {nm: s for nm, s in
-                zip(self.names, mat_vec(self.inv, self._qvec(cls))) if s}
+        return {self.names[k]: c
+                for k, c in self.coords(self.cl.vector(cls)).items()}
 
     # -- table filling ------------------------------------------------------
 
@@ -347,7 +337,7 @@ def build_from_spec(spec: BuilderSpec, validate: bool = True) -> ReducedAlgebra:
 def iota_cl4_span(spec: BuilderSpec) -> tuple:
     """(dim of the classes of words of length <= 4, quotient dim)."""
     b = _Builder(spec)
-    sub = row_space((b._qvec(b.quot.reduce({w: ONE}))
+    sub = row_space((b.cl.vector(b.quot.reduce({w: ONE}))
                      for w in b.cl.words if len(w) <= 4), b.quot.dim)
     return sub.dim, b.quot.dim
 
@@ -387,16 +377,14 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     w3idx = {t: k for k, t in enumerate(w3)}
     nw = len(w3)
 
-    j0 = row_space(j0_vectors, nw)
-    comp = [k for k in range(nw) if k not in set(j0.pivots)]
+    j0 = row_space(map(el_from_list, j0_vectors), nw)
+    comp = [k for k in range(nw) if k not in j0.by_pivot]
     nf = len(comp)
 
     def jpair_row(t_idx: int):
         """J(w3-basis-element t, f_l) for l = 1..nf."""
-        vec = [ZERO] * nw
-        vec[t_idx] = ONE
-        red = j0.reduce(vec)
-        return [red[c] for c in comp]
+        red = j0.reduce({t_idx: ONE})
+        return [red.get(c, ZERO) for c in comp]
 
     # the rows of jmat at comp are the identity: j0.reduce(e_c) = e_c at a
     # non-pivot c, so jmat x = rhs has at most the solution rhs at comp
@@ -513,64 +501,50 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     erows = [[cols[c][r] for c in range(nwa)] for r in range(len(cols[0]))]
 
     # derivation action of each formal element on the formal space
-    def der_column(b: int, x: int) -> list:
-        out = [ZERO] * nwa
+    def der_column(b: int, x: int) -> dict:
         tb, tx = formal[b], formal[x]
         if tx[0] == "base":
             if tb[0] == "base":
                 br = base.product_basis(0, tb[1], tx[1])
-                for a2, c in br.items():
-                    out[A0.index(a2)] = c
-                return out
+                return {A0.index(a2): c for a2, c in br.items()}
             # b = u . f_g, a base:  b . a = -a . b
-            col = der_column(x, b)
-            return [-c if c else ZERO for c in col]
+            return el_scale(der_column(x, b), -ONE)
         _, kv, l = tx
         MV, MF = MVs[b], MFs[b]
-        for r in range(nv):
-            if MV[r][kv]:
-                out[na0 + r * nf + l] = out[na0 + r * nf + l] + MV[r][kv]
-        for m in range(nf):
-            if MF[m][l]:
-                out[na0 + kv * nf + m] = out[na0 + kv * nf + m] + MF[m][l]
+        out = {}
+        el_add_into(out, {na0 + r * nf + l: MV[r][kv]
+                          for r in range(nv) if MV[r][kv]})
+        el_add_into(out, {na0 + kv * nf + m: MF[m][l]
+                          for m in range(nf) if MF[m][l]})
         return out
 
     ders = [[der_column(b, x) for x in range(nwa)] for b in range(nwa)]
-
-    def formal_unit(k: int) -> list:
-        unit = [ZERO] * nwa
-        unit[k] = ONE
-        return unit
+    units = [{x: ONE} for x in range(nwa)]
 
     # The largest derivation-invariant subspace N of the encoding kernel is
     # a fixpoint: the next N is {x in N : D_b x in N for every b}, the
     # kernel of the stacked rows of x -> N.reduce(x) and x -> N.reduce(D_b x).
-    nullsub = row_space(kernel(erows), nwa)
+    nullsub = row_space(map(el_from_list, kernel(erows)), nwa)
     while True:
         rows = []
-        for images in [[formal_unit(x) for x in range(nwa)]] + ders:
-            rows += [list(r) for r in zip(*map(nullsub.reduce, images))]
-        nxt = row_space(kernel(rows), nwa)
+        for images in [units] + ders:
+            reds = [nullsub.reduce(x) for x in images]
+            rows += [[red.get(r, ZERO) for red in reds] for r in range(nwa)]
+        nxt = row_space(map(el_from_list, kernel(rows)), nwa)
         if nxt.dim == nullsub.dim:
             break
         nullsub = nxt
 
     span = row_space(nullsub.rows, nwa)
-
-    chosen = [k for k in range(nwa) if span.add(formal_unit(k))]
+    chosen = [k for k in range(nwa) if span.add(units[k])]
     na = len(chosen)
-
-    amat_cols = [list(r) for r in nullsub.rows] + \
-                [formal_unit(k) for k in chosen]
-    # square and invertible: the chosen units complete the null rows
-    ainv = left_inverse([[amat_cols[c][r] for c in range(len(amat_cols))]
-                         for r in range(nwa)])
+    # the chosen units complete the null rows to a basis
     nnull = len(nullsub.rows)
+    coords = coordinates(nullsub.rows + [units[k] for k in chosen], nwa)
 
-    def a_coords(wvec) -> dict:
-        part = mat_vec(ainv, wvec)
-        return {"A%d" % (k + 1): c
-                for k, c in enumerate(part[nnull:]) if c}
+    def a_coords(wvec: dict) -> dict:
+        return {"A%d" % (k - nnull + 1): c
+                for k, c in coords(wvec).items() if k >= nnull}
 
     anames = ["A%d" % (k + 1) for k in range(na)]
     fnames = ["F%d" % (l + 1) for l in range(nf)]
@@ -583,11 +557,10 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     ops = {nm: (MVs[k], MFs[k], SGs[k]) for nm, k in zip(anames, chosen)}
     fidx = {nm: k for nm, k in zip(anames, chosen)}
 
-    base_a_coords = {a: a_coords(formal_unit(k))
-                     for k, a in enumerate(A0)}
+    base_a_coords = {a: a_coords(units[k]) for k, a in enumerate(A0)}
 
     def vf_coords(kv: int, l: int) -> dict:
-        return a_coords(formal_unit(na0 + kv * nf + l))
+        return a_coords(units[na0 + kv * nf + l])
 
     table = {}
     _fill_L(table, weights)
@@ -680,19 +653,18 @@ def _solve_factored(unknowns, constraints):
     """All common zeros of the factored constraints, by branching on which
     affine factor of each constraint vanishes.
 
-    An equation is a row (c_1, ..., c_nu, k) meaning sum c_i x_i + k = 0,
-    and a branch is the `Subspace` its equations span; a pivot in column nu
-    means 0 = 1.  The solutions are tuples of Fractions.
+    An equation is a sparse row {i: c_i, nu: k} meaning sum c_i x_i + k =
+    0, with x_i the unknown in column i, and a branch is the `Subspace` its
+    equations span; a pivot in column nu means 0 = 1.  The solutions are
+    tuples of Fractions.
     """
     nu = len(unknowns)
     uidx = {u: k for k, u in enumerate(unknowns)}
     solutions = set()
 
     def to_row(form):
-        row = [ZERO] * nu + [Scalar.from_fraction(form[0])]
-        for v, c in form[1].items():
-            row[uidx[v]] = Scalar.from_fraction(c)
-        return row
+        terms = [(uidx[v], c) for v, c in form[1].items()] + [(nu, form[0])]
+        return {k: Scalar.from_fraction(c) for k, c in terms if c}
 
     def walk(sub, k):
         if k == len(constraints):
@@ -700,7 +672,8 @@ def _solve_factored(unknowns, constraints):
                 raise UnderdeterminedSpec(
                     "constraint system leaves free parameters")
             # rows are x_i + k_i = 0 in pivot order i = 0..nu-1
-            solutions.add(tuple(Fraction(str(-row[nu])) for row in sub.rows))
+            solutions.add(tuple(Fraction(str(-row.get(nu, ZERO)))
+                                for row in sub.rows))
             return
         rows = [to_row(f) for f in constraints[k]]
         if any(sub.contains(row) for row in rows):
@@ -709,7 +682,7 @@ def _solve_factored(unknowns, constraints):
             return
         for row in rows:
             new = row_space(sub.rows + [row], nu + 1)
-            if nu not in new.pivots:
+            if nu not in new.by_pivot:
                 walk(new, k + 1)
 
     walk(Subspace(nu + 1), 0)

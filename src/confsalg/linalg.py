@@ -63,25 +63,30 @@ def mat_mul(A, B):
     return out
 
 
+def el_from_list(row) -> dict:
+    """The sparse element {column: value} of a dense row."""
+    return {c: x for c, x in enumerate(row) if x}
+
+
 def rank(rows) -> int:
-    return row_space(rows, len(rows[0]) if rows else 0).dim
+    return row_space(map(el_from_list, rows), len(rows[0]) if rows else 0).dim
 
 
 def kernel(rows):
-    """Basis of the right kernel of the matrix, one vector per non-pivot
-    column."""
+    """Basis of the right kernel of the matrix, one dense vector per
+    non-pivot column."""
     if not rows:
         return []
     ncols = len(rows[0])
-    sub = row_space(rows, ncols)
+    sub = row_space(map(el_from_list, rows), ncols)
     basis = []
     for f in range(ncols):
-        if f in sub.pivots:
+        if f in sub.by_pivot:
             continue
         v = [ZERO] * ncols
         v[f] = ONE
-        for row, pc in zip(sub.rows, sub.pivots):
-            if row[f]:
+        for pc, row in sub.by_pivot.items():
+            if f in row:
                 v[pc] = -row[f]
         basis.append(v)
     return basis
@@ -94,12 +99,12 @@ def left_inverse(A):
     if not A:
         return []
     nrows, ncols = len(A), len(A[0])
-    sub = row_space([list(row) + [ONE if r == c else ZERO
-                                  for c in range(nrows)]
-                     for r, row in enumerate(A)], ncols + nrows)
+    sub = row_space(({**el_from_list(row), ncols + r: ONE}
+                     for r, row in enumerate(A)), ncols + nrows)
     if sub.pivots[:ncols] != list(range(ncols)):
         return None
-    return [row[ncols:] for row in sub.rows[:ncols]]
+    return [[row.get(ncols + c, ZERO) for c in range(nrows)]
+            for row in sub.rows[:ncols]]
 
 
 def charpoly(A):
@@ -161,58 +166,81 @@ def tpoly_str(coeffs, var: str = "t") -> str:
 
 
 class Subspace:
-    """A subspace kept as its reduced echelon basis: `rows` in increasing
-    order of `pivots`, each row 1 at its pivot and 0 at every other pivot.
-    That basis depends only on the subspace, not on the order in which
-    vectors are added."""
+    """A subspace kept as its reduced echelon basis `by_pivot`, which maps
+    each pivot column to its row.  A row is a sparse element whose least
+    column is its pivot, where it is 1, and which has no entry at any other
+    pivot.  That basis depends only on the subspace, not on the order in
+    which vectors are added.  `dim_ambient` is the dimension of the space
+    the vectors lie in: once the span fills it, `add` returns at once."""
 
     def __init__(self, dim: int):
         self.dim_ambient = dim
-        self.rows = []      # echelon rows, each normalized to pivot 1
-        self.pivots = []    # pivot column per row
+        self.by_pivot = {}
 
-    def reduce(self, vec):
-        vec = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if vec[pc]:
-                f = vec[pc]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        return vec
+    @property
+    def pivots(self) -> list:
+        return sorted(self.by_pivot)
 
-    def contains(self, vec) -> bool:
-        return all(not x for x in self.reduce(vec))
+    @property
+    def rows(self) -> list:
+        return [self.by_pivot[pc] for pc in self.pivots]
 
-    def add(self, vec) -> bool:
+    @property
+    def dim(self) -> int:
+        return len(self.by_pivot)
+
+    def reduce(self, vec: dict) -> dict:
+        """vec minus the combination of rows that clears every pivot.  A
+        row is 0 at the other pivots, so one pass over the pivots of vec
+        does it."""
+        out = dict(vec)
+        for pc, c in vec.items():
+            row = self.by_pivot.get(pc)
+            if row:
+                el_add_into(out, row, -c)
+        return out
+
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
+
+    def add(self, vec: dict) -> bool:
         """Insert a vector; returns True when the dimension grew."""
         if self.dim == self.dim_ambient:
             return False
         res = self.reduce(vec)
-        for c, x in enumerate(res):
-            if x:
-                inv = x.inv()
-                res = [y * inv for y in res]
-                # back-substitute into existing rows
-                for k in range(len(self.rows)):
-                    if self.rows[k][c]:
-                        f = self.rows[k][c]
-                        self.rows[k] = [a - f * b
-                                        for a, b in zip(self.rows[k], res)]
-                pos = 0
-                while pos < len(self.pivots) and self.pivots[pos] < c:
-                    pos += 1
-                self.rows.insert(pos, res)
-                self.pivots.insert(pos, c)
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+        if not res:
+            return False
+        pc = min(res)
+        res = el_scale(res, res[pc].inv())
+        # back-substitute into the existing rows, which are replaced, not
+        # changed, so that a row read earlier stays as it was
+        for p, row in self.by_pivot.items():
+            f = row.get(pc)
+            if f:
+                row = dict(row)
+                el_add_into(row, res, -f)
+                self.by_pivot[p] = row
+        self.by_pivot[pc] = res
+        return True
 
 
 def row_space(rows, dim: int) -> Subspace:
-    """The Subspace of the length-dim vectors spanned by `rows`."""
+    """The Subspace spanned by the sparse elements `rows` in a space of
+    dimension dim."""
     sub = Subspace(dim)
     for row in rows:
         sub.add(row)
     return sub
+
+
+def coordinates(basis, ncols: int):
+    """The map x -> {k: c} with x the sum of c * basis[k], for x in the
+    span of the independent sparse elements `basis` on columns below
+    ncols.  Reducing (x | 0) by the graph rows (basis[k] | e_k) leaves
+    (0 | -c); the result is in the order of k."""
+    graph = row_space(({**b, ncols + k: ONE} for k, b in enumerate(basis)),
+                      ncols + len(basis))
+
+    def coords(x: dict) -> dict:
+        return {k - ncols: -c for k, c in sorted(graph.reduce(x).items())}
+    return coords

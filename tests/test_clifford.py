@@ -71,7 +71,7 @@ def test_regular_module_decomposition(npairs):
     alldims = Subspace(cl.dim)
     for _, _, sub in mods:
         for row in sub.rows:
-            assert alldims.add(list(row))
+            assert alldims.add(row)
     assert alldims.dim == cl.dim
 
 

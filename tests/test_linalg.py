@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
 from confsalg.linalg import (rank, kernel, left_inverse, charpoly, row_space,
                              tpoly_mul, tpoly_str, Subspace, mat_mul,
-                             mat_vec)
+                             mat_vec, el_from_list)
 
 
 def S(n):
@@ -19,9 +19,9 @@ def M(rows):
 
 
 def test_row_space_reduces_to_identity():
-    sub = row_space(M([[2, 0], [0, 3]]), 2)
+    sub = row_space([{0: S(2)}, {1: S(3)}], 2)
     assert sub.pivots == [0, 1]
-    assert sub.rows == M([[1, 0], [0, 1]])
+    assert sub.rows == [{0: ONE}, {1: ONE}]
 
 
 def test_rank_and_kernel():
@@ -70,12 +70,12 @@ def test_charpoly_symbolic():
 
 def test_subspace_dedup_and_contains():
     sub = Subspace(3)
-    assert sub.add([S(1), S(2), S(0)])
-    assert not sub.add([S(2), S(4), S(0)])
-    assert sub.add([S(0), S(0), S(1)])
+    assert sub.add({0: S(1), 1: S(2)})
+    assert not sub.add({0: S(2), 1: S(4)})
+    assert sub.add({2: S(1)})
     assert sub.dim == 2
-    assert sub.contains([S(3), S(6), S(5)])
-    assert not sub.contains([S(0), S(1), S(0)])
+    assert sub.contains({0: S(3), 1: S(6), 2: S(5)})
+    assert not sub.contains({1: S(1)})
 
 
 rows3 = st.lists(
@@ -188,15 +188,22 @@ def rows_in_two_orders(draw):
 @settings(max_examples=100, deadline=None)
 def test_subspace_basis_is_independent_of_insertion_order(case):
     """The reduced echelon basis depends only on the span, which is what
-    lets rank, kernel and left_inverse read it off any Subspace."""
+    lets rank, kernel and left_inverse read it off any Subspace.  Rows are
+    sparse: no stored zero, least key at the pivot, and a reduced vector
+    keeps no pivot key."""
     ncols, rows, shuffled = case
+    rows, shuffled = ([el_from_list(r) for r in rs] for rs in (rows, shuffled))
     a, b = row_space(rows, ncols), row_space(shuffled, ncols)
     assert a.pivots == b.pivots == sorted(a.pivots)
     assert a.rows == b.rows
     for row, pc in zip(a.rows, a.pivots):
-        assert [row[p] for p in a.pivots] == [ONE if p == pc else ZERO
-                                              for p in a.pivots]
+        assert [row.get(p, ZERO) for p in a.pivots] == [
+            ONE if p == pc else ZERO for p in a.pivots]
+        assert all(row.values())
+        assert min(row) == pc
     assert all(a.contains(row) for row in rows)
+    for c in range(ncols):
+        assert not set(a.reduce({c: ONE})) & set(a.pivots)
 
 
 @st.composite
