@@ -123,11 +123,14 @@ _WEIGHT = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 def _weight(value) -> Fraction:
     """A weight as `to_json` writes it: a JSON integer, or a string N or
     N/M with an optional minus sign and at most MAX_DIGITS digits in each
-    part.  Other forms, exponents in particular, are rejected."""
+    part.  Other forms, exponents in particular, are rejected, and so is a
+    weight <= 0 (see `check_well_formed`)."""
     text = str(value) if type(value) is int else value
     m = _WEIGHT.fullmatch(text) if isinstance(text, str) else None
     if not m or any(g and len(g) > scalars.MAX_DIGITS for g in m.groups()):
         raise ValueError("bad weight %.40r" % (value,))
+    if Fraction(text) <= 0:
+        raise ValueError("weight %s is not positive" % text)
     return Fraction(text)
 
 
@@ -395,8 +398,15 @@ class ReducedAlgebra:
 def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     """Weight and parity bookkeeping of the stored tables, plus the
     vanishing bound (every stored product has a finite n and correct
-    gradings)."""
+    gradings).  Every basis weight must be positive: at weight w <= 0,
+    L_(2) d^(k) a = (k - 1 + 2w) d^(k-1) a vanishes for some k >= 1, so
+    d^(k) a is quasi-primary and the space is not the K[d]-span of the
+    reduced basis.  That check is not counted in `checked`."""
     rep = Report()
+    for b in R.basis:
+        if b.weight <= 0:
+            rep.fail("basis vector %s has weight %s, not positive"
+                     % (b.id, b.weight), max_failures)
     for (n, a, b), el in R.products.items():
         w = R.weight(a) + R.weight(b) - n - 1
         p = (R.parity(a) + R.parity(b)) % 2

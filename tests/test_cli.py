@@ -163,11 +163,11 @@ def test_isocheck(tmp_path, capsys):
 
 def test_isocheck_image_outside_the_target_basis_is_an_input_error(
         tmp_path, capsys):
-    # L and a weight-0 C with <L 1 L> = 2L; C's image names an unknown id
+    # L and a weight-1 C with <L 1 L> = 2L; C's image names an unknown id
     path = tmp_path / "a.json"
     path.write_text(json.dumps({
         "basis": [{"id": "L", "weight": "2", "parity": 0},
-                  {"id": "C", "weight": "0", "parity": 0}],
+                  {"id": "C", "weight": "1", "parity": 0}],
         "L": "L",
         "products": [{"n": 1, "a": "L", "b": "L",
                       "terms": [{"coeff": "2", "basis": "L"}]}]}))
@@ -252,6 +252,8 @@ def _rename_L(doc, new):
     lambda d: d["basis"][0].update(weight=float("inf")),
     lambda d: d["basis"][0].update(weight="1e1000000"),
     lambda d: d["basis"][0].update(weight="2.5"),
+    lambda d: d["basis"][0].update(weight="0"),
+    lambda d: d["basis"][0].update(weight="-1/2"),
     lambda d: '{"basis": ' + "[" * 100000 + "]" * 100000 + "}",
     lambda d: d["products"].append(json.loads(json.dumps(d["products"][0]))),
     lambda d: d["products"][0]["terms"].append(
@@ -272,7 +274,7 @@ def _rename_L(doc, new):
     lambda d: d["products"][0]["terms"][0].update(basis=7),
 ], ids=["unknown-key", "unknown-term", "negative-n", "huge-n", "parity",
         "zero-denominator", "infinite-weight", "exponent-weight",
-        "decimal-weight", "deep-nesting",
+        "decimal-weight", "zero-weight", "negative-weight", "deep-nesting",
         "duplicate-key", "duplicate-term", "float-parity", "string-parity",
         "bool-parity", "float-n", "string-n", "bool-n", "int-ids",
         "bool-ids", "float-ids", "list-id", "null-L", "int-a", "object-b",

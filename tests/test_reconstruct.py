@@ -91,10 +91,13 @@ def central_virasoro():
 
 def test_central_virasoro_reports():
     # C has weight 0, so L_(1) C = 0: the expected value must be the empty
-    # d-polynomial, never {0: {"C": 0}}.  P accepts this algebra while C
-    # rejects it; the C failures are pinned exactly as the checker gives them.
+    # d-polynomial, never {0: {"C": 0}}.  Both oracles reject this algebra:
+    # P for the non-positive weight alone (not counted in `checked`), and C
+    # with the failures pinned exactly as the checker gives them.
     R = central_virasoro()
-    assert check_P_axioms(R, 4, 4).summary() == "ok (221 instances checked)"
+    rep = check_P_axioms(R, 4, 4)
+    assert (rep.ok, rep.checked) == (False, 221)
+    assert rep.failures == ["basis vector C has weight 0, not positive"]
     rep = check_C_axioms(R, 4, 4, 4)
     c2 = ["(C2) fails: a=L b=L k=0 l=%d n=%d" % inst for inst in (
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (1, 3),
