@@ -398,10 +398,9 @@ class ReducedAlgebra:
 def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     """Weight and parity bookkeeping of the stored tables, plus the
     vanishing bound (every stored product has a finite n and correct
-    gradings).  Every basis weight must be positive: at weight w <= 0,
-    L_(2) d^(k) a = (k - 1 + 2w) d^(k-1) a vanishes for some k >= 1, so
-    d^(k) a is quasi-primary and the space is not the K[d]-span of the
-    reduced basis.  That check is not counted in `checked`."""
+    gradings).  A basis weight w <= 0 is reported, uncounted: then
+    L_(2) d^(k) a = (k - 1 + 2w) d^(k-1) a vanishes for some k >= 1, and
+    the quasi-primary d^(k) a is outside the reduced description."""
     rep = Report()
     for b in R.basis:
         if b.weight <= 0:

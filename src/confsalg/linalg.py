@@ -1,5 +1,5 @@
-"""Exact linear algebra over the scalar field: sparse elements and dense
-matrices.
+"""Exact linear algebra over the scalar field: sparse elements, one sparse
+row echelon form, and dense matrices at its edges.
 
 A sparse element is a dict {key: Scalar} that never stores a zero value;
 `el_add_into` and `el_scale` keep that invariant, and every accumulation of
@@ -7,13 +7,13 @@ sparse elements goes through them.  Scalars are canonical, so two sparse
 elements are equal exactly when the dicts are `==`, and an element is zero
 exactly when the dict is empty.
 
-Matrices are lists of rows, rows are lists of `Scalar`.  `Subspace` is the
-one reduced row echelon form, built up one vector at a time by Gaussian
-elimination, which is exact over the field.  `row_space` spans a list of
-rows with it, and `rank`, `kernel` and `left_inverse` read its rows and
-pivots.  Its other users are the closures (`ideal_closure`, the Clifford
-left ideals, `extend_v_map`'s graph), the builder's change of basis and
-F-extension, and the case solver of the exclusion sweeps.
+`Subspace` is the one reduced row echelon form, built up one vector at a
+time by exact Gaussian elimination.  Its rows are sparse elements keyed by
+column, and it keeps them keyed by pivot.  `row_space`, `add`, `reduce` and
+`contains` take sparse elements, and `coordinates` solves in a basis of
+them.  Dense matrices, lists of rows of `Scalar`, are only the input of
+`kernel`, `rank`, `left_inverse` and `charpoly`, which convert rows at
+entry.
 """
 from __future__ import annotations
 
