@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from . import scalars
-from .scalars import Scalar, ZERO, ONE, TWO
+from .scalars import Scalar, ZERO, ONE, MINUS_ONE, TWO
 from .linalg import Subspace, el_add_into, el_scale, kernel, row_space
 
 # ---------------------------------------------------------------------------
@@ -257,14 +257,26 @@ class ReducedAlgebra:
         return self.products.get((n, a, b), {})
 
     @cached_property
+    def weight_positions(self) -> tuple:
+        """(weights, pos): the distinct basis weights in increasing order
+        and {id: position of its weight in that list}; read only.  Tables
+        keyed by positions avoid hashing Fractions."""
+        weights = sorted(self.weight_dims())
+        return weights, {b.id: weights.index(b.weight) for b in self.basis}
+
+    @cached_property
     def circ_table(self) -> dict:
         """{(a, b): a o b} over the stored <a 1 b> whose weight sum is not 2;
-        read only."""
-        out = {}
+        read only.  One reciprocal is made per pair of weights."""
+        weights, pos = self.weight_positions
+        out, inv = {}, {}
         for (a, b), el in self._by_n.get(1, {}).items():
-            d = self.weight(a) + self.weight(b) - 2
-            if d:
-                out[a, b] = el_scale(el, Scalar.from_fraction(1 / d))
+            k = pos[a], pos[b]
+            if k not in inv:
+                d = weights[k[0]] + weights[k[1]] - 2
+                inv[k] = Scalar.from_fraction(1 / d) if d else ZERO
+            if inv[k]:
+                out[a, b] = el_scale(el, inv[k])
         return out
 
     @property
@@ -384,8 +396,11 @@ class ReducedAlgebra:
                           key=lambda k: (k[0], self.index[k[1]],
                                          self.index[k[2]])):
             for t in sorted(self.products[key], key=lambda t: self.index[t]):
-                prods = {k: dict(v) for k, v in self.products.items()}
-                prods[key][t] = -prods[key][t]
+                # __init__ copies every element, so only the mutated one
+                # needs a copy here
+                prods = dict(self.products)
+                prods[key] = el = dict(prods[key])
+                el[t] = -el[t]
                 label = "<%s %d %s> term %s" % (key[1], key[0], key[2], t)
                 yield label, ReducedAlgebra(self.basis, self.L, prods)
 
@@ -400,23 +415,36 @@ def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     vanishing bound (every stored product has a finite n and correct
     gradings).  A basis weight w <= 0 is reported, uncounted: then
     L_(2) d^(k) a = (k - 1 + 2w) d^(k-1) a vanishes for some k >= 1, and
-    the quasi-primary d^(k) a is outside the reduced description."""
+    the quasi-primary d^(k) a is outside the reduced description.
+
+    Only the stored products are visited, one instance per term; a pair
+    with no stored product has nothing to check and adds nothing to
+    `checked`.  Weights are compared as positions in
+    `R.weight_positions`, with one expected weight per (n, weight of a,
+    weight of b)."""
     rep = Report()
     for b in R.basis:
         if b.weight <= 0:
             rep.fail("basis vector %s has weight %s, not positive"
                      % (b.id, b.weight), max_failures)
+    weights, pos = R.weight_positions
+    par = {b.id: b.parity for b in R.basis}
+    expected = {}
     for (n, a, b), el in R.products.items():
-        w = R.weight(a) + R.weight(b) - n - 1
-        p = (R.parity(a) + R.parity(b)) % 2
-        for t, c in el.items():
-            rep.checked += 1
-            if R.weight(t) != w:
+        key = n, pos[a], pos[b]
+        if key not in expected:
+            w = weights[key[1]] + weights[key[2]] - n - 1
+            expected[key] = w, weights.index(w) if w in weights else -1
+        w, e = expected[key]
+        p = (par[a] + par[b]) % 2
+        rep.checked += len(el)
+        for t in el:
+            if pos[t] != e:
                 rep.fail("<%s %d %s>: term %s has weight %s, expected %s"
-                         % (a, n, b, t, R.weight(t), w), max_failures)
-            if R.parity(t) != p:
+                         % (a, n, b, t, weights[pos[t]], w), max_failures)
+            if par[t] != p:
                 rep.fail("<%s %d %s>: term %s has parity %d, expected %d"
-                         % (a, n, b, t, R.parity(t), p), max_failures)
+                         % (a, n, b, t, par[t], p), max_failures)
     return rep
 
 
@@ -429,24 +457,29 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     in `R.live_thirds(a, b)`; for any other c every term vanishes, and its
     (m_max + 1) * (n_max + 1) instances count in `checked` as vacuous ones.
     The visiting order, and so the order of failures, is that of the full
-    loop over a, b, c, m, n."""
+    loop over a, b, c, m, n.
+
+    Skew symmetry counts all (max_n + 1) * dim**2 instances (n, a, b) in
+    `checked` but visits only the stored <a n b>, each against its swap,
+    and reports the failing pairs in the order (n, a, b) of the full loop;
+    a pair with no stored product either way holds and is counted as
+    checked without being visited."""
     check_bounds({"m_max": m_max, "n_max": n_max})
     rep = check_well_formed(R, max_failures)
     ids = [b.id for b in R.basis]
-    nb = R.max_n() + 1
+    idx, prods = R.index, R.products
+    par = {b.id: b.parity for b in R.basis}
 
-    # skew symmetry
-    for n in range(nb):
-        for a in ids:
-            pa = R.parity(a)
-            for b in ids:
-                rep.checked += 1
-                lhs = R.product_basis(n, a, b)
-                rhs = R.product_basis(n, b, a)
-                sign = -ONE if (n + pa * R.parity(b)) % 2 == 0 else ONE
-                if lhs != el_scale(rhs, sign):
-                    rep.fail("skew fails: <%s %d %s>" % (a, n, b),
-                             max_failures)
+    # skew symmetry; the identity holds for (n, a, b) exactly when it holds
+    # for (n, b, a), so the stored products find every failing pair
+    rep.checked += (R.max_n() + 1) * R.dim ** 2
+    bad = set()
+    for (n, a, b), el in prods.items():
+        sign = MINUS_ONE if (n + par[a] * par[b]) % 2 == 0 else ONE
+        if el != el_scale(prods.get((n, b, a), {}), sign):
+            bad.update([(n, a, b), (n, b, a)])
+    for n, a, b in sorted(bad, key=lambda k: (k[0], idx[k[1]], idx[k[2]])):
+        rep.fail("skew fails: <%s %d %s>" % (a, n, b), max_failures)
 
     # conformal vector conditions
     L = R.L
@@ -470,11 +503,8 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
             rep.fail("forbidden weight %s" % w, max_failures)
 
     # the quadratic identity, over the c in R.live_thirds(a, b)
-    weights = sorted(R.weight_dims())
-    wi = {b.id: weights.index(b.weight) for b in R.basis}
-    par = {b.id: b.parity for b in R.basis}
+    weights, wi = R.weight_positions
     G, F = _quadratic_coeffs(weights, m_max, n_max, R.max_n())
-    prods = R.products
     vacuous = (m_max + 1) * (n_max + 1)
     for a in ids:
         wa, pa = wi[a], par[a]
@@ -590,7 +620,12 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
 
     o-associativity and the .-Jacobi identity are evaluated only on the
     triples (a, b, c) with c in `R.live_thirds(a, b)`; every other triple
-    counts in `checked` as a vacuous instance, in the same a, b, c order."""
+    counts in `checked` as a vacuous instance, in the same a, b, c order.
+    Likewise o-symmetry and .-antisymmetry visit only the pairs with a
+    stored o or . product, each against its swap, and report the failing
+    pairs in the (a, b) order of the full loop, o before .; every other
+    pair of the dim**2 holds and is counted as checked without being
+    visited."""
     rep = Report()
     if not is_physical_shape(R):
         rep.fail("not of physical shape "
@@ -612,14 +647,18 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         if (R.L, a) in B:
             rep.fail("L . %s != 0" % a, max_failures)
 
-    for a in ids:
-        for b in ids:
-            rep.checked += 1
-            sign = -ONE if par[a] * par[b] else ONE
-            if C.get((a, b), no) != el_scale(C.get((b, a), no), sign):
-                rep.fail("o-symmetry fails: %s, %s" % (a, b), max_failures)
-            if B.get((a, b), no) != el_scale(B.get((b, a), no), -sign):
-                rep.fail(".-antisymmetry fails: %s, %s" % (a, b), max_failures)
+    # graded symmetry of o (f = 0) and . (f = 1); as for skew symmetry in
+    # P, the stored pairs find every failing pair and its swap
+    rep.checked += R.dim ** 2
+    bad = set()
+    for f, table in enumerate((C, B)):
+        for (a, b), el in table.items():
+            sign = MINUS_ONE if (f + par[a] * par[b]) % 2 else ONE
+            if el != el_scale(table.get((b, a), no), sign):
+                bad.update([(a, b, f), (b, a, f)])
+    idx, family = R.index, ("o-symmetry", ".-antisymmetry")
+    for a, b, f in sorted(bad, key=lambda k: (idx[k[0]], idx[k[1]], k[2])):
+        rep.fail("%s fails: %s, %s" % (family[f], a, b), max_failures)
     # inner product lands in span(L); the square law below reads these
     # values and skips the pairs reported here
     inner = {}
@@ -650,8 +689,8 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                     # odd product Jacobi
                     jac = R.bullet(ea, B.get((b, c), no))
                     el_add_into(jac, R.bullet(eb, B.get((a, c), no)),
-                                -ONE if sgn_ab > 0 else ONE)
-                    el_add_into(jac, R.bullet(B.get((a, b), no), ec), -ONE)
+                                MINUS_ONE if sgn_ab > 0 else ONE)
+                    el_add_into(jac, R.bullet(B.get((a, b), no), ec), MINUS_ONE)
                     if jac:
                         rep.fail(".-Jacobi fails: %s,%s,%s" % (a, b, c),
                                  max_failures)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .scalars import Scalar, ONE, TWO
+from .scalars import Scalar, ONE, MINUS_ONE, TWO
 from .linalg import Subspace, el_add_into, row_space
 
 
@@ -65,7 +65,7 @@ class Clifford:
         # h > g: use hg = 2(h,g) - gh
         out = {rest: TWO} if self._paired(h, g) else {}
         el_add_into(out, {w + (h,): c for w, c in
-                          self._word_times_gen(rest, g).items()}, -ONE)
+                          self._word_times_gen(rest, g).items()}, MINUS_ONE)
         return out
 
     @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from .scalars import Scalar, ZERO, ONE, HALF
+from .scalars import Scalar, ZERO, ONE, MINUS_ONE, HALF
 from .linalg import (Subspace, coordinates, el_add_into, el_from_list,
                      el_scale, kernel, left_inverse, mat_vec, row_space)
 from .algebra import BasisVector, ReducedAlgebra, require_axioms, is_simple
@@ -76,7 +76,7 @@ def assemble_wedge_form(npairs: int, odd: bool, alpha) -> dict:
     if odd:
         e = 2 * npairs
         for i in range(npairs):
-            put((2 * i + 1, e), (2 * i, e), -ONE)
+            put((2 * i + 1, e), (2 * i, e), MINUS_ONE)
     return form
 
 
@@ -173,7 +173,7 @@ class _Builder:
         """The Clifford element uvw - eta(u,v,w) - (v,w)u."""
         cl = self.cl
         el = cl.mul(cl.gen(u), cl.mul(cl.gen(v), cl.gen(w)))
-        el_add_into(el, self.eta(u, v, w), -ONE)
+        el_add_into(el, self.eta(u, v, w), MINUS_ONE)
         el_add_into(el, cl.gen(u), Scalar.from_int(-cl.gen_pairing(v, w)))
         return el
 
@@ -181,9 +181,10 @@ class _Builder:
         """u o (v o w) = [uvw] - [eta(u,v,w)] - (v,w)[u]."""
         return self._cls(self._triple(u, v, w))
 
-    def class_g(self, u: int, v: int, w: int, z: int) -> dict:
-        """u . (v o (w o z)) = [uvwz] - [u eta(v,w,z)] - (w,z)[uv]."""
-        return self._cls(self.cl.mul(self.cl.gen(u), self._triple(v, w, z)))
+    def class_g(self, u: int, triple: dict) -> dict:
+        """u . (v o (w o z)) = [uvwz] - [u eta(v,w,z)] - (w,z)[uv], given
+        triple = `_triple(v, w, z)`."""
+        return self._cls(self.cl.mul(self.cl.gen(u), triple))
 
     # -- basis selection ----------------------------------------------------
 
@@ -213,15 +214,17 @@ class _Builder:
                 c = self.class_f(u, v, w)
                 if c and span.add(vec(c)):
                     f_chosen.append(c)
-        if span.dim < q.dim:
-            for w, z in combinations(self.gen_ids, 2):
-                for v in self.gen_ids:
-                    for u in self.gen_ids:
+        for w, z in combinations(self.gen_ids, 2):
+            for v in self.gen_ids:
+                if span.dim == q.dim:
+                    break
+                t = self._triple(v, w, z)
+                for u in self.gen_ids:
+                    c = self.class_g(u, t)
+                    if c and span.add(vec(c)):
+                        a_chosen.append(c)
                         if span.dim == q.dim:
                             break
-                        c = self.class_g(u, v, w, z)
-                        if c and span.add(vec(c)):
-                            a_chosen.append(c)
         if span.dim != q.dim:
             raise InconsistentSpec(
                 "image filtration spans %d of %d quotient dimensions"
@@ -287,7 +290,7 @@ class _Builder:
                         continue
                     _put(self.table, n, gnm, b, res[n])
                     pb = self.parities[b]
-                    sgn = -ONE if (n + pb) % 2 == 0 else ONE
+                    sgn = MINUS_ONE if (n + pb) % 2 == 0 else ONE
                     _put(self.table, n, b, gnm, el_scale(res[n], sgn))
 
     def _fill_A(self, a: str):
@@ -310,7 +313,7 @@ class _Builder:
                                             {w[i + 1:]: ONE}))
             el = self.to_reduced(self.quot.reduce(der))
             _put(self.table, 0, a, b, el)
-            _put(self.table, 0, b, a, el_scale(el, -ONE))
+            _put(self.table, 0, b, a, el_scale(el, MINUS_ONE))
 
 
 def _put(table: dict, n: int, a: str, b: str, el: dict) -> None:
@@ -358,7 +361,7 @@ def _wedge3_insert(out, idxs, coeff):
     # parity of the permutation taking idxs to sorted order
     inversions = sum(idxs[a] > idxs[b] for a, b in combinations(range(3), 2))
     el_add_into(out, {tuple(sorted(idxs)): coeff},
-                -ONE if inversions % 2 else ONE)
+                MINUS_ONE if inversions % 2 else ONE)
 
 
 def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
@@ -508,7 +511,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
                 br = base.product_basis(0, tb[1], tx[1])
                 return {A0.index(a2): c for a2, c in br.items()}
             # b = u . f_g, a base:  b . a = -a . b
-            return el_scale(der_column(x, b), -ONE)
+            return el_scale(der_column(x, b), MINUS_ONE)
         _, kv, l = tx
         MV, MF = MVs[b], MFs[b]
         out = {}
@@ -581,14 +584,14 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
         for j, u in enumerate(V):
             img = {V[r]: MV[r][j] for r in range(nv) if MV[r][j]}
             _put(table, 0, anm, u, img)
-            _put(table, 0, u, anm, el_scale(img, -ONE))
+            _put(table, 0, u, anm, el_scale(img, MINUS_ONE))
             circ = {fnames[m]: SG[m][j] for m in range(nf) if SG[m][j]}
             _put(table, 1, u, anm, el_scale(circ, HALF))
             _put(table, 1, anm, u, el_scale(circ, HALF))
         for l, fnm in enumerate(fnames):
             img = {fnames[r]: MF[r][l] for r in range(nf) if MF[r][l]}
             _put(table, 0, anm, fnm, img)
-            _put(table, 0, fnm, anm, el_scale(img, -ONE))
+            _put(table, 0, fnm, anm, el_scale(img, MINUS_ONE))
 
     # V . F -> A
     for kv, v in enumerate(V):

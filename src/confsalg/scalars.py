@@ -314,6 +314,7 @@ class Scalar:
 
 ZERO = Scalar((), _canon=False)
 ONE = Scalar((GR_ONE,), _canon=False)
+MINUS_ONE = -ONE
 IMAG = Scalar((GaussRat(0, 1),), _canon=False)
 ALPHA = Scalar((GR_ZERO, GR_ONE), _canon=False)
 TWO = Scalar.from_int(2)

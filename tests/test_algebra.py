@@ -84,6 +84,83 @@ def test_weight_rule_enforced():
     assert not rep.ok
 
 
+def test_well_formed_report_on_a_malformed_table_is_pinned():
+    # <V 1 L> has a term of wrong weight and parity, T has weight 1/3,
+    # <L 0 V> expects weight 5/2, which no basis vector has, and Z has
+    # weight 0; the values are those of the loop over every term
+    R = ReducedAlgebra(
+        [BasisVector("L", Fraction(2), 0), BasisVector("V", Fraction(3, 2), 1),
+         BasisVector("A", Fraction(1), 0), BasisVector("T", Fraction(1, 3), 0),
+         BasisVector("Z", Fraction(0), 0)],
+        "L",
+        {(1, "L", "L"): {"L": Scalar.from_int(2)},
+         (1, "V", "L"): {"A": ONE, "V": ONE},
+         (0, "L", "V"): {"V": ONE},
+         (0, "T", "T"): {"Z": ONE, "T": ONE},
+         (1, "T", "L"): {"T": ONE},
+         (0, "V", "V"): {"L": ONE, "A": ONE}})
+    rep = check_well_formed(R)
+    assert (rep.ok, rep.checked) == (False, 9)
+    assert rep.failures == [
+        "basis vector Z has weight 0, not positive",
+        "<V 1 L>: term A has weight 1, expected 3/2",
+        "<V 1 L>: term A has parity 0, expected 1",
+        "<L 0 V>: term V has weight 3/2, expected 5/2",
+        "<T 0 T>: term Z has weight 0, expected -1/3",
+        "<T 0 T>: term T has weight 1/3, expected -1/3",
+        "<V 0 V>: term A has weight 1, expected 2"]
+    rep = check_well_formed(R, max_failures=2)
+    assert (rep.ok, rep.checked, rep.failures) == (
+        False, 9, ["basis vector Z has weight 0, not positive",
+                   "<V 1 L>: term A has weight 1, expected 3/2"])
+
+
+def test_one_sided_table_reports_are_pinned():
+    # K2 with <Db1 0 D1>, <D1 1 Db1> and <L 1 A1> stored without their
+    # swaps, and <A1 0 A1> = A1, which is not skew; the values are those of
+    # the loops over every pair
+    K2 = catalog.build("K2")
+    drop = {(0, "D1", "Db1"), (1, "Db1", "D1"), (1, "A1", "L")}
+    products = {k: v for k, v in K2.products.items() if k not in drop}
+    products[0, "A1", "A1"] = {"A1": ONE}
+    M = ReducedAlgebra(K2.basis, "L", products)
+    P = check_P_axioms(M, 2, 2, max_failures=1000)
+    H = check_H_axioms(M, max_failures=1000)
+    assert (P.ok, P.checked, len(P.failures)) == (False, 626, 48)
+    assert (H.ok, H.checked, len(H.failures)) == (False, 113, 23)
+    assert P.failures[:8] == [
+        "skew fails: <D1 0 Db1>", "skew fails: <Db1 0 D1>",
+        "skew fails: <A1 0 A1>", "skew fails: <L 1 A1>",
+        "skew fails: <D1 1 Db1>", "skew fails: <Db1 1 D1>",
+        "skew fails: <A1 1 L>",
+        "identity fails: a=D1 b=D1 c=Db1 m=0 n=1"]
+    assert H.failures[:8] == [
+        "o-symmetry fails: L, A1",
+        "o-symmetry fails: D1, Db1", ".-antisymmetry fails: D1, Db1",
+        "o-symmetry fails: Db1, D1", ".-antisymmetry fails: Db1, D1",
+        "o-symmetry fails: A1, L", ".-antisymmetry fails: A1, A1",
+        "o-associativity fails: D1,Db1,L"]
+
+
+@pytest.mark.parametrize("name", ["K2", "S2"])
+def test_sign_mutations_leave_the_parent_alone(name):
+    R = catalog.build(name)
+    before = {k: dict(v) for k, v in R.products.items()}
+    count = 0
+    for label, M in R.sign_mutations():
+        count += 1
+        assert M.products.keys() == R.products.keys(), label
+        changed = [(k, t) for k, el in R.products.items() for t in el
+                   if M.products[k].get(t) != el[t]]
+        assert all(M.products[k].keys() == el.keys()
+                   for k, el in R.products.items()), label
+        assert len(changed) == 1, label
+        (k, t), = changed
+        assert M.products[k][t] == -R.products[k][t], label
+    assert count == sum(len(el) for el in before.values())
+    assert R.products == before
+
+
 def test_checkers_keep_to_max_failures():
     # an L term added to every product of K2 breaks the grading of most of
     # them, which P reports before its other families
