@@ -168,6 +168,26 @@ def test_f_extension_rejects_odd_dimensional_radical():
         build_f_extension(s2(), [w3_unit((0, 1, 2))])
 
 
+# SHA-256 of to_json() of the extension with the full F (no radical), and
+# the exact message for the odd radical, fixed while the extension's
+# operators were dense matrices.
+F_EXTENSION_FULL_SHA256 = \
+    "821e083e596e246f85cd3b564f811bfa671a88da2e567258b3b5977bf0daa398"
+
+
+def test_f_extension_full_f_is_pinned():
+    R = build_f_extension(s2(), [])
+    assert R.dim == 16
+    assert sha256(R.to_json()) == F_EXTENSION_FULL_SHA256
+
+
+def test_f_extension_odd_radical_message_is_pinned():
+    with pytest.raises(InconsistentSpec) as info:
+        build_f_extension(s2(), [w3_unit((0, 1, 2))])
+    assert str(info.value) == \
+        "the null space of the triple pairing is not invariant"
+
+
 # -- case sweeps ------------------------------------------------------------
 
 
