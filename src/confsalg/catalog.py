@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA
-from .linalg import Subspace, charpoly, el_add_into, rank, tpoly_str
+from .linalg import Subspace, charpoly, el_add_into, row_space, tpoly_str
 from .algebra import BasisVector, ReducedAlgebra, form_V_wedge_V, is_simple
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
                         CK6_SPEC)
@@ -67,12 +67,7 @@ def _build(name: str, alpha=None) -> ReducedAlgebra:
     if name == "W2":
         from .construct import _wedge3_basis
         w3 = _wedge3_basis(4)
-        vecs = []
-        for t in _W2_J0:
-            vec = [ZERO] * len(w3)
-            vec[w3.index(t)] = ONE
-            vecs.append(vec)
-        return build_f_extension(_s2(), vecs)
+        return build_f_extension(_s2(), [{w3.index(t): ONE} for t in _W2_J0])
     if name == "N4alpha":
         return _n4alpha(alpha if alpha is not None else ALPHA)
     if name == "N4":
@@ -188,8 +183,10 @@ def iso_check(R1: ReducedAlgebra, R2: ReducedAlgebra, f: dict) -> bool:
         return False
     if set(f) != {b.id for b in R1.basis}:
         return False
-    mat = [[f[b.id].get(c.id, ZERO) for b in R1.basis] for c in R2.basis]
-    if rank(mat) != R1.dim:
+    # the images must be independent; a map file may list zero coefficients
+    images = ({R2.index[t]: c for t, c in f[b.id].items() if c}
+              for b in R1.basis)
+    if row_space(images, R2.dim).dim != R1.dim:
         return False
 
     def fmap(el):

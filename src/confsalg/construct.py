@@ -20,8 +20,8 @@ from itertools import combinations, product
 from math import comb
 
 from .scalars import Scalar, ZERO, ONE, MINUS_ONE, HALF
-from .linalg import (Subspace, coordinates, el_add_into, el_from_list,
-                     el_scale, kernel, left_inverse, mat_vec, row_space)
+from .linalg import (Subspace, coordinates, el_add_into, el_scale, kernel,
+                     row_space)
 from .algebra import BasisVector, ReducedAlgebra, require_axioms, is_simple
 from .clifford import Clifford, CliffordQuotient
 
@@ -369,8 +369,9 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     abstract F dual to (V ^ V ^ V) / J0, with every product forced by the
     invariance of the triple pairing.
 
-    `j0_vectors` are coordinate vectors over the lexicographic triple basis
-    of the wedge cube of V.
+    `j0_vectors` are sparse elements keyed by position in the lexicographic
+    triple basis of the wedge cube of V.  Every operator below is a list of
+    sparse columns: column c is {row: entry}.
     """
     V = base.space(W_V)
     A0 = base.space(W_A)
@@ -380,67 +381,56 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     w3idx = {t: k for k, t in enumerate(w3)}
     nw = len(w3)
 
-    j0 = row_space(map(el_from_list, j0_vectors), nw)
+    j0 = row_space(j0_vectors, nw)
     comp = [k for k in range(nw) if k not in j0.by_pivot]
     nf = len(comp)
+    # column l of jmat is J(w3-basis element t, f_l) over t, the coefficient
+    # of comp[l] in j0.reduce(e_t): the kernel vector of J0 at comp[l].  Its
+    # rows at comp are the identity, so jmat x = rhs has at most the
+    # solution rhs at comp
+    jmat = kernel(j0.rows, nw)
 
-    def jpair_row(t_idx: int):
-        """J(w3-basis-element t, f_l) for l = 1..nf."""
-        red = j0.reduce({t_idx: ONE})
-        return [red.get(c, ZERO) for c in comp]
-
-    # the rows of jmat at comp are the identity: j0.reduce(e_c) = e_c at a
-    # non-pivot c, so jmat x = rhs has at most the solution rhs at comp
-    jmat = [jpair_row(t) for t in range(nw)]   # nw x nf
-
-    # inner product and dual basis on V
+    # inner product and dual basis on V; the Gram matrix is symmetric, so
+    # its rows are its columns and gram_coords solves gram y = w
     gram = base.inner_gram()
-    gram_inv = left_inverse(gram)
-    if gram_inv is None:
+    if row_space(gram, nv).dim != nv:
         raise InconsistentSpec("degenerate inner product on the base")
+    gram_coords = coordinates(gram, nv)
 
-    def act_V_matrix(avec_products) -> list:
-        """nv x nv matrix of u -> a . u given a's 0-product with V."""
-        M = [[ZERO] * nv for _ in range(nv)]
-        for j, u in enumerate(V):
-            img = avec_products(u)
-            for v, c in img.items():
-                M[vidx[v]][j] = c
-        return M
+    def act_V(avec_products) -> list:
+        """u -> a . u on V given a's 0-product with V."""
+        return [{vidx[v]: c for v, c in avec_products(u).items()} for u in V]
 
-    def derive_W3(M):
+    def derive_W3(M) -> list:
         """Derivation action on the wedge cube from the action M on V."""
-        out = [[ZERO] * nw for _ in range(nw)]
-        for col, (i, j, k) in enumerate(w3):
+        out = []
+        for t in w3:
             acc = {}
             for slot in range(3):
-                t = (i, j, k)
-                src = t[slot]
-                for r in range(nv):
-                    c = M[r][src]
-                    if c:
-                        idxs = list(t)
-                        idxs[slot] = r
-                        _wedge3_insert(acc, tuple(idxs), c)
-            for key, c in acc.items():
-                out[w3idx[key]][col] = c
+                for r, c in M[t[slot]].items():
+                    idxs = list(t)
+                    idxs[slot] = r
+                    _wedge3_insert(acc, tuple(idxs), c)
+            out.append({w3idx[key]: c for key, c in acc.items()})
         return out
 
-    def act_F_matrix(W3M) -> list:
+    def act_F(W3M) -> list:
         """F-action forced by J(a w, f) + J(w, a f) = 0."""
-        out = [[ZERO] * nf for _ in range(nf)]
-        for l in range(nf):
-            rhs = []
-            for t in range(nw):
-                s = sum((W3M[r][t] * jmat[r][l]
-                         for r in range(nw) if W3M[r][t]), ZERO)
-                rhs.append(-s)
-            part = [rhs[c] for c in comp]
-            if mat_vec(jmat, part) != rhs:
+        out = []
+        for jl in jmat:
+            rhs = {}
+            for t, col in enumerate(W3M):
+                s = sum((c * jl[r] for r, c in col.items() if r in jl), ZERO)
+                if s:
+                    rhs[t] = -s
+            part = {m: rhs[c] for m, c in enumerate(comp) if c in rhs}
+            img = {}
+            for m, c in part.items():
+                el_add_into(img, jmat[m], c)
+            if img != rhs:
                 raise InconsistentSpec(
                     "the null space of the triple pairing is not invariant")
-            for r in range(nf):
-                out[r][l] = part[r]
+            out.append(part)
         return out
 
     # The weight-1 space is spanned by the base A and the formal products
@@ -457,51 +447,46 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     MVs, MFs, SGs = [], [], []
     base_MF = {}
     for a in A0:
-        MV = act_V_matrix(lambda u, a=a: base.product_basis(0, a, u))
-        MF = act_F_matrix(derive_W3(MV))
+        MV = act_V(lambda u, a=a: base.product_basis(0, a, u))
+        MF = act_F(derive_W3(MV))
         base_MF[a] = MF
         MVs.append(MV)
         MFs.append(MF)
-        SGs.append([[ZERO] * nv for _ in range(nf)])   # V o (base A) = 0
+        SGs.append([{} for _ in range(nv)])   # V o (base A) = 0
     for kv in range(nv):
         for l in range(nf):
             # a = v . f_l ; (x, u . a) = J(x ^ u ^ v, f_l), a . u = -u . a
-            MV = [[ZERO] * nv for _ in range(nv)]
+            MV = []
             for ju in range(nv):
-                w = [ZERO] * nv
+                w = {}
                 for x in range(nv):
                     acc = {}
                     _wedge3_insert(acc, (x, ju, kv), ONE)
-                    s = ZERO
-                    for key, c in acc.items():
-                        s = s + c * jmat[w3idx[key]][l]
-                    w[x] = s
-                for r, s in enumerate(mat_vec(gram_inv, w)):
-                    MV[r][ju] = -s
-            MF = act_F_matrix(derive_W3(MV))
+                    s = sum((c * jmat[l].get(w3idx[key], ZERO)
+                             for key, c in acc.items()), ZERO)
+                    if s:
+                        w[x] = s
+                MV.append(el_scale(gram_coords(w), MINUS_ONE))
+            MF = act_F(derive_W3(MV))
             # u o (v . f_l) = (u o v) . f_l + (u, v) f_l
-            SG = [[ZERO] * nv for _ in range(nf)]
+            SG = []
             for ju, u in enumerate(V):
-                circ_uv = base.product_basis(1, u, V[kv])
-                for a2, c in circ_uv.items():
-                    MF2 = base_MF[a2]
-                    for m in range(nf):
-                        if MF2[m][l]:
-                            SG[m][ju] = SG[m][ju] + c * MF2[m][l]
-                if gram[ju][kv]:
-                    SG[l][ju] = SG[l][ju] + gram[ju][kv]
+                col = {}
+                for a2, c in base.product_basis(1, u, V[kv]).items():
+                    el_add_into(col, base_MF[a2][l], c)
+                el_add_into(col, {l: ONE}, gram[ju].get(kv, ZERO))
+                SG.append(col)
             MVs.append(MV)
             MFs.append(MF)
             SGs.append(SG)
 
-    def encode(k):
-        MV, MF, SG = MVs[k], MFs[k], SGs[k]
-        return [MV[r][c] for r in range(nv) for c in range(nv)] + \
-               [MF[r][c] for r in range(nf) for c in range(nf)] + \
-               [SG[r][c] for r in range(nf) for c in range(nv)]
-
-    cols = [encode(k) for k in range(nwa)]
-    erows = [[cols[c][r] for c in range(nwa)] for r in range(len(cols[0]))]
+    # the encoding of formal element k: one row per operator entry
+    erows = {}
+    for k in range(nwa):
+        for op, M in enumerate((MVs[k], MFs[k], SGs[k])):
+            for c, col in enumerate(M):
+                for r, v in col.items():
+                    erows.setdefault((op, r, c), {})[k] = v
 
     # derivation action of each formal element on the formal space
     def der_column(b: int, x: int) -> dict:
@@ -513,12 +498,9 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
             # b = u . f_g, a base:  b . a = -a . b
             return el_scale(der_column(x, b), MINUS_ONE)
         _, kv, l = tx
-        MV, MF = MVs[b], MFs[b]
-        out = {}
-        el_add_into(out, {na0 + r * nf + l: MV[r][kv]
-                          for r in range(nv) if MV[r][kv]})
-        el_add_into(out, {na0 + kv * nf + m: MF[m][l]
-                          for m in range(nf) if MF[m][l]})
+        out = {na0 + r * nf + l: c for r, c in MVs[b][kv].items()}
+        el_add_into(out, {na0 + kv * nf + m: c
+                          for m, c in MFs[b][l].items()})
         return out
 
     ders = [[der_column(b, x) for x in range(nwa)] for b in range(nwa)]
@@ -527,13 +509,14 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # The largest derivation-invariant subspace N of the encoding kernel is
     # a fixpoint: the next N is {x in N : D_b x in N for every b}, the
     # kernel of the stacked rows of x -> N.reduce(x) and x -> N.reduce(D_b x).
-    nullsub = row_space(map(el_from_list, kernel(erows)), nwa)
+    nullsub = row_space(kernel(erows.values(), nwa), nwa)
     while True:
-        rows = []
-        for images in [units] + ders:
-            reds = [nullsub.reduce(x) for x in images]
-            rows += [[red.get(r, ZERO) for red in reds] for r in range(nwa)]
-        nxt = row_space(map(el_from_list, kernel(rows)), nwa)
+        rows = {}
+        for i, images in enumerate([units] + ders):
+            for x, img in enumerate(images):
+                for r, c in nullsub.reduce(img).items():
+                    rows.setdefault((i, r), {})[x] = c
+        nxt = row_space(kernel(rows.values(), nwa), nwa)
         if nxt.dim == nullsub.dim:
             break
         nullsub = nxt
@@ -571,7 +554,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # V x V
     for i, u in enumerate(V):
         for j, v in enumerate(V):
-            _put(table, 0, u, v, {"L": gram[i][j]})
+            _put(table, 0, u, v, {"L": gram[i].get(j, ZERO)})
             circ = base.product_basis(1, u, v)   # lands in base A
             out = {}
             for a, c in circ.items():
@@ -582,14 +565,14 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     for anm in anames:
         MV, MF, SG = ops[anm]
         for j, u in enumerate(V):
-            img = {V[r]: MV[r][j] for r in range(nv) if MV[r][j]}
+            img = {V[r]: c for r, c in sorted(MV[j].items())}
             _put(table, 0, anm, u, img)
             _put(table, 0, u, anm, el_scale(img, MINUS_ONE))
-            circ = {fnames[m]: SG[m][j] for m in range(nf) if SG[m][j]}
+            circ = {fnames[m]: c for m, c in sorted(SG[j].items())}
             _put(table, 1, u, anm, el_scale(circ, HALF))
             _put(table, 1, anm, u, el_scale(circ, HALF))
         for l, fnm in enumerate(fnames):
-            img = {fnames[r]: MF[r][l] for r in range(nf) if MF[r][l]}
+            img = {fnames[r]: c for r, c in sorted(MF[l].items())}
             _put(table, 0, anm, fnm, img)
             _put(table, 0, fnm, anm, el_scale(img, MINUS_ONE))
 

@@ -1,5 +1,5 @@
-"""Exact linear algebra over the scalar field: sparse elements, one sparse
-row echelon form, and dense matrices at its edges.
+"""Exact linear algebra over the scalar field: sparse elements and one
+sparse row echelon form.
 
 A sparse element is a dict {key: Scalar} that never stores a zero value;
 `el_add_into` and `el_scale` keep that invariant, and every accumulation of
@@ -9,11 +9,10 @@ exactly when the dict is empty.
 
 `Subspace` is the one reduced row echelon form, built up one vector at a
 time by exact Gaussian elimination.  Its rows are sparse elements keyed by
-column, and it keeps them keyed by pivot.  `row_space`, `add`, `reduce` and
-`contains` take sparse elements, and `coordinates` solves in a basis of
-them.  Dense matrices, lists of rows of `Scalar`, are only the input of
-`kernel`, `rank`, `left_inverse` and `charpoly`, which convert rows at
-entry.
+column, and it keeps them keyed by pivot.  `row_space`, `add`, `reduce`,
+`contains` and `kernel` take sparse elements, and `coordinates`, the one
+solver, solves in a basis of them.  Dense matrices, lists of rows of
+`Scalar`, remain only as the input of `charpoly`.
 """
 from __future__ import annotations
 
@@ -39,13 +38,6 @@ def el_add_into(acc: dict, x: dict, c: Scalar = ONE) -> None:
             del acc[k]
 
 
-def mat_vec(A, v):
-    """A v, summing each row over the nonzero entries of v from left to
-    right."""
-    nz = [(c, x) for c, x in enumerate(v) if x]
-    return [sum((row[c] * x for c, x in nz), ZERO) for row in A]
-
-
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0]) if B else 0
     out = [[ZERO] * p for _ in range(n)]
@@ -61,50 +53,6 @@ def mat_mul(A, B):
                 if Bk[j]:
                     row[j] = row[j] + c * Bk[j]
     return out
-
-
-def el_from_list(row) -> dict:
-    """The sparse element {column: value} of a dense row."""
-    return {c: x for c, x in enumerate(row) if x}
-
-
-def rank(rows) -> int:
-    return row_space(map(el_from_list, rows), len(rows[0]) if rows else 0).dim
-
-
-def kernel(rows):
-    """Basis of the right kernel of the matrix, one dense vector per
-    non-pivot column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    sub = row_space(map(el_from_list, rows), ncols)
-    basis = []
-    for f in range(ncols):
-        if f in sub.by_pivot:
-            continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for pc, row in sub.by_pivot.items():
-            if f in row:
-                v[pc] = -row[f]
-        basis.append(v)
-    return basis
-
-
-def left_inverse(A):
-    """X with X A = I, read off the reduced form of [A | I]; None when the
-    columns of A are dependent.  For b in the column space of A, X b is
-    the unique solution of A x = b."""
-    if not A:
-        return []
-    nrows, ncols = len(A), len(A[0])
-    sub = row_space(({**el_from_list(row), ncols + r: ONE}
-                     for r, row in enumerate(A)), ncols + nrows)
-    if sub.pivots[:ncols] != list(range(ncols)):
-        return None
-    return [[row.get(ncols + c, ZERO) for c in range(nrows)]
-            for row in sub.rows[:ncols]]
 
 
 def charpoly(A):
@@ -233,11 +181,27 @@ def row_space(rows, dim: int) -> Subspace:
     return sub
 
 
+def kernel(rows, ncols: int) -> list:
+    """Basis of the vectors on columns below ncols that every sparse row
+    kills: one vector per non-pivot column f of the reduced rows, 1 at f
+    and 0 at the other non-pivot columns, with keys in column order.  With
+    no rows, the unit vectors."""
+    sub = row_space(rows, ncols)
+    basis = {f: [(f, ONE)] for f in range(ncols) if f not in sub.by_pivot}
+    for pc, row in sub.by_pivot.items():
+        for f, c in row.items():
+            if f != pc:
+                basis[f].append((pc, -c))
+    return [dict(sorted(v)) for v in basis.values()]
+
+
 def coordinates(basis, ncols: int):
     """The map x -> {k: c} with x the sum of c * basis[k], for x in the
-    span of the independent sparse elements `basis` on columns below
-    ncols.  Reducing (x | 0) by the graph rows (basis[k] | e_k) leaves
-    (0 | -c); the result is in the order of k."""
+    span of the sparse elements `basis` on columns below ncols.  The basis
+    must be independent, which a caller checks as row_space(basis,
+    ncols).dim == len(basis) unless it holds by construction.  Reducing
+    (x | 0) by the graph rows (basis[k] | e_k) leaves (0 | -c); the result
+    is in the order of k."""
     graph = row_space(({**b, ncols + k: ONE} for k, b in enumerate(basis)),
                       ncols + len(basis))
 

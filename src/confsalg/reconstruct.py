@@ -20,8 +20,7 @@ a small int -> Scalar cache.
 At the API, elements are d-polynomials {degree: element}, which hold no
 empty degree and no zero coefficient, so two d-polynomials are equal
 exactly when the dicts are `==`, and zero exactly when the dict is empty;
-`dp_add_into` keeps this, and `full_product` converts to and from the
-kernel.
+`full_product` converts to and from the kernel.
 """
 from __future__ import annotations
 
@@ -29,8 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .scalars import Scalar, ZERO, ONE, HALF
-from .linalg import el_add_into, el_scale, kernel, left_inverse, mat_vec
+from .scalars import Scalar, ONE, TWO, HALF
+from .linalg import coordinates, el_add_into, el_scale, kernel, row_space
 from .algebra import (BasisVector, ReducedAlgebra, Report, check_bounds,
                       coeff_G, require_axioms)
 
@@ -47,18 +46,6 @@ def _int(n: int) -> Scalar:
 
 def dpoly(el: dict, j: int = 0) -> dict:
     return {j: dict(el)} if el else {}
-
-
-def dp_add_into(acc: dict, x: dict, c: Scalar = ONE, shift: int = 0) -> None:
-    """acc += c * d^(shift) x, with d^(shift) d^(i) = C(i+shift, i) d^(i+shift)
-    on divided powers; a degree whose element cancels is dropped."""
-    for i, el in x.items():
-        j = i + shift
-        tgt = acc.setdefault(j, {})
-        el_add_into(tgt, el, c * Scalar.from_int(comb(j, i)) if i and shift
-                    else c)
-        if not tgt:
-            del acc[j]
 
 
 def binom_ff(m: int, j: int) -> Fraction:
@@ -390,59 +377,59 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
     The new reduced subspace is the kernel of L_a(2) on a window of
     d-degrees, and its weight-w part is the kernel of L_a(2) stacked on
     L_a(1) - w.  Products are read back through the d^(0) coordinates of
-    the window over the d^(j)-shifted new basis."""
+    the window over the d^(j)-shifted new basis.  All of it runs on flat
+    elements, so the window of d-degrees below k is the flat indices below
+    k*N."""
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
-    R = RA.R
+    R, N, product = RA.R, RA.N, RA.product
     U = _null_quadruple(R)
     if not U:
         raise NotN4Shape("the quadruple invariant vanishes")
-    La = {0: {R.L: ONE}}
-    dp_add_into(La, {1: U}, -(alpha * HALF))
+    La = {RA.pos[R.L]: ONE}
+    el_add_into(La, RA.shift(R.vector(U), 1), -(alpha * HALF))
 
     # axiom (V) for the new vector
-    two = RA.full_product(La, La, 1)
-    want = {j: el_scale(el, Scalar.from_int(2)) for j, el in La.items()}
-    if two != want:
+    if product(La, La, 1) != el_scale(La, TWO):
         raise AxiomVFails("L_(1) L != 2L for the new vector")
-    if RA.full_product(La, La, 2) or RA.full_product(La, La, 3):
+    if product(La, La, 2) or product(La, La, 3):
         raise AxiomVFails("higher self-products of the new vector")
 
-    # window of d-degrees for the new reduced subspace: coordinates (j, a)
-    # at j * len(ids) + (position of a), for j < kdeg
+    def window(z: dict, deg: int) -> dict:
+        if z and max(z) >= deg * N:
+            raise AxiomVFails("operator leaves the window")
+        return z
+
+    def rows_of(cols) -> list:
+        """The sparse rows of the matrix with sparse columns cols."""
+        rows = {}
+        for c, col in enumerate(cols):
+            for r, v in col.items():
+                rows.setdefault(r, {})[c] = v
+        return list(rows.values())
+
+    # the new reduced subspace lies in the d-degrees below kdeg
     kdeg = 3
-    ids = [b.id for b in R.basis]
-    pos = {a: k for k, a in enumerate(ids)}
-
-    def dense(z: dict, deg: int) -> list:
-        out = [ZERO] * (deg * len(ids))
-        for j, el in z.items():
-            if j >= deg:
-                raise AxiomVFails("operator leaves the window")
-            for x, c in el.items():
-                out[j * len(ids) + pos[x]] = c
-        return out
-
-    def opmat(n: int):
-        cols = [dense(RA.full_product(La, {j: {a: ONE}}, n), kdeg + 2)
-                for j in range(kdeg) for a in ids]
-        return [list(row) for row in zip(*cols)]
-
-    op2 = opmat(2)
-    nker = len(kernel(op2))
-    if nker != len(ids):
+    nwin = kdeg * N
+    op2 = rows_of(window(product(La, {c: ONE}, 2), kdeg + 2)
+                  for c in range(nwin))
+    nker = len(kernel(op2, nwin))
+    if nker != N:
         raise AxiomVFails("new reduced subspace has dimension %d" % nker)
 
     # weight decomposition of the kernel under the new L_(1)
-    op1 = opmat(1)
-    new_basis, new_dps = [], []
+    op1 = [window(product(La, {c: ONE}, 1), kdeg + 2) for c in range(nwin)]
+    new_basis, new_els = [], []
     counters = {}
     for wt, prefix in ((Fraction(2), "L"), (Fraction(3, 2), "V"),
                        (Fraction(1), "A"), (Fraction(1, 2), "F")):
         lam = Scalar.from_fraction(wt)
-        shifted = [[x - lam if r == c else x for c, x in enumerate(row)]
-                   for r, row in enumerate(op1)]
-        for vec in kernel(op2 + shifted):
+        shifted = []
+        for c, col in enumerate(op1):
+            col = dict(col)
+            el_add_into(col, {c: ONE}, -lam)
+            shifted.append(col)
+        for vec in kernel(op2 + rows_of(shifted), nwin):
             if prefix == "L":
                 nm = "L"
             else:
@@ -450,43 +437,37 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
                 nm = "%s%d" % (prefix, counters[prefix])
             par = 0 if wt.denominator == 1 else 1
             new_basis.append(BasisVector(nm, wt, par))
-            dp = {}
-            for k, c in enumerate(vec):
-                if c:
-                    dp.setdefault(k // len(ids), {})[ids[k % len(ids)]] = c
-            new_dps.append(dp)
-    if len(new_basis) != len(ids):
+            new_els.append(vec)
+    if len(new_basis) != N:
         raise AxiomVFails("new weights are not physical")
     # normalize the weight-2 vector to L_a itself
     lpos = next(k for k, b in enumerate(new_basis) if b.weight == 2)
-    new_dps[lpos] = La
+    new_els[lpos] = La
     names = [b.id for b in new_basis]
-    dps = dict(zip(names, new_dps))
+    els = dict(zip(names, new_els))
 
-    # decomposition operator: express window elements over d^{(j)} B_new
+    # decomposition: express window elements over d^{(j)} B_new, the basis
+    # vector k shifted by d^{(j)} at k * (jmax + 1) + j
     jmax = 3
-    cols = []
-    for dp in new_dps:
-        for j in range(jmax + 1):
-            col = {}
-            dp_add_into(col, dp, ONE, j)
-            cols.append(dense(col, kdeg + jmax))
-    dec = left_inverse([list(row) for row in zip(*cols)])
-    if dec is None:
+    ndec = (kdeg + jmax) * N
+    cols = [RA.shift(v, j) for v in new_els for j in range(jmax + 1)]
+    if row_space(cols, ndec).dim != len(cols):
         raise AxiomVFails("derivatives of the new basis are dependent")
-    # only the d^(0) coordinates are ever read
-    dec0 = dec[::jmax + 1]
+    coords = coordinates(cols, ndec)
 
     def zero_part(z: dict) -> dict:
-        part = mat_vec(dec0, dense(z, kdeg + jmax))
-        return {nm: s for nm, s in zip(names, part) if s}
+        """The d^(0) coordinates of z, keyed by new basis name."""
+        part = coords(window(z, kdeg + jmax))
+        if part and min(part) < 0:
+            raise AxiomVFails("product outside the span of the new basis")
+        return {names[k // (jmax + 1)]: c for k, c in part.items()
+                if k % (jmax + 1) == 0}
 
     products = {}
     for x in names:
         for y in names:
             for n in (0, 1, 2):
-                z = RA.full_product(dps[x], dps[y], n)
-                el = zero_part(z)
+                el = zero_part(product(els[x], els[y], n))
                 if n == 2:
                     if x == y == "L":
                         if el:

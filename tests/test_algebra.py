@@ -115,6 +115,27 @@ def test_well_formed_report_on_a_malformed_table_is_pinned():
                    "<V 1 L>: term A has weight 1, expected 3/2"])
 
 
+def test_negative_weight_is_reported_once():
+    # Virasoro with a weight -1 vector C and <L 1 C> = <C 1 L> = -C: the
+    # weight is a well-formedness failure, and P adds no second report of it
+    m1 = Scalar.from_int(-1)
+    R = ReducedAlgebra(
+        [BasisVector("L", Fraction(2), 0), BasisVector("C", Fraction(-1), 0)],
+        "L", {(1, "L", "L"): {"L": Scalar.from_int(2)},
+              (1, "L", "C"): {"C": m1}, (1, "C", "L"): {"C": m1}})
+    rep = check_P_axioms(R, 2, 2)
+    assert (rep.ok, rep.checked) == (False, 86)
+    assert [f for f in rep.failures if "weight" in f] == [
+        "basis vector C has weight -1, not positive"]
+    assert rep.failures[1:] == [
+        "identity fails: a=L b=L c=C m=0 n=2",
+        "identity fails: a=L b=L c=C m=2 n=0",
+        "identity fails: a=L b=C c=L m=0 n=2",
+        "identity fails: a=L b=C c=L m=1 n=1",
+        "identity fails: a=C b=L c=L m=1 n=1",
+        "identity fails: a=C b=L c=L m=2 n=0"]
+
+
 def test_one_sided_table_reports_are_pinned():
     # K2 with <Db1 0 D1>, <D1 1 Db1> and <L 1 A1> stored without their
     # swaps, and <A1 0 A1> = A1, which is not skew; the values are those of
@@ -468,9 +489,9 @@ def test_null_pairs_convention():
 def test_inner_gram_is_null_pairing():
     R = catalog.build("S2")
     gram = R.inner_gram()
-    # (Di, Dbi) = 1 and isotropic otherwise, in the basis order D1 Db1 D2 Db2
-    want = [[ZERO, ONE, ZERO, ZERO], [ONE, ZERO, ZERO, ZERO],
-            [ZERO, ZERO, ZERO, ONE], [ZERO, ZERO, ONE, ZERO]]
+    # (Di, Dbi) = 1 and isotropic otherwise, in the basis order D1 Db1 D2
+    # Db2; sparse rows store no zero
+    want = [{1: ONE}, {0: ONE}, {3: ONE}, {2: ONE}]
     assert gram == want
 
 

@@ -141,10 +141,7 @@ def s2():
 
 
 def w3_unit(t):
-    w3 = _wedge3_basis(4)
-    vec = [ZERO] * len(w3)
-    vec[w3.index(t)] = ONE
-    return vec
+    return {_wedge3_basis(4).index(t): ONE}
 
 
 def test_f_extension_full_f():

@@ -1,13 +1,13 @@
-"""Exact linear algebra: echelon forms, solvers, characteristic
-polynomials."""
+"""Exact linear algebra: echelon forms, kernels, the coordinate solver and
+characteristic polynomials."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
-from confsalg.linalg import (rank, kernel, left_inverse, charpoly, row_space,
+from confsalg.linalg import (kernel, coordinates, charpoly, row_space,
                              tpoly_mul, tpoly_str, Subspace, mat_mul,
-                             mat_vec, el_from_list)
+                             el_add_into)
 
 
 def S(n):
@@ -18,6 +18,24 @@ def M(rows):
     return [[S(x) for x in row] for row in rows]
 
 
+def sparse(rows):
+    """The sparse elements {column: value} of dense rows."""
+    return [{c: S(x) if isinstance(x, int) else x
+             for c, x in enumerate(row) if x} for row in rows]
+
+
+def dot(x: dict, y: dict):
+    return sum((c * y[k] for k, c in x.items() if k in y), ZERO)
+
+
+def combination(basis, y: dict) -> dict:
+    """The sum of y[k] * basis[k]."""
+    out = {}
+    for k, c in y.items():
+        el_add_into(out, basis[k], c)
+    return out
+
+
 def test_row_space_reduces_to_identity():
     sub = row_space([{0: S(2)}, {1: S(3)}], 2)
     assert sub.pivots == [0, 1]
@@ -25,22 +43,24 @@ def test_row_space_reduces_to_identity():
 
 
 def test_rank_and_kernel():
-    A = M([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert rank(A) == 2
-    ker = kernel(A)
-    assert len(ker) == 1
+    A = sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert row_space(A, 3).dim == 2
+    ker = kernel(A, 3)
+    assert ker == [{0: S(-1), 1: S(-1), 2: ONE}]
     for row in A:
-        assert sum((row[k] * ker[0][k] for k in range(3)), ZERO) == ZERO
+        assert dot(row, ker[0]) == ZERO
 
 
-def test_left_inverse_small_cases():
-    X = left_inverse(M([[1, 1], [1, -1]]))
-    assert mat_vec(X, [S(3), S(1)]) == [S(2), S(1)]
-    assert left_inverse(M([[1, 1], [2, 2]])) is None
-    # tall: the extra row is the sum of the first two
-    X = left_inverse(M([[1, 0], [0, 1], [1, 1]]))
-    assert mat_mul(X, M([[1, 0], [0, 1], [1, 1]])) == M([[1, 0], [0, 1]])
-    assert left_inverse(M([[1, 0, 2], [0, 1, 3]])) is None
+def test_coordinates_small_cases():
+    # (3, 1) = 2 (1, 1) + (1, -1)
+    coords = coordinates(sparse([[1, 1], [1, -1]]), 2)
+    assert coords({0: S(3), 1: S(1)}) == {0: S(2), 1: ONE}
+    # in a larger space: (2, 3, 5) = 2 (1, 0, 1) + 3 (0, 1, 1)
+    coords = coordinates(sparse([[1, 0, 1], [0, 1, 1]]), 3)
+    assert coords({0: S(2), 1: S(3), 2: S(5)}) == {0: S(2), 1: S(3)}
+    # dependent bases are caught by the caller's check, not by the solver
+    for basis in ([[1, 2], [1, 2]], [[1, 0], [0, 1], [2, 3]]):
+        assert row_space(sparse(basis), 2).dim < len(basis)
 
 
 def test_charpoly_companion():
@@ -87,8 +107,8 @@ rows3 = st.lists(
 @given(rows3)
 @settings(max_examples=60, deadline=None)
 def test_rank_plus_nullity(rows):
-    A = M(rows)
-    assert rank(A) + len(kernel(A)) == 3
+    A = sparse(rows)
+    assert row_space(A, 3).dim + len(kernel(A, 3)) == 3
 
 
 @given(rows3)
@@ -118,59 +138,47 @@ def matrices(draw, nrows=None, ncols=None):
                            min_size=nrows, max_size=nrows)))
 
 
+def columns(A) -> list:
+    """The columns of a dense matrix as sparse elements."""
+    return sparse(zip(*A))
+
+
 @given(matrices())
 @settings(max_examples=80, deadline=None)
-def test_left_inverse_none_iff_rank_deficient(A):
-    X = left_inverse(A)
-    ncols = len(A[0])
-    assert (X is None) == (rank(A) < ncols)
-    if X is not None:
-        ident = [[ONE if r == c else ZERO for c in range(ncols)]
-                 for r in range(ncols)]
-        assert mat_mul(X, A) == ident
+def test_coordinates_dependence_check(A):
+    """The columns of A are dependent exactly when the matrix has a kernel;
+    when they are independent, each column has coordinates e_k."""
+    basis, nrows, ncols = columns(A), len(A), len(A[0])
+    dependent = row_space(basis, nrows).dim < ncols
+    assert dependent == bool(kernel(sparse(A), ncols))
+    if not dependent:
+        coords = coordinates(basis, nrows)
+        assert [coords(b) for b in basis] == [{k: ONE} for k in range(ncols)]
 
 
 @given(st.one_of(matrices(3, 3), matrices()), st.data())
 @settings(max_examples=80, deadline=None)
-def test_left_inverse_solves(A, data):
-    """X b solves A x = b for every b in the column space of A."""
-    X = left_inverse(A)
-    if X is None:
+def test_coordinates_solves(A, data):
+    """The coordinates of x = sum y_k b_k over independent b_k are y, and
+    in a full basis every x is their combination."""
+    basis, nrows = columns(A), len(A)
+    if row_space(basis, nrows).dim < len(basis):
         return
-    y = [S(v) for v in data.draw(st.lists(entries, min_size=len(A[0]),
-                                          max_size=len(A[0])))]
-    b = mat_vec(A, y)
-    assert mat_vec(X, b) == y
-    assert mat_vec(A, mat_vec(X, b)) == b
-    if len(A) == len(A[0]):
-        # square and invertible: every b is in the column space
-        b = [S(v) for v in data.draw(st.lists(entries, min_size=len(A),
-                                              max_size=len(A)))]
-        assert mat_vec(A, mat_vec(X, b)) == b
+    coords = coordinates(basis, nrows)
+    y = sparse([data.draw(st.lists(entries, min_size=len(basis),
+                                   max_size=len(basis)))])[0]
+    x = combination(basis, y)
+    assert coords(x) == y
+    assert combination(basis, coords(x)) == x
+    if len(basis) == nrows:
+        # square and invertible: every x is in the span
+        x = sparse([data.draw(st.lists(entries, min_size=nrows,
+                                       max_size=nrows))])[0]
+        assert combination(basis, coords(x)) == x
 
 
 scalar_entries = st.sampled_from([ZERO, ZERO, ONE, S(-2), ALPHA, ONE + ALPHA,
                                   Scalar.from_fraction(Fraction(1, 3))])
-
-
-@st.composite
-def mat_vec_inputs(draw):
-    """A matrix of any shape up to 4 x 4 (zero rows and columns included)
-    and a vector of its width, each row and the vector possibly all zero."""
-    nrows = draw(st.integers(min_value=0, max_value=4))
-    ncols = draw(st.integers(min_value=0, max_value=4))
-    line = st.one_of(st.just([ZERO] * ncols),
-                     st.lists(scalar_entries, min_size=ncols,
-                              max_size=ncols))
-    return draw(st.lists(line, min_size=nrows, max_size=nrows)), draw(line)
-
-
-@given(mat_vec_inputs())
-@settings(max_examples=100, deadline=None)
-def test_mat_vec_matches_dense_definition(inputs):
-    A, v = inputs
-    dense = [sum((row[c] * v[c] for c in range(len(v))), ZERO) for row in A]
-    assert mat_vec(A, v) == dense
 
 
 @st.composite
@@ -188,11 +196,11 @@ def rows_in_two_orders(draw):
 @settings(max_examples=100, deadline=None)
 def test_subspace_basis_is_independent_of_insertion_order(case):
     """The reduced echelon basis depends only on the span, which is what
-    lets rank, kernel and left_inverse read it off any Subspace.  Rows are
+    lets kernel and coordinates read it off any Subspace.  Rows are
     sparse: no stored zero, least key at the pivot, and a reduced vector
     keeps no pivot key."""
     ncols, rows, shuffled = case
-    rows, shuffled = ([el_from_list(r) for r in rs] for rs in (rows, shuffled))
+    rows, shuffled = sparse(rows), sparse(shuffled)
     a, b = row_space(rows, ncols), row_space(shuffled, ncols)
     assert a.pivots == b.pivots == sorted(a.pivots)
     assert a.rows == b.rows
@@ -224,10 +232,40 @@ def test_stacked_kernel_equals_kernel_in_kernel_coordinates(case):
     K's coordinates and map back.  Both are reduced echelon bases of the
     same subspace, so they agree vector for vector, in order."""
     B, C = case
-    K = kernel(B)
-    CK = [list(r) for r in zip(*(mat_vec(C, k) for k in K))] if K else \
-        [[] for _ in C]
-    round_trip = [[sum((v[i] * K[i][c] for i in range(len(K)) if v[i]),
-                       ZERO) for c in range(len(B[0]))]
-                  for v in kernel(CK)]
-    assert kernel(B + C) == round_trip
+    ncols = len(B[0])
+    B, C = sparse(B), sparse(C)
+    K = kernel(B, ncols)
+    CK = [{i: x for i, k in enumerate(K) if (x := dot(row, k))} for row in C]
+    round_trip = [combination(K, v) for v in kernel(CK, len(K))]
+    assert kernel(B + C, ncols) == round_trip
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 5 sparse rows of width up to 5, integer or symbolic, zero rows
+    included."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    cell = draw(st.sampled_from([entries.map(S), scalar_entries]))
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    return ncols, sparse(rows)
+
+
+@given(sparse_rows())
+@settings(max_examples=150, deadline=None)
+def test_kernel_is_the_unit_normalised_null_basis(case):
+    """One vector per non-pivot column f: it kills every row, is 1 at f and
+    0 at the other non-pivot columns, stores no zero and has ascending
+    keys."""
+    ncols, rows = case
+    ker = kernel(rows, ncols)
+    sub = row_space(rows, ncols)
+    assert len(ker) == ncols - sub.dim
+    free = [f for f in range(ncols) if f not in sub.by_pivot]
+    for f, v in zip(free, ker):
+        assert all(dot(row, v) == ZERO for row in rows)
+        assert [v.get(g, ZERO) for g in free] == [
+            ONE if g == f else ZERO for g in free]
+        assert all(v.values())
+        assert list(v) == sorted(v)
+    assert kernel([], ncols) == [{f: ONE} for f in range(ncols)]

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
 from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
                               check_H_axioms, is_physical_shape)
-from confsalg.reconstruct import (dpoly, dp_add_into, binom_ff,
+from confsalg.linalg import el_add_into, el_scale
+from confsalg.reconstruct import (dpoly, binom_ff,
                                   reconstruct, check_C_axioms, mode_bracket,
                                   change_conformal_vector, NotN4Shape,
                                   AxiomVFails)
@@ -24,12 +25,12 @@ def test_dpoly_helpers():
     x = dpoly({"a": ONE}, 2)
     assert x == {2: {"a": ONE}}
     assert dpoly({}, 1) == {}
-    # d^(1) d^(2) a = C(3, 2) d^(3) a on divided powers
-    y = {}
-    dp_add_into(y, x, S(2), 1)
-    assert y == {3: {"a": S(6)}}
-    dp_add_into(x, dpoly({"a": -ONE}, 2))
-    assert x == {}
+    # d^(1) d^(2) L = C(3, 2) d^(3) L on divided powers, on flat elements
+    RA = reconstruct(catalog.build("Vir"))
+    x = RA.to_flat(dpoly({"L": ONE}, 2))
+    assert RA.to_dpoly(RA.shift(el_scale(x, S(2)), 1)) == {3: {"L": S(6)}}
+    el_add_into(x, RA.to_flat(dpoly({"L": -ONE}, 2)))
+    assert x == {} and RA.to_dpoly(x) == {}
 
 
 def test_binom_ff_negative_upper_index():
@@ -289,10 +290,9 @@ def _grid(R):
     out = []
     for k in range(4):
         for i in range(N):
-            x = {k: {ids[i]: coeffs[k]}}
-            dp_add_into(x, {3 - k: {ids[(i + 1) % N]: ONE,
-                                    ids[(i + 3) % N]: coeffs[(k + i) % 4]}})
-            out.append(x)
+            out.append({k: {ids[i]: coeffs[k]},
+                        3 - k: {ids[(i + 1) % N]: ONE,
+                                ids[(i + 3) % N]: coeffs[(k + i) % 4]}})
     return out
 
 
