@@ -475,6 +475,13 @@ def test_f3_subspace_trivial_for_simple_members():
         assert f3_subspace(catalog.build(nm)) == []
 
 
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_f3_subspace_of_degenerate_members_is_pinned(alpha):
+    # at alpha^2 = 1 every triple of V-actions kills the weight-1/2 space
+    assert f3_subspace(catalog.build("N4alpha", alpha)) == \
+        [{"F1": ONE}, {"F2": ONE}, {"F3": ONE}, {"F4": ONE}]
+
+
 # -- null basis and forms ---------------------------------------------------
 
 

@@ -314,3 +314,54 @@ def test_quotient_builds_are_pinned(npairs, words, digest):
         outcome = str(exc)
     text = "%r|%r|%s" % (q.keep_words, iota_cl4_span(spec), outcome)
     assert sha256(text) == digest
+
+
+# The odd-dimension builder on signed module generators D^w (1 + s e_N):
+# for one null pair every subset of the four signed words, for two null
+# pairs (a12 = 0 and a12 = a) every subset of at most two of the eight.
+# One line per spec: its kernel words, iota_cl4_span and its outcome (the
+# SHA-256 of the validated build's to_json() or the InconsistentSpec
+# message); one digest per group.  The grid holds a dim-8 build, a vanishing
+# identity, collapses of D1, Db1 and e3, a filtration spanning 31 of 32
+# dimensions and axiom violations.
+ODD_GRID_SHA256 = {
+    (1, "0"):
+        "9d59b744f779f3f39d135cd74ef8dbf584a3c4b09e538ed18f506de61c7764a1",
+    (2, "0"):
+        "c67656e351317387cadeb6a595025a0628722a6ee98ca1349d3e72bcb3ef3300",
+    (2, "a"):
+        "4b5fc77055935f944dfc64705efda3b2579aa8f2ac3985237387fc94bcf0b41f",
+}
+
+
+def _odd_grid_lines(npairs, a12):
+    signed = [(w, s) for w in product((0, 1), repeat=npairs)
+              for s in (1, -1)]
+    alpha = [[ZERO, a12], [a12, ZERO]] if npairs == 2 else [[ZERO]]
+    lines = []
+    for k in range(len(signed) + 1 if npairs == 1 else 3):
+        for words in combinations(signed, k):
+            spec = BuilderSpec.from_alpha(npairs, True, alpha, words)
+            try:
+                outcome = sha256(build_from_spec(spec).to_json())
+            except InconsistentSpec as exc:
+                outcome = str(exc)
+            lines.append("%r|%r|%s" % (words, iota_cl4_span(spec), outcome))
+    return lines
+
+
+def test_odd_builder_grid_outcomes_are_pinned():
+    outcomes = []
+    for (npairs, a12), digest in ODD_GRID_SHA256.items():
+        lines = _odd_grid_lines(npairs, ZERO if a12 == "0" else ALPHA)
+        assert sha256("\n".join(lines)) == digest
+        outcomes += [ln.split("|", 2)[2] for ln in lines]
+    assert len(outcomes) == 90
+    firsts = {o.splitlines()[0] for o in outcomes}
+    assert {"the identity class vanishes (zero algebra)",
+            "generator D1 collapses in the quotient",
+            "generator Db1 collapses in the quotient",
+            "generator e3 collapses in the quotient",
+            "image filtration spans 31 of 32 quotient dimensions",
+            "built algebra violates axioms:"} <= firsts
+    assert sum(len(o) == 64 for o in outcomes) == 1
