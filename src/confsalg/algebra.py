@@ -451,6 +451,20 @@ def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     return rep
 
 
+def _graded_asymmetric(table: dict, f: int, par: dict) -> list:
+    """The pairs (a, b) of a basis-pair table {(a, b): element}, each with
+    its swap, that break the graded symmetry a b = (-1)^(f + |a||b|) b a; a
+    pair with no entry either way holds."""
+    bad = []
+    for (a, b), el in table.items():
+        swap = table.get((b, a), {})
+        if (f + par[a] * par[b]) % 2:
+            swap = {k: -c for k, c in swap.items()}
+        if el != swap:
+            bad += [(a, b), (b, a)]
+    return bad
+
+
 def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                    max_failures: int = 20) -> Report:
     """Skew symmetry, the quadratic identity for m <= m_max and n <= n_max,
@@ -476,11 +490,8 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     # skew symmetry; the identity holds for (n, a, b) exactly when it holds
     # for (n, b, a), so the stored products find every failing pair
     rep.checked += (R.max_n() + 1) * R.dim ** 2
-    bad = set()
-    for (n, a, b), el in prods.items():
-        sign = MINUS_ONE if (n + par[a] * par[b]) % 2 == 0 else ONE
-        if el != el_scale(prods.get((n, b, a), {}), sign):
-            bad.update([(n, a, b), (n, b, a)])
+    bad = {(n, a, b) for n, table in R._by_n.items()
+           for a, b in _graded_asymmetric(table, n + 1, par)}
     for n, a, b in sorted(bad, key=lambda k: (k[0], idx[k[1]], idx[k[2]])):
         rep.fail("skew fails: <%s %d %s>" % (a, n, b), max_failures)
 
@@ -650,12 +661,8 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     # graded symmetry of o (f = 0) and . (f = 1); as for skew symmetry in
     # P, the stored pairs find every failing pair and its swap
     rep.checked += R.dim ** 2
-    bad = set()
-    for f, table in enumerate((C, B)):
-        for (a, b), el in table.items():
-            sign = MINUS_ONE if (f + par[a] * par[b]) % 2 else ONE
-            if el != el_scale(table.get((b, a), no), sign):
-                bad.update([(a, b, f), (b, a, f)])
+    bad = {(a, b, f) for f, table in enumerate((C, B))
+           for a, b in _graded_asymmetric(table, f, par)}
     idx, family = R.index, ("o-symmetry", ".-antisymmetry")
     for a, b, f in sorted(bad, key=lambda k: (idx[k[0]], idx[k[1]], k[2])):
         rep.fail("%s fails: %s, %s" % (family[f], a, b), max_failures)
@@ -787,16 +794,16 @@ def f3_subspace(R: ReducedAlgebra) -> list:
     if not F:
         return []
     # one row per (v1, v2, v3, r): the coefficient of basis vector r in
-    # v1 . (v2 . (v3 . f)), in the column of f
+    # v1 . (v2 . (v3 . f)), in the column of f; each inner product is formed
+    # once, and the kernel depends only on the span of the rows
     rows = {}
-    for v1 in V:
-        for v2 in V:
-            for v3 in V:
-                for k, f in enumerate(F):
-                    x = R.bullet(R.basis_element(v3), R.basis_element(f))
-                    x = R.bullet(R.basis_element(v2), x)
-                    x = R.bullet(R.basis_element(v1), x)
-                    for r, c in x.items():
+    for k, f in enumerate(F):
+        for v3 in V:
+            x3 = R.bullet(R.basis_element(v3), R.basis_element(f))
+            for v2 in V:
+                x2 = R.bullet(R.basis_element(v2), x3)
+                for v1 in V:
+                    for r, c in R.bullet(R.basis_element(v1), x2).items():
                         rows.setdefault((v1, v2, v3, r), {})[k] = c
     return [{F[k]: c for k, c in v.items()} for v in kernel(rows.values(),
                                                              len(F))]

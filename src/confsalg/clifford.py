@@ -1,12 +1,14 @@
-"""Clifford algebra on a null basis, its regular module decomposition, and
-its quotients by sums of regular submodules.
+"""Clifford algebra on a null basis and its regular module decomposition.
 
 Generators are ordered D1 < Db1 < D2 < Db2 < ... < e_N (the last only in odd
-dimension).  Words are strictly increasing generator tuples; the rewriting
-rules are Di*Dbi + Dbi*Di = 2, anticommutation for all other pairs, Di^2 =
-Dbi^2 = 0 and e_N^2 = 1.  Coefficients of the rewriting are integers, so
-normal ordering is cached per word pair.  Elements are sparse {word: Scalar}
-dicts, accumulated through `linalg.el_add_into`.
+dimension).  Words are strictly increasing generator tuples, listed by length
+and then lexicographically in `words`; the rewriting rules are Di*Dbi +
+Dbi*Di = 2, anticommutation for all other pairs, Di^2 = Dbi^2 = 0 and e_N^2 =
+1.  Coefficients of the rewriting are integers, so normal ordering is cached
+per word pair.  Elements are sparse {word index: Scalar} dicts, accumulated
+through `linalg.el_add_into`; the word index is the column of a `Subspace`,
+so a quotient Cl(V)/I is the `Subspace` of a left ideal I, and the class of
+x is `I.reduce(x)`.
 """
 from __future__ import annotations
 
@@ -69,37 +71,30 @@ class Clifford:
         return out
 
     @lru_cache(maxsize=None)
-    def word_mul(self, w1: tuple, w2: tuple) -> dict:
-        """Normal form of w1 * w2 as {word: Scalar}."""
-        terms = {w1: ONE}
-        for g in w2:
+    def word_mul(self, i: int, j: int) -> dict:
+        """Normal form of words[i] * words[j] as {word index: Scalar}."""
+        terms = {self.words[i]: ONE}
+        for g in self.words[j]:
             nxt = {}
             for w, c in terms.items():
                 el_add_into(nxt, self._word_times_gen(w, g), c)
             terms = nxt
-        return terms
+        return {self.word_index[w]: c for w, c in terms.items()}
 
     # -- elements ----------------------------------------------------------
 
     def mul(self, x: dict, y: dict) -> dict:
         out = {}
-        for wx, cx in x.items():
-            for wy, cy in y.items():
-                el_add_into(out, self.word_mul(wx, wy), cx * cy)
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                el_add_into(out, self.word_mul(kx, ky), cx * cy)
         return out
 
     def gen(self, g: int) -> dict:
-        return {(g,): ONE}
+        return {self.word_index[(g,)]: ONE}
 
     def one(self) -> dict:
-        return {(): ONE}
-
-    def vector(self, x: dict) -> dict:
-        """x keyed by word index, the column order of a Subspace."""
-        return {self.word_index[w]: c for w, c in x.items()}
-
-    def element(self, vec: dict) -> dict:
-        return {self.words[k]: c for k, c in vec.items()}
+        return {0: ONE}
 
     # -- regular module decomposition --------------------------------------
 
@@ -109,7 +104,7 @@ class Clifford:
 
     def module_generator(self, w, sign: int = 0) -> dict:
         """D^w, or D^w * (1 + sign*e_N) in odd dimension."""
-        base = {self.d_word(w): ONE}
+        base = {self.word_index[self.d_word(w)]: ONE}
         if not sign:
             return base
         out = self.mul(base, self.gen(2 * self.npairs))
@@ -118,8 +113,8 @@ class Clifford:
 
     def left_ideal(self, gens) -> Subspace:
         """Span of {x * g : x a basis word, g in gens} as a subspace."""
-        return row_space((self.vector(self.mul({w: ONE}, g))
-                          for g in gens for w in self.words), self.dim)
+        return row_space((self.mul({k: ONE}, g)
+                          for g in gens for k in range(self.dim)), self.dim)
 
     def module_decompose(self):
         """(label, generator, Subspace) triples for the canonical direct
@@ -141,27 +136,6 @@ class Clifford:
     def is_irreducible(self, sub: Subspace) -> bool:
         """Every spanning element generates the whole submodule."""
         for row in sub.rows:
-            if self.left_ideal([self.element(row)]).dim != sub.dim:
+            if self.left_ideal([row]).dim != sub.dim:
                 return False
         return True
-
-
-# ---------------------------------------------------------------------------
-# quotients by sums of regular submodules
-# ---------------------------------------------------------------------------
-
-
-class CliffordQuotient:
-    """Cl(V) / I for I a sum of regular submodules, with canonical
-    representatives on the non-pivot words."""
-
-    def __init__(self, cl: Clifford, kernel_gens):
-        self.cl = cl
-        self.ideal = cl.left_ideal(kernel_gens)
-        self.keep_words = [w for k, w in enumerate(cl.words)
-                           if k not in self.ideal.by_pivot]
-        self.dim = len(self.keep_words)
-
-    def reduce(self, x: dict) -> dict:
-        """Canonical representative supported on non-pivot words."""
-        return self.cl.element(self.ideal.reduce(self.cl.vector(x)))

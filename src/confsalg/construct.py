@@ -2,8 +2,10 @@
 
 The input data is a null-basis space V, a symmetric form on the wedge square
 of V, and a choice of regular submodules to quotient by.  The builder
-realizes the reduced space as Cl(V)/I, grades it by weight through the
-image filtration of the Clifford-to-algebra map, computes all products of
+realizes the reduced space as Cl(V)/I: I is the `Subspace` of the left ideal
+the submodules generate, and the class of a Clifford element, keyed by word
+index, is its `I.reduce`.  It grades Cl(V)/I by weight through the image
+filtration of the Clifford-to-algebra map, computes all products of
 weight-3/2 elements by Clifford left multiplication, and fills the products
 of each weight-1 element a from the derivation of Cl(V)/I that extends the
 action v -> a . v on V: weight-1 vectors act by derivations.
@@ -23,7 +25,7 @@ from .scalars import Scalar, ZERO, ONE, MINUS_ONE, HALF
 from .linalg import (Subspace, coordinates, el_add_into, el_scale, kernel,
                      row_space)
 from .algebra import BasisVector, ReducedAlgebra, require_axioms, is_simple
-from .clifford import Clifford, CliffordQuotient
+from .clifford import Clifford
 
 W_L = Fraction(2)
 W_V = Fraction(3, 2)
@@ -128,7 +130,8 @@ class _Builder:
                 gens.append(self.cl.module_generator(tuple(w), sign))
             else:
                 gens.append(self.cl.module_generator(tuple(kw)))
-        self.quot = CliffordQuotient(self.cl, gens)
+        self.ideal = self.cl.left_ideal(gens)
+        self.qdim = self.cl.dim - self.ideal.dim
         self.gen_ids = list(range(self.cl.ngens))
         self.gen_names = self.cl.gen_names
         # V inner product in the null basis is the generator pairing
@@ -148,26 +151,17 @@ class _Builder:
         for g in self.gen_ids:
             c = wedge_lookup(self.spec.wedge_form, self.partner[g], v, w, z)
             if c:
-                out[(g,)] = c
+                out[self.cl.word_index[(g,)]] = c
         return out
 
     # -- composite classes in the quotient ---------------------------------
-
-    def _cls(self, cl_el: dict) -> dict:
-        return self.quot.reduce(cl_el)
-
-    def class_one(self) -> dict:
-        return self._cls({(): ONE})
-
-    def class_gen(self, g: int) -> dict:
-        return self._cls({(g,): ONE})
 
     def class_a(self, u: int, v: int) -> dict:
         """u o v = [uv] - (u,v)[1]."""
         cl = self.cl
         el = cl.mul(cl.gen(u), cl.gen(v))
         el_add_into(el, cl.one(), Scalar.from_int(-cl.gen_pairing(u, v)))
-        return self._cls(el)
+        return self.ideal.reduce(el)
 
     def _triple(self, u: int, v: int, w: int) -> dict:
         """The Clifford element uvw - eta(u,v,w) - (v,w)u."""
@@ -179,26 +173,26 @@ class _Builder:
 
     def class_f(self, u: int, v: int, w: int) -> dict:
         """u o (v o w) = [uvw] - [eta(u,v,w)] - (v,w)[u]."""
-        return self._cls(self._triple(u, v, w))
+        return self.ideal.reduce(self._triple(u, v, w))
 
     def class_g(self, u: int, triple: dict) -> dict:
         """u . (v o (w o z)) = [uvwz] - [u eta(v,w,z)] - (w,z)[uv], given
         triple = `_triple(v, w, z)`."""
-        return self._cls(self.cl.mul(self.cl.gen(u), triple))
+        return self.ideal.reduce(self.cl.mul(self.cl.gen(u), triple))
 
     # -- basis selection ----------------------------------------------------
 
     def select_basis(self):
-        q, vec = self.quot, self.cl.vector
-        span = Subspace(q.dim)
-        one = self.class_one()
-        if not span.add(vec(one)):
+        cl, reduce, qdim = self.cl, self.ideal.reduce, self.qdim
+        span = Subspace(qdim)
+        one = reduce(cl.one())
+        if not span.add(one):
             raise InconsistentSpec("the identity class vanishes "
                                   "(zero algebra)")
         vrows = []
         for g in self.gen_ids:
-            c = self.class_gen(g)
-            if not span.add(vec(c)):
+            c = reduce(cl.gen(g))
+            if not span.add(c):
                 raise InconsistentSpec(
                     "generator %s collapses in the quotient"
                     % self.gen_names[g])
@@ -207,28 +201,28 @@ class _Builder:
         a_chosen, f_chosen = [], []
         for u, v in combinations(self.gen_ids, 2):
             c = self.class_a(u, v)
-            if c and span.add(vec(c)):
+            if c and span.add(c):
                 a_chosen.append(c)
         for v, w in combinations(self.gen_ids, 2):
             for u in self.gen_ids:
                 c = self.class_f(u, v, w)
-                if c and span.add(vec(c)):
+                if c and span.add(c):
                     f_chosen.append(c)
         for w, z in combinations(self.gen_ids, 2):
             for v in self.gen_ids:
-                if span.dim == q.dim:
+                if span.dim == qdim:
                     break
                 t = self._triple(v, w, z)
                 for u in self.gen_ids:
                     c = self.class_g(u, t)
-                    if c and span.add(vec(c)):
+                    if c and span.add(c):
                         a_chosen.append(c)
-                        if span.dim == q.dim:
+                        if span.dim == qdim:
                             break
-        if span.dim != q.dim:
+        if span.dim != qdim:
             raise InconsistentSpec(
                 "image filtration spans %d of %d quotient dimensions"
-                % (span.dim, q.dim))
+                % (span.dim, qdim))
         return one, vrows, a_chosen, f_chosen
 
     # -- main build ---------------------------------------------------------
@@ -247,8 +241,7 @@ class _Builder:
                          for n, w in self.weights.items()}
         # coordinates in the named basis; select_basis added each class to
         # its span, so the classes are independent
-        self.coords = coordinates([self.cl.vector(c) for c in classes],
-                                  self.cl.dim)
+        self.coords = coordinates(classes, self.cl.dim)
         self.classes = dict(zip(names, classes))
 
         self.table = {}
@@ -264,7 +257,7 @@ class _Builder:
 
     def to_reduced(self, cls: dict) -> dict:
         return {self.names[k]: c
-                for k, c in self.coords(self.cl.vector(cls)).items()}
+                for k, c in self.coords(cls).items()}
 
     # -- table filling ------------------------------------------------------
 
@@ -279,7 +272,7 @@ class _Builder:
             for b in self.names:
                 wb = self.weights[b]
                 red = self.to_reduced(
-                    self.quot.reduce(cl.mul(cl.gen(g), self.classes[b])))
+                    self.ideal.reduce(cl.mul(cl.gen(g), self.classes[b])))
                 res = [{k: c for k, c in red.items()
                         if self.weights[k] == wb + W_F},
                        el_scale({k: c for k, c in red.items()
@@ -301,17 +294,19 @@ class _Builder:
         D_a(w) = sum_i g_1 ... g_(i-1) (a . g_i) g_(i+1) ... g_k.  Every
         other product of a is zero by weight or stored by _fill_L and
         _fill_V."""
-        cl = self.cl
-        act = [{(self.gen_names.index(v),): c for v, c in
+        cl, windex = self.cl, self.cl.word_index
+        act = [{windex[(self.gen_names.index(v),)]: c for v, c in
                 self.table.get((0, a, self.gen_names[g]), {}).items()}
                for g in self.gen_ids]
         for b in self.names:
             der = {}
-            for w, c in self.classes[b].items():
+            for k, c in self.classes[b].items():
+                w = cl.words[k]
                 for i, g in enumerate(w):
-                    el_add_into(der, cl.mul(cl.mul({w[:i]: c}, act[g]),
-                                            {w[i + 1:]: ONE}))
-            el = self.to_reduced(self.quot.reduce(der))
+                    el_add_into(der, cl.mul(cl.mul({windex[w[:i]]: c},
+                                                   act[g]),
+                                            {windex[w[i + 1:]]: ONE}))
+            el = self.to_reduced(self.ideal.reduce(der))
             _put(self.table, 0, a, b, el)
             _put(self.table, 0, b, a, el_scale(el, MINUS_ONE))
 
@@ -340,9 +335,10 @@ def build_from_spec(spec: BuilderSpec, validate: bool = True) -> ReducedAlgebra:
 def iota_cl4_span(spec: BuilderSpec) -> tuple:
     """(dim of the classes of words of length <= 4, quotient dim)."""
     b = _Builder(spec)
-    sub = row_space((b.cl.vector(b.quot.reduce({w: ONE}))
-                     for w in b.cl.words if len(w) <= 4), b.quot.dim)
-    return sub.dim, b.quot.dim
+    sub = row_space((b.ideal.reduce({k: ONE})
+                     for k, w in enumerate(b.cl.words) if len(w) <= 4),
+                    b.qdim)
+    return sub.dim, b.qdim
 
 
 # ---------------------------------------------------------------------------
@@ -732,21 +728,8 @@ def exclusion_sweep(dimv: int) -> CaseReport:
                 # so some module generator dies; flipping one digit at a
                 # time through the mixed Leibniz rule kills them all.
                 low = sum(comb(dimv, k) for k in range(5))
-                full = 2 ** dimv
-                assert low < full
-                reached = {(0,) * npairs}
-                frontier = [(0,) * npairs]
-                while frontier:
-                    w = frontier.pop()
-                    for b in range(npairs):
-                        w2 = tuple((d + 1) % 2 if k == b else d
-                                   for k, d in enumerate(w))
-                        if w2 not in reached:
-                            reached.add(w2)
-                            frontier.append(w2)
-                assert len(reached) == 2 ** npairs
                 verdicts[pt] = ("zero algebra (word image dimension %d < %d "
                                 "forces a dead generator; digit flips "
                                 "propagate to all %d)"
-                                % (low, full, 2 ** npairs))
+                                % (low, 2 ** dimv, 2 ** npairs))
     return CaseReport(dimv, unknowns, cons, bool(sols), sols, verdicts, notes)

@@ -9,7 +9,7 @@ import pytest
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
 from confsalg import catalog
 from confsalg.algebra import check_P_axioms, check_H_axioms, is_simple
-from confsalg.clifford import Clifford, CliffordQuotient
+from confsalg.clifford import Clifford
 from confsalg.construct import (assemble_wedge_form, wedge_lookup,
                                 BuilderSpec, build_from_spec,
                                 build_f_extension, iota_cl4_span,
@@ -283,9 +283,10 @@ def test_sweep_dim8_solutions_satisfy_the_constraints():
 # unvalidated build, for the CK6 kernel and three dim-8 zero-branch kernels:
 # the first 8 words (generator D1 collapses), the CK6-like five words (the
 # image spans 152 of 176 dimensions) and the 8 even-weight words (a table of
-# dimension 128).  Each digest is the SHA-256 of the kernel's keep_words,
-# its iota_cl4_span and its outcome (the InconsistentSpec message or the
-# SHA-256 of to_json()), fixed before the echelon rows became sparse.
+# dimension 128).  Each digest is the SHA-256 of the words at no pivot of
+# the kernel's left ideal, its iota_cl4_span and its outcome (the
+# InconsistentSpec message or the SHA-256 of to_json()), fixed before the
+# echelon rows became sparse.
 WORDS4 = list(product((0, 1), repeat=4))
 QUOTIENT_BUILDS_SHA256 = [
     (3, CK6_KERNEL,
@@ -305,14 +306,16 @@ QUOTIENT_BUILDS_SHA256 = [
                               "dim8-even"])
 def test_quotient_builds_are_pinned(npairs, words, digest):
     cl = Clifford(npairs)
-    q = CliffordQuotient(cl, [cl.module_generator(w) for w in words])
+    ideal = cl.left_ideal([cl.module_generator(w) for w in words])
+    keep_words = [w for k, w in enumerate(cl.words)
+                  if k not in ideal.by_pivot]
     spec = BuilderSpec.from_alpha(npairs, False, [[ZERO] * npairs] * npairs,
                                   words)
     try:
         outcome = sha256(build_from_spec(spec, validate=False).to_json())
     except InconsistentSpec as exc:
         outcome = str(exc)
-    text = "%r|%r|%s" % (q.keep_words, iota_cl4_span(spec), outcome)
+    text = "%r|%r|%s" % (keep_words, iota_cl4_span(spec), outcome)
     assert sha256(text) == digest
 
 
