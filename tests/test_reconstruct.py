@@ -277,6 +277,23 @@ def test_C_reports_are_pinned():
     assert _digest(lines) == C_REPORTS_SHA256
 
 
+C_CAP1_REPORTS_SHA256 = \
+    "e2929b078b6aacc1adfb407ff787bb52e296c5b9e02343306a12de0d9b538da9"
+
+
+def test_C_reports_at_one_failure_are_pinned():
+    """C(2,2,1) at max_failures=1 on every sign mutant of K2 and S2: each
+    check stops at its first failure, after the same instances."""
+    lines = []
+    for name in ("K2", "S2"):
+        for label, M in catalog.build(name).sign_mutations():
+            rep = check_C_axioms(M, 2, 2, 1, max_failures=1)
+            assert not rep.ok and len(rep.failures) == 1
+            lines.append(_report_line("%s %s" % (name, label), rep))
+    assert len(lines) == 64
+    assert _digest(lines) == C_CAP1_REPORTS_SHA256
+
+
 def _dp_str(dp) -> str:
     return ";".join(sorted("%d %s %s" % (j, x, c)
                            for j, el in dp.items() for x, c in el.items()))
