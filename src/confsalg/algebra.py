@@ -85,14 +85,27 @@ class BasisVector:
 
 @dataclass
 class Report:
+    """A checker's verdict `ok`, the number of instances `checked`, and the
+    failure messages in the order found.  At most `max_failures` of them
+    are listed: the cap bounds the list, not the verdict.  The Report is
+    full once it has failed and lists `max_failures` messages; a checker
+    stops at its next stopping point then, so at a cap <= 0 it stops on
+    its first failure and lists none."""
     ok: bool = True
     checked: int = 0
     failures: list = field(default_factory=list)
+    max_failures: int = 20
 
-    def fail(self, msg: str, cap: int = 20) -> None:
+    @property
+    def full(self) -> bool:
+        return not self.ok and len(self.failures) >= self.max_failures
+
+    def fail(self, msg: str) -> bool:
+        """Record a failure; return whether the Report is now full."""
         self.ok = False
-        if len(self.failures) < cap:
+        if len(self.failures) < self.max_failures:
             self.failures.append(msg)
+        return self.full
 
     def summary(self) -> str:
         if self.ok:
@@ -425,11 +438,11 @@ def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     `checked`.  Weights are compared as positions in
     `R.weight_positions`, with one expected weight per (n, weight of a,
     weight of b)."""
-    rep = Report()
+    rep = Report(max_failures=max_failures)
     for b in R.basis:
         if b.weight <= 0:
             rep.fail("basis vector %s has weight %s, not positive"
-                     % (b.id, b.weight), max_failures)
+                     % (b.id, b.weight))
     weights, pos = R.weight_positions
     par = {b.id: b.parity for b in R.basis}
     expected = {}
@@ -444,10 +457,10 @@ def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         for t in el:
             if pos[t] != e:
                 rep.fail("<%s %d %s>: term %s has weight %s, expected %s"
-                         % (a, n, b, t, weights[pos[t]], w), max_failures)
+                         % (a, n, b, t, weights[pos[t]], w))
             if par[t] != p:
                 rep.fail("<%s %d %s>: term %s has parity %d, expected %d"
-                         % (a, n, b, t, par[t], p), max_failures)
+                         % (a, n, b, t, par[t], p))
     return rep
 
 
@@ -493,25 +506,25 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     bad = {(n, a, b) for n, table in R._by_n.items()
            for a, b in _graded_asymmetric(table, n + 1, par)}
     for n, a, b in sorted(bad, key=lambda k: (k[0], idx[k[1]], idx[k[2]])):
-        rep.fail("skew fails: <%s %d %s>" % (a, n, b), max_failures)
+        rep.fail("skew fails: <%s %d %s>" % (a, n, b))
 
     # conformal vector conditions
     L = R.L
     rep.checked += 1
     if R.parity(L) != 0 or R.weight(L) != 2:
-        rep.fail("conformal vector must be even of weight 2", max_failures)
+        rep.fail("conformal vector must be even of weight 2")
     if R.product_basis(1, L, L) != {L: TWO}:
-        rep.fail("<L 1 L> != 2L", max_failures)
+        rep.fail("<L 1 L> != 2L")
     for a in ids:
         rep.checked += 1
         if R.product_basis(0, L, a):
-            rep.fail("<L 0 %s> != 0" % a, max_failures)
+            rep.fail("<L 0 %s> != 0" % a)
         want = {a: Scalar.from_fraction(R.weight(a))} if R.weight(a) else {}
         if R.product_basis(1, L, a) != want:
-            rep.fail("<L 1 %s> is not weight * %s" % (a, a), max_failures)
+            rep.fail("<L 1 %s> is not weight * %s" % (a, a))
         two = R.product_basis(2, L, a)
         if any(R.weight(t) != 0 for t in two):
-            rep.fail("<L 2 %s> is not central of weight 0" % a, max_failures)
+            rep.fail("<L 2 %s> is not central of weight 0" % a)
 
     # the quadratic identity, over the c in R.live_thirds(a, b)
     weights, wi = R.weight_positions
@@ -564,12 +577,11 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                                     el_add_into(acc, outer, -(cf * ct))
                         rep.checked += 1
                         if acc:
-                            rep.fail(
-                                "identity fails: a=%s b=%s c=%s m=%d n=%d"
-                                % (a, b, c, m, n), max_failures)
+                            rep.fail("identity fails: a=%s b=%s c=%s m=%d n=%d"
+                                     % (a, b, c, m, n))
                         if not live:
                             continue
-                        if not rep.ok and len(rep.failures) >= max_failures:
+                        if rep.full:
                             return rep
     return rep
 
@@ -637,7 +649,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     pairs in the (a, b) order of the full loop, o before .; every other
     pair of the dim**2 holds and is counted as checked without being
     visited."""
-    rep = Report()
+    rep = Report(max_failures=max_failures)
     if not is_physical_shape(R):
         rep.fail("not of physical shape "
                  "(weights, parities or product indices are off)")
@@ -654,9 +666,9 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     for a in ids:
         rep.checked += 1
         if C.get((R.L, a), no) != els[a]:
-            rep.fail("L o %s != %s" % (a, a), max_failures)
+            rep.fail("L o %s != %s" % (a, a))
         if (R.L, a) in B:
-            rep.fail("L . %s != 0" % a, max_failures)
+            rep.fail("L . %s != 0" % a)
 
     # graded symmetry of o (f = 0) and . (f = 1); as for skew symmetry in
     # P, the stored pairs find every failing pair and its swap
@@ -665,7 +677,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
            for a, b in _graded_asymmetric(table, f, par)}
     idx, family = R.index, ("o-symmetry", ".-antisymmetry")
     for a, b, f in sorted(bad, key=lambda k: (idx[k[0]], idx[k[1]], k[2])):
-        rep.fail("%s fails: %s, %s" % (family[f], a, b), max_failures)
+        rep.fail("%s fails: %s, %s" % (family[f], a, b))
     # inner product lands in span(L); the square law below reads these
     # values and skips the pairs reported here
     inner = {}
@@ -675,7 +687,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
             try:
                 inner[u, v] = R.coeff_of_L(B.get((u, v), no))
             except ValueError:
-                rep.fail("%s . %s is not in span(L)" % (u, v), max_failures)
+                rep.fail("%s . %s is not in span(L)" % (u, v))
 
     for a in ids:
         ea, pa = els[a], par[a]
@@ -691,17 +703,15 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                     lhs = R.circ(ea, C.get((b, c), no))
                     rhs = R.circ(C.get((a, b), no), ec)
                     if lhs != rhs:
-                        rep.fail("o-associativity fails: %s,%s,%s"
-                                 % (a, b, c), max_failures)
+                        rep.fail("o-associativity fails: %s,%s,%s" % (a, b, c))
                     # odd product Jacobi
                     jac = R.bullet(ea, B.get((b, c), no))
                     el_add_into(jac, R.bullet(eb, B.get((a, c), no)),
                                 MINUS_ONE if sgn_ab > 0 else ONE)
                     el_add_into(jac, R.bullet(B.get((a, b), no), ec), MINUS_ONE)
                     if jac:
-                        rep.fail(".-Jacobi fails: %s,%s,%s" % (a, b, c),
-                                 max_failures)
-                if not rep.ok and len(rep.failures) >= max_failures:
+                        rep.fail(".-Jacobi fails: %s,%s,%s" % (a, b, c))
+                if rep.full:
                     return rep
 
     # weight-1 elements act as derivations of the even product
@@ -714,8 +724,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 rhs = R.circ(B.get((a, x), no), els[y])
                 el_add_into(rhs, R.circ(els[x], B.get((a, y), no)))
                 if lhs != rhs:
-                    rep.fail("derivation law fails: %s on %s o %s"
-                             % (a, x, y), max_failures)
+                    rep.fail("derivation law fails: %s on %s o %s" % (a, x, y))
 
     # mixed Leibniz rule on V x V x F
     for u in V:
@@ -726,8 +735,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 rhs = R.bullet(C.get((u, v), no), els[f])
                 el_add_into(rhs, R.circ(B.get((u, v), no), els[f]))
                 if lhs != rhs:
-                    rep.fail("mixed Leibniz fails: %s,%s,%s" % (u, v, f),
-                             max_failures)
+                    rep.fail("mixed Leibniz fails: %s,%s,%s" % (u, v, f))
 
     # polarized Clifford-square law on V and A
     for iu, u in enumerate(V):
@@ -741,8 +749,7 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 el_add_into(lhs, R.clifford_act(
                     els[w], R.clifford_act(els[u], els[x])))
                 if lhs != el_scale(els[x], inner2):
-                    rep.fail("square law fails: %s,%s on %s" % (u, w, x),
-                             max_failures)
+                    rep.fail("square law fails: %s,%s on %s" % (u, w, x))
     return rep
 
 

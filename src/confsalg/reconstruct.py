@@ -182,7 +182,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
     R = RA.R
-    rep = Report()
+    rep = Report(max_failures=max_failures)
     ids, N, partners = RA.ids, RA.N, RA.partners
     product = RA.product
 
@@ -192,10 +192,10 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
         ael = {pa: ONE}
         rep.checked += 3
         if product(Lel, ael, 0) != {N + pa: ONE}:
-            rep.fail("L_(0) is not d on %s" % a, max_failures)
+            rep.fail("L_(0) is not d on %s" % a)
         w = Scalar.from_fraction(R.weight(a))
         if product(Lel, ael, 1) != ({pa: w} if w else {}):
-            rep.fail("L_(1) eigenvalue wrong on %s" % a, max_failures)
+            rep.fail("L_(1) eigenvalue wrong on %s" % a)
         ok2 = True
         for k in range(0, d_max + 1):
             got = product(Lel, {k * N + pa: ONE}, 2)
@@ -206,8 +206,8 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
             if got != want:
                 ok2 = False
         if not ok2:
-            rep.fail("L_(2) derivative rule fails on %s" % a, max_failures)
-        if len(rep.failures) >= max_failures:
+            rep.fail("L_(2) derivative rule fails on %s" % a)
+        if rep.full:
             return rep
 
     # (C1): (d a)_(n) b = -n a_(n-1) b
@@ -221,9 +221,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                     rhs = el_scale(product({pa: ONE}, {pb: ONE}, n - 1),
                                    _int(-n))
                 if lhs != rhs:
-                    rep.fail("(C1) fails: a=%s b=%s n=%d" % (a, b, n),
-                             max_failures)
-                    if len(rep.failures) >= max_failures:
+                    if rep.fail("(C1) fails: a=%s b=%s n=%d" % (a, b, n)):
                         return rep
 
     # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x)
@@ -250,9 +248,8 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                                 sgn = -sgn
                             el_add_into(rhs, RA.shift(t, j), _int(sgn))
                         if lhs != rhs:
-                            rep.fail("(C2) fails: a=%s b=%s k=%d l=%d n=%d"
-                                     % (a, b, k, l, n), max_failures)
-                            if len(rep.failures) >= max_failures:
+                            if rep.fail("(C2) fails: a=%s b=%s k=%d l=%d n=%d"
+                                        % (a, b, k, l, n)):
                                 return rep
 
     # (C3): a_(m)(b_(n)c) = (-1)^{pq} b_(n)(a_(m)c)
@@ -305,11 +302,8 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                                     t3 = t3s[(j, s)] = product(ajb[j], xc, s)
                                 el_add_into(lhs, t3, _int(-comb(m, j)))
                             if lhs:
-                                rep.fail(
-                                    "(C3) fails: a=%s b=%s c=%s k=%d "
-                                    "m=%d n=%d" % (a, b, c, k, m, n),
-                                    max_failures)
-                                if len(rep.failures) >= max_failures:
+                                if rep.fail("(C3) fails: a=%s b=%s c=%s k=%d "
+                                            "m=%d n=%d" % (a, b, c, k, m, n)):
                                     return rep
                     if k == 0 and d_max and a != ids[0]:
                         # derivative shifts on the first argument are

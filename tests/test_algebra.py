@@ -198,6 +198,22 @@ def test_checkers_keep_to_max_failures():
         assert len(rep.failures) <= 1
 
 
+def test_verdict_does_not_depend_on_max_failures():
+    # the cap bounds the listed failures; a cap <= 0 lists none, and the
+    # checkers still answer FAILED on every sign mutant
+    for name in ("K2", "S2"):
+        for label, M in catalog.build(name).sign_mutations():
+            for check in (lambda cap: check_P_axioms(M, 2, 2, cap),
+                          lambda cap: check_H_axioms(M, cap),
+                          lambda cap: check_C_axioms(M, 2, 2, 1, cap)):
+                verdicts = set()
+                for cap in (-1, 0, 1, 20):
+                    rep = check(cap)
+                    assert len(rep.failures) <= max(cap, 0), (label, cap)
+                    verdicts.add(rep.ok)
+                assert verdicts == {False}, label
+
+
 def test_json_round_trip_is_byte_identical():
     R = catalog.build("S2")
     text = R.to_json()
