@@ -245,7 +245,7 @@ class _Builder:
         self.classes = dict(zip(names, classes))
 
         self.table = {}
-        _fill_L(self.table, self.weights)
+        _fill_L(self.table, self.weights, self.parities)
         self._fill_V()
         for nm in names:
             if self.weights[nm] == W_A:
@@ -279,12 +279,8 @@ class _Builder:
                                  if self.weights[k] == wb - W_F},
                                 Scalar.from_fraction(W_V + wb - 2))]
                 for n in (0, 1):
-                    if (n, gnm, b) in self.table:
-                        continue
-                    _put(self.table, n, gnm, b, res[n])
-                    pb = self.parities[b]
-                    sgn = MINUS_ONE if (n + pb) % 2 == 0 else ONE
-                    _put(self.table, n, b, gnm, el_scale(res[n], sgn))
+                    if (n, gnm, b) not in self.table:
+                        _put(self.table, self.parities, n, gnm, b, res[n])
 
     def _fill_A(self, a: str):
         """<a 0 b> and <b 0 a> = -<a 0 b> for a weight-1 name a and every
@@ -306,23 +302,29 @@ class _Builder:
                     el_add_into(der, cl.mul(cl.mul({windex[w[:i]]: c},
                                                    act[g]),
                                             {windex[w[i + 1:]]: ONE}))
-            el = self.to_reduced(self.ideal.reduce(der))
-            _put(self.table, 0, a, b, el)
-            _put(self.table, 0, b, a, el_scale(el, MINUS_ONE))
+            _put(self.table, self.parities, 0, a, b,
+                 self.to_reduced(self.ideal.reduce(der)))
 
 
-def _put(table: dict, n: int, a: str, b: str, el: dict) -> None:
+def _store(table: dict, key: tuple, el: dict) -> None:
     el = {k: c for k, c in el.items() if c}
     if el:
-        table[(n, a, b)] = el
+        table[key] = el
 
 
-def _fill_L(table: dict, weights: dict) -> None:
+def _put(table: dict, par: dict, n: int, a: str, b: str, el: dict) -> None:
+    """Store <a n b> and then its skew partner
+    <b n a> = (-1)^(n + 1 + |a||b|) <a n b>, each if nonzero."""
+    _store(table, (n, a, b), el)
+    odd = (n + 1 + par[a] * par[b]) % 2
+    _store(table, (n, b, a), el_scale(el, MINUS_ONE) if odd else el)
+
+
+def _fill_L(table: dict, weights: dict, par: dict) -> None:
     """<L 1 x> = <x 1 L> = wt(x) x for every x of nonzero weight."""
     for nm, w in weights.items():
         if w:
-            _put(table, 1, "L", nm, {nm: Scalar.from_fraction(w)})
-            _put(table, 1, nm, "L", {nm: Scalar.from_fraction(w)})
+            _put(table, par, 1, "L", nm, {nm: Scalar.from_fraction(w)})
 
 
 def build_from_spec(spec: BuilderSpec, validate: bool = True) -> ReducedAlgebra:
@@ -535,6 +537,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     basis += [BasisVector(a, W_A, 0) for a in anames]
     basis += [BasisVector(f, W_F, 1) for f in fnames]
     weights = {b.id: b.weight for b in basis}
+    par = {b.id: b.parity for b in basis}
 
     ops = {nm: (MVs[k], MFs[k], SGs[k]) for nm, k in zip(anames, chosen)}
     fidx = {nm: k for nm, k in zip(anames, chosen)}
@@ -545,44 +548,40 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
         return a_coords(units[na0 + kv * nf + l])
 
     table = {}
-    _fill_L(table, weights)
+    _fill_L(table, weights, par)
 
-    # V x V
+    # V x V, each order computed, so P's skew check compares the two
     for i, u in enumerate(V):
         for j, v in enumerate(V):
-            _put(table, 0, u, v, {"L": gram[i].get(j, ZERO)})
+            _store(table, (0, u, v), {"L": gram[i].get(j, ZERO)})
             circ = base.product_basis(1, u, v)   # lands in base A
             out = {}
             for a, c in circ.items():
                 el_add_into(out, base_a_coords[a], c)
-            _put(table, 1, u, v, out)
+            _store(table, (1, u, v), out)
 
     # A actions and V o A
     for anm in anames:
         MV, MF, SG = ops[anm]
         for j, u in enumerate(V):
             img = {V[r]: c for r, c in sorted(MV[j].items())}
-            _put(table, 0, anm, u, img)
-            _put(table, 0, u, anm, el_scale(img, MINUS_ONE))
+            _put(table, par, 0, anm, u, img)
             circ = {fnames[m]: c for m, c in sorted(SG[j].items())}
-            _put(table, 1, u, anm, el_scale(circ, HALF))
-            _put(table, 1, anm, u, el_scale(circ, HALF))
+            _put(table, par, 1, u, anm, el_scale(circ, HALF))
         for l, fnm in enumerate(fnames):
             img = {fnames[r]: c for r, c in sorted(MF[l].items())}
-            _put(table, 0, anm, fnm, img)
-            _put(table, 0, fnm, anm, el_scale(img, MINUS_ONE))
+            _put(table, par, 0, anm, fnm, img)
 
     # V . F -> A
     for kv, v in enumerate(V):
         for l, fnm in enumerate(fnames):
-            el = vf_coords(kv, l)
-            _put(table, 0, v, fnm, el)
-            _put(table, 0, fnm, v, el)
+            _put(table, par, 0, v, fnm, vf_coords(kv, l))
 
-    # A . A through the derivation action on the formal span
+    # A . A through the derivation action on the formal span, each order
+    # computed as for V x V
     for a1 in anames:
         for a2 in anames:
-            _put(table, 0, a1, a2, a_coords(ders[fidx[a1]][fidx[a2]]))
+            _store(table, (0, a1, a2), a_coords(ders[fidx[a1]][fidx[a2]]))
 
     R = ReducedAlgebra(basis, "L", table)
     require_axioms(R, InconsistentSpec, "extension")
