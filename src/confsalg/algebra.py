@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb
 
 from . import scalars
@@ -85,12 +86,10 @@ class BasisVector:
 
 @dataclass
 class Report:
-    """A checker's verdict `ok`, the number of instances `checked`, and the
-    failure messages in the order found.  At most `max_failures` of them
-    are listed: the cap bounds the list, not the verdict.  The Report is
-    full once it has failed and lists `max_failures` messages; a checker
-    stops at its next stopping point then, so at a cap <= 0 it stops on
-    its first failure and lists none."""
+    """A checker's verdict `ok`, its count of instances `checked`, and at
+    most `max_failures` failure messages: the cap bounds the list, not the
+    verdict.  Once `full` (failed, with the cap reached) the checker stops
+    at its next stopping point; at a cap <= 0 no failure is listed."""
     ok: bool = True
     checked: int = 0
     failures: list = field(default_factory=list)
@@ -326,37 +325,17 @@ class ReducedAlgebra:
 
     # -- derived bilinear data ---------------------------------------------
 
-    def inner_product(self, u: dict, v: dict) -> Scalar:
-        return self.coeff_of_L(self.bullet(u, v))
-
     def inner_gram(self) -> list:
-        """The inner products on the weight-3/2 space as sparse rows: row i
-        is {j: (V_i, V_j)}."""
+        """The inner products (u, v) = u . v on the weight-3/2 space as
+        sparse rows: row i is {j: (V_i, V_j)}."""
         V = [self.basis_element(b) for b in self.space(Fraction(3, 2))]
         return [{j: c for j, v in enumerate(V)
-                 if (c := self.inner_product(u, v))} for u in V]
-
-    def eta(self, u: dict, v: dict, w: dict) -> dict:
-        return self.bullet(u, self.circ(v, w))
+                 if (c := self.coeff_of_L(self.bullet(u, v)))} for u in V]
 
     def form_wedge(self, u, v, w, z) -> Scalar:
-        """(u^v, w^z) on the wedge square of the weight-3/2 space."""
-        return self.coeff_of_L(self.bullet(u, self.eta(v, w, z)))
-
-    def wedge_gram(self, pairs):
-        """Gram matrix of the wedge-square form for an ordered list of
-        wedge pairs (u, v) of elements."""
-        return [[self.form_wedge(u, v, w, z) for (w, z) in pairs]
-                for (u, v) in pairs]
-
-    def form_wedge3(self, u1, u2, u3, v1, v2, v3) -> Scalar:
-        """The invariant pairing on the third wedge power of the
+        """(u^v, w^z) = u . (v . (w o z)) on the wedge square of the
         weight-3/2 space."""
-        x = self.circ(v1, self.circ(v2, v3))
-        x = self.bullet(u1, x)
-        x = self.bullet(u2, x)
-        x = self.bullet(u3, x)
-        return self.coeff_of_L(x)
+        return self.coeff_of_L(self.bullet(u, self.bullet(v, self.circ(w, z))))
 
     # -- serialization ------------------------------------------------------
 
@@ -579,9 +558,7 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                         if acc:
                             rep.fail("identity fails: a=%s b=%s c=%s m=%d n=%d"
                                      % (a, b, c, m, n))
-                        if not live:
-                            continue
-                        if rep.full:
+                        if live and rep.full:
                             return rep
     return rep
 
@@ -772,11 +749,11 @@ def center(R: ReducedAlgebra) -> list:
 
 def ideal_closure(R: ReducedAlgebra, seeds) -> Subspace:
     """Smallest subspace containing the seeds and closed under all left
-    products by basis vectors."""
+    products by basis vectors.  A round after the first has a frontier only
+    if the one before it grew `sub`, so there are at most dim + 1 rounds."""
     sub = row_space((R.vector(s) for s in seeds), R.dim)
     ids = [b.id for b in R.basis]
     ns = sorted({n for (n, _, _) in R.products})
-    pos = 0
     frontier = [R.element(row) for row in sub.rows]
     while frontier:
         new_frontier = []
@@ -787,9 +764,6 @@ def ideal_closure(R: ReducedAlgebra, seeds) -> Subspace:
                     if prod and sub.add(R.vector(prod)):
                         new_frontier.append(prod)
         frontier = new_frontier
-        pos += 1
-        if pos > R.dim + 1:
-            raise RuntimeError("ideal closure failed to stabilize")
     return sub
 
 
@@ -869,37 +843,29 @@ def form_V_wedge_V(R: ReducedAlgebra):
     """Gram matrix of the invariant form on the wedge square of V, on the
     fixed wedge basis order."""
     wb = [(R.basis_element(u), R.basis_element(v)) for (u, v) in wedge_basis(R)]
-    return R.wedge_gram(wb)
+    return [[R.form_wedge(u, v, w, z) for (w, z) in wb] for (u, v) in wb]
 
 
 def form_V3(R: ReducedAlgebra):
-    """Gram matrix of the invariant form on the third wedge power of V,
-    on the lexicographic triple basis."""
-    V = R.space(Fraction(3, 2))
-    triples = [(V[i], V[j], V[k])
-               for i in range(len(V))
-               for j in range(i + 1, len(V))
-               for k in range(j + 1, len(V))]
-    e = R.basis_element
-    return [[R.form_wedge3(e(u1), e(u2), e(u3), e(v1), e(v2), e(v3))
-             for (v1, v2, v3) in triples]
-            for (u1, u2, u3) in triples]
+    """Gram matrix of the invariant form
+    (u1^u2^u3, v1^v2^v3) = u3 . (u2 . (u1 . (v1 o (v2 o v3)))) on the third
+    wedge power of V, on the lexicographic triple basis."""
+    triples = [tuple(map(R.basis_element, t))
+               for t in combinations(R.space(Fraction(3, 2)), 3)]
+
+    def pair(u, v):
+        x = R.circ(v[0], R.circ(v[1], v[2]))
+        return R.coeff_of_L(R.bullet(u[2], R.bullet(u[1], R.bullet(u[0], x))))
+
+    return [[pair(u, v) for v in triples] for u in triples]
 
 
 def alpha_matrix(R: ReducedAlgebra):
     """alpha[i][j] defined by Di . Dbi . Dj o Dbj = alpha_{i,j} L."""
     pairs, _ = null_pairs(R)
     e = R.basis_element
-    out = []
-    for (di, dbi) in pairs:
-        row = []
-        for (dj, dbj) in pairs:
-            x = R.circ(e(dj), e(dbj))
-            x = R.bullet(e(dbi), x)
-            x = R.bullet(e(di), x)
-            row.append(R.coeff_of_L(x))
-        out.append(row)
-    return out
+    return [[R.form_wedge(e(di), e(dbi), e(dj), e(dbj)) for (dj, dbj) in pairs]
+            for (di, dbi) in pairs]
 
 
 @dataclass

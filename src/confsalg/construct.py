@@ -577,8 +577,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
         for l, fnm in enumerate(fnames):
             _put(table, par, 0, v, fnm, vf_coords(kv, l))
 
-    # A . A through the derivation action on the formal span, each order
-    # computed as for V x V
+    # A . A through the derivation action on the formal span, both orders
     for a1 in anames:
         for a2 in anames:
             _store(table, (0, a1, a2), a_coords(ders[fidx[a1]][fidx[a2]]))

@@ -85,7 +85,7 @@ def tpoly_mul(x, y):
     return out
 
 
-def tpoly_str(coeffs, var: str = "t") -> str:
+def tpoly_str(coeffs) -> str:
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
@@ -97,7 +97,7 @@ def tpoly_str(coeffs, var: str = "t") -> str:
                 body = "(%s)" % body
             parts.append(body)
             continue
-        v = var if k == 1 else "%s^%d" % (var, k)
+        v = "t" if k == 1 else "t^%d" % k
         if c == ONE:
             parts.append(v)
         else:
@@ -108,8 +108,8 @@ def tpoly_str(coeffs, var: str = "t") -> str:
     if not parts:
         return "0"
     out = parts[0]
-    for t in parts[1:]:
-        out += t if t.startswith("-") else "+" + t
+    for part in parts[1:]:
+        out += part if part.startswith("-") else "+" + part
     return out
 
 
