@@ -212,6 +212,14 @@ def test_verdict_does_not_depend_on_max_failures():
                     assert len(rep.failures) <= max(cap, 0), (label, cap)
                     verdicts.add(rep.ok)
                 assert verdicts == {False}, label
+    # H's shape failure keeps to the cap as well
+    W3 = ReducedAlgebra([BasisVector("L", Fraction(2), 0),
+                         BasisVector("W", Fraction(3), 0)], "L", {})
+    assert [(rep.ok, rep.failures) for rep in (check_H_axioms(W3, 0),
+                                               check_H_axioms(W3, 1))] == [
+        (False, []),
+        (False, ["not of physical shape "
+                 "(weights, parities or product indices are off)"])]
 
 
 def test_json_round_trip_is_byte_identical():
