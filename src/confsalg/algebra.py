@@ -24,7 +24,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 
 from . import scalars
@@ -850,8 +849,11 @@ def form_V3(R: ReducedAlgebra):
     """Gram matrix of the invariant form
     (u1^u2^u3, v1^v2^v3) = u3 . (u2 . (u1 . (v1 o (v2 o v3)))) on the third
     wedge power of V, on the lexicographic triple basis."""
-    triples = [tuple(map(R.basis_element, t))
-               for t in combinations(R.space(Fraction(3, 2)), 3)]
+    V = R.space(Fraction(3, 2))
+    triples = [tuple(map(R.basis_element, (V[i], V[j], V[k])))
+               for i in range(len(V))
+               for j in range(i + 1, len(V))
+               for k in range(j + 1, len(V))]
 
     def pair(u, v):
         x = R.circ(v[0], R.circ(v[1], v[2]))
