@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, parse
+from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG, parse
 from confsalg.algebra import (ReducedAlgebra, is_physical_shape, is_simple,
-                              ideal_closure, quotient)
+                              ideal_closure, quotient, form_V_wedge_V)
+from confsalg.linalg import charpoly, tpoly_str
 from confsalg import catalog
 from confsalg.catalog import (build, golden_path, extend_v_map,
                               iso_check, swap_map, invariant_signature,
@@ -182,3 +183,29 @@ def test_swap_map_is_pinned():
     f = swap_map(Rp, Rm)
     text = "\n".join("%s|%s" % (b.id, el_str(Rm, f[b.id])) for b in Rp.basis)
     assert sha256(text) == SWAP_MAP_SHA256
+
+
+# SHA-256 of one line per algebra: its invariant_signature, its
+# triple_form_condition, and the characteristic polynomial of its wedge
+# Gram matrix, or the ValueError text where the null convention does not
+# name its V; fixed while the Gram matrix was still a dense list of rows.
+INVARIANTS_SHA256 = \
+    "4ce8fcb09d4ac88c064790ab2531f7358c2229d85513d65c6e94bcca2a660329"
+
+
+def test_invariants_are_pinned():
+    cases = [(nm, None) for nm in NAMES] + \
+        [("N4alpha", a) for a in (0, 1, -1, 2, Fraction(1, 2), IMAG)]
+    lines = []
+    for name, a in cases:
+        R = build(name, a)
+        sig = invariant_signature(R)
+        try:
+            cp = tpoly_str(charpoly(form_V_wedge_V(R)))
+        except ValueError as exc:
+            cp = "ValueError: %s" % exc
+        lines.append("|".join([
+            name, str(a), repr(sorted(sig["dims"].items())),
+            str(sig["charpoly"]), str(sig["simple"]),
+            str(triple_form_condition(R)), cp]))
+    assert sha256("\n".join(lines)) == INVARIANTS_SHA256

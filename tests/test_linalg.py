@@ -4,9 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
+from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
 from confsalg.linalg import (kernel, coordinates, charpoly, row_space,
-                             tpoly_mul, tpoly_str, Subspace, mat_mul,
+                             tpoly_mul, tpoly_str, Subspace,
                              el_add_into)
 
 
@@ -111,18 +111,33 @@ def test_rank_plus_nullity(rows):
     assert row_space(A, 3).dim + len(kernel(A, 3)) == 3
 
 
-@given(rows3)
+square_entries = st.one_of(st.integers(min_value=-3, max_value=3)
+                           .map(S), st.sampled_from([ALPHA, IMAG]))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    return draw(st.lists(st.lists(square_entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@given(square_matrices())
 @settings(max_examples=40, deadline=None)
-def test_cayley_hamilton(rows):
-    A = M(rows)
+def test_cayley_hamilton(A):
+    """p(A) = 0 for the characteristic polynomial p of A, with entries
+    in Q(i)(a); A^k is formed here, not by the code under test."""
+    n = len(A)
     cp = charpoly(A)
-    acc = [[ZERO] * 3 for _ in range(3)]
-    power = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    assert len(cp) == n + 1 and cp[n] == ONE
+    acc = [[ZERO] * n for _ in range(n)]
+    power = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for c in cp:
-        for i in range(3):
-            for j in range(3):
+        for i in range(n):
+            for j in range(n):
                 acc[i][j] = acc[i][j] + c * power[i][j]
-        power = mat_mul(A, power)
+        power = [[sum((A[i][k] * power[k][j] for k in range(n)), ZERO)
+                  for j in range(n)] for i in range(n)]
     assert all(x == ZERO for row in acc for x in row)
 
 
