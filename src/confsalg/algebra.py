@@ -840,15 +840,17 @@ def wedge_basis(R: ReducedAlgebra):
 
 def form_V_wedge_V(R: ReducedAlgebra):
     """Gram matrix of the invariant form on the wedge square of V, on the
-    fixed wedge basis order."""
+    fixed wedge basis order, as sparse rows."""
     wb = [(R.basis_element(u), R.basis_element(v)) for (u, v) in wedge_basis(R)]
-    return [[R.form_wedge(u, v, w, z) for (w, z) in wb] for (u, v) in wb]
+    return [{c: g for c, g in enumerate(R.form_wedge(u, v, w, z)
+                                         for (w, z) in wb) if g}
+            for (u, v) in wb]
 
 
 def form_V3(R: ReducedAlgebra):
     """Gram matrix of the invariant form
     (u1^u2^u3, v1^v2^v3) = u3 . (u2 . (u1 . (v1 o (v2 o v3)))) on the third
-    wedge power of V, on the lexicographic triple basis."""
+    wedge power of V, on the lexicographic triple basis, as sparse rows."""
     V = R.space(Fraction(3, 2))
     triples = [tuple(map(R.basis_element, (V[i], V[j], V[k])))
                for i in range(len(V))
@@ -859,7 +861,8 @@ def form_V3(R: ReducedAlgebra):
         x = R.circ(v[0], R.circ(v[1], v[2]))
         return R.coeff_of_L(R.bullet(u[2], R.bullet(u[1], R.bullet(u[0], x))))
 
-    return [[pair(u, v) for v in triples] for u in triples]
+    return [{c: g for c, g in enumerate(pair(u, v) for v in triples) if g}
+            for u in triples]
 
 
 def alpha_matrix(R: ReducedAlgebra):

@@ -12,11 +12,12 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA
+from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA, ScalarParseError, parse
 from .linalg import Subspace, charpoly, el_add_into, row_space, tpoly_str
-from .algebra import BasisVector, ReducedAlgebra, form_V_wedge_V, is_simple
+from .algebra import (BasisVector, ReducedAlgebra, form_V3, form_V_wedge_V,
+                      is_simple)
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
-                        CK6_SPEC)
+                        CK6_SPEC, _wedge3_basis)
 
 NAMES = ("Vir", "K1", "K2", "K3", "S2", "W2", "N4", "N4alpha", "CK6")
 
@@ -65,7 +66,6 @@ def _build(name: str, alpha=None) -> ReducedAlgebra:
     if name == "S2":
         return _s2()
     if name == "W2":
-        from .construct import _wedge3_basis
         w3 = _wedge3_basis(4)
         return build_f_extension(_s2(), [{w3.index(t): ONE} for t in _W2_J0])
     if name == "N4alpha":
@@ -104,7 +104,6 @@ def _coerce_scalar(alpha) -> Scalar:
     if isinstance(alpha, Fraction):
         return Scalar.from_fraction(alpha)
     if isinstance(alpha, str):
-        from .scalars import parse, ScalarParseError
         try:
             return parse(alpha)
         except ScalarParseError as exc:
@@ -244,16 +243,14 @@ def triple_form_condition(R: ReducedAlgebra):
     wedge pairing; None when the entries are not all alike.  Nonvanishing
     of the returned scalar is the nondegeneracy condition of the pairing
     and hence, for the four-supercharge family, of simplicity."""
-    from .algebra import form_V3
     V = R.space(Fraction(3, 2))
     F = R.space(Fraction(1, 2))
     if len(V) != 4 or not F:
         return None
     vals = {}
     for row in form_V3(R):
-        for c in row:
-            if c:
-                vals[str(c)] = c
+        for c in row.values():
+            vals[str(c)] = c
     if not vals:
         return ZERO
     reps, seen = [], set()

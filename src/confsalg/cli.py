@@ -62,7 +62,7 @@ def cmd_build(args) -> int:
         raise CliError(EXIT_INPUT, str(exc))
     except catalog.InvalidParams as exc:
         raise CliError(EXIT_INPUT, str(exc))
-    except (InconsistentSpec, UnderdeterminedSpec) as exc:
+    except InconsistentSpec as exc:
         raise CliError(EXIT_SOLVER, str(exc))
     text = R.to_json()
     if args.output:

@@ -283,12 +283,14 @@ class _Builder:
                         _put(self.table, self.parities, n, gnm, b, res[n])
 
     def _fill_A(self, a: str):
-        """<a 0 b> and <b 0 a> = -<a 0 b> for a weight-1 name a and every
-        basis name b.  A weight-1 vector acts by derivations, so a acts on
-        Cl(V)/I as the even derivation D_a extending v -> a . v on V, read
-        off the stored <a 0 v>: for a word w = g_1 ... g_k of b's class,
-        D_a(w) = sum_i g_1 ... g_(i-1) (a . g_i) g_(i+1) ... g_k.  Every
-        other product of a is zero by weight or stored by _fill_L and
+        """<a 0 b> for a weight-1 name a and every basis name b, with
+        <b 0 a> = -<a 0 b> unless b has weight 1: such a b computes <b 0 a>
+        on its own turn, so both orders are stored as computed and P's skew
+        check compares them.  A weight-1 vector acts by derivations, so a
+        acts on Cl(V)/I as the even derivation D_a extending v -> a . v on
+        V, read off the stored <a 0 v>: for a word w = g_1 ... g_k of b's
+        class, D_a(w) = sum_i g_1 ... g_(i-1) (a . g_i) g_(i+1) ... g_k.
+        Every other product of a is zero by weight or stored by _fill_L and
         _fill_V."""
         cl, windex = self.cl, self.cl.word_index
         act = [{windex[(self.gen_names.index(v),)]: c for v, c in
@@ -302,8 +304,11 @@ class _Builder:
                     el_add_into(der, cl.mul(cl.mul({windex[w[:i]]: c},
                                                    act[g]),
                                             {windex[w[i + 1:]]: ONE}))
-            _put(self.table, self.parities, 0, a, b,
-                 self.to_reduced(self.ideal.reduce(der)))
+            el = self.to_reduced(self.ideal.reduce(der))
+            if self.weights[b] == W_A:
+                _store(self.table, (0, a, b), el)
+            else:
+                _put(self.table, self.parities, 0, a, b, el)
 
 
 def _store(table: dict, key: tuple, el: dict) -> None:
@@ -596,7 +601,6 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
 class CaseReport:
     dimv: int
     unknowns: list
-    constraints: list          # [[affine factor, ...], ...]
     satisfiable: bool
     solutions: list            # list of value tuples over unknowns
     verdicts: dict             # solution tuple -> short verdict string
@@ -694,7 +698,7 @@ def exclusion_sweep(dimv: int) -> CaseReport:
         unknowns, cons = _odd_constraints()
         sols = _solve_factored(unknowns, cons)
         notes = ["UNSAT: a12 forced to both 2 and -2"] if not sols else []
-        return CaseReport(dimv, unknowns, cons, bool(sols), sols, {}, notes)
+        return CaseReport(dimv, unknowns, bool(sols), sols, {}, notes)
     if dimv not in (6, 8):
         raise ValueError("sweep covers dimensions 5-8")
     npairs = dimv // 2
@@ -730,4 +734,4 @@ def exclusion_sweep(dimv: int) -> CaseReport:
                                 "forces a dead generator; digit flips "
                                 "propagate to all %d)"
                                 % (low, 2 ** dimv, 2 ** npairs))
-    return CaseReport(dimv, unknowns, cons, bool(sols), sols, verdicts, notes)
+    return CaseReport(dimv, unknowns, bool(sols), sols, verdicts, notes)

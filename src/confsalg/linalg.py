@@ -11,8 +11,8 @@ exactly when the dict is empty.
 time by exact Gaussian elimination.  Its rows are sparse elements keyed by
 column, and it keeps them keyed by pivot.  `row_space`, `add`, `reduce`,
 `contains` and `kernel` take sparse elements, and `coordinates`, the one
-solver, solves in a basis of them.  Dense matrices, lists of rows of
-`Scalar`, remain only as the input of `charpoly`.
+solver, solves in a basis of them.  A matrix is a list of sparse rows,
+for `charpoly` as for the rest.
 """
 from __future__ import annotations
 
@@ -38,39 +38,28 @@ def el_add_into(acc: dict, x: dict, c: Scalar = ONE) -> None:
             del acc[k]
 
 
-def mat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0]) if B else 0
-    out = [[ZERO] * p for _ in range(n)]
-    for r in range(n):
-        Ar = A[r]
-        for k in range(m):
-            c = Ar[k]
-            if not c:
-                continue
-            Bk = B[k]
-            row = out[r]
-            for j in range(p):
-                if Bk[j]:
-                    row[j] = row[j] + c * Bk[j]
-    return out
-
-
 def charpoly(A):
-    """Coefficients of det(t*I - A), low degree first, monic of degree n.
+    """Coefficients of det(t*I - A) for the square matrix A of sparse rows,
+    low degree first, monic of degree n.
 
-    Uses the Faddeev-LeVerrier recursion, which stays in the field.
+    Uses the Faddeev-LeVerrier recursion, which stays in the field: with
+    N = I, each step forms M = A N, whose row r is the sum of A[r][j] N[j],
+    reads the next coefficient c = -tr(M)/k and sets N = M + c I.
     """
     n = len(A)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    N = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    coeffs = [ZERO] * n + [ONE]
+    N = [{r: ONE} for r in range(n)]
     for k in range(1, n + 1):
-        M = mat_mul(A, N)
-        tr = sum((M[j][j] for j in range(n)), ZERO)
+        M = [{} for _ in A]
+        for out, row in zip(M, A):
+            for j, c in row.items():
+                el_add_into(out, N[j], c)
+        tr = sum((M[r].get(r, ZERO) for r in range(n)), ZERO)
         ck = -(tr / Scalar.from_int(k))
         coeffs[n - k] = ck
-        N = [[M[r][c] + (ck if r == c else ZERO) for c in range(n)]
-             for r in range(n)]
+        for r in range(n):
+            el_add_into(M[r], {r: ONE}, ck)
+        N = M
     return coeffs
 
 

@@ -15,12 +15,8 @@ position pairs (a, b) with a nonzero product, holds for each m the nonzero
 a_(m) b = sum_j d^(j) (...) with the `coeff_G` factors applied, and
 `ReconstructedAlgebra.product` is the one kernel that multiplies flat
 elements from it.  The binomial factors of the derivative rules come from
-a small int -> Scalar cache.
-
-At the API, elements are d-polynomials {degree: element}, which hold no
-empty degree and no zero coefficient, so two d-polynomials are equal
-exactly when the dicts are `==`, and zero exactly when the dict is empty;
-`full_product` converts to and from the kernel.
+a small int -> Scalar cache.  `ReducedAlgebra.vector` of an element of the
+reduced algebra is its flat element of degree 0.
 """
 from __future__ import annotations
 
@@ -39,13 +35,6 @@ def _int(n: int) -> Scalar:
     """Scalar.from_int(n), cached: the factors of the derivative rules are
     few small integers."""
     return Scalar.from_int(n)
-
-
-# -- d-polynomial helpers ---------------------------------------------------
-
-
-def dpoly(el: dict, j: int = 0) -> dict:
-    return {j: dict(el)} if el else {}
 
 
 def binom_ff(m: int, j: int) -> Fraction:
@@ -89,6 +78,8 @@ class ReconstructedAlgebra:
         (d^(k) a)_(n) d^(l) b
             = (-1)^k C(n, k) sum_j C(n-k, j) d^(l-j) (a_(n-k-j) b)
         and d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers."""
+        if n < 0:
+            raise ValueError("products are defined for natural n")
         N, table = self.N, self._table
         out = {}
         for ix, cx in x.items():
@@ -129,28 +120,6 @@ class ReconstructedAlgebra:
         N = self.N
         return {ix + j * N: v * _int(comb(ix // N + j, j))
                 for ix, v in x.items()}
-
-    def to_flat(self, x: dict) -> dict:
-        """The flat element of a d-polynomial."""
-        N, pos = self.N, self.pos
-        return {k * N + pos[a]: c for k, el in x.items()
-                for a, c in el.items()}
-
-    def to_dpoly(self, z: dict) -> dict:
-        """The d-polynomial of a flat element."""
-        N, ids = self.N, self.ids
-        out = {}
-        for ix, c in z.items():
-            k, p = divmod(ix, N)
-            out.setdefault(k, {})[ids[p]] = c
-        return out
-
-    def full_product(self, x: dict, y: dict, n: int) -> dict:
-        """x_(n) y for d-polynomials, n a natural number."""
-        if n < 0:
-            raise ValueError("products are defined for natural n")
-        return self.to_dpoly(self.product(self.to_flat(x), self.to_flat(y),
-                                          n))
 
 
 def reconstruct(R: ReducedAlgebra) -> ReconstructedAlgebra:
@@ -319,17 +288,18 @@ def mode_bracket(RA, a_el: dict, m: int, b_el: dict, n: int) -> dict:
     """[a_(m), b_(n)] as {(basis_id, mode): Scalar}."""
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
+    x, y = RA.R.vector(a_el), RA.R.vector(b_el)
     out = {}
     for j in range(RA.R.max_n() + 2):
         cj = binom_ff(m, j)
         if not cj:
             continue
-        prod = RA.full_product(dpoly(a_el), dpoly(b_el), j)
         s = m + n - j
-        for i, el in prod.items():
+        for ix, c in RA.product(x, y, j).items():
             # (d^{(i)} x)_(s) = (-1)^i C(s, i) x_(s - i)
+            i, p = divmod(ix, RA.N)
             ci = -binom_ff(s, i) if i % 2 else binom_ff(s, i)
-            el_add_into(out, {(x, s - i): cx for x, cx in el.items()},
+            el_add_into(out, {(RA.ids[p], s - i): c},
                         Scalar.from_fraction(cj * ci))
     return out
 

@@ -69,7 +69,7 @@ def test_04_invariant_form():
     frame = [(1, 0), (3, 2), (0, 2), (1, 2), (0, 3), (1, 3)]
     for r, (a, b) in enumerate(frame):
         for c, (x, y) in enumerate(frame):
-            assert G[r][c] == wedge_lookup(want, a, b, x, y), (r, c)
+            assert G[r].get(c, ZERO) == wedge_lookup(want, a, b, x, y), (r, c)
 
     cp = charpoly(G)
     # ((t+1)^2 - a^2) ((t-1)^2 - a^2)^2 in low-first coefficients

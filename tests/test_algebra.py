@@ -540,4 +540,4 @@ def test_wedge_form_is_symmetric():
     n = len(G)
     for i in range(n):
         for j in range(n):
-            assert G[i][j] == G[j][i]
+            assert G[i].get(j, ZERO) == G[j].get(i, ZERO)

@@ -286,7 +286,8 @@ def test_sweep_dim8_solutions_satisfy_the_constraints():
 # dimension 128).  Each digest is the SHA-256 of the words at no pivot of
 # the kernel's left ideal, its iota_cl4_span and its outcome (the
 # InconsistentSpec message or the SHA-256 of to_json()), fixed before the
-# echelon rows became sparse.
+# echelon rows became sparse; the dim8-even digest was recomputed when the
+# builder began to store both computed orders of the weight-1 products.
 WORDS4 = list(product((0, 1), repeat=4))
 QUOTIENT_BUILDS_SHA256 = [
     (3, CK6_KERNEL,
@@ -297,7 +298,7 @@ QUOTIENT_BUILDS_SHA256 = [
          (0, 0, 0, 1)],
      "8ec934d9b0a4ba19e473c61a631b66e91cb40dc6495457bc8420599ce2b6898b"),
     (4, [w for w in WORDS4 if sum(w) % 2 == 0],
-     "8a957a755f1ccbf48bc1f91b4c0bbbd5710fc307e56ec726fd90837de04af275"),
+     "331ce6649f36942f50499fe67691f44a56a9621cd99b7edf7a9ee94218bbabb9"),
 ]
 
 
@@ -319,6 +320,18 @@ def test_quotient_builds_are_pinned(npairs, words, digest):
     assert sha256(text) == digest
 
 
+def test_weight1_products_keep_both_computed_orders():
+    # on the dim-8 even-word kernel the builder computes <A1 0 A44> and
+    # <A44 0 A1> on the turns of A1 and A44, and they disagree; storing
+    # both lets P's skew check report it before any identity failure
+    spec = BuilderSpec.from_alpha(4, False, [[ZERO] * 4] * 4,
+                                  [w for w in WORDS4 if sum(w) % 2 == 0])
+    rep = check_P_axioms(build_from_spec(spec, validate=False), 0, 0,
+                         max_failures=3)
+    assert not rep.ok
+    assert rep.failures[0] == "skew fails: <A1 0 A44>"
+
+
 # The odd-dimension builder on signed module generators D^w (1 + s e_N):
 # for one null pair every subset of the four signed words, for two null
 # pairs (a12 = 0 and a12 = a) every subset of at most two of the eight.
@@ -326,14 +339,16 @@ def test_quotient_builds_are_pinned(npairs, words, digest):
 # SHA-256 of the validated build's to_json() or the InconsistentSpec
 # message); one digest per group.  The grid holds a dim-8 build, a vanishing
 # identity, collapses of D1, Db1 and e3, a filtration spanning 31 of 32
-# dimensions and axiom violations.
+# dimensions and axiom violations.  Recomputed when the builder began to
+# store both computed orders of the weight-1 products, which changed the
+# failure lists or instance counts of 76 rejections.
 ODD_GRID_SHA256 = {
     (1, "0"):
-        "9d59b744f779f3f39d135cd74ef8dbf584a3c4b09e538ed18f506de61c7764a1",
+        "3fa2cf015f0cf1cf22cc2d2624188ae9f508d68422cd62ed86696dfe7c0c7556",
     (2, "0"):
-        "c67656e351317387cadeb6a595025a0628722a6ee98ca1349d3e72bcb3ef3300",
+        "3ff4ca1685b0cd8029143a6d18d3912fde54a1b841a943278d7b71cf1c3071c0",
     (2, "a"):
-        "4b5fc77055935f944dfc64705efda3b2579aa8f2ac3985237387fc94bcf0b41f",
+        "1f0cfa98b978f0276849e9729f1341b65c7e8143d7c2cfd14d8115441eab14bf",
 }
 
 

@@ -65,7 +65,7 @@ def test_coordinates_small_cases():
 
 def test_charpoly_companion():
     # companion matrix of t^3 - 2t - 5
-    A = M([[0, 0, 5], [1, 0, 2], [0, 1, 0]])
+    A = sparse([[0, 0, 5], [1, 0, 2], [0, 1, 0]])
     cp = charpoly(A)
     assert tpoly_str(cp) == "t^3-2*t-5"
 
@@ -81,7 +81,7 @@ def test_tpoly_mul():
 
 
 def test_charpoly_symbolic():
-    A = [[ALPHA, ONE], [ONE, ALPHA]]
+    A = sparse([[ALPHA, ONE], [ONE, ALPHA]])
     cp = charpoly(A)
     # (t - a - 1)(t - a + 1)
     want = tpoly_mul([-ALPHA - ONE, ONE], [-ALPHA + ONE, ONE])
@@ -128,7 +128,7 @@ def test_cayley_hamilton(A):
     """p(A) = 0 for the characteristic polynomial p of A, with entries
     in Q(i)(a); A^k is formed here, not by the code under test."""
     n = len(A)
-    cp = charpoly(A)
+    cp = charpoly(sparse(A))
     assert len(cp) == n + 1 and cp[n] == ONE
     acc = [[ZERO] * n for _ in range(n)]
     power = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
 from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
                               check_H_axioms, is_physical_shape)
-from confsalg.linalg import el_add_into, el_scale
-from confsalg.reconstruct import (dpoly, binom_ff,
-                                  reconstruct, check_C_axioms, mode_bracket,
-                                  change_conformal_vector, NotN4Shape,
-                                  AxiomVFails)
+from confsalg.linalg import el_add_into
+from confsalg.reconstruct import (binom_ff, reconstruct, check_C_axioms,
+                                  mode_bracket, change_conformal_vector,
+                                  NotN4Shape, AxiomVFails)
 from confsalg import catalog
 
 
@@ -21,16 +20,16 @@ def S(n):
     return Scalar.from_int(n)
 
 
-def test_dpoly_helpers():
-    x = dpoly({"a": ONE}, 2)
-    assert x == {2: {"a": ONE}}
-    assert dpoly({}, 1) == {}
-    # d^(1) d^(2) L = C(3, 2) d^(3) L on divided powers, on flat elements
-    RA = reconstruct(catalog.build("Vir"))
-    x = RA.to_flat(dpoly({"L": ONE}, 2))
-    assert RA.to_dpoly(RA.shift(el_scale(x, S(2)), 1)) == {3: {"L": S(6)}}
-    el_add_into(x, RA.to_flat(dpoly({"L": -ONE}, 2)))
-    assert x == {} and RA.to_dpoly(x) == {}
+def test_shift_on_divided_powers():
+    # d^(j) d^(k) a = C(k+j, j) d^(k+j) a, with d^(k) a at index k*N + p
+    RA = reconstruct(catalog.build("K2"))
+    N, L, D1 = RA.N, RA.pos["L"], RA.pos["D1"]
+    x = {2 * N + L: S(2), D1: ONE}
+    assert RA.shift(x, 1) == {3 * N + L: S(6), N + D1: ONE}
+    assert RA.shift(x, 2) == {4 * N + L: S(12), 2 * N + D1: ONE}
+    assert RA.shift(x, 0) == x and RA.shift({}, 3) == {}
+    el_add_into(x, {2 * N + L: S(-2), D1: -ONE})
+    assert x == {}
 
 
 def test_binom_ff_negative_upper_index():
@@ -43,28 +42,27 @@ def test_binom_ff_negative_upper_index():
 
 def test_virasoro_products():
     RA = reconstruct(catalog.build("Vir"))
-    L = dpoly({"L": ONE})
-    assert RA.full_product(L, L, 1) == {0: {"L": S(2)}}
+    L = {0: ONE}
+    assert RA.product(L, L, 1) == {0: S(2)}
     # the 0 product is the derivative of L, in divided powers
-    assert RA.full_product(L, L, 0) == {1: {"L": ONE}}
+    assert RA.product(L, L, 0) == {1: ONE}
     with pytest.raises(ValueError):
-        RA.full_product(L, L, -1)
+        RA.product(L, L, -1)
 
 
 def test_products_extend_to_derivatives():
     RA = reconstruct(catalog.build("K2"))
     # L_(1) d^{(k)} a = (k + w) d^{(k)} a for a of weight w
-    a = dpoly({"D1": ONE}, 2)
-    got = RA.full_product(dpoly({"L": ONE}), a, 1)
-    want = {2: {"D1": Scalar.from_fraction(Fraction(2) + Fraction(3, 2))}}
-    assert got == want
+    a = {2 * RA.N + RA.pos["D1"]: ONE}
+    got = RA.product({RA.pos["L"]: ONE}, a, 1)
+    assert got == {2 * RA.N + RA.pos["D1"]:
+                   Scalar.from_fraction(Fraction(2) + Fraction(3, 2))}
 
 
 @pytest.mark.parametrize("name", ["Vir", "K2", "S2"])
 def test_full_products_store_no_zero(name):
     # the sparse invariant on every product that C(1,1,1) forms through the
-    # flat kernel: no zero coefficient, and no empty d-degree in the
-    # d-polynomial it stands for
+    # flat kernel: no zero coefficient
     RA = reconstruct(catalog.build(name))
     product = RA.product
     seen = []
@@ -72,8 +70,6 @@ def test_full_products_store_no_zero(name):
     def checked(x, y, n):
         out = product(x, y, n)
         assert all(out.values())
-        assert all(el and all(el.values())
-                   for el in RA.to_dpoly(out).values())
         seen.append(bool(out))
         return out
 
@@ -294,22 +290,29 @@ def test_C_reports_at_one_failure_are_pinned():
     assert _digest(lines) == C_CAP1_REPORTS_SHA256
 
 
-def _dp_str(dp) -> str:
-    return ";".join(sorted("%d %s %s" % (j, x, c)
-                           for j, el in dp.items() for x, c in el.items()))
+def _flat_str(RA, z) -> str:
+    """A flat element as "degree id coefficient" terms."""
+    return ";".join(sorted("%d %s %s" % (ix // RA.N, RA.ids[ix % RA.N], c)
+                           for ix, c in z.items()))
+
+
+def _degree_part(RA, z, k) -> dict:
+    """The coefficients of d^(k) in the flat element z, keyed by id."""
+    return {RA.ids[ix % RA.N]: c for ix, c in z.items() if ix // RA.N == k}
 
 
 def _grid(R):
-    """Multi-term d-polynomials with terms in d-degrees 0 to 3."""
-    ids = [b.id for b in R.basis]
-    N = len(ids)
+    """Multi-term flat elements with terms in d-degrees 0 to 3.  With N = 2
+    the two keys (3-k)*N + (i+1)%N and (3-k)*N + (i+3)%N coincide, and the
+    later value is kept."""
+    N = R.dim
     coeffs = [ONE, S(-2), Scalar.from_fraction(Fraction(3, 2)), IMAG + ONE]
     out = []
     for k in range(4):
         for i in range(N):
-            out.append({k: {ids[i]: coeffs[k]},
-                        3 - k: {ids[(i + 1) % N]: ONE,
-                                ids[(i + 3) % N]: coeffs[(k + i) % 4]}})
+            out.append({k * N + i: coeffs[k],
+                        (3 - k) * N + (i + 1) % N: ONE,
+                        (3 - k) * N + (i + 3) % N: coeffs[(k + i) % 4]})
     return out
 
 
@@ -330,8 +333,9 @@ def test_full_products_and_mode_brackets_are_pinned():
                     continue
                 for n in range(6):
                     lines.append("%s %d %d %d full %s" % (
-                        label, u, v, n, _dp_str(RA.full_product(x, y, n))))
-                a_el, b_el = x[min(x)], y[max(y)]
+                        label, u, v, n, _flat_str(RA, RA.product(x, y, n))))
+                a_el = _degree_part(RA, x, min(x) // RA.N)
+                b_el = _degree_part(RA, y, max(y) // RA.N)
                 for m, n in ((-2, 1), (0, 0), (1, -1), (2, 2)):
                     br = mode_bracket(RA, a_el, m, b_el, n)
                     lines.append("%s %d %d %d %d mode %s" % (
