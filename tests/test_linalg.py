@@ -111,8 +111,8 @@ def test_rank_plus_nullity(rows):
     assert row_space(A, 3).dim + len(kernel(A, 3)) == 3
 
 
-square_entries = st.one_of(st.integers(min_value=-3, max_value=3)
-                           .map(S), st.sampled_from([ALPHA, IMAG]))
+square_entries = st.one_of(st.integers(min_value=-3, max_value=3).map(S),
+                           st.sampled_from([ALPHA, IMAG]))
 
 
 @st.composite
