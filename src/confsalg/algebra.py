@@ -591,13 +591,15 @@ def _quadratic_coeffs(weights: list, m_max: int, n_max: int, top: int):
     return G, F
 
 
-def require_axioms(R: ReducedAlgebra, exc_type, what: str) -> None:
-    """Raise exc_type unless R passes P(2,2) and then H."""
+def require_axioms(R: ReducedAlgebra, exc_type, prefix: str) -> None:
+    """The one gate between a table and a verdict: raise
+    exc_type(prefix + summary of the failing Report) unless R passes
+    P(2,2), and then H when R has physical shape."""
     rep = check_P_axioms(R, 2, 2)
-    if rep.ok:
+    if rep.ok and is_physical_shape(R):
         rep = check_H_axioms(R)
     if not rep.ok:
-        raise exc_type("%s violates axioms:\n%s" % (what, rep.summary()))
+        raise exc_type(prefix + rep.summary())
 
 
 def is_physical_shape(R: ReducedAlgebra) -> bool:

@@ -18,6 +18,7 @@ from .algebra import (BasisVector, ReducedAlgebra, form_V3, form_V_wedge_V,
                       is_simple)
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
                         CK6_SPEC, _wedge3_basis)
+from .reconstruct import change_conformal_vector
 
 NAMES = ("Vir", "K1", "K2", "K3", "S2", "W2", "N4", "N4alpha", "CK6")
 
@@ -71,7 +72,6 @@ def _build(name: str, alpha=None) -> ReducedAlgebra:
     if name == "N4alpha":
         return _n4alpha(alpha if alpha is not None else ALPHA)
     if name == "N4":
-        from .reconstruct import change_conformal_vector
         return change_conformal_vector(_n4alpha(ZERO), ONE)
     if name == "CK6":
         return build_from_spec(CK6_SPEC)
@@ -241,8 +241,9 @@ def invariant_signature(R: ReducedAlgebra) -> dict:
 def triple_form_condition(R: ReducedAlgebra):
     """The single entry, up to sign, filling the Gram matrix of the triple
     wedge pairing; None when the entries are not all alike.  Nonvanishing
-    of the returned scalar is the nondegeneracy condition of the pairing
-    and hence, for the four-supercharge family, of simplicity."""
+    of the returned scalar is the nondegeneracy condition of the pairing;
+    it decides simplicity on the N4alpha family only (the pairing vanishes
+    identically on W2 and N4, which are simple)."""
     V = R.space(Fraction(3, 2))
     F = R.space(Fraction(1, 2))
     if len(V) != 4 or not F:

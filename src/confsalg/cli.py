@@ -13,9 +13,11 @@ import sys
 
 from .scalars import parse as parse_scalar
 from .algebra import (ReducedAlgebra, check_bounds, check_P_axioms,
-                      check_H_axioms, is_simple, is_physical_shape)
+                      check_H_axioms, is_simple, is_physical_shape,
+                      require_axioms)
 from .construct import (InconsistentSpec, UnderdeterminedSpec,
                         exclusion_sweep)
+from .reconstruct import check_C_axioms
 from . import catalog
 
 EXIT_OK = 0
@@ -58,9 +60,7 @@ def cmd_catalog(args) -> int:
 def cmd_build(args) -> int:
     try:
         R = catalog.build(args.name, args.alpha)
-    except catalog.UnknownName as exc:
-        raise CliError(EXIT_INPUT, str(exc))
-    except catalog.InvalidParams as exc:
+    except (catalog.UnknownName, catalog.InvalidParams) as exc:
         raise CliError(EXIT_INPUT, str(exc))
     except InconsistentSpec as exc:
         raise CliError(EXIT_SOLVER, str(exc))
@@ -96,7 +96,6 @@ def cmd_verify(args) -> int:
                                "H axioms need a physical algebra")
             reports["H"] = check_H_axioms(R)
         else:
-            from .reconstruct import check_C_axioms
             reports["C"] = check_C_axioms(R, args.mmax, args.nmax,
                                           args.dmax)
     ok = all(r.ok for r in reports.values())
@@ -107,25 +106,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def _require_algebra(R: ReducedAlgebra, path: str) -> None:
-    """Input error unless R passes P(2,2), and H when it has physical
-    shape: no verdict is given on a table that is not an algebra."""
-    rep = check_P_axioms(R, 2, 2)
-    if rep.ok and is_physical_shape(R):
-        rep = check_H_axioms(R)
-    if not rep.ok:
-        raise CliError(EXIT_INPUT, "%s is not a conformal superalgebra: %s"
-                       % (path, rep.summary()))
+def _analyse(path: str, analysis):
+    """analysis(R) for the algebra in path.  A ValueError from it (e.g. a
+    weight-3/2 bullet product outside span(L)) is an input error, and so
+    is a table that fails the axiom gate: no verdict is given on it."""
+    R = _load_algebra(path)
+    try:
+        out = analysis(R)
+    except ValueError as exc:
+        raise CliError(EXIT_INPUT, "cannot analyse %s: %s" % (path, exc))
+    require_axioms(R, lambda msg: CliError(EXIT_INPUT, msg),
+                   "%s is not a conformal superalgebra: " % path)
+    return out
 
 
 def cmd_invariants(args) -> int:
-    R = _load_algebra(args.path)
-    try:
-        sig = catalog.invariant_signature(R)
-    except ValueError as exc:
-        # e.g. a weight-3/2 bullet product outside span(L)
-        raise CliError(EXIT_INPUT, "cannot analyse %s: %s" % (args.path, exc))
-    _require_algebra(R, args.path)
+    sig = _analyse(args.path, catalog.invariant_signature)
     lines = ["dims: " + " ".join("%s:%d" % (w, n)
                                  for w, n in sig["dims"].items()),
              "charpoly: %s" % (sig["charpoly"] or "-"),
@@ -139,13 +135,8 @@ def _el_str(el: dict) -> str:
 
 
 def cmd_simplicity(args) -> int:
-    R = _load_algebra(args.path)
-    try:
-        res = is_simple(R)
-        cond = catalog.triple_form_condition(R)
-    except ValueError as exc:
-        raise CliError(EXIT_INPUT, "cannot analyse %s: %s" % (args.path, exc))
-    _require_algebra(R, args.path)
+    res, cond = _analyse(args.path, lambda R: (
+        is_simple(R), catalog.triple_form_condition(R)))
     doc = {"simple": res.simple, "reason": res.reason}
     lines = []
     if res.simple:
@@ -159,7 +150,8 @@ def cmd_simplicity(args) -> int:
             lines.append("witness: %s" % _el_str(res.witness))
     if res.witness:
         doc["witness"] = {k: str(c) for k, c in res.witness.items()}
-    if cond is not None:
+    # a vanishing pairing says nothing about W2 and N4, which are simple
+    if cond is not None and (cond or not res.simple):
         doc["nondegeneracy_condition"] = str(cond)
         lines.append("triple pairing nondegenerate iff %s != 0" % cond)
     _emit(doc, lines, args.format)

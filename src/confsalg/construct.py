@@ -335,7 +335,7 @@ def _fill_L(table: dict, weights: dict, par: dict) -> None:
 def build_from_spec(spec: BuilderSpec, validate: bool = True) -> ReducedAlgebra:
     R = _Builder(spec).build()
     if validate:
-        require_axioms(R, InconsistentSpec, "built algebra")
+        require_axioms(R, InconsistentSpec, "built algebra violates axioms:\n")
     return R
 
 
@@ -588,7 +588,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
             _store(table, (0, a1, a2), a_coords(ders[fidx[a1]][fidx[a2]]))
 
     R = ReducedAlgebra(basis, "L", table)
-    require_axioms(R, InconsistentSpec, "extension")
+    require_axioms(R, InconsistentSpec, "extension violates axioms:\n")
     return R
 
 
@@ -718,8 +718,7 @@ def exclusion_sweep(dimv: int) -> CaseReport:
                 verdicts[pt] = "unclassified"
         else:
             if dimv == 6:
-                from .catalog import build
-                R = build("CK6")
+                R = build_from_spec(CK6_SPEC)
                 s = is_simple(R)
                 verdicts[pt] = ("simple algebra of dimension %d"
                                 % R.dim if s.simple else

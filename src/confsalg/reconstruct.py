@@ -442,5 +442,5 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
                 elif el:
                     products[(n, x, y)] = el
     out = ReducedAlgebra(new_basis, "L", products)
-    require_axioms(out, AxiomVFails, "changed algebra")
+    require_axioms(out, AxiomVFails, "changed algebra violates axioms:\n")
     return out

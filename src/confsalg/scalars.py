@@ -76,9 +76,6 @@ class GaussRat:
             raise ZeroDivisionError("inverse of zero")
         return GaussRat(self.p * self.d, -self.q * self.d, n)
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
     def __repr__(self):
         return "GaussRat(%r, %r, %r)" % (self.p, self.q, self.d)
 

@@ -11,6 +11,7 @@ from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
                               el_add_into, el_scale,
                               check_well_formed, check_P_axioms,
                               check_H_axioms, is_physical_shape, center,
+                              require_axioms,
                               ideal_closure, quotient, f3_subspace,
                               is_simple, null_pairs, alpha_matrix,
                               form_V_wedge_V)
@@ -541,3 +542,32 @@ def test_wedge_form_is_symmetric():
     for i in range(n):
         for j in range(n):
             assert G[i].get(j, ZERO) == G[j].get(i, ZERO)
+
+
+# -- the axiom gate ---------------------------------------------------------
+
+
+class Rejected(Exception):
+    pass
+
+
+def test_gate_skips_H_on_a_table_of_non_physical_shape():
+    """Vir + Vir on L = L1 + L2, M = L1 - L2: two weight-2 vectors, so H
+    does not apply; it passes P(2,2) and the gate lets it through."""
+    two = Scalar.from_int(2)
+    R = ReducedAlgebra([BasisVector("L", Fraction(2), 0),
+                        BasisVector("M", Fraction(2), 0)], "L",
+                       {(1, "L", "L"): {"L": two}, (1, "M", "M"): {"L": two},
+                        (1, "L", "M"): {"M": two}, (1, "M", "L"): {"M": two}})
+    assert not is_physical_shape(R)
+    assert check_P_axioms(R, 2, 2).ok
+    require_axioms(R, Rejected, "never raised: ")
+
+
+def test_gate_raises_the_given_type_with_the_prefix():
+    mutant = dict(catalog.build("K2").sign_mutations())["<D1 0 Db1> term L"]
+    with pytest.raises(Rejected) as info:
+        require_axioms(mutant, Rejected, "mutant: ")
+    assert str(info.value).startswith(
+        "mutant: FAILED (628 instances checked, 18 failures)\n"
+        "  skew fails: <D1 0 Db1>")

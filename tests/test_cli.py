@@ -72,7 +72,6 @@ def test_verify_input_errors(tmp_path, capsys):
 def test_verify_runs_each_axiom_once(tmp_path, capsys, monkeypatch, axioms,
                                      runs):
     import confsalg.cli as cli_mod
-    import confsalg.reconstruct as reconstruct_mod
     path = tmp_path / "vir.json"
     run(capsys, "build", "Vir", "-o", str(path))
     calls = []
@@ -87,8 +86,8 @@ def test_verify_runs_each_axiom_once(tmp_path, capsys, monkeypatch, axioms,
                         counting("P", cli_mod.check_P_axioms))
     monkeypatch.setattr(cli_mod, "check_H_axioms",
                         counting("H", cli_mod.check_H_axioms))
-    monkeypatch.setattr(reconstruct_mod, "check_C_axioms",
-                        counting("C", reconstruct_mod.check_C_axioms))
+    monkeypatch.setattr(cli_mod, "check_C_axioms",
+                        counting("C", cli_mod.check_C_axioms))
     code, out, _ = run(capsys, "verify", str(path), "--axioms", axioms,
                        "--mmax", "2", "--nmax", "2", "--dmax", "1")
     assert code == 0
@@ -136,6 +135,28 @@ def test_simplicity_degenerate_member(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["simple"] is True
     assert doc["nondegeneracy_condition"] in ("1-a^2", "-1+a^2", "a^2-1")
+
+
+@pytest.mark.parametrize("name", ["W2", "N4"])
+def test_simplicity_omits_a_vanishing_pairing_on_a_simple_algebra(
+        tmp_path, capsys, name):
+    """The triple pairing vanishes identically on W2 and N4, which are
+    simple; its condition 0 != 0 would contradict the verdict."""
+    path = tmp_path / "alg.json"
+    run(capsys, "build", name, "-o", str(path))
+    assert run(capsys, "simplicity", str(path)) == (0, "simple\n", "")
+    code, out, _ = run(capsys, "simplicity", str(path), "--format", "json")
+    assert code == 0
+    assert "nondegeneracy_condition" not in json.loads(out)
+
+
+def test_simplicity_keeps_a_vanishing_pairing_on_a_non_simple_algebra(
+        tmp_path, capsys):
+    path = tmp_path / "n4a1.json"
+    run(capsys, "build", "N4alpha", "--alpha", "1", "-o", str(path))
+    code, out, _ = run(capsys, "simplicity", str(path))
+    assert code == 1
+    assert out.splitlines()[-1] == "triple pairing nondegenerate iff 0 != 0"
 
 
 def test_isocheck(tmp_path, capsys):

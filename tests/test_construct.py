@@ -1,11 +1,15 @@
 """Solver-side construction: wedge-form assembly, the Clifford-image
 builders, the weight-1/2 extension and the finite case sweeps."""
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+import confsalg
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
 from confsalg import catalog
 from confsalg.algebra import check_P_axioms, check_H_axioms, is_simple
@@ -246,6 +250,23 @@ def test_sweep_dim6_solutions():
             assert "simple algebra of dimension 32" in verdict
         else:
             assert "zero algebra" in verdict
+
+
+def test_sweep_dim6_builds_CK6_without_the_catalog():
+    """A fresh interpreter runs the dim-6 sweep; the construct layer builds
+    CK6 from its spec and never imports the catalog layer above it."""
+    src = os.path.dirname(os.path.dirname(confsalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys\n"
+              "from confsalg.construct import exclusion_sweep\n"
+              "rep = exclusion_sweep(6)\n"
+              "print('confsalg.catalog' in sys.modules)\n"
+              "print(rep.verdicts[(0, 0, 0)])\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\nsimple algebra of dimension 32\n"
 
 
 def test_sweep_dim8_solutions():
