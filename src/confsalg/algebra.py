@@ -166,14 +166,21 @@ def _mul(table: dict, x: dict, y: dict) -> dict:
     return out
 
 
+def _rows(entries) -> dict:
+    """The join index {x: {y: [(n, el), ...]}} of entries ((n, x, y), el)."""
+    out = {}
+    for (n, x, y), el in entries:
+        out.setdefault(x, {}).setdefault(y, []).append((n, el))
+    return out
+
+
 class ReducedAlgebra:
     """A finite-dimensional reduced subspace with its indexed products.
 
-    `__init__` also builds the partner index: for each id a, the ids b with
-    some stored <a n b>, each with the ids in the terms of any <a n b>.
-    `right_partners` reads it; `live_thirds` and the P and H checkers rest
-    on it.  The derived products read the read-only tables `circ_table`,
-    built on first use, and `bullet_table`, the stored <0> products."""
+    `__init__` also builds `_by_n`, {n: {(a, b): <a n b>}}, and `_rows`,
+    {a: {b: [(n, <a n b>), ...]}}, the index P's joins read (`_join`).  The
+    derived products read the read-only tables `circ_table`, built on first
+    use, and `bullet_table`, the stored <0> products."""
 
     def __init__(self, basis, L: str, products=None):
         self.basis = list(basis)
@@ -200,15 +207,13 @@ class ReducedAlgebra:
                 el = {k: v for k, v in el.items() if v}
                 if el:
                     self.products[(n, a, b)] = el
-        # the table is not changed after construction; _by_n[n] holds the
-        # same elements keyed by the pair (a, b)
-        self._by_n, index = {}, {}
+        # the table is not changed after construction; _by_n and _rows hold
+        # the same elements
+        self._by_n = {}
         for (n, a, b), el in self.products.items():
             self._by_n.setdefault(n, {})[a, b] = el
-            index.setdefault(a, {}).setdefault(b, set()).update(el)
         self._max_n = max(self._by_n, default=0)
-        self._partners = {a: {b: tuple(ts) for b, ts in row.items()}
-                          for a, row in index.items()}
+        self._rows = _rows(self.products.items())
 
     # -- basic lookups ------------------------------------------------------
 
@@ -224,25 +229,6 @@ class ReducedAlgebra:
 
     def max_n(self) -> int:
         return self._max_n
-
-    def right_partners(self, a: str) -> dict:
-        """{b: ids in the terms of any stored <a n b>}, over the b with some
-        stored <a n b>; read only."""
-        return self._partners.get(a, {})
-
-    def live_thirds(self, a: str, b: str) -> set:
-        """The c for which some term of the quadratic identity on (a, b, c),
-        or of the o-associativity or .-Jacobi identity, can be nonzero: the
-        c with a stored <b n c> that has a term t with some stored <a k t>;
-        the same with a and b swapped; and the c with a stored <t k c> for
-        a term t of some <a n b>.  For any other c every term of those
-        identities vanishes."""
-        pa, pb = self.right_partners(a), self.right_partners(b)
-        out = {c for c, ts in pb.items() if not pa.keys().isdisjoint(ts)}
-        out.update(c for c, ts in pa.items() if not pb.keys().isdisjoint(ts))
-        for t in pa.get(b, ()):
-            out.update(self.right_partners(t))
-        return out
 
     def basis_element(self, bid: str) -> dict:
         return {bid: ONE}
@@ -456,16 +442,59 @@ def _graded_asymmetric(table: dict, f: int, par: dict) -> list:
     return bad
 
 
+def _join(rows: dict, a: str, b: str, coeffs, odd: int, R,
+          width: int) -> dict:
+    """The three terms of an identity on (a, b, c), for every c at once,
+    joined over the index `rows`, {x: {y: [(n, <x n y>), ...]}}:
+
+        term 1: each stored <b i c>, then each <a o t> for its terms t;
+        term 2: each stored <a i c>, then each <b o t>, with the sign
+                (-1)^(|a||b| + 1) on the coefficient ct of t;
+        term 3: each stored <a i b>, then each <t o c>.
+
+    Each adds k * ct * <. o .> at key position(c) * width + off for each
+    (off, k) in coeffs(term, x, y, i, o), x and y the weight positions of
+    the inner pair.  Returns {key: sum} over the keys a term reached."""
+    pos, wpos = R.index, R.weight_positions[1]
+    ra, rb, out = rows.get(a, {}), rows.get(b, {}), {}
+    for term, x, inner, outer in ((1, b, rb, ra), (2, a, ra, rb)):
+        wx = wpos[x]
+        for c, prods in inner.items():
+            base, wc = pos[c] * width, wpos[c]
+            for i, el in prods:
+                for t, ct in el.items():
+                    oels = outer.get(t)
+                    if oels and term == 2 and not odd:
+                        ct = -ct
+                    for o, oel in oels or ():
+                        for off, k in coeffs(term, wx, wc, i, o):
+                            el_add_into(out.setdefault(base + off, {}), oel,
+                                        k * ct)
+    wa, wb = wpos[a], wpos[b]
+    for i, el in ra.get(b, ()):
+        for t, ct in el.items():
+            for c, prods in rows.get(t, {}).items():
+                base = pos[c] * width
+                for o, oel in prods:
+                    for off, k in coeffs(3, wa, wb, i, o):
+                        el_add_into(out.setdefault(base + off, {}), oel,
+                                    k * ct)
+    return out
+
+
 def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
                    max_failures: int = 20) -> Report:
     """Skew symmetry, the quadratic identity for m <= m_max and n <= n_max,
     and the conformal-vector conditions, over all basis triples.
 
-    The quadratic identity is evaluated only on the triples (a, b, c) with c
-    in `R.live_thirds(a, b)`; for any other c every term vanishes, and its
-    (m_max + 1) * (n_max + 1) instances count in `checked` as vacuous ones.
-    The visiting order, and so the order of failures, is that of the full
-    loop over a, b, c, m, n.
+    The quadratic identity is joined one pair (a, b) at a time by `_join`
+    over `R._rows`, instance (c, m, n) at key (position(c) * (m_max + 1) +
+    m) * (n_max + 1) + n; an instance no term reaches holds unvisited, so
+    the cost does not grow with the bounds.  Failures come in key order,
+    that of the full loop over a, b, c, m, n.  `checked` counts the
+    instances of that loop, all of them or those up to a stop: the failure
+    that fills the Report or, for a Report full before the identity, the
+    first instance a term reaches.
 
     Skew symmetry counts all (max_n + 1) * dim**2 instances (n, a, b) in
     `checked` but visits only the stored <a n b>, each against its swap,
@@ -475,7 +504,7 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     check_bounds({"m_max": m_max, "n_max": n_max})
     rep = check_well_formed(R, max_failures)
     ids = [b.id for b in R.basis]
-    idx, prods = R.index, R.products
+    idx = R.index
     par = {b.id: b.parity for b in R.basis}
 
     # skew symmetry; the identity holds for (n, a, b) exactly when it holds
@@ -504,91 +533,71 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
         if any(R.weight(t) != 0 for t in two):
             rep.fail("<L 2 %s> is not central of weight 0" % a)
 
-    # the quadratic identity, over the c in R.live_thirds(a, b)
-    weights, wi = R.weight_positions
-    G, F = _quadratic_coeffs(weights, m_max, n_max, R.max_n())
-    vacuous = (m_max + 1) * (n_max + 1)
+    # the quadratic identity, one pair (a, b) at a time
+    coeffs = _quadratic_coeffs(R.weight_positions[0], m_max, n_max)
+    width = (m_max + 1) * (n_max + 1)
+    full, grid = rep.full, rep.checked
     for a in ids:
-        wa, pa = wi[a], par[a]
         for b in ids:
-            wb = wi[b]
-            odd = (pa * par[b]) % 2
-            Fab = F(wa, wb)
-            live_c = R.live_thirds(a, b)
-            for c in ids:
-                if c not in live_c:
-                    rep.checked += vacuous
-                    continue
-                wc = wi[c]
-                Gbc, Gac = G(wb, wc), G(wa, wc)
-                for m in range(m_max + 1):
-                    for n in range(n_max + 1):
-                        acc = {}
-                        live = False
-                        for j, cj in Gbc[m][n]:
-                            inner = prods.get((n + j, b, c))
-                            if not inner:
-                                continue
-                            for t, ct in inner.items():
-                                outer = prods.get((m - j, a, t))
-                                if outer:
-                                    live = True
-                                    el_add_into(acc, outer, cj * ct)
-                        for j, cj in Gac[n][m]:
-                            inner = prods.get((m + j, a, c))
-                            if not inner:
-                                continue
-                            for t, ct in inner.items():
-                                outer = prods.get((n - j, b, t))
-                                if outer:
-                                    live = True
-                                    x = cj * ct
-                                    el_add_into(acc, outer, x if odd else -x)
-                        for j, cf in Fab[m][n]:
-                            inner = prods.get((j, a, b))
-                            if not inner:
-                                continue
-                            for t, ct in inner.items():
-                                outer = prods.get((m + n - j, t, c))
-                                if outer:
-                                    live = True
-                                    el_add_into(acc, outer, -(cf * ct))
-                        rep.checked += 1
-                        if acc:
-                            rep.fail("identity fails: a=%s b=%s c=%s m=%d n=%d"
-                                     % (a, b, c, m, n))
-                        if live and rep.full:
-                            return rep
+            acc = _join(R._rows, a, b, coeffs, par[a] * par[b], R, width)
+            at = grid + 1 + (idx[a] * R.dim + idx[b]) * R.dim * width
+            if full:
+                if acc:
+                    rep.checked = at + min(acc)
+                    return rep
+                continue
+            for key in sorted(k for k, el in acc.items() if el):
+                m, n = divmod(key % width, n_max + 1)
+                if rep.fail("identity fails: a=%s b=%s c=%s m=%d n=%d"
+                            % (a, b, ids[key // width], m, n)):
+                    rep.checked = at + key
+                    return rep
+    rep.checked = grid + R.dim ** 3 * width
     return rep
 
 
-def _quadratic_coeffs(weights: list, m_max: int, n_max: int, top: int):
-    """The nonzero coefficients of the quadratic identity, as two functions
-    of a pair (x, y) of positions in `weights`, each table built on first
-    use: G(x, y)[m][n] lists the (j, C(m, j) * coeff_G(wx, wy, n, j)) for
-    j <= m, for m and n up to max(m_max, n_max); F(x, y)[m][n] lists the
-    (j, coeff_F(wx, wy, m, n, j)) for j <= m + n.  Only the j whose inner
-    product <n+j> or <j> can be stored, with n + j or j at most `top`, are
-    listed."""
-    k = max(m_max, n_max) + 1
+@lru_cache(maxsize=None)
+def _g_scalar(wx: Fraction, wy: Fraction, p: int, q: int, j: int) -> Scalar:
+    return Scalar.from_fraction(comb(p, j) * coeff_G(wx, wy, q, j))
+
+
+@lru_cache(maxsize=None)
+def _f_scalar(wx: Fraction, wy: Fraction, m: int, n: int, j: int) -> Scalar:
+    return Scalar.from_fraction(coeff_F(wx, wy, m, n, j))
+
+
+def _quadratic_coeffs(weights: list, m_max: int, n_max: int):
+    """The coefficients of the quadratic identity as `_join` reads them:
+    coeffs(term, x, y, i, o) lists the (m * (n_max + 1) + n, k) over the
+    (m, n) in bounds that the product indices (i, o) reach, with k != 0,
+    x and y being positions in `weights`:
+
+        term 1 at m = o + j, n = i - j:  k = C(m, j) coeff_G(wb, wc, n, j);
+        term 2 at m = i - j, n = o + j:  k = C(n, j) coeff_G(wa, wc, m, j);
+        term 3 at m + n = i + o:         k = -coeff_F(wa, wb, m, n, i).
+
+    Lists are made on first use, from Scalars that `_g_scalar` and
+    `_f_scalar` keep for the process, so only the (m, n, j) a join reaches
+    are visited, whatever the bounds."""
+    w = n_max + 1
 
     @lru_cache(maxsize=None)
-    def G(x, y):
+    def coeffs(term, x, y, i, o):
         wx, wy = weights[x], weights[y]
-        return [[[(j, Scalar.from_fraction(comb(m, j) * c))
-                  for j in range(min(m, top - n) + 1)
-                  if (c := coeff_G(wx, wy, n, j))]
-                 for n in range(k)] for m in range(k)]
+        if term == 3:
+            s = i + o
+            return tuple((m * w + s - m, -k)
+                         for m in range(max(0, s - n_max), min(m_max, s) + 1)
+                         if (k := _f_scalar(wx, wy, m, s - m, i)))
+        pmax, qmax = (m_max, n_max) if term == 1 else (n_max, m_max)
+        out = []
+        for j in range(max(0, i - qmax), min(i, pmax - o) + 1):
+            p, q = o + j, i - j
+            if k := _g_scalar(wx, wy, p, q, j):
+                out.append((p * w + q if term == 1 else q * w + p, k))
+        return tuple(out)
 
-    @lru_cache(maxsize=None)
-    def F(x, y):
-        wx, wy = weights[x], weights[y]
-        return [[[(j, Scalar.from_fraction(c))
-                  for j in range(min(m + n, top) + 1)
-                  if (c := coeff_F(wx, wy, m, n, j))]
-                 for n in range(n_max + 1)] for m in range(m_max + 1)]
-
-    return G, F
+    return coeffs
 
 
 def require_axioms(R: ReducedAlgebra, exc_type, prefix: str) -> None:
@@ -614,19 +623,40 @@ def is_physical_shape(R: ReducedAlgebra) -> bool:
     return all(n <= 1 for (n, _, _) in R.products)
 
 
+@lru_cache(maxsize=None)
+def _derived_coeffs(term, x, y, i, o) -> tuple:
+    """`_join`'s coefficients of a o (b o c) - (a o b) o c on the o table,
+    index f = 0, and a . (b . c) - (-1)^(|a||b|) b . (a . c) - (a . b) . c
+    on the . table, f = 1, at key offset f."""
+    if term == 2 and i == 0:
+        return ()
+    return ((i, MINUS_ONE if term == 3 else ONE),)
+
+
+@lru_cache(maxsize=None)
+def _derivation_coeffs(term, x, y, i, o) -> tuple:
+    """`_join`'s coefficients of a . (x o y) - x o (a . y) - (a . x) o y on
+    the pair (a, x), over the o (index 0) and . (index 1) tables indexed
+    as one; for an even a, `_join` gives the second term its minus sign."""
+    if (i, o) != ((0, 1) if term == 1 else (1, 0)):
+        return ()
+    return ((0, MINUS_ONE if term == 3 else ONE),)
+
+
 def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     """The identities satisfied by the two derived products of a physical
     algebra: unit laws, graded symmetry, associativity of the even product,
     the Leibniz rules and the Clifford-square law.
 
-    o-associativity and the .-Jacobi identity are evaluated only on the
-    triples (a, b, c) with c in `R.live_thirds(a, b)`; every other triple
-    counts in `checked` as a vacuous instance, in the same a, b, c order.
-    Likewise o-symmetry and .-antisymmetry visit only the pairs with a
-    stored o or . product, each against its swap, and report the failing
-    pairs in the (a, b) order of the full loop, o before .; every other
-    pair of the dim**2 holds and is counted as checked without being
-    visited."""
+    o-associativity and the .-Jacobi identity are joined by `_join` one
+    pair (a, b) at a time, over the o and the . table, the triple (a, b, c)
+    at keys 2 * position(c) + f, f = 0 for o and 1 for .; the derivation
+    law one pair (a, x) at a time, keyed by y.  A triple no term reaches
+    holds unvisited.  Failures come in the order of the full loops;
+    `checked` counts the triples of the full loop, all of them or those up
+    to the one whose failure fills the Report, and a Report full before
+    the triples stops at the first one.  Graded symmetry visits only the
+    stored o and . pairs, each against its swap, and counts all dim**2."""
     rep = Report(max_failures=max_failures)
     if not is_physical_shape(R):
         rep.fail("not of physical shape "
@@ -667,42 +697,41 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
             except ValueError:
                 rep.fail("%s . %s is not in span(L)" % (u, v))
 
+    # o-associativity and the .-Jacobi identity, one pair (a, b) at a time
+    if rep.full:
+        rep.checked += 1
+        return rep
+    tables = list(enumerate((C, B)))
+    rows = [_rows(((f, x, y), el) for (x, y), el in table.items())
+            for f, table in tables]
+    grid = rep.checked
     for a in ids:
-        ea, pa = els[a], par[a]
         for b in ids:
-            eb, pb = els[b], par[b]
-            sgn_ab = -1 if pa * pb else 1
-            live_c = R.live_thirds(a, b)
-            for c in ids:
-                rep.checked += 1
-                if c in live_c:
-                    ec = els[c]
-                    # even product associativity and commutativity
-                    lhs = R.circ(ea, C.get((b, c), no))
-                    rhs = R.circ(C.get((a, b), no), ec)
-                    if lhs != rhs:
-                        rep.fail("o-associativity fails: %s,%s,%s" % (a, b, c))
-                    # odd product Jacobi
-                    jac = R.bullet(ea, B.get((b, c), no))
-                    el_add_into(jac, R.bullet(eb, B.get((a, c), no)),
-                                MINUS_ONE if sgn_ab > 0 else ONE)
-                    el_add_into(jac, R.bullet(B.get((a, b), no), ec), MINUS_ONE)
-                    if jac:
-                        rep.fail(".-Jacobi fails: %s,%s,%s" % (a, b, c))
+            odd = par[a] * par[b]
+            acc = _join(rows[0], a, b, _derived_coeffs, odd, R, 2)
+            acc.update(_join(rows[1], a, b, _derived_coeffs, odd, R, 2))
+            at = grid + 1 + (idx[a] * R.dim + idx[b]) * R.dim
+            for key in sorted(k for k, el in acc.items() if el):
+                rep.fail("%s fails: %s,%s,%s" % (
+                    ("o-associativity", ".-Jacobi")[key % 2], a, b,
+                    ids[key // 2]))
                 if rep.full:
+                    rep.checked = at + key // 2
                     return rep
+    rep.checked = grid + R.dim ** 3
 
-    # weight-1 elements act as derivations of the even product
+    # weight-1 elements act as derivations of the even product, joined one
+    # pair (a, x) at a time
+    rep.checked += len(A) * R.dim ** 2
+    both = _rows(((f, x, y), el) for f, table in tables
+                 for (x, y), el in table.items())
     for a in A:
-        ea = els[a]
         for x in ids:
-            for y in ids:
-                rep.checked += 1
-                lhs = R.bullet(ea, C.get((x, y), no))
-                rhs = R.circ(B.get((a, x), no), els[y])
-                el_add_into(rhs, R.circ(els[x], B.get((a, y), no)))
-                if lhs != rhs:
-                    rep.fail("derivation law fails: %s on %s o %s" % (a, x, y))
+            acc = _join(both, a, x, _derivation_coeffs, par[a] * par[x],
+                        R, 1)
+            for key in sorted(k for k, el in acc.items() if el):
+                rep.fail("derivation law fails: %s on %s o %s"
+                         % (a, x, ids[key]))
 
     # mixed Leibniz rule on V x V x F
     for u in V:

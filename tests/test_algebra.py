@@ -3,12 +3,14 @@ invariant forms."""
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
 from confsalg.scalars import Scalar, ZERO, ONE, IMAG, ALPHA
 from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
-                              el_add_into, el_scale,
+                              Report, el_add_into, el_scale,
                               check_well_formed, check_P_axioms,
                               check_H_axioms, is_physical_shape, center,
                               require_axioms,
@@ -16,7 +18,7 @@ from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
                               is_simple, null_pairs, alpha_matrix,
                               form_V_wedge_V)
 from confsalg.reconstruct import check_C_axioms
-from confsalg import catalog
+from confsalg import algebra, catalog
 
 H = Fraction(1, 2)
 
@@ -279,59 +281,302 @@ def _not_skew():
     })
 
 
-def _live_cases(case):
+def _seeded_table(rng):
+    """A table of non-physical shape: weights in 1/2..4, products at n up
+    to 5, about half of them stored with their swap."""
+    basis = [BasisVector("L", Fraction(2), 0)] + [
+        BasisVector("x%d" % k, Fraction(rng.randint(1, 8), 2),
+                    rng.randint(0, 1)) for k in range(rng.randint(1, 5))]
+    ids = [b.id for b in basis]
+    coeffs = [ONE, -ONE, Scalar.from_int(2), IMAG,
+              Scalar.from_fraction(Fraction(1, 3))]
+    products = {(1, "L", "L"): {"L": Scalar.from_int(2)}}
+    for _ in range(rng.randint(1, 14)):
+        n, a, b = rng.randint(0, 5), rng.choice(ids), rng.choice(ids)
+        products[n, a, b] = {t: rng.choice(coeffs)
+                             for t in rng.sample(ids, rng.randint(1, 2))}
+        if rng.random() < 0.5:
+            products[n, b, a] = dict(products[n, a, b])
+    return ReducedAlgebra(basis, "L", products)
+
+
+def _reference_cases(case):
     if case == "not skew":
         return [_not_skew()]
+    if case == "seeded tables":
+        rng = random.Random(20)
+        return [_seeded_table(rng) for _ in range(50)]
     if case.endswith(" mutants"):
-        return [M for _, M in catalog.build(case.split()[0]).sign_mutations()]
+        name = case.split()[0]
+        R = catalog.build("N4alpha", 0) if name == "N4alpha(0)" else \
+            catalog.build(name)
+        return [M for _, M in R.sign_mutations()]
     return [catalog.build(case)]
 
 
-def _some_term_nonzero(R, a, b, c) -> bool:
-    """Whether a term of the quadratic identity on (a, b, c), at any
-    product indices, or of o-associativity or the .-Jacobi identity on
-    (a, b, c) is nonzero, computed from the products alone."""
-    e = R.basis_element
-    ns = range(R.max_n() + 1)
-    for n1 in ns:
-        for n2 in ns:
-            if R.product_n(e(a), n1, R.product_basis(n2, b, c)) or \
-                    R.product_n(e(b), n1, R.product_basis(n2, a, c)) or \
-                    R.product_n(R.product_basis(n2, a, b), n1, e(c)):
-                return True
-    ea, eb, ec = e(a), e(b), e(c)
-    return any((R.circ(ea, R.circ(eb, ec)), R.circ(R.circ(ea, eb), ec),
-                R.bullet(ea, R.bullet(eb, ec)),
-                R.bullet(eb, R.bullet(ea, ec)),
-                R.bullet(R.bullet(ea, eb), ec)))
+def _replay(events, cap):
+    """(ok, checked, failures) of the Report that a checker with failure
+    cap `cap` gives on the events of its full loops: ("fail", message),
+    ("stop", checked) where the loops stop once the Report is full, and
+    ("end", checked)."""
+    rep = Report(max_failures=cap)
+    for kind, value in events:
+        if kind == "fail":
+            rep.fail(value)
+        elif kind == "end" or rep.full:
+            rep.checked = value
+            if kind == "stop":
+                break
+    return rep.ok, rep.checked, rep.failures
+
+
+def _reference_reports(events, caps=(0, 1, 3, 20)) -> dict:
+    """{cap: _replay(events, cap)}, reading the event generator once and
+    only as far as the largest cap needs; a smaller cap stops no later."""
+    seen = []
+    top = _replay((seen.append(e) or e for e in events), max(caps))
+    return {cap: _replay(seen, cap) if cap < max(caps) else top
+            for cap in caps}
+
+
+def _reference_P(R, m_max, n_max):
+    """check_P_axioms as the events of plain loops: skew symmetry over
+    every (n, a, b), and the quadratic identity over every (a, b, c, m, n)
+    with its coefficients straight from coeff_G and coeff_F, stopping only
+    at an instance where some term is nonzero."""
+    rep = check_well_formed(R, max_failures=10 ** 6)
+    for f in rep.failures:
+        yield "fail", f
+    checked = rep.checked
+    ids = [b.id for b in R.basis]
+    w = {b.id: b.weight for b in R.basis}
+    par = {b.id: b.parity for b in R.basis}
+    P, L = R.product_basis, R.L
+    scalar = lru_cache(maxsize=None)(Scalar.from_fraction)
+    for n in range(R.max_n() + 1):
+        for a in ids:
+            for b in ids:
+                checked += 1
+                sign = scalar(Fraction((-1) ** (n + 1 + par[a] * par[b])))
+                if P(n, a, b) != el_scale(P(n, b, a), sign):
+                    yield "fail", "skew fails: <%s %d %s>" % (a, n, b)
+    checked += 1
+    if par[L] != 0 or w[L] != 2:
+        yield "fail", "conformal vector must be even of weight 2"
+    if P(1, L, L) != {L: Scalar.from_int(2)}:
+        yield "fail", "<L 1 L> != 2L"
+    for a in ids:
+        checked += 1
+        if P(0, L, a):
+            yield "fail", "<L 0 %s> != 0" % a
+        if P(1, L, a) != ({a: scalar(w[a])} if w[a] else {}):
+            yield "fail", "<L 1 %s> is not weight * %s" % (a, a)
+        if any(w[t] != 0 for t in P(2, L, a)):
+            yield "fail", "<L 2 %s> is not central of weight 0" % a
+    # the products of each pair (x, y), keyed by n
+    prods, pair = R.products, {}
+    for (n, x, y), el in prods.items():
+        pair.setdefault((x, y), {})[n] = el
+    for a in ids:
+        for b in ids:
+            ab = pair.get((a, b), {})
+            sign = 1 if par[a] * par[b] else -1
+            for c in ids:
+                bc, ac = pair.get((b, c), {}), pair.get((a, c), {})
+                for m in range(m_max + 1):
+                    for n in range(n_max + 1):
+                        # each sum over j runs over the stored inner
+                        # products <b i c>, <a i c> and <a i b>
+                        acc, live = {}, False
+                        for i, inner in bc.items():
+                            j = i - n
+                            for t, ct in inner.items() if 0 <= j <= m else ():
+                                outer = prods.get((m - j, a, t))
+                                k = outer and comb(m, j) * coeff_G(
+                                    w[b], w[c], n, j)
+                                if k:
+                                    el_add_into(acc, outer, scalar(k) * ct)
+                                    live = True
+                        for i, inner in ac.items():
+                            j = i - m
+                            for t, ct in inner.items() if 0 <= j <= n else ():
+                                outer = prods.get((n - j, b, t))
+                                k = outer and sign * comb(n, j) * coeff_G(
+                                    w[a], w[c], m, j)
+                                if k:
+                                    el_add_into(acc, outer, scalar(k) * ct)
+                                    live = True
+                        for j, inner in ab.items():
+                            for t, ct in inner.items() if j <= m + n else ():
+                                outer = prods.get((m + n - j, t, c))
+                                k = outer and -coeff_F(w[a], w[b], m, n, j)
+                                if k:
+                                    el_add_into(acc, outer, scalar(k) * ct)
+                                    live = True
+                        checked += 1
+                        if acc:
+                            yield "fail", ("identity fails: a=%s b=%s c=%s "
+                                           "m=%d n=%d" % (a, b, c, m, n))
+                        if live:
+                            yield "stop", checked
+    yield "end", checked
 
 
 @pytest.mark.parametrize("case", catalog.NAMES + (
-    "K2 mutants", "K3 mutants", "S2 mutants", "not skew"))
-def test_live_thirds_hold_every_nonzero_term(case):
-    """P and H skip the c outside R.live_thirds(a, b); that is sound only if
-    no term of their identities is nonzero there."""
-    for R in _live_cases(case):
-        ids = [b.id for b in R.basis]
-        for a in ids:
-            for b in ids:
-                live = R.live_thirds(a, b)
-                for c in ids:
-                    if c not in live:
-                        assert not _some_term_nonzero(R, a, b, c), \
-                            (case, a, b, c)
+    "K2 mutants", "K3 mutants", "S2 mutants", "not skew", "seeded tables"))
+def test_P_matches_reference_loop(case):
+    """P's joins give the Report of the full loops: (ok, checked, failures)
+    agree at every bound and cap."""
+    for R in _reference_cases(case):
+        for bounds in ((0, 0), (2, 2), (4, 4), (5, 1), (1, 6)):
+            want = _reference_reports(_reference_P(R, *bounds))
+            for cap, report in want.items():
+                rep = check_P_axioms(R, *bounds, max_failures=cap)
+                assert (rep.ok, rep.checked, rep.failures) == report, \
+                    (case, bounds, cap)
 
 
-def test_live_thirds_prune():
-    R = _not_skew()
-    # <u 0 v> has the term x and <x 0 u> is stored: the term
-    # <<u 0 v> 0 u> of the identity on (u, v, u) is nonzero
-    assert "u" in R.live_thirds("u", "v")
-    assert R.live_thirds("L", "f") == set()
-    ck6 = catalog.build("CK6")
-    ids = [b.id for b in ck6.basis]
-    live = sum(len(ck6.live_thirds(a, b)) for a in ids for b in ids)
-    assert live < ck6.dim ** 3 // 2
+def _reference_H(R):
+    """check_H_axioms as the events of plain loops over every pair and
+    triple, with products formed by R.circ and R.bullet, stopping after
+    any triple of the o-associativity and .-Jacobi loop."""
+    if not is_physical_shape(R):
+        yield "fail", ("not of physical shape "
+                       "(weights, parities or product indices are off)")
+        yield "end", 0
+        return
+    ids = [b.id for b in R.basis]
+    par = {b.id: b.parity for b in R.basis}
+    V, A, F = (R.space(Fraction(k, 2)) for k in (3, 2, 1))
+    circ, bullet, act = R.circ, R.bullet, R.clifford_act
+    e = {x: R.basis_element(x) for x in ids}
+    # the products of two basis vectors
+    o = {(x, y): circ(e[x], e[y]) for x in ids for y in ids}
+    d = {(x, y): bullet(e[x], e[y]) for x in ids for y in ids}
+    checked = 0
+    for a in ids:
+        checked += 1
+        if o[R.L, a] != e[a]:
+            yield "fail", "L o %s != %s" % (a, a)
+        if d[R.L, a]:
+            yield "fail", "L . %s != 0" % a
+    for a in ids:
+        for b in ids:
+            checked += 1
+            for f, (name, ab) in enumerate((("o-symmetry", o),
+                                            (".-antisymmetry", d))):
+                sign = Scalar.from_int((-1) ** (f + par[a] * par[b]))
+                if ab[a, b] != el_scale(ab[b, a], sign):
+                    yield "fail", "%s fails: %s, %s" % (name, a, b)
+    inner = {}
+    for u in V:
+        for v in V:
+            checked += 1
+            try:
+                inner[u, v] = R.coeff_of_L(d[u, v])
+            except ValueError:
+                yield "fail", "%s . %s is not in span(L)" % (u, v)
+    for a in ids:
+        for b in ids:
+            sign = ONE if par[a] * par[b] else -ONE
+            for c in ids:
+                checked += 1
+                if circ(e[a], o[b, c]) != circ(o[a, b], e[c]):
+                    yield "fail", "o-associativity fails: %s,%s,%s" % (
+                        a, b, c)
+                jac = bullet(e[a], d[b, c])
+                el_add_into(jac, bullet(e[b], d[a, c]), sign)
+                el_add_into(jac, bullet(d[a, b], e[c]), -ONE)
+                if jac:
+                    yield "fail", ".-Jacobi fails: %s,%s,%s" % (a, b, c)
+                yield "stop", checked
+    for a in A:
+        for x in ids:
+            for y in ids:
+                checked += 1
+                rhs = circ(d[a, x], e[y])
+                el_add_into(rhs, circ(e[x], d[a, y]))
+                if bullet(e[a], o[x, y]) != rhs:
+                    yield "fail", "derivation law fails: %s on %s o %s" % (
+                        a, x, y)
+    for u in V:
+        for v in V:
+            for f in F:
+                checked += 1
+                rhs = bullet(o[u, v], e[f])
+                el_add_into(rhs, circ(d[u, v], e[f]))
+                if circ(e[u], d[v, f]) != rhs:
+                    yield "fail", "mixed Leibniz fails: %s,%s,%s" % (u, v, f)
+    for iu, u in enumerate(V):
+        for w in V[iu:]:
+            if (u, w) not in inner:
+                continue
+            for x in V + A:
+                checked += 1
+                lhs = act(e[u], act(e[w], e[x]))
+                el_add_into(lhs, act(e[w], act(e[u], e[x])))
+                if lhs != el_scale(e[x], Scalar.from_int(2) * inner[u, w]):
+                    yield "fail", "square law fails: %s,%s on %s" % (u, w, x)
+    yield "end", checked
+
+
+@pytest.mark.parametrize("case", catalog.NAMES + (
+    "K2 mutants", "K3 mutants", "S2 mutants", "W2 mutants",
+    "N4alpha(0) mutants"))
+def test_H_matches_reference_loop(case):
+    """H's joins give the Report of the full loops at every cap, also for a
+    Report already full before the triples, which stops at the first."""
+    for R in _reference_cases(case):
+        for cap, report in _reference_reports(_reference_H(R)).items():
+            rep = check_H_axioms(R, max_failures=cap)
+            assert (rep.ok, rep.checked, rep.failures) == report, (case, cap)
+
+
+def _w6_table():
+    """L of weight 2 and an even W of weight 6, with <L 1 L> = 2L,
+    <L 1 W> = <W 1 L> = 6W and <W 9 W> = L."""
+    six = Scalar.from_int(6)
+    return ReducedAlgebra(
+        [BasisVector("L", Fraction(2), 0), BasisVector("W", Fraction(6), 0)],
+        "L", {(1, "L", "L"): {"L": Scalar.from_int(2)},
+              (1, "L", "W"): {"W": six}, (1, "W", "L"): {"W": six},
+              (9, "W", "W"): {"L": ONE}})
+
+
+def test_w6_table_P_reports_are_pinned():
+    """The pinned table whose stored n (9) exceeds the bounds: P(4,4)
+    holds, and P(6,6) fails first at m + n = 10; the values are those of
+    the loops over every instance."""
+    R = _w6_table()
+    rep = check_P_axioms(R, 4, 4)
+    assert (rep.ok, rep.checked, rep.failures) == (True, 247, [])
+    rep = check_P_axioms(R, 6, 6)
+    assert (rep.ok, rep.checked) == (False, 439)
+    assert rep.failures[0] == "identity fails: a=L b=W c=W m=4 n=6"
+
+
+def test_P_work_does_not_grow_with_the_bounds(monkeypatch):
+    """CK6 stores n <= 1, so the joins reach no instance beyond m, n <= 2:
+    from P(2,2) to P(64,64) they join the same products and add the same
+    terms, and every instance is counted."""
+    joins, adds = [], []
+    real_coeffs, real_add = algebra._quadratic_coeffs, algebra.el_add_into
+
+    def counting_coeffs(*args):
+        coeffs = real_coeffs(*args)
+        return lambda *key: joins.append(key) or coeffs(*key)
+
+    monkeypatch.setattr(algebra, "_quadratic_coeffs", counting_coeffs)
+    monkeypatch.setattr(algebra, "el_add_into",
+                        lambda *args: adds.append(1) or real_add(*args))
+    ck6, work = catalog.build("CK6"), []
+    for bound in (2, 4, 64):
+        del joins[:], adds[:]
+        rep = check_P_axioms(ck6, bound, bound)
+        assert rep.ok and rep.checked == check_well_formed(ck6).checked + \
+            2 * 32 ** 2 + 33 + 32 ** 3 * (bound + 1) ** 2
+        work.append((len(joins), len(adds)))
+    assert work[0] == work[1] == work[2] and min(work[0]) > 0
 
 
 def test_n4alpha0_mutant_reports_are_pinned():
