@@ -339,11 +339,57 @@ def _reference_reports(events, caps=(0, 1, 3, 20)) -> dict:
             for cap in caps}
 
 
+_scalar = lru_cache(maxsize=None)(Scalar.from_fraction)
+
+
+def _pair_products(R) -> dict:
+    """{(x, y): {n: <x n y>}} over the stored products."""
+    pair = {}
+    for (n, x, y), el in R.products.items():
+        pair.setdefault((x, y), {})[n] = el
+    return pair
+
+
+def _quadratic_terms(R, pair, a, b, c, m, n) -> tuple:
+    """(sum, live) of the quadratic identity on (a, b, c) at (m, n), with
+    its coefficients straight from coeff_G and coeff_F: the sum of its
+    terms, and whether some term has a nonzero coefficient and a stored
+    outer product.  Each sum over j runs over the stored inner products
+    <b i c>, <a i c> and <a i b>; `pair` is _pair_products(R)."""
+    prods, w = R.products, R.weight
+    sign = 1 if R.parity(a) * R.parity(b) else -1
+    acc, live = {}, False
+    for i, inner in pair.get((b, c), {}).items():
+        j = i - n
+        for t, ct in inner.items() if 0 <= j <= m else ():
+            outer = prods.get((m - j, a, t))
+            k = outer and comb(m, j) * coeff_G(w(b), w(c), n, j)
+            if k:
+                el_add_into(acc, outer, _scalar(k) * ct)
+                live = True
+    for i, inner in pair.get((a, c), {}).items():
+        j = i - m
+        for t, ct in inner.items() if 0 <= j <= n else ():
+            outer = prods.get((n - j, b, t))
+            k = outer and sign * comb(n, j) * coeff_G(w(a), w(c), m, j)
+            if k:
+                el_add_into(acc, outer, _scalar(k) * ct)
+                live = True
+    for j, inner in pair.get((a, b), {}).items():
+        for t, ct in inner.items() if j <= m + n else ():
+            outer = prods.get((m + n - j, t, c))
+            k = outer and -coeff_F(w(a), w(b), m, n, j)
+            if k:
+                el_add_into(acc, outer, _scalar(k) * ct)
+                live = True
+    return acc, live
+
+
 def _reference_P(R, m_max, n_max):
     """check_P_axioms as the events of plain loops: skew symmetry over
     every (n, a, b), and the quadratic identity over every (a, b, c, m, n)
-    with its coefficients straight from coeff_G and coeff_F, stopping only
-    at an instance where some term is nonzero."""
+    by _quadratic_terms, stopping only at an instance where some term is
+    nonzero."""
     rep = check_well_formed(R, max_failures=10 ** 6)
     for f in rep.failures:
         yield "fail", f
@@ -352,12 +398,11 @@ def _reference_P(R, m_max, n_max):
     w = {b.id: b.weight for b in R.basis}
     par = {b.id: b.parity for b in R.basis}
     P, L = R.product_basis, R.L
-    scalar = lru_cache(maxsize=None)(Scalar.from_fraction)
     for n in range(R.max_n() + 1):
         for a in ids:
             for b in ids:
                 checked += 1
-                sign = scalar(Fraction((-1) ** (n + 1 + par[a] * par[b])))
+                sign = _scalar(Fraction((-1) ** (n + 1 + par[a] * par[b])))
                 if P(n, a, b) != el_scale(P(n, b, a), sign):
                     yield "fail", "skew fails: <%s %d %s>" % (a, n, b)
     checked += 1
@@ -369,50 +414,17 @@ def _reference_P(R, m_max, n_max):
         checked += 1
         if P(0, L, a):
             yield "fail", "<L 0 %s> != 0" % a
-        if P(1, L, a) != ({a: scalar(w[a])} if w[a] else {}):
+        if P(1, L, a) != ({a: _scalar(w[a])} if w[a] else {}):
             yield "fail", "<L 1 %s> is not weight * %s" % (a, a)
         if any(w[t] != 0 for t in P(2, L, a)):
             yield "fail", "<L 2 %s> is not central of weight 0" % a
-    # the products of each pair (x, y), keyed by n
-    prods, pair = R.products, {}
-    for (n, x, y), el in prods.items():
-        pair.setdefault((x, y), {})[n] = el
+    pair = _pair_products(R)
     for a in ids:
         for b in ids:
-            ab = pair.get((a, b), {})
-            sign = 1 if par[a] * par[b] else -1
             for c in ids:
-                bc, ac = pair.get((b, c), {}), pair.get((a, c), {})
                 for m in range(m_max + 1):
                     for n in range(n_max + 1):
-                        # each sum over j runs over the stored inner
-                        # products <b i c>, <a i c> and <a i b>
-                        acc, live = {}, False
-                        for i, inner in bc.items():
-                            j = i - n
-                            for t, ct in inner.items() if 0 <= j <= m else ():
-                                outer = prods.get((m - j, a, t))
-                                k = outer and comb(m, j) * coeff_G(
-                                    w[b], w[c], n, j)
-                                if k:
-                                    el_add_into(acc, outer, scalar(k) * ct)
-                                    live = True
-                        for i, inner in ac.items():
-                            j = i - m
-                            for t, ct in inner.items() if 0 <= j <= n else ():
-                                outer = prods.get((n - j, b, t))
-                                k = outer and sign * comb(n, j) * coeff_G(
-                                    w[a], w[c], m, j)
-                                if k:
-                                    el_add_into(acc, outer, scalar(k) * ct)
-                                    live = True
-                        for j, inner in ab.items():
-                            for t, ct in inner.items() if j <= m + n else ():
-                                outer = prods.get((m + n - j, t, c))
-                                k = outer and -coeff_F(w[a], w[b], m, n, j)
-                                if k:
-                                    el_add_into(acc, outer, scalar(k) * ct)
-                                    live = True
+                        acc, live = _quadratic_terms(R, pair, a, b, c, m, n)
                         checked += 1
                         if acc:
                             yield "fail", ("identity fails: a=%s b=%s c=%s "
@@ -420,6 +432,93 @@ def _reference_P(R, m_max, n_max):
                         if live:
                             yield "stop", checked
     yield "end", checked
+
+
+def _P_join(R, m_max, n_max, a, b) -> dict:
+    """check_P_axioms' join on the pair (a, b): {key: sum} over the keys
+    (position(c) * (m_max + 1) + m) * (n_max + 1) + n it reaches."""
+    coeffs = algebra._quadratic_coeffs(R.weight_positions[0], m_max, n_max)
+    return algebra._join(R._rows, a, b, coeffs, R.parity(a) * R.parity(b),
+                         R, (m_max + 1) * (n_max + 1))
+
+
+def _live_thirds(R, a, b, m_max=2, n_max=2) -> set:
+    """The c of the instances on (a, b) that P's join reaches."""
+    width = (m_max + 1) * (n_max + 1)
+    return {R.basis[key // width].id
+            for key in _P_join(R, m_max, n_max, a, b)}
+
+
+@pytest.mark.parametrize("case", catalog.NAMES + (
+    "K2 mutants", "K3 mutants", "S2 mutants", "not skew"))
+def test_live_thirds_hold_every_nonzero_term(case):
+    """P and H visit only the instances their joins reach: for P the live
+    thirds c of each pair (a, b) at the (m, n) reached, for H the triples
+    of o-associativity and the .-Jacobi identity and the (a, x, y) of the
+    derivation law.  That is sound only if no term of those identities is
+    nonzero at any other instance."""
+    for R in _reference_cases(case):
+        ids = [b.id for b in R.basis]
+        pair = _pair_products(R)
+        for m_max, n_max in ((2, 2), (1, 3)):
+            width = (m_max + 1) * (n_max + 1)
+            for a in ids:
+                for b in ids:
+                    reached = _P_join(R, m_max, n_max, a, b)
+                    for key in range(R.dim * width):
+                        if key in reached:
+                            continue
+                        c = ids[key // width]
+                        m, n = divmod(key % width, n_max + 1)
+                        assert not _quadratic_terms(
+                            R, pair, a, b, c, m, n)[1], (case, a, b, c, m, n)
+        if not is_physical_shape(R):
+            continue
+        C, B = R.circ_table, R.bullet_table
+        rows = [algebra._rows(((f, x, y), el) for (x, y), el in table.items())
+                for f, table in enumerate((C, B))]
+        both = algebra._rows(((f, x, y), el)
+                             for f, table in enumerate((C, B))
+                             for (x, y), el in table.items())
+        e = {x: R.basis_element(x) for x in ids}
+        o = {(x, y): R.circ(e[x], e[y]) for x in ids for y in ids}
+        d = {(x, y): R.bullet(e[x], e[y]) for x in ids for y in ids}
+        for a in ids:
+            for b in ids:
+                odd = R.parity(a) * R.parity(b)
+                reached = set()
+                for f in (0, 1):
+                    reached.update(algebra._join(
+                        rows[f], a, b, algebra._derived_coeffs, odd, R, 2))
+                for ic, c in enumerate(ids):
+                    if 2 * ic not in reached:
+                        assert not R.circ(e[a], o[b, c]) and \
+                            not R.circ(o[a, b], e[c]), (case, a, b, c)
+                    if 2 * ic + 1 not in reached:
+                        assert not R.bullet(e[a], d[b, c]) and \
+                            not R.bullet(e[b], d[a, c]) and \
+                            not R.bullet(d[a, b], e[c]), (case, a, b, c)
+        for a in R.space(Fraction(1)):
+            for x in ids:
+                reached = algebra._join(both, a, x, algebra._derivation_coeffs,
+                                        R.parity(a) * R.parity(x), R, 1)
+                for iy, y in enumerate(ids):
+                    if iy not in reached:
+                        assert not R.bullet(e[a], o[x, y]) and \
+                            not R.circ(d[a, x], e[y]) and \
+                            not R.circ(e[x], d[a, y]), (case, a, x, y)
+
+
+def test_live_thirds_prune():
+    R = _not_skew()
+    # <u 0 v> has the term x and <x 0 u> is stored: the term
+    # <<u 0 v> 0 u> of the identity on (u, v, u) is nonzero
+    assert "u" in _live_thirds(R, "u", "v")
+    assert _live_thirds(R, "L", "f") == set()
+    ck6 = catalog.build("CK6")
+    ids = [b.id for b in ck6.basis]
+    live = sum(len(_live_thirds(ck6, a, b)) for a in ids for b in ids)
+    assert live < ck6.dim ** 3 // 2
 
 
 @pytest.mark.parametrize("case", catalog.NAMES + (
