@@ -17,6 +17,15 @@ a_(m) b = sum_j d^(j) (...) with the `coeff_G` factors applied, and
 elements from it.  The binomial factors of the derivative rules come from
 a small int -> Scalar cache.  `ReducedAlgebra.vector` of an element of the
 reduced algebra is its flat element of degree 0.
+
+`check_C_axioms` is the second of the two oracles; P, in `algebra`, is the
+first.  It joins the table itself and never calls `algebra`'s joins.  What
+it shares with P, and the test that pins each apart from both oracles:
+`coeff_G` (test_coeff_G_solves_the_L2_recurrence, from the L_(2)
+recurrence), the loading of a `ReducedAlgebra`
+(test_json_round_trip_is_byte_identical, test_golden_files_are_byte_stable),
+`Scalar` (test_ring_laws, test_division_matches_fraction_arithmetic) and
+`linalg`'s sparse element helpers (test_element_arithmetic).
 """
 from __future__ import annotations
 
@@ -48,9 +57,7 @@ def binom_ff(m: int, j: int) -> Fraction:
 class ReconstructedAlgebra:
     """K[d]-span of a reduced algebra with the full (n)-products.
 
-    `pos` maps each basis id to its position, `ids` reads it back, and
-    `partners[p]` holds the positions with some stored product against
-    position p, on either side."""
+    `pos` maps each basis id to its position and `ids` reads it back."""
 
     def __init__(self, R: ReducedAlgebra):
         self.R = R
@@ -60,11 +67,8 @@ class ReconstructedAlgebra:
         # table[(pa, pb)][m] = [(j, [(pc, coefficient)])]: a_(m) b is the
         # sum over j of d^(j) of these elements
         self._table = table = {}
-        self.partners = partners = [set() for _ in self.ids]
         for (nj, a, b), el in R.products.items():
             pa, pb = pos[a], pos[b]
-            partners[pa].add(pb)
-            partners[pb].add(pa)
             for j in range(nj + 1):
                 g = coeff_G(R.weight(a), R.weight(b), nj - j, j)
                 if g:
@@ -133,27 +137,58 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                    d_max: int = 4, max_failures: int = 20) -> Report:
     """(C1), (C2), (C3) and the conformal-vector operator identities.
 
-    (C1) runs over all basis pairs.  (C2) runs over the basis pairs with a
-    nonzero product, both arguments shifted by d^(k) for k <= d_max.  (C3)
-    runs over the basis triples (a, b, c) whose c is a partner of a, of b or
-    of a term of some a_(j) b; for any other c every term vanishes.  Only
-    a = ids[0] is d-shifted in (C3), by d^(k) for k <= d_max; (C1) ties the
-    other shifts to unshifted instances.
-
     Every product goes through `RA.product` on flat elements, whose index
-    k*N + p is the monomial d^(k) of the basis vector at position p.  (C3)
-    computes its inner products outside the loops that do not change them:
-    b_(n) c once per (b, c), a_(m) c once per (a, c, k), a_(j) b once per
-    (a, b, k), and (a_(j) b)_(s) c once per (a, b, c, k) for each (j, s) the
-    (m, n) pairs share; it forms b_(n)(a_(m) c) only when a_(m) c is nonzero.
+    k*N + p is the monomial d^(k) of the basis vector at position p, and is
+    formed only where some entry of `RA._table` reaches; an instance that
+    no product reaches is counted as checked without being visited.  Below
+    N is `R.max_n()`.  For basis vectors a and b, a_(m) b has d-degree at
+    most N - m, and by the product formula (d^(k) a)_(m) y is zero unless
+    k <= m <= k + N + deg y.
+
+    (C1) runs over all basis pairs; both sides vanish unless a_(n-1) b is
+    stored, at 1 <= n <= N + 1.  (C2) runs over the basis pairs with a
+    stored product either way, shifted by d^(k) and d^(l) for k, l <=
+    d_max.  At shifts (k, l) it is live only at n <= N + k + l: past that
+    (d^(k) a)_(n) d^(l) b vanishes, and so does each d^(j) (y_(n+j) x) on
+    the right, whose sum therefore stops at j = k + l + N - n.
+
+    (C3) runs over the basis triples (a, b, c) whose c is a partner of a,
+    of b or of a term of some a_(j) b; for any other c every term
+    vanishes.  Only a = ids[0] is d-shifted, by d^(k) for k <= d_max; (C1)
+    ties the other shifts to unshifted instances.  These two rules only
+    count instances.  The identity is joined one pair (a, b) at a time
+    into sums keyed by (position(c), k, m, n):
+        term 1: each stored b_(n) c, then (d^(k) a)_(m) of its terms;
+        term 2: each (d^(k) a)_(m) c, then b_(n) of its terms;
+        term 3: each (d^(k) a)_(j) b, then (.)_(s) c, s = m + n - j, for
+                the c its terms reach; (d^(i) t)_(s) c needs i <= s <= i + N.
+    Each m, n or s runs only as far as the largest stored index of the pair
+    it reads, at most N.  On basis triples (C3) is live only at m + n <=
+    2N: term 1 needs n <= N and m <= N + deg(b_(n) c) <= 2N - n, term 2 the
+    same with m and n swapped, and term 3 j <= N and s <= N + deg(a_(j) b)
+    <= 2N - j.
+
+    Failures come in the order of the loops over (a, b, c, k, m, n), and
+    `checked` counts the instances of those loops: all of them, or those up
+    to the failure that fills the Report.
     """
     check_bounds({"m_max": m_max, "n_max": n_max, "d_max": d_max})
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
     R = RA.R
     rep = Report(max_failures=max_failures)
-    ids, N, partners = RA.ids, RA.N, RA.partners
-    product = RA.product
+    ids, N, table, product = RA.ids, RA.N, RA._table, RA.product
+    top = R.max_n()
+    # partners[p]: the positions with a stored product against p, on either
+    # side, of which (C2) and (C3) count their instances; right[p]: the q
+    # with some p_(m) q in the table, and reach[p, q] its largest m
+    partners, right = [set() for _ in ids], [[] for _ in ids]
+    for _, a, b in R.products:
+        partners[RA.pos[a]].add(RA.pos[b])
+        partners[RA.pos[b]].add(RA.pos[a])
+    reach = {pair: max(table[pair]) for pair in sorted(table)}
+    for pa, pb in reach:
+        right[pa].append(pb)
 
     # conformal vector: L_(0) = d, L_(1) = weight, L_(2) on derivatives
     Lel = {RA.pos[R.L]: ONE}
@@ -179,105 +214,105 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
         if rep.full:
             return rep
 
-    # (C1): (d a)_(n) b = -n a_(n-1) b
-    for pa, a in enumerate(ids):
-        for pb, b in enumerate(ids):
-            for n in range(n_max + 1):
-                rep.checked += 1
-                lhs = product({N + pa: ONE}, {pb: ONE}, n)
-                rhs = {}
-                if n:
-                    rhs = el_scale(product({pa: ONE}, {pb: ONE}, n - 1),
-                                   _int(-n))
-                if lhs != rhs:
-                    if rep.fail("(C1) fails: a=%s b=%s n=%d" % (a, b, n)):
-                        return rep
+    # (C1): (d a)_(n) b = -n a_(n-1) b; both sides vanish unless a_(n-1) b
+    # is stored, so only the stored pairs at 1 <= n <= N + 1 are visited
+    base, width = rep.checked, n_max + 1
+    for pa, pb in reach:
+        for n in range(1, min(n_max, top + 1) + 1):
+            rhs = el_scale(product({pa: ONE}, {pb: ONE}, n - 1), _int(-n))
+            if product({N + pa: ONE}, {pb: ONE}, n) != rhs and rep.fail(
+                    "(C1) fails: a=%s b=%s n=%d" % (ids[pa], ids[pb], n)):
+                rep.checked = base + (pa * N + pb) * width + n + 1
+                return rep
+    rep.checked = base + N * N * width
 
-    # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x)
+    # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x), over
+    # the pairs with a stored product either way; past n = k + l + N both
+    # sides vanish
     for pa, a in enumerate(ids):
-        for pb, b in enumerate(ids):
-            if pb not in partners[pa]:
-                continue
-            pq = R.parity(a) * R.parity(b)
+        for pb in sorted(partners[pa]):
+            b, pq = ids[pb], R.parity(a) * R.parity(ids[pb])
             for k in range(d_max + 1):
+                x = {k * N + pa: ONE}
                 for l in range(d_max + 1):
-                    x = {k * N + pa: ONE}
-                    y = {l * N + pb: ONE}
-                    for n in range(n_max + 1):
+                    y, live = {l * N + pb: ONE}, k + l + top
+                    yx = [product(y, x, p) for p in range(live + 1)]
+                    for n in range(min(n_max, live) + 1):
                         rep.checked += 1
-                        lhs = product(x, y, n)
                         rhs = {}
-                        jmax = k + l + R.max_n() + 1
-                        for j in range(jmax + 1):
-                            t = product(y, x, n + j)
-                            if not t:
-                                continue
-                            sgn = 1 if (j + n + 1) % 2 == 0 else -1
-                            if pq % 2:
-                                sgn = -sgn
-                            el_add_into(rhs, RA.shift(t, j), _int(sgn))
-                        if lhs != rhs:
-                            if rep.fail("(C2) fails: a=%s b=%s k=%d l=%d n=%d"
-                                        % (a, b, k, l, n)):
-                                return rep
+                        for j, t in enumerate(yx[n:]):
+                            if t:
+                                el_add_into(rhs, RA.shift(t, j), _int(
+                                    -1 if (j + n + 1 + pq) % 2 else 1))
+                        if product(x, y, n) != rhs and rep.fail(
+                                "(C2) fails: a=%s b=%s k=%d l=%d n=%d"
+                                % (a, b, k, l, n)):
+                            return rep
+                    rep.checked += max(0, n_max - live)
 
     # (C3): a_(m)(b_(n)c) = (-1)^{pq} b_(n)(a_(m)c)
-    #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c
-    bc_by_pair = {}
+    #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c, joined one pair (a, b) at a
+    # time into sums keyed by (position(c), k, m, n)
+    W = (m_max + 1) * (n_max + 1)
     for pa, a in enumerate(ids):
-        ac_by_ck = {}
+        K = d_max + 1 if pa == 0 else 1
+        xas = [{k * N + pa: ONE} for k in range(K)]
+        acs = [[(pc, m, z) for pc in right[pa]
+                for m in range(k, min(m_max, k + reach[pa, pc]) + 1)
+                if (z := product(xa, {pc: ONE}, m))]
+               for k, xa in enumerate(xas)]
         for pb, b in enumerate(ids):
-            xb = {pb: ONE}
-            ab = [product({pa: ONE}, xb, j) for j in range(R.max_n() + 1)]
-            rel = partners[pa] | partners[pb]
-            for t in ab:
-                for ix in t:
-                    rel |= partners[ix % N]
-            pq = R.parity(a) * R.parity(b)
-            t2_sign = _int(1 if pq % 2 else -1)
-            ajb_by_k = {}
-            for pc, c in enumerate(ids):
-                if pc not in rel:
-                    continue
-                xc = {pc: ONE}
-                bc = bc_by_pair.get((pb, pc))
-                if bc is None:
-                    bc = bc_by_pair[(pb, pc)] = [product(xb, xc, n)
-                                                 for n in range(n_max + 1)]
-                for k in range(d_max + 1):
-                    xa = {k * N + pa: ONE}
-                    if k not in ajb_by_k:
-                        ajb_by_k[k] = [product(xa, xb, j)
-                                       for j in range(m_max + 1)]
-                    ajb = ajb_by_k[k]
-                    ac = ac_by_ck.get((pc, k))
-                    if ac is None:
-                        ac = ac_by_ck[(pc, k)] = [product(xa, xc, m)
-                                                  for m in range(m_max + 1)]
-                    t3s = {}
-                    for m in range(m_max + 1):
-                        for n in range(n_max + 1):
-                            rep.checked += 1
-                            lhs = product(xa, bc[n], m) if bc[n] else {}
-                            if ac[m]:
-                                el_add_into(lhs, product(xb, ac[m], n),
-                                            t2_sign)
-                            for j in range(m + 1):
-                                if not ajb[j]:
-                                    continue
-                                s = m + n - j
-                                t3 = t3s.get((j, s))
-                                if t3 is None:
-                                    t3 = t3s[(j, s)] = product(ajb[j], xc, s)
-                                el_add_into(lhs, t3, _int(-comb(m, j)))
-                            if lhs:
-                                if rep.fail("(C3) fails: a=%s b=%s c=%s k=%d "
-                                            "m=%d n=%d" % (a, b, c, k, m, n)):
-                                    return rep
-                    if k == 0 and d_max and a != ids[0]:
-                        # derivative shifts on the first argument are
-                        # exercised for one row; (C1) ties the rest
-                        break
+            xb, rel = {pb: ONE}, partners[pa] | partners[pb]
+            for row in table.get((pa, pb), {}).values():
+                for _, terms in row:
+                    for p, _ in terms:
+                        rel |= partners[p]
+            t2_sign = _int(1 if R.parity(a) * R.parity(b) % 2 else -1)
+            acc = {}
+            for k, xa in enumerate(xas):
+                # term 1: each stored b_(n) c, then a_(m) of its terms
+                for pc in right[pb]:
+                    for n, row in table[pb, pc].items():
+                        y = {i * N + p: v for i, terms in row
+                             for p, v in terms if (pa, p) in reach}
+                        if n > n_max or not y:
+                            continue
+                        hi = max(ix // N + reach[pa, ix % N] for ix in y)
+                        for m in range(k, min(m_max, k + hi) + 1):
+                            el_add_into(acc.setdefault((pc, k, m, n), {}),
+                                        product(xa, y, m))
+                # term 2: each a_(m) c, then b_(n) of its terms
+                for pc, m, z in acs[k]:
+                    hi = max((ix // N + reach[pb, ix % N] for ix in z
+                              if (pb, ix % N) in reach), default=-1)
+                    for n in range(min(n_max, hi) + 1):
+                        el_add_into(acc.setdefault((pc, k, m, n), {}),
+                                    product(xb, z, n), t2_sign)
+                # term 3: each a_(j) b, then (.)_(s) c for the c it reaches
+                for j in range(k, min(m_max, k + reach.get((pa, pb), -1)) + 1):
+                    u, tops = product(xa, xb, j), {}
+                    for ix in u:
+                        for pc in right[ix % N]:
+                            tops[pc] = max(tops.get(pc, 0),
+                                           ix // N + reach[ix % N, pc])
+                    for pc, hi in tops.items():
+                        for s in range(min(u) // N,
+                                       min(hi, m_max + n_max - j) + 1):
+                            v = product(u, {pc: ONE}, s)
+                            for m in range(max(j, s + j - n_max),
+                                           min(m_max, s + j) + 1 if v else 0):
+                                el_add_into(
+                                    acc.setdefault((pc, k, m, s + j - m), {}),
+                                    v, _int(-comb(m, j)))
+            bad = sorted(key for key, el in acc.items() if el)
+            rank = {pc: r for r, pc in enumerate(sorted(rel))} if bad else {}
+            for pc, k, m, n in bad:
+                if rep.fail("(C3) fails: a=%s b=%s c=%s k=%d m=%d n=%d"
+                            % (a, b, ids[pc], k, m, n)):
+                    rep.checked += (rank[pc] * K + k) * W + \
+                        m * (n_max + 1) + n + 1
+                    return rep
+            rep.checked += len(rel) * K * W
     return rep
 
 

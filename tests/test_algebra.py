@@ -52,6 +52,41 @@ def test_coeff_G_product_formula_spot_value():
         Fraction(1 * 2, 2 * 3)
 
 
+def _g_by_recurrence(wa, wb, n, j) -> Fraction:
+    """g(n, j) in a_(n) b = sum_j g(n, j) d^(j) <a n+j b>, from the L_(2)
+    action on quasi-primary a and b: L_(2) (a_(n) b) = (2 wa - n - 2)
+    a_(n+1) b and L_(2) d^(j) x = (j - 1 + 2 wx) d^(j-1) x, so
+    g(n, j) (j - 1 + 2 wx) = (2 wa - n - 2) g(n+1, j-1) with g(n, 0) = 1,
+    wx = wa + wb - n - j - 1 being the weight of <a n+j b>."""
+    if j == 0:
+        return Fraction(1)
+    wx = wa + wb - n - j - 1
+    return (2 * wa - n - 2) * _g_by_recurrence(wa, wb, n + 1, j - 1) / \
+        (j - 1 + 2 * wx)
+
+
+def test_coeff_G_solves_the_L2_recurrence():
+    """coeff_G is what the recurrence gives wherever <a n+j b> has positive
+    weight, also at weights above the catalog's 2; at target weight <= 0 it
+    is 0, but for the j = 0 part of a product landing in weight 0, which is
+    the product itself (g(n, 0) = 1).  C's product table and P's
+    coefficients both read coeff_G, so their agreement cannot pin it."""
+    weights = [Fraction(k, 2) for k in range(1, 13)]
+    positive = 0
+    for wa in weights:
+        for wb in weights:
+            for n in range(8):
+                for j in range(8):
+                    wx = wa + wb - n - j - 1
+                    if wx > 0:
+                        want = _g_by_recurrence(wa, wb, n, j)
+                        positive += 1
+                    else:
+                        want = Fraction(wx == 0 and j == 0)
+                    assert coeff_G(wa, wb, n, j) == want, (wa, wb, n, j)
+    assert positive == 3128
+
+
 def test_coeff_F_top_term_reduces_to_G():
     # with t = 0 only k = 0 contributes
     for m in range(3):

@@ -2,6 +2,8 @@
 conformal vector."""
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
 from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
                               check_H_axioms, is_physical_shape)
-from confsalg.linalg import el_add_into
-from confsalg.reconstruct import (binom_ff, reconstruct, check_C_axioms,
+from confsalg.linalg import el_add_into, el_scale
+from confsalg.reconstruct import (ReconstructedAlgebra, binom_ff,
+                                  reconstruct, check_C_axioms,
                                   mode_bracket, change_conformal_vector,
                                   NotN4Shape, AxiomVFails)
 from confsalg import catalog
+from test_algebra import _reference_cases, _reference_reports, _w6_table
 
 
 def S(n):
@@ -122,6 +126,164 @@ def test_checker_bounds_are_value_errors(bounds):
 def test_reconstruction_axioms(name, dmax):
     rep = check_C_axioms(reconstruct(catalog.build(name)), 4, 4, dmax)
     assert rep.ok, rep.summary()
+
+
+_int = lru_cache(maxsize=None)(Scalar.from_int)
+
+
+def _reference_C(R, m_max, n_max, d_max):
+    """check_C_axioms as the events of its loops over every instance, each
+    formed by RA.product: (C1) over every basis pair and n; (C2) over the
+    pairs with a stored product either way, every (k, l, n) and every j up
+    to k + l + N + 1; (C3) over every (a, b, c, k, m, n) whose c is a
+    partner of a, of b or of a term of some a_(j) b, with only a = ids[0]
+    d-shifted.  A stop follows each failure, and each basis vector of the
+    conformal-vector checks."""
+    RA = reconstruct(R)
+    ids, N, product, top = RA.ids, RA.N, RA.product, R.max_n()
+    par = [R.parity(x) for x in ids]
+    partners = [set() for _ in ids]
+    for _, a, b in R.products:
+        partners[RA.pos[a]].add(RA.pos[b])
+        partners[RA.pos[b]].add(RA.pos[a])
+    checked = 0
+    Lel = {RA.pos[R.L]: ONE}
+    for pa, a in enumerate(ids):
+        checked += 3
+        if product(Lel, {pa: ONE}, 0) != {N + pa: ONE}:
+            yield "fail", "L_(0) is not d on %s" % a
+        w = R.weight(a)
+        if product(Lel, {pa: ONE}, 1) != (
+                {pa: Scalar.from_fraction(w)} if w else {}):
+            yield "fail", "L_(1) eigenvalue wrong on %s" % a
+        for k in range(d_max + 1):
+            coeff = k - 1 + 2 * w
+            want = {(k - 1) * N + pa: Scalar.from_fraction(coeff)} \
+                if k and coeff else {}
+            if product(Lel, {k * N + pa: ONE}, 2) != want:
+                yield "fail", "L_(2) derivative rule fails on %s" % a
+                break
+        yield "stop", checked
+    for pa, a in enumerate(ids):
+        for pb, b in enumerate(ids):
+            for n in range(n_max + 1):
+                checked += 1
+                rhs = el_scale(product({pa: ONE}, {pb: ONE}, n - 1),
+                               _int(-n)) if n else {}
+                if product({N + pa: ONE}, {pb: ONE}, n) != rhs:
+                    yield "fail", "(C1) fails: a=%s b=%s n=%d" % (a, b, n)
+                    yield "stop", checked
+    for pa, a in enumerate(ids):
+        for pb, b in enumerate(ids):
+            if pb not in partners[pa]:
+                continue
+            for k in range(d_max + 1):
+                for l in range(d_max + 1):
+                    x, y = {k * N + pa: ONE}, {l * N + pb: ONE}
+                    for n in range(n_max + 1):
+                        checked += 1
+                        rhs = {}
+                        for j in range(k + l + top + 2):
+                            sign = (-1) ** (j + n + 1 + par[pa] * par[pb])
+                            el_add_into(rhs, RA.shift(product(y, x, n + j), j),
+                                        _int(sign))
+                        if product(x, y, n) != rhs:
+                            yield "fail", ("(C2) fails: a=%s b=%s k=%d l=%d "
+                                           "n=%d" % (a, b, k, l, n))
+                            yield "stop", checked
+    inner = {}
+
+    def basis(ix, iy, n):
+        """The product of two flat monomials, formed once."""
+        if (ix, iy, n) not in inner:
+            inner[ix, iy, n] = product({ix: ONE}, {iy: ONE}, n)
+        return inner[ix, iy, n]
+
+    for pa, a in enumerate(ids):
+        for pb, b in enumerate(ids):
+            xb = {pb: ONE}
+            rel = partners[pa] | partners[pb]
+            for j in range(top + 1):
+                for ix in basis(pa, pb, j):
+                    rel |= partners[ix % N]
+            sign = _int(1 if par[pa] * par[pb] else -1)
+            for pc, c in enumerate(ids):
+                if pc not in rel:
+                    continue
+                xc = {pc: ONE}
+                for k in range(d_max + 1 if pa == 0 else 1):
+                    xa, t3 = {k * N + pa: ONE}, {}
+                    for m in range(m_max + 1):
+                        for n in range(n_max + 1):
+                            checked += 1
+                            bc, ac = basis(pb, pc, n), basis(k * N + pa, pc, m)
+                            lhs = product(xa, bc, m) if bc else {}
+                            if ac:
+                                el_add_into(lhs, product(xb, ac, n), sign)
+                            for j in range(m + 1):
+                                ab = basis(k * N + pa, pb, j)
+                                if ab and (j, m + n - j) not in t3:
+                                    t3[j, m + n - j] = product(ab, xc,
+                                                               m + n - j)
+                                el_add_into(lhs, t3.get((j, m + n - j), {}),
+                                            _int(-comb(m, j)))
+                            if lhs:
+                                yield "fail", ("(C3) fails: a=%s b=%s c=%s "
+                                               "k=%d m=%d n=%d"
+                                               % (a, b, c, k, m, n))
+                                yield "stop", checked
+    yield "end", checked
+
+
+def _C_cases(case):
+    if case == "w6 table":
+        return [_w6_table()]
+    if case == "central Vir":
+        return [central_virasoro()]
+    if case == "N4alpha(a)":
+        return [catalog.build("N4alpha", "a")]
+    return _reference_cases(case)
+
+
+@pytest.mark.parametrize("case", catalog.NAMES + (
+    "N4alpha(a)", "K2 mutants", "K3 mutants", "S2 mutants", "w6 table",
+    "central Vir", "seeded tables"))
+def test_C_matches_reference_loop(case):
+    """C's joins give the Report of the loops over every instance: (ok,
+    checked, failures) agree at each bound and d_max and at every cap.  CK6
+    and the sign mutants run at the benchmark's C bounds only, the small
+    tables at two more, past their stored n."""
+    bounds = ((2, 1, 1), (1, 2, 0))
+    if case == "CK6" or case.endswith(" mutants"):
+        bounds = bounds[:1]
+    elif case in ("w6 table", "central Vir", "seeded tables"):
+        bounds += ((3, 5, 2), (7, 1, 3))
+    for R in _C_cases(case):
+        for b in bounds:
+            want = _reference_reports(_reference_C(R, *b))
+            for cap, report in want.items():
+                rep = check_C_axioms(R, *b, max_failures=cap)
+                assert (rep.ok, rep.checked, rep.failures) == report, \
+                    (case, b, cap)
+
+
+def test_C_work_does_not_grow_with_the_bounds(monkeypatch):
+    """CK6 stores n <= 1, so no term of (C1)-(C3) on it reaches past m, n
+    <= 3 at d_max = 1: C(4,4,1) and C(64,64,1) form the same products, and
+    every instance of the loops is counted: 3 per basis vector, 32**2 per
+    n in (C1), 4 * 525 stored pairs per n in (C2), and in (C3) 25,343 (a,
+    b, c, k) per (m, n), the c-filter's triples with a = ids[0] twice."""
+    calls, real = [], ReconstructedAlgebra.product
+    monkeypatch.setattr(ReconstructedAlgebra, "product",
+                        lambda *args: calls.append(1) or real(*args))
+    ck6, work = catalog.build("CK6"), []
+    for bound in (4, 64):
+        del calls[:]
+        rep = check_C_axioms(ck6, bound, bound, 1)
+        assert rep.ok and rep.checked == 3 * 32 + \
+            (32 ** 2 + 4 * 525) * (bound + 1) + 25343 * (bound + 1) ** 2
+        work.append(len(calls))
+    assert work[0] == work[1] > 0
 
 
 @pytest.mark.parametrize("name", ["K2", "S2"])
