@@ -18,6 +18,14 @@ elements from it.  The binomial factors of the derivative rules come from
 a small int -> Scalar cache.  `ReducedAlgebra.vector` of an element of the
 reduced algebra is its flat element of degree 0.
 
+Each `ReconstructedAlgebra` keeps a memo of the nonzero products of two
+monomials, keyed by (ix, iy, n), and `product` scales and sums its entries.
+Only monomials of d-degree at most R.max_n() + 1 enter it, that is the flat
+indices below (max_n + 2)*N, and a nonzero product needs n <= k + l +
+max_n, so its size is set by the table, not by the bounds a caller such
+as `check_C_axioms` runs at.  The rarely repeated products of monomials
+of higher degree are formed afresh on each call.
+
 `check_C_axioms` is the second of the two oracles; P, in `algebra`, is the
 first.  It joins the table itself and never calls `algebra`'s joins.  What
 it shares with P, and the test that pins each apart from both oracles:
@@ -76,48 +84,90 @@ class ReconstructedAlgebra:
                     table.setdefault((pa, pb), {}).setdefault(
                         nj - j, []).append(
                             (j, [(pos[x], c * g) for x, c in el.items()]))
+        # _memo[(ix, iy, n)]: the terms of a nonzero ix_(n) iy, for flat
+        # indices below _memo_bound, the monomials of d-degree <= max_n + 1
+        self._memo = {}
+        self._memo_bound = (R.max_n() + 2) * self.N
 
     def product(self, x: dict, y: dict, n: int) -> dict:
-        """x_(n) y for flat elements and a natural number n, by
+        """x_(n) y for flat elements and a natural number n: the sum of
+        cx cy (ix_(n) iy) over the terms cx ix of x and cy iy of y.  A pair
+        of monomials of d-degree at most R.max_n() + 1 is read from the
+        memo, or formed by `_add_into` and stored there when nonzero; any
+        other pair is added into the result as it is formed.  The dict
+        returned is new on each call."""
+        if n < 0:
+            raise ValueError("products are defined for natural n")
+        memo, bound, add_into = self._memo, self._memo_bound, self._add_into
+        past = (n + 1) * self.N
+        out = {}
+        for ix, cx in x.items():
+            if ix >= past:
+                # (d^(k) a)_(n) vanishes for k > n
+                continue
+            for iy, cy in y.items():
+                if ix >= bound or iy >= bound:
+                    add_into(out, ix, iy, n, cx, cy)
+                    continue
+                key = (ix, iy, n)
+                terms = memo.get(key)
+                if terms is None:
+                    acc = {}
+                    add_into(acc, ix, iy, n, ONE, ONE)
+                    if not acc:
+                        continue
+                    terms = memo[key] = tuple(acc.items())
+                c = cy if cx is ONE else cx * cy
+                if c is not ONE:
+                    terms = [(p, v * c) for p, v in terms]
+                if not out:
+                    out = dict(terms)
+                    continue
+                for p, v in terms:
+                    old = out.get(p)
+                    if old is not None:
+                        v = old + v
+                        if not v:
+                            del out[p]
+                            continue
+                    out[p] = v
+        return out
+
+    def _add_into(self, out: dict, ix: int, iy: int, n: int, cx: Scalar,
+                  cy: Scalar):
+        """out += cx cy (ix_(n) iy) for the monomials at flat indices ix
+        and iy, ix of d-degree k <= n, by
         (d^(k) a)_(n) d^(l) b
             = (-1)^k C(n, k) sum_j C(n-k, j) d^(l-j) (a_(n-k-j) b)
         and d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers."""
-        if n < 0:
-            raise ValueError("products are defined for natural n")
-        N, table = self.N, self._table
-        out = {}
-        for ix, cx in x.items():
-            k, pa = divmod(ix, N)
-            if k > n:
+        N = self.N
+        k, pa = divmod(ix, N)
+        l, pb = divmod(iy, N)
+        rows = self._table.get((pa, pb))
+        if rows is None:
+            return
+        top = n - k
+        sign_k = comb(n, k) if k % 2 == 0 else -comb(n, k)
+        c = cx * cy
+        for j in range(min(l, top) + 1):
+            row = rows.get(top - j)
+            if row is None:
                 continue
-            top = n - k
-            sign_k = comb(n, k) if k % 2 == 0 else -comb(n, k)
-            for iy, cy in y.items():
-                l, pb = divmod(iy, N)
-                rows = table.get((pa, pb))
-                if rows is None:
-                    continue
-                c = cx * cy
-                for j in range(min(l, top) + 1):
-                    row = rows.get(top - j)
-                    if row is None:
-                        continue
-                    s = l - j
-                    mult = sign_k * comb(top, j)
-                    for i, terms in row:
-                        f = _int(mult * comb(i + s, i)) * c
-                        base = (i + s) * N
-                        for p, v in terms:
-                            key = base + p
-                            v = v * f
-                            old = out.get(key)
-                            if old is not None:
-                                v = old + v
-                                if not v:
-                                    del out[key]
-                                    continue
-                            out[key] = v
-        return out
+            s = l - j
+            mult = sign_k * comb(top, j)
+            for i, terms in row:
+                f = _int(mult * comb(i + s, i)) * c
+                base = (i + s) * N
+                for p, v in terms:
+                    key = base + p
+                    v = v * f
+                    old = out.get(key)
+                    if old is not None:
+                        v = old + v
+                        if not v:
+                            del out[key]
+                            continue
+                    out[key] = v
 
     def shift(self, x: dict, j: int) -> dict:
         """d^(j) x for a flat element x."""
@@ -146,11 +196,17 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     k <= m <= k + N + deg y.
 
     (C1) runs over all basis pairs; both sides vanish unless a_(n-1) b is
-    stored, at 1 <= n <= N + 1.  (C2) runs over the basis pairs with a
-    stored product either way, shifted by d^(k) and d^(l) for k, l <=
-    d_max.  At shifts (k, l) it is live only at n <= N + k + l: past that
-    (d^(k) a)_(n) d^(l) b vanishes, and so does each d^(j) (y_(n+j) x) on
-    the right, whose sum therefore stops at j = k + l + N - n.
+    stored, at 1 <= n <= N + 1.  On a basis pair it cannot fail: the
+    product formula builds (d a)_(n) b from the same table row as a_(n-1) b,
+    with the factor -n.  What it still compares is two entries of the
+    product memo, (d a, b, n) and (a, b, n - 1), so it catches a memo entry
+    that went wrong, and its instances stay counted in `checked`.
+
+    (C2) runs over the basis pairs with a stored product either way,
+    shifted by d^(k) and d^(l) for k, l <= d_max.  At shifts (k, l) it is
+    live only at n <= N + k + l: past that (d^(k) a)_(n) d^(l) b vanishes,
+    and so does each d^(j) (y_(n+j) x) on the right, whose sum therefore
+    stops at j = k + l + N - n.
 
     (C3) runs over the basis triples (a, b, c) whose c is a partner of a,
     of b or of a term of some a_(j) b; for any other c every term

@@ -286,6 +286,88 @@ def test_C_work_does_not_grow_with_the_bounds(monkeypatch):
     assert work[0] == work[1] > 0
 
 
+def _reference_product(RA, x, y, n):
+    """x_(n) y read off the table term by term, with no memo:
+    (d^(k) a)_(n) d^(l) b
+        = (-1)^k C(n, k) sum_j C(n-k, j) d^(l-j) (a_(n-k-j) b)
+    and d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers."""
+    N, out = RA.N, {}
+    for ix, cx in x.items():
+        k, pa = divmod(ix, N)
+        for iy, cy in y.items():
+            l, pb = divmod(iy, N)
+            rows = RA._table.get((pa, pb), {})
+            for j in range(min(l, n - k) + 1):
+                for i, terms in rows.get(n - k - j, ()):
+                    s = l - j
+                    f = (-1) ** k * comb(n, k) * comb(n - k, j) * \
+                        comb(i + s, i)
+                    el_add_into(out, {(i + s) * N + p: v for p, v in terms},
+                                _int(f) * cx * cy)
+    return out
+
+
+@pytest.mark.parametrize("case", catalog.NAMES + ("w6 table", "central Vir"))
+def test_product_matches_the_formula_on_monomials(case):
+    """RA.product agrees with the formula on every pair of monomials
+    d^(k) a, d^(l) b with k, l <= max_n + 3, on both sides of the memo's
+    degree bound max_n + 1, at every n <= k + max_n + 1, with unit and with
+    other coefficients.  A repeated call gives an equal dict that is a new
+    object, and changing a result changes no later one."""
+    (R,) = _C_cases(case)
+    RA, top = reconstruct(R), R.max_n()
+    N, cx, cy = RA.N, S(-3), IMAG + ONE
+    monomials = range((top + 4) * N)
+    for ix in monomials:
+        for iy in monomials:
+            for n in range(ix // N + top + 2):
+                x, y = {ix: ONE}, {iy: ONE}
+                want = _reference_product(RA, x, y, n)
+                got = RA.product(x, y, n)
+                assert got == want, (case, ix, iy, n)
+                again = RA.product(x, y, n)
+                assert again == got and again is not got
+                for key in list(got):
+                    got[key] = -got[key]
+                got[-1] = ONE
+                assert RA.product(x, y, n) == want
+                assert RA.product({ix: cx}, {iy: cy}, n) == \
+                    el_scale(want, cx * cy)
+    assert 0 < len(RA._memo)
+
+
+def test_memo_is_bounded_by_the_table():
+    """The memo holds only nonzero monomial products of d-degree at most
+    max_n + 1, so it holds the same entries after C at d_max = 2 as at
+    d_max = 5, and no n past k + l + max_n."""
+    R = catalog.build("K3")
+    top, memos = R.max_n(), []
+    for d_max in (2, 5):
+        RA = reconstruct(R)
+        assert check_C_axioms(RA, 3, 3, d_max).ok
+        bound, N = (top + 2) * RA.N, RA.N
+        for (ix, iy, n), terms in RA._memo.items():
+            assert ix < bound and iy < bound and terms
+            assert n <= ix // N + iy // N + top
+        memos.append(RA._memo)
+    assert memos[0] == memos[1] and len(memos[0]) > 0
+
+
+def test_C_rejects_a_wrong_memo_entry():
+    """C reads the memoized products and does not trust them: one sign
+    flipped in the memo entry of D1_(0) Db1 on CK6 fails (C1), whose two
+    sides are two memo entries, and (C2)."""
+    RA = reconstruct(catalog.build("CK6"))
+    assert check_C_axioms(RA, 2, 1, 1).ok
+    key = (RA.pos["D1"], RA.pos["Db1"], 0)
+    (p, v), *rest = RA._memo[key]
+    RA._memo[key] = ((p, -v), *rest)
+    rep = check_C_axioms(RA, 2, 1, 1)
+    assert not rep.ok
+    assert rep.failures[:2] == ["(C1) fails: a=D1 b=Db1 n=1",
+                                "(C2) fails: a=D1 b=Db1 k=0 l=0 n=0"]
+
+
 @pytest.mark.parametrize("name", ["K2", "S2"])
 def test_reconstruction_axioms_reject_sign_mutants(name):
     # K1 is left out: its <e1 0 e1> mutant is K1 rescaled by e1 -> i*e1
