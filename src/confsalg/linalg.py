@@ -3,9 +3,11 @@ sparse row echelon form.
 
 A sparse element is a dict {key: Scalar} that never stores a zero value;
 `el_add_into` and `el_scale` keep that invariant, and every accumulation of
-sparse elements goes through them.  Scalars are canonical, so two sparse
-elements are equal exactly when the dicts are `==`, and an element is zero
-exactly when the dict is empty.
+sparse elements goes through them, but for two copies of `el_add_into`'s
+loop that `reconstruct.ReconstructedAlgebra.product` and its `_add_into`
+inline for speed and that keep the same invariant.  Scalars are
+canonical, so two sparse elements are equal exactly when the dicts are
+`==`, and an element is zero exactly when the dict is empty.
 
 `Subspace` is the one reduced row echelon form, built up one vector at a
 time by exact Gaussian elimination.  Its rows are sparse elements keyed by

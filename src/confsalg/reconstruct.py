@@ -27,7 +27,10 @@ as `check_C_axioms` runs at.  The rarely repeated products of monomials
 of higher degree are formed afresh on each call.
 
 `check_C_axioms` is the second of the two oracles; P, in `algebra`, is the
-first.  It joins the table itself and never calls `algebra`'s joins.  What
+first.  It joins the table itself and never calls `algebra`'s joins.  Like
+P and H it counts every instance of its full loops up to the stop, so a
+passing Report has `checked` = 3N + N^2 (n_max + 1) (1 + (d_max + 1)^2 +
+(N + d_max)(m_max + 1)).  What
 it shares with P, and the test that pins each apart from both oracles:
 `coeff_G` (test_coeff_G_solves_the_L2_recurrence, from the L_(2)
 recurrence), the loading of a `ReducedAlgebra`
@@ -200,19 +203,18 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     product formula builds (d a)_(n) b from the same table row as a_(n-1) b,
     with the factor -n.  What it still compares is two entries of the
     product memo, (d a, b, n) and (a, b, n - 1), so it catches a memo entry
-    that went wrong, and its instances stay counted in `checked`.
+    that went wrong.
 
-    (C2) runs over the basis pairs with a stored product either way,
-    shifted by d^(k) and d^(l) for k, l <= d_max.  At shifts (k, l) it is
-    live only at n <= N + k + l: past that (d^(k) a)_(n) d^(l) b vanishes,
-    and so does each d^(j) (y_(n+j) x) on the right, whose sum therefore
-    stops at j = k + l + N - n.
+    (C2) runs over all basis pairs, shifted by d^(k) and d^(l) for k, l <=
+    d_max, and visits those with a stored product either way; on any other
+    pair both sides vanish.  At shifts (k, l) it is live only at n <= N +
+    k + l: past that (d^(k) a)_(n) d^(l) b vanishes, and so does each
+    d^(j) (y_(n+j) x) on the right, whose sum therefore stops at j = k + l
+    + N - n.
 
-    (C3) runs over the basis triples (a, b, c) whose c is a partner of a,
-    of b or of a term of some a_(j) b; for any other c every term
-    vanishes.  Only a = ids[0] is d-shifted, by d^(k) for k <= d_max; (C1)
-    ties the other shifts to unshifted instances.  These two rules only
-    count instances.  The identity is joined one pair (a, b) at a time
+    (C3) runs over all basis triples (a, b, c).  Only a = ids[0] is
+    d-shifted, by d^(k) for k <= d_max; (C1) ties the other shifts to
+    unshifted instances.  The identity is joined one pair (a, b) at a time
     into sums keyed by (position(c), k, m, n):
         term 1: each stored b_(n) c, then (d^(k) a)_(m) of its terms;
         term 2: each (d^(k) a)_(m) c, then b_(n) of its terms;
@@ -225,8 +227,10 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     <= 2N - j.
 
     Failures come in the order of the loops over (a, b, c, k, m, n), and
-    `checked` counts the instances of those loops: all of them, or those up
-    to the failure that fills the Report.
+    `checked` counts the instances of those loops up to the failure that
+    fills the Report, or all 3B + B^2 (n_max + 1) (1 + (d_max + 1)^2 +
+    (B + d_max)(m_max + 1)) of them for B = R.dim, where B + d_max counts
+    the (a, k) of (C3).
     """
     check_bounds({"m_max": m_max, "n_max": n_max, "d_max": d_max})
     if isinstance(RA, ReducedAlgebra):
@@ -235,13 +239,9 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     rep = Report(max_failures=max_failures)
     ids, N, table, product = RA.ids, RA.N, RA._table, RA.product
     top = R.max_n()
-    # partners[p]: the positions with a stored product against p, on either
-    # side, of which (C2) and (C3) count their instances; right[p]: the q
-    # with some p_(m) q in the table, and reach[p, q] its largest m
-    partners, right = [set() for _ in ids], [[] for _ in ids]
-    for _, a, b in R.products:
-        partners[RA.pos[a]].add(RA.pos[b])
-        partners[RA.pos[b]].add(RA.pos[a])
+    # right[p]: the q with some p_(m) q in the table, and reach[p, q] its
+    # largest m
+    right = [[] for _ in ids]
     reach = {pair: max(table[pair]) for pair in sorted(table)}
     for pa, pb in reach:
         right[pa].append(pb)
@@ -285,31 +285,33 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x), over
     # the pairs with a stored product either way; past n = k + l + N both
     # sides vanish
-    for pa, a in enumerate(ids):
-        for pb in sorted(partners[pa]):
-            b, pq = ids[pb], R.parity(a) * R.parity(ids[pb])
-            for k in range(d_max + 1):
-                x = {k * N + pa: ONE}
-                for l in range(d_max + 1):
-                    y, live = {l * N + pb: ONE}, k + l + top
-                    yx = [product(y, x, p) for p in range(live + 1)]
-                    for n in range(min(n_max, live) + 1):
-                        rep.checked += 1
-                        rhs = {}
-                        for j, t in enumerate(yx[n:]):
-                            if t:
-                                el_add_into(rhs, RA.shift(t, j), _int(
-                                    -1 if (j + n + 1 + pq) % 2 else 1))
-                        if product(x, y, n) != rhs and rep.fail(
-                                "(C2) fails: a=%s b=%s k=%d l=%d n=%d"
-                                % (a, b, k, l, n)):
-                            return rep
-                    rep.checked += max(0, n_max - live)
+    base, D = rep.checked, d_max + 1
+    for pa, pb in sorted(set(reach) | {(pb, pa) for pa, pb in reach}):
+        a, b = ids[pa], ids[pb]
+        pq = R.parity(a) * R.parity(b)
+        for k in range(D):
+            x = {k * N + pa: ONE}
+            for l in range(D):
+                y, live = {l * N + pb: ONE}, k + l + top
+                yx = [product(y, x, p) for p in range(live + 1)]
+                for n in range(min(n_max, live) + 1):
+                    rhs = {}
+                    for j, t in enumerate(yx[n:]):
+                        if t:
+                            el_add_into(rhs, RA.shift(t, j), _int(
+                                -1 if (j + n + 1 + pq) % 2 else 1))
+                    if product(x, y, n) != rhs and rep.fail(
+                            "(C2) fails: a=%s b=%s k=%d l=%d n=%d"
+                            % (a, b, k, l, n)):
+                        rep.checked = base + (((pa * N + pb) * D + k) * D
+                                              + l) * width + n + 1
+                        return rep
+    rep.checked = base + N * N * D * D * width
 
     # (C3): a_(m)(b_(n)c) = (-1)^{pq} b_(n)(a_(m)c)
     #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c, joined one pair (a, b) at a
     # time into sums keyed by (position(c), k, m, n)
-    W = (m_max + 1) * (n_max + 1)
+    W = (m_max + 1) * width
     for pa, a in enumerate(ids):
         K = d_max + 1 if pa == 0 else 1
         xas = [{k * N + pa: ONE} for k in range(K)]
@@ -318,11 +320,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                 if (z := product(xa, {pc: ONE}, m))]
                for k, xa in enumerate(xas)]
         for pb, b in enumerate(ids):
-            xb, rel = {pb: ONE}, partners[pa] | partners[pb]
-            for row in table.get((pa, pb), {}).values():
-                for _, terms in row:
-                    for p, _ in terms:
-                        rel |= partners[p]
+            xb = {pb: ONE}
             t2_sign = _int(1 if R.parity(a) * R.parity(b) % 2 else -1)
             acc = {}
             for k, xa in enumerate(xas):
@@ -360,15 +358,12 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                                 el_add_into(
                                     acc.setdefault((pc, k, m, s + j - m), {}),
                                     v, _int(-comb(m, j)))
-            bad = sorted(key for key, el in acc.items() if el)
-            rank = {pc: r for r, pc in enumerate(sorted(rel))} if bad else {}
-            for pc, k, m, n in bad:
+            for pc, k, m, n in sorted(key for key, el in acc.items() if el):
                 if rep.fail("(C3) fails: a=%s b=%s c=%s k=%d m=%d n=%d"
                             % (a, b, ids[pc], k, m, n)):
-                    rep.checked += (rank[pc] * K + k) * W + \
-                        m * (n_max + 1) + n + 1
+                    rep.checked += (pc * K + k) * W + m * width + n + 1
                     return rep
-            rep.checked += len(rel) * K * W
+            rep.checked += N * K * W
     return rep
 
 
