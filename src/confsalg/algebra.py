@@ -494,7 +494,7 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     that of the full loop over a, b, c, m, n.  `checked` counts the
     instances of that loop, all of them or those up to a stop: the failure
     that fills the Report or, for a Report full before the identity, the
-    first instance a term reaches.
+    first instance, as in H.
 
     Skew symmetry counts all (max_n + 1) * dim**2 instances (n, a, b) in
     `checked` but visits only the stored <a n b>, each against its swap,
@@ -534,18 +534,16 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
             rep.fail("<L 2 %s> is not central of weight 0" % a)
 
     # the quadratic identity, one pair (a, b) at a time
+    if rep.full:
+        rep.checked += 1
+        return rep
     coeffs = _quadratic_coeffs(R.weight_positions[0], m_max, n_max)
     width = (m_max + 1) * (n_max + 1)
-    full, grid = rep.full, rep.checked
+    grid = rep.checked
     for a in ids:
         for b in ids:
             acc = _join(R._rows, a, b, coeffs, par[a] * par[b], R, width)
             at = grid + 1 + (idx[a] * R.dim + idx[b]) * R.dim * width
-            if full:
-                if acc:
-                    rep.checked = at + min(acc)
-                    return rep
-                continue
             for key in sorted(k for k, el in acc.items() if el):
                 m, n = divmod(key % width, n_max + 1)
                 if rep.fail("identity fails: a=%s b=%s c=%s m=%d n=%d"

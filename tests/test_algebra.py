@@ -3,7 +3,7 @@ invariant forms."""
 import hashlib
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 import pytest
@@ -423,8 +423,8 @@ def _quadratic_terms(R, pair, a, b, c, m, n) -> tuple:
 def _reference_P(R, m_max, n_max):
     """check_P_axioms as the events of plain loops: skew symmetry over
     every (n, a, b), and the quadratic identity over every (a, b, c, m, n)
-    by _quadratic_terms, stopping only at an instance where some term is
-    nonzero."""
+    by _quadratic_terms, stopping after any instance of the identity, as
+    _reference_H stops after any triple."""
     rep = check_well_formed(R, max_failures=10 ** 6)
     for f in rep.failures:
         yield "fail", f
@@ -459,13 +459,12 @@ def _reference_P(R, m_max, n_max):
             for c in ids:
                 for m in range(m_max + 1):
                     for n in range(n_max + 1):
-                        acc, live = _quadratic_terms(R, pair, a, b, c, m, n)
+                        acc = _quadratic_terms(R, pair, a, b, c, m, n)[0]
                         checked += 1
                         if acc:
                             yield "fail", ("identity fails: a=%s b=%s c=%s "
                                            "m=%d n=%d" % (a, b, c, m, n))
-                        if live:
-                            yield "stop", checked
+                        yield "stop", checked
     yield "end", checked
 
 
@@ -568,6 +567,35 @@ def test_P_matches_reference_loop(case):
                 rep = check_P_axioms(R, *bounds, max_failures=cap)
                 assert (rep.ok, rep.checked, rep.failures) == report, \
                     (case, bounds, cap)
+
+
+def test_full_before_the_identity_P_stops_like_H():
+    """A P Report full before the quadratic identity counts the instances
+    before it and the identity's first, and stops, as an H Report full
+    before its triples counts the first triple.  Whether a Report is full
+    there is read off the failures of an uncapped Report."""
+    later = ("identity", "o-associativity", ".-Jacobi", "derivation",
+             "mixed Leibniz", "square law")
+    cases = [_not_skew()] + [M for name in ("K2", "S2")
+                             for _, M in catalog.build(name).sign_mutations()]
+    stops = {"P": 0, "H": 0}
+    for R in cases:
+        checks = [("P", partial(check_P_axioms, R, 2, 2),
+                   check_well_formed(R).checked +
+                   (R.max_n() + 1) * R.dim ** 2 + 1 + R.dim)]
+        if is_physical_shape(R):
+            checks.append(("H", partial(check_H_axioms, R), R.dim +
+                           R.dim ** 2 + len(R.space(Fraction(3, 2))) ** 2))
+        for name, check, before in checks:
+            early = [f for f in check(max_failures=10 ** 6).failures
+                     if not f.startswith(later)]
+            for cap in (0, 1):
+                if len(early) >= max(cap, 1):
+                    rep = check(max_failures=cap)
+                    assert (rep.checked, rep.failures) == \
+                        (before + 1, early[:cap]), (name, cap)
+                    stops[name] += 1
+    assert min(stops.values()) > 0
 
 
 def _reference_H(R):
@@ -720,8 +748,8 @@ def test_n4alpha0_mutant_reports_are_pinned():
     mutants = list(catalog.build("N4alpha", 0).sign_mutations())
     assert len(mutants) == 199
     for cap, sample, digest in (
-            (1, mutants, "a28fd921fb335105eac233eaddeb5356"
-                         "322f278bae93e301eaf949045c425d0a"),
+            (1, mutants, "ebd6e6777fdc05becbe3462596d7b53b"
+                         "15fe4c7c6ab5d91450409eae95ab2ed5"),
             (20, mutants[::20], "8bdac366f6d554c8a91cdb5374c73c6f"
                                 "5c2697eee51fb939d59762dba8482e42")):
         lines = []
@@ -733,7 +761,7 @@ def test_n4alpha0_mutant_reports_are_pinned():
                                                   rep.checked, rep.failures))
         if cap == 1:
             assert lines[:2] == [
-                "<D1 0 Db1> term L: P False 731 "
+                "<D1 0 Db1> term L: P False 729 "
                 "['skew fails: <D1 0 Db1>']",
                 "<D1 0 Db1> term L: H False 289 "
                 "['.-antisymmetry fails: D1, Db1']"]

@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
 from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
-                              check_H_axioms, is_physical_shape)
+                              check_H_axioms, coeff_G, is_physical_shape)
 from confsalg.linalg import el_add_into, el_scale
 from confsalg.reconstruct import (ReconstructedAlgebra, binom_ff,
                                   reconstruct, check_C_axioms,
                                   mode_bracket, change_conformal_vector,
                                   NotN4Shape, AxiomVFails)
 from confsalg import catalog
-from test_algebra import _reference_cases, _reference_reports, _w6_table
+from test_algebra import (_reference_cases, _reference_reports, _scalar,
+                          _w6_table)
 
 
 def S(n):
@@ -305,23 +306,29 @@ def test_C_work_does_not_grow_with_the_bounds(monkeypatch):
 
 
 def _reference_product(RA, x, y, n):
-    """x_(n) y read off the table term by term, with no memo:
+    """x_(n) y from the stored products and coeff_G alone, term by term,
+    with no table and no memo: on basis vectors
+    a_(m) b = sum_i coeff_G(wa, wb, m, i) d^(i) <a m+i b>, and
     (d^(k) a)_(n) d^(l) b
         = (-1)^k C(n, k) sum_j C(n-k, j) d^(l-j) (a_(n-k-j) b)
-    and d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers."""
-    N, out = RA.N, {}
+    with d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers."""
+    R, N, out = RA.R, RA.N, {}
+    ids, pos, top = [b.id for b in R.basis], R.index, R.max_n()
     for ix, cx in x.items():
-        k, pa = divmod(ix, N)
+        k, a = ix // N, ids[ix % N]
         for iy, cy in y.items():
-            l, pb = divmod(iy, N)
-            rows = RA._table.get((pa, pb), {})
+            l, b = iy // N, ids[iy % N]
             for j in range(min(l, n - k) + 1):
-                for i, terms in rows.get(n - k - j, ()):
-                    s = l - j
-                    f = (-1) ** k * comb(n, k) * comb(n - k, j) * \
-                        comb(i + s, i)
-                    el_add_into(out, {(i + s) * N + p: v for p, v in terms},
-                                _int(f) * cx * cy)
+                m, s = n - k - j, l - j
+                for i in range(top - m + 1):
+                    ab = R.products.get((m + i, a, b))
+                    g = ab and coeff_G(R.weight(a), R.weight(b), m, i)
+                    if g:
+                        f = (-1) ** k * comb(n, k) * comb(n - k, j) * \
+                            comb(i + s, i) * g
+                        el_add_into(out, {(i + s) * N + pos[t]: v
+                                          for t, v in ab.items()},
+                                    _scalar(f) * cx * cy)
     return out
 
 
