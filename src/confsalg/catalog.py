@@ -38,18 +38,6 @@ def _vir() -> ReducedAlgebra:
                           {(1, "L", "L"): {"L": Scalar.from_int(2)}})
 
 
-def _s2() -> ReducedAlgebra:
-    m1 = Scalar.from_int(-1)
-    spec = BuilderSpec.from_alpha(2, False, [[ZERO, m1], [m1, ZERO]],
-                                  kernel_words=[(0, 0), (1, 1)])
-    return build_from_spec(spec)
-
-
-def _n4alpha(alpha: Scalar) -> ReducedAlgebra:
-    spec = BuilderSpec.from_alpha(2, False, [[ZERO, alpha], [alpha, ZERO]])
-    return build_from_spec(spec)
-
-
 # J0 = Span{D1 ^ Db1 ^ D2, D1 ^ D2 ^ Db2} over the triple basis in
 # lexicographic order of (D1, Db1, D2, Db2)
 _W2_J0 = ((0, 1, 2), (0, 2, 3))
@@ -65,14 +53,19 @@ def _build(name: str, alpha=None) -> ReducedAlgebra:
     if name == "K3":
         return build_from_spec(BuilderSpec.from_alpha(1, True, [[ZERO]]))
     if name == "S2":
-        return _s2()
+        m1 = Scalar.from_int(-1)
+        return build_from_spec(BuilderSpec.from_alpha(
+            2, False, [[ZERO, m1], [m1, ZERO]], [(0, 0), (1, 1)]))
     if name == "W2":
         w3 = _wedge3_basis(4)
-        return build_f_extension(_s2(), [{w3.index(t): ONE} for t in _W2_J0])
+        return build_f_extension(build("S2"),
+                                 [{w3.index(t): ONE} for t in _W2_J0])
     if name == "N4alpha":
-        return _n4alpha(alpha if alpha is not None else ALPHA)
+        a = ALPHA if alpha is None else alpha
+        return build_from_spec(BuilderSpec.from_alpha(
+            2, False, [[ZERO, a], [a, ZERO]]))
     if name == "N4":
-        return change_conformal_vector(_n4alpha(ZERO), ONE)
+        return change_conformal_vector(build("N4alpha", 0), ONE)
     if name == "CK6":
         return build_from_spec(CK6_SPEC)
     raise UnknownName("no catalog algebra named %r" % name)

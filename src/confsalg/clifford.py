@@ -5,10 +5,10 @@ dimension).  Words are strictly increasing generator tuples, listed by length
 and then lexicographically in `words`; the rewriting rules are Di*Dbi +
 Dbi*Di = 2, anticommutation for all other pairs, Di^2 = Dbi^2 = 0 and e_N^2 =
 1.  Coefficients of the rewriting are integers, so normal ordering is cached
-per word pair.  Elements are sparse {word index: Scalar} dicts, accumulated
-through `linalg.el_add_into`; the word index is the column of a `Subspace`,
-so a quotient Cl(V)/I is the `Subspace` of a left ideal I, and the class of
-x is `I.reduce(x)`.
+per word pair, once per shape (npairs, odd).  Elements are sparse {word
+index: Scalar} dicts, accumulated through `linalg.el_add_into`; the word
+index is the column of a `Subspace`, so a quotient Cl(V)/I is the
+`Subspace` of a left ideal I, and the class of x is `I.reduce(x)`.
 """
 from __future__ import annotations
 
@@ -20,40 +20,46 @@ from .linalg import Subspace, el_add_into, row_space
 
 
 class Clifford:
-    """Cl(V) for dim V = 2*npairs (+1 when odd=True)."""
+    """Cl(V) for dim V = 2*npairs (+1 when odd=True).
 
-    def __init__(self, npairs: int, odd: bool = False):
-        self.npairs = npairs
-        self.odd = odd
+    Cl(V) depends only on its shape, so `Clifford(npairs, odd)` returns the
+    one instance of that shape: every build shares its word tables and its
+    normal-ordering caches, all of which are read only."""
+
+    _shapes = {}
+
+    def __new__(cls, npairs: int, odd: bool = False):
+        key = (npairs, bool(odd))
+        if key in cls._shapes:
+            return cls._shapes[key]
+        self = cls._shapes[key] = super().__new__(cls)
+        self.npairs, self.odd = key
         self.ngens = 2 * npairs + (1 if odd else 0)
         names = []
         for k in range(1, npairs + 1):
             names += ["D%d" % k, "Db%d" % k]
         if odd:
             names.append("e%d" % self.ngens)
-        self.gen_names = names
-        self.words = []
-        for r in range(self.ngens + 1):
-            self.words.extend(combinations(range(self.ngens), r))
+        # tuples: every user of the shape reads the same two tables
+        self.gen_names = tuple(names)
+        self.words = tuple(w for r in range(self.ngens + 1)
+                           for w in combinations(range(self.ngens), r))
         self.word_index = {w: k for k, w in enumerate(self.words)}
         self.dim = len(self.words)
+        return self
 
     # -- generator bookkeeping ---------------------------------------------
 
-    def _square(self, g: int) -> int:
-        return 1 if (self.odd and g == 2 * self.npairs) else 0
-
-    def _paired(self, g: int, h: int) -> int:
-        if max(g, h) < 2 * self.npairs and g // 2 == h // 2 and g != h:
-            return 1
-        return 0
+    def partner(self, g: int) -> int:
+        """The generator h with (g, h) = 1: Di and Dbi pair with each other
+        and e_N with itself; every other pair of generators is orthogonal."""
+        return g ^ 1 if g < 2 * self.npairs else g
 
     def gen_pairing(self, g: int, h: int) -> int:
-        if g == h:
-            return self._square(g)
-        return self._paired(g, h)
+        return int(self.partner(g) == h)
 
-    # The two normal-ordering caches hand out shared dicts: read only.
+    # The two normal-ordering caches hand out dicts shared by every user of
+    # the shape: read only.
 
     @lru_cache(maxsize=None)
     def _word_times_gen(self, word: tuple, g: int) -> dict:
@@ -63,9 +69,9 @@ class Clifford:
         h = word[-1]
         rest = word[:-1]
         if h == g:
-            return {rest: ONE} if self._square(g) else {}
+            return {rest: ONE} if self.gen_pairing(g, g) else {}
         # h > g: use hg = 2(h,g) - gh
-        out = {rest: TWO} if self._paired(h, g) else {}
+        out = {rest: TWO} if self.gen_pairing(h, g) else {}
         el_add_into(out, {w + (h,): c for w, c in
                           self._word_times_gen(rest, g).items()}, MINUS_ONE)
         return out

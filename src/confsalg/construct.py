@@ -132,26 +132,17 @@ class _Builder:
                 gens.append(self.cl.module_generator(tuple(kw)))
         self.ideal = self.cl.left_ideal(gens)
         self.qdim = self.cl.dim - self.ideal.dim
-        self.gen_ids = list(range(self.cl.ngens))
-        self.gen_names = self.cl.gen_names
-        # V inner product in the null basis is the generator pairing
-        self.partner = {}
-        for g in self.gen_ids:
-            if g < 2 * spec.npairs:
-                self.partner[g] = g ^ 1
-            else:
-                self.partner[g] = g
 
     # -- eta from the wedge form -------------------------------------------
 
     def eta(self, v: int, w: int, z: int) -> dict:
         """eta(v, w, z) as a Clifford element, solved from
         (x, eta(v,w,z)) = (x ^ v, w ^ z) using the null pairing."""
-        out = {}
-        for g in self.gen_ids:
-            c = wedge_lookup(self.spec.wedge_form, self.partner[g], v, w, z)
+        cl, out = self.cl, {}
+        for g in range(cl.ngens):
+            c = wedge_lookup(self.spec.wedge_form, cl.partner(g), v, w, z)
             if c:
-                out[self.cl.word_index[(g,)]] = c
+                out[cl.word_index[(g,)]] = c
         return out
 
     # -- composite classes in the quotient ---------------------------------
@@ -184,36 +175,37 @@ class _Builder:
 
     def select_basis(self):
         cl, reduce, qdim = self.cl, self.ideal.reduce, self.qdim
+        gens = range(cl.ngens)
         span = Subspace(qdim)
         one = reduce(cl.one())
         if not span.add(one):
             raise InconsistentSpec("the identity class vanishes "
                                   "(zero algebra)")
         vrows = []
-        for g in self.gen_ids:
+        for g in gens:
             c = reduce(cl.gen(g))
             if not span.add(c):
                 raise InconsistentSpec(
                     "generator %s collapses in the quotient"
-                    % self.gen_names[g])
+                    % cl.gen_names[g])
             vrows.append(c)
 
         a_chosen, f_chosen = [], []
-        for u, v in combinations(self.gen_ids, 2):
+        for u, v in combinations(gens, 2):
             c = self.class_a(u, v)
             if c and span.add(c):
                 a_chosen.append(c)
-        for v, w in combinations(self.gen_ids, 2):
-            for u in self.gen_ids:
+        for v, w in combinations(gens, 2):
+            for u in gens:
                 c = self.class_f(u, v, w)
                 if c and span.add(c):
                     f_chosen.append(c)
-        for w, z in combinations(self.gen_ids, 2):
-            for v in self.gen_ids:
+        for w, z in combinations(gens, 2):
+            for v in gens:
                 if span.dim == qdim:
                     break
                 t = self._triple(v, w, z)
-                for u in self.gen_ids:
+                for u in gens:
                     c = self.class_g(u, t)
                     if c and span.add(c):
                         a_chosen.append(c)
@@ -229,7 +221,7 @@ class _Builder:
 
     def build(self) -> ReducedAlgebra:
         one, vrows, a_chosen, f_chosen = self.select_basis()
-        names = ["L"] + [self.gen_names[g] for g in self.gen_ids]
+        names = ["L"] + list(self.cl.gen_names)
         names += ["A%d" % (k + 1) for k in range(len(a_chosen))]
         names += ["F%d" % (k + 1) for k in range(len(f_chosen))]
         weights = [W_L] + [W_V] * len(vrows) + [W_A] * len(a_chosen) + \
@@ -267,8 +259,7 @@ class _Builder:
         <g 0 b>, and its weight wb - 1/2 part times 3/2 + wb - 2 is <g 1 b>.
         The skew partner <b n g> is stored with each."""
         cl = self.cl
-        for g in self.gen_ids:
-            gnm = self.gen_names[g]
+        for g, gnm in enumerate(cl.gen_names):
             for b in self.names:
                 wb = self.weights[b]
                 red = self.to_reduced(
@@ -293,9 +284,9 @@ class _Builder:
         Every other product of a is zero by weight or stored by _fill_L and
         _fill_V."""
         cl, windex = self.cl, self.cl.word_index
-        act = [{windex[(self.gen_names.index(v),)]: c for v, c in
-                self.table.get((0, a, self.gen_names[g]), {}).items()}
-               for g in self.gen_ids]
+        act = [{windex[(cl.gen_names.index(v),)]: c for v, c in
+                self.table.get((0, a, gnm), {}).items()}
+               for gnm in cl.gen_names]
         for b in self.names:
             der = {}
             for k, c in self.classes[b].items():

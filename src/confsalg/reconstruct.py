@@ -213,9 +213,11 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     + N - n.
 
     (C3) runs over all basis triples (a, b, c).  Only a = ids[0] is
-    d-shifted, by d^(k) for k <= d_max; (C1) ties the other shifts to
-    unshifted instances.  The identity is joined one pair (a, b) at a time
-    into sums keyed by (position(c), k, m, n):
+    d-shifted, by d^(k) for k <= d_max.  That is a cost shortcut, not a
+    consequence of (C1), which compares the product kernel with itself:
+    `test_C_shift_of_ids0_loses_no_verdict` checks that shifting every a
+    reaches the same verdicts (ROADMAP item 9).  The identity is joined one
+    pair (a, b) at a time into sums keyed by (position(c), k, m, n):
         term 1: each stored b_(n) c, then (d^(k) a)_(m) of its terms;
         term 2: each (d^(k) a)_(m) c, then b_(n) of its terms;
         term 3: each (d^(k) a)_(j) b, then (.)_(s) c, s = m + n - j, for

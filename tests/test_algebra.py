@@ -902,6 +902,34 @@ def test_ideal_and_quotient_of_degenerate_family_member():
     assert check_P_axioms(Q, 2, 2).ok
 
 
+def test_is_simple_on_a_degenerate_inner_product():
+    """{L, V1} with no V1 . V1 product: the inner product on V is zero."""
+    R = ReducedAlgebra([BasisVector("L", Fraction(2), 0),
+                        BasisVector("V1", Fraction(3, 2), 1)], "L",
+                       {(1, "L", "L"): {"L": Scalar.from_int(2)},
+                        (1, "L", "V1"): {"V1": Scalar.from_fraction(
+                            Fraction(3, 2))},
+                        (1, "V1", "L"): {"V1": Scalar.from_fraction(
+                            Fraction(3, 2))}})
+    res = is_simple(R)
+    assert (res.simple, res.reason, res.witness) == \
+        (False, "degenerate inner product", {"V1": ONE})
+
+
+def test_is_simple_on_a_proper_ideal():
+    """{L, A} with <L 1 A> = <A 1 L> = A passes P(2,2), and A spans an
+    ideal without L."""
+    R = ReducedAlgebra([BasisVector("L", Fraction(2), 0),
+                        BasisVector("A", Fraction(1), 0)], "L",
+                       {(1, "L", "L"): {"L": Scalar.from_int(2)},
+                        (1, "L", "A"): {"A": ONE},
+                        (1, "A", "L"): {"A": ONE}})
+    assert check_P_axioms(R, 2, 2).ok
+    res = is_simple(R)
+    assert (res.simple, res.reason, res.witness) == \
+        (False, "proper ideal generated by A", {"A": ONE})
+
+
 def test_f3_subspace_trivial_for_simple_members():
     for nm in ("K3", "W2", "CK6"):
         assert f3_subspace(catalog.build(nm)) == []

@@ -55,11 +55,15 @@ def test_associativity(w1, w2, w3):
     assert cl.mul(cl.mul(x, y), z) == cl.mul(x, cl.mul(y, z))
 
 
-@pytest.mark.parametrize("npairs", [1, 2, 3])
-def test_regular_module_decomposition(npairs):
-    cl = Clifford(npairs)
+@pytest.mark.parametrize("npairs,odd", [(1, False), (2, False), (3, False),
+                                       (1, True), (2, True)],
+                         ids=["1", "2", "3", "1-odd", "2-odd"])
+def test_regular_module_decomposition(npairs, odd):
+    # in odd dimension each D^w splits by the sign of e_N: Cl(1, odd) is
+    # the sum of 4 modules of dim 2
+    cl = Clifford(npairs, odd)
     mods = cl.module_decompose()
-    assert len(mods) == 2 ** npairs
+    assert len(mods) == 2 ** (npairs + odd)
     total = 0
     for label, gen, sub in mods:
         assert sub.dim == 2 ** npairs
@@ -73,6 +77,8 @@ def test_regular_module_decomposition(npairs):
         for row in sub.rows:
             assert alldims.add(row)
     assert alldims.dim == cl.dim
+    # the whole algebra is a reducible submodule
+    assert not cl.is_irreducible(alldims)
 
 
 def test_quotient_by_two_modules():

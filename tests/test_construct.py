@@ -1,5 +1,6 @@
 """Solver-side construction: wedge-form assembly, the Clifford-image
 builders, the weight-1/2 extension and the finite case sweeps."""
+import gc
 import hashlib
 import os
 import subprocess
@@ -122,20 +123,35 @@ GRID_SHA256 = \
     "0d1fa10a4e1627176027f583b57ea8e20be9616386dea1b5a7acab07b22c24ac"
 
 
+GRID_SPECS = [BuilderSpec.from_alpha(2, False, [[ZERO, alpha], [alpha, ZERO]],
+                                    list(words))
+              for alpha in (ZERO, S(-1), ALPHA) for r in range(5)
+              for words in combinations(product((0, 1), repeat=2), r)]
+
+
+def _grid_outcome(spec):
+    try:
+        return sha256(build_from_spec(spec).to_json())
+    except InconsistentSpec:
+        return "InconsistentSpec"
+
+
 def test_builder_grid_outcomes_are_pinned():
-    outcomes = []
-    for alpha in (ZERO, S(-1), ALPHA):
-        for r in range(5):
-            for words in combinations(product((0, 1), repeat=2), r):
-                spec = BuilderSpec.from_alpha(
-                    2, False, [[ZERO, alpha], [alpha, ZERO]], list(words))
-                try:
-                    outcomes.append(sha256(build_from_spec(spec).to_json()))
-                except InconsistentSpec:
-                    outcomes.append("InconsistentSpec")
+    outcomes = [_grid_outcome(spec) for spec in GRID_SPECS]
     assert len(outcomes) == 48
     assert sum(o != "InconsistentSpec" for o in outcomes) == 11
     assert sha256("\n".join(outcomes)) == GRID_SHA256
+
+
+def test_builds_share_one_clifford_per_shape():
+    """All 48 builds of the grid share one Cl(2), whichever order they run
+    in: built in reverse, the grid gives the pinned outcomes."""
+    outcomes = [_grid_outcome(spec) for spec in reversed(GRID_SPECS)]
+    assert sha256("\n".join(reversed(outcomes))) == GRID_SHA256
+    gc.collect()
+    assert sum(isinstance(o, Clifford) and (o.npairs, o.odd) == (2, False)
+               for o in gc.get_objects()) == 1
+    assert Clifford(1, True) is Clifford(1, odd=True)
 
 
 def s2():
