@@ -650,11 +650,12 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     pair (a, b) at a time, over the o and the . table, the triple (a, b, c)
     at keys 2 * position(c) + f, f = 0 for o and 1 for .; the derivation
     law one pair (a, x) at a time, keyed by y.  A triple no term reaches
-    holds unvisited.  Failures come in the order of the full loops;
-    `checked` counts the triples of the full loop, all of them or those up
-    to the one whose failure fills the Report, and a Report full before
-    the triples stops at the first one.  Graded symmetry visits only the
-    stored o and . pairs, each against its swap, and counts all dim**2."""
+    holds unvisited.  Failures come in the order of the full loops, and
+    H stops at the failure that fills the Report in any section: `checked`
+    counts the instances of the full loops, all of them or those up to
+    that one, and a Report full before the triples stops at the first
+    one.  Graded symmetry visits only the stored o and . pairs, each
+    against its swap, and counts all dim**2."""
     rep = Report(max_failures=max_failures)
     if not is_physical_shape(R):
         rep.fail("not of physical shape "
@@ -720,16 +721,20 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
 
     # weight-1 elements act as derivations of the even product, joined one
     # pair (a, x) at a time
+    grid = rep.checked
     rep.checked += len(A) * R.dim ** 2
     both = _rows(((f, x, y), el) for f, table in tables
                  for (x, y), el in table.items())
-    for a in A:
+    for ia, a in enumerate(A):
         for x in ids:
             acc = _join(both, a, x, _derivation_coeffs, par[a] * par[x],
                         R, 1)
+            at = grid + 1 + (ia * R.dim + idx[x]) * R.dim
             for key in sorted(k for k, el in acc.items() if el):
-                rep.fail("derivation law fails: %s on %s o %s"
-                         % (a, x, ids[key]))
+                if rep.fail("derivation law fails: %s on %s o %s"
+                            % (a, x, ids[key])):
+                    rep.checked = at + key
+                    return rep
 
     # mixed Leibniz rule on V x V x F
     for u in V:
@@ -739,8 +744,9 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 lhs = R.circ(els[u], B.get((v, f), no))
                 rhs = R.bullet(C.get((u, v), no), els[f])
                 el_add_into(rhs, R.circ(B.get((u, v), no), els[f]))
-                if lhs != rhs:
-                    rep.fail("mixed Leibniz fails: %s,%s,%s" % (u, v, f))
+                if lhs != rhs and rep.fail(
+                        "mixed Leibniz fails: %s,%s,%s" % (u, v, f)):
+                    return rep
 
     # polarized Clifford-square law on V and A
     for iu, u in enumerate(V):
@@ -753,8 +759,9 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
                 lhs = R.clifford_act(els[u], R.clifford_act(els[w], els[x]))
                 el_add_into(lhs, R.clifford_act(
                     els[w], R.clifford_act(els[u], els[x])))
-                if lhs != el_scale(els[x], inner2):
-                    rep.fail("square law fails: %s,%s on %s" % (u, w, x))
+                if lhs != el_scale(els[x], inner2) and rep.fail(
+                        "square law fails: %s,%s on %s" % (u, w, x)):
+                    return rep
     return rep
 
 

@@ -43,7 +43,7 @@ def _vir() -> ReducedAlgebra:
 _W2_J0 = ((0, 1, 2), (0, 2, 3))
 
 
-def _build(name: str, alpha=None) -> ReducedAlgebra:
+def _build(name: str, alpha) -> ReducedAlgebra:
     if name == "Vir":
         return _vir()
     if name == "K1":
@@ -61,9 +61,8 @@ def _build(name: str, alpha=None) -> ReducedAlgebra:
         return build_f_extension(build("S2"),
                                  [{w3.index(t): ONE} for t in _W2_J0])
     if name == "N4alpha":
-        a = ALPHA if alpha is None else alpha
         return build_from_spec(BuilderSpec.from_alpha(
-            2, False, [[ZERO, a], [a, ZERO]]))
+            2, False, [[ZERO, alpha], [alpha, ZERO]]))
     if name == "N4":
         return change_conformal_vector(build("N4alpha", 0), ONE)
     if name == "CK6":
@@ -76,13 +75,14 @@ _cache = {}
 
 def build(name: str, alpha=None) -> ReducedAlgebra:
     """A catalog algebra by name.  alpha is accepted only for N4alpha and
-    may be a Scalar, Fraction, int or scalar literal string."""
+    may be a Scalar, Fraction, int or scalar literal string; N4alpha's
+    default is the symbol a, so build("N4alpha") is build("N4alpha", "a")."""
     if name not in NAMES:
         raise UnknownName("no catalog algebra named %r" % name)
-    if alpha is not None:
-        if name != "N4alpha":
-            raise InvalidParams("%s takes no parameter" % name)
-        alpha = _coerce_scalar(alpha)
+    if name == "N4alpha":
+        alpha = ALPHA if alpha is None else _coerce_scalar(alpha)
+    elif alpha is not None:
+        raise InvalidParams("%s takes no parameter" % name)
     key = (name, str(alpha) if alpha is not None else None)
     if key not in _cache:
         _cache[key] = _build(name, alpha)

@@ -375,25 +375,20 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     w3idx = {t: k for k, t in enumerate(w3)}
     nw = len(w3)
 
-    j0 = row_space(j0_vectors, nw)
-    comp = [k for k in range(nw) if k not in j0.by_pivot]
-    nf = len(comp)
-    # column l of jmat is J(w3-basis element t, f_l) over t, the coefficient
-    # of comp[l] in j0.reduce(e_t): the kernel vector of J0 at comp[l].  Its
-    # rows at comp are the identity, so jmat x = rhs has at most the
-    # solution rhs at comp
-    jmat = kernel(j0.rows, nw)
+    # column l of jmat is J(w3-basis element t, f_l) over t: the kernel
+    # vectors of J0, independent by construction, so jmat_coords solves
+    # jmat x = rhs, or gives None when it has no solution
+    jmat = kernel(j0_vectors, nw)
+    nf = len(jmat)
+    jmat_coords = coordinates(jmat, nw)
 
     # inner product and dual basis on V; the Gram matrix is symmetric, so
     # its rows are its columns and gram_coords solves gram y = w
     gram = base.inner_gram()
-    if row_space(gram, nv).dim != nv:
+    try:
+        gram_coords = coordinates(gram, nv)
+    except ValueError:
         raise InconsistentSpec("degenerate inner product on the base")
-    gram_coords = coordinates(gram, nv)
-
-    def act_V(avec_products) -> list:
-        """u -> a . u on V given a's 0-product with V."""
-        return [{vidx[v]: c for v, c in avec_products(u).items()} for u in V]
 
     def derive_W3(M) -> list:
         """Derivation action on the wedge cube from the action M on V."""
@@ -417,11 +412,8 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
                 s = sum((c * jl[r] for r, c in col.items() if r in jl), ZERO)
                 if s:
                     rhs[t] = -s
-            part = {m: rhs[c] for m, c in enumerate(comp) if c in rhs}
-            img = {}
-            for m, c in part.items():
-                el_add_into(img, jmat[m], c)
-            if img != rhs:
+            part = jmat_coords(rhs)
+            if part is None:
                 raise InconsistentSpec(
                     "the null space of the triple pairing is not invariant")
             out.append(part)
@@ -439,13 +431,12 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     nwa = len(formal)
 
     MVs, MFs, SGs = [], [], []
-    base_MF = {}
     for a in A0:
-        MV = act_V(lambda u, a=a: base.product_basis(0, a, u))
-        MF = act_F(derive_W3(MV))
-        base_MF[a] = MF
+        # u -> a . u on V
+        MV = [{vidx[v]: c for v, c in base.product_basis(0, a, u).items()}
+              for u in V]
         MVs.append(MV)
-        MFs.append(MF)
+        MFs.append(act_F(derive_W3(MV)))
         SGs.append([{} for _ in range(nv)])   # V o (base A) = 0
     for kv in range(nv):
         for l in range(nf):
@@ -467,7 +458,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
             for ju, u in enumerate(V):
                 col = {}
                 for a2, c in base.product_basis(1, u, V[kv]).items():
-                    el_add_into(col, base_MF[a2][l], c)
+                    el_add_into(col, MFs[A0.index(a2)][l], c)
                 el_add_into(col, {l: ONE}, gram[ju].get(kv, ZERO))
                 SG.append(col)
             MVs.append(MV)
@@ -535,14 +526,6 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     weights = {b.id: b.weight for b in basis}
     par = {b.id: b.parity for b in basis}
 
-    ops = {nm: (MVs[k], MFs[k], SGs[k]) for nm, k in zip(anames, chosen)}
-    fidx = {nm: k for nm, k in zip(anames, chosen)}
-
-    base_a_coords = {a: a_coords(units[k]) for k, a in enumerate(A0)}
-
-    def vf_coords(kv: int, l: int) -> dict:
-        return a_coords(units[na0 + kv * nf + l])
-
     table = {}
     _fill_L(table, weights, par)
 
@@ -551,14 +534,12 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
         for j, v in enumerate(V):
             _store(table, (0, u, v), {"L": gram[i].get(j, ZERO)})
             circ = base.product_basis(1, u, v)   # lands in base A
-            out = {}
-            for a, c in circ.items():
-                el_add_into(out, base_a_coords[a], c)
-            _store(table, (1, u, v), out)
+            _store(table, (1, u, v),
+                   a_coords({A0.index(a): c for a, c in circ.items()}))
 
     # A actions and V o A
-    for anm in anames:
-        MV, MF, SG = ops[anm]
+    for anm, k in zip(anames, chosen):
+        MV, MF, SG = MVs[k], MFs[k], SGs[k]
         for j, u in enumerate(V):
             img = {V[r]: c for r, c in sorted(MV[j].items())}
             _put(table, par, 0, anm, u, img)
@@ -571,12 +552,12 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # V . F -> A
     for kv, v in enumerate(V):
         for l, fnm in enumerate(fnames):
-            _put(table, par, 0, v, fnm, vf_coords(kv, l))
+            _put(table, par, 0, v, fnm, a_coords(units[na0 + kv * nf + l]))
 
     # A . A through the derivation action on the formal span, both orders
-    for a1 in anames:
-        for a2 in anames:
-            _store(table, (0, a1, a2), a_coords(ders[fidx[a1]][fidx[a2]]))
+    for a1, k1 in zip(anames, chosen):
+        for a2, k2 in zip(anames, chosen):
+            _store(table, (0, a1, a2), a_coords(ders[k1][k2]))
 
     R = ReducedAlgebra(basis, "L", table)
     require_axioms(R, InconsistentSpec, "extension violates axioms:\n")

@@ -13,8 +13,10 @@ canonical, so two sparse elements are equal exactly when the dicts are
 time by exact Gaussian elimination.  Its rows are sparse elements keyed by
 column, and it keeps them keyed by pivot.  `row_space`, `add`, `reduce`,
 `contains` and `kernel` take sparse elements, and `coordinates`, the one
-solver, solves in a basis of them.  A matrix is a list of sparse rows,
-for `charpoly` as for the rest.
+solver, solves in a basis of them and checks itself: it raises
+ValueError on a dependent basis, and its map gives None for a vector
+outside the span.  A matrix is a list of sparse rows, for `charpoly` as
+for the rest.
 """
 from __future__ import annotations
 
@@ -187,15 +189,20 @@ def kernel(rows, ncols: int) -> list:
 
 
 def coordinates(basis, ncols: int):
-    """The map x -> {k: c} with x the sum of c * basis[k], for x in the
-    span of the sparse elements `basis` on columns below ncols.  The basis
-    must be independent, which a caller checks as row_space(basis,
-    ncols).dim == len(basis) unless it holds by construction.  Reducing
-    (x | 0) by the graph rows (basis[k] | e_k) leaves (0 | -c); the result
-    is in the order of k."""
+    """The map x -> {k: c} with x the sum of c * basis[k], for the sparse
+    elements `basis` on columns below ncols; the map gives None for an x
+    outside their span.  Reducing (x | 0) by the graph rows (basis[k] | e_k)
+    leaves (0 | -c), in the order of k, and a residue with a key below
+    ncols for an x outside the span.  Raises ValueError on a dependent
+    basis, which leaves a graph row with its pivot at or past ncols."""
     graph = row_space(({**b, ncols + k: ONE} for k, b in enumerate(basis)),
                       ncols + len(basis))
+    if graph.by_pivot and max(graph.by_pivot) >= ncols:
+        raise ValueError("dependent basis")
 
-    def coords(x: dict) -> dict:
-        return {k - ncols: -c for k, c in sorted(graph.reduce(x).items())}
+    def coords(x: dict):
+        res = sorted(graph.reduce(x).items())
+        if res and res[0][0] < ncols:
+            return None
+        return {k - ncols: -c for k, c in res}
     return coords

@@ -601,7 +601,7 @@ def test_full_before_the_identity_P_stops_like_H():
 def _reference_H(R):
     """check_H_axioms as the events of plain loops over every pair and
     triple, with products formed by R.circ and R.bullet, stopping after
-    any triple of the o-associativity and .-Jacobi loop."""
+    any instance from the o-associativity and .-Jacobi loop on."""
     if not is_physical_shape(R):
         yield "fail", ("not of physical shape "
                        "(weights, parities or product indices are off)")
@@ -661,6 +661,7 @@ def _reference_H(R):
                 if bullet(e[a], o[x, y]) != rhs:
                     yield "fail", "derivation law fails: %s on %s o %s" % (
                         a, x, y)
+                yield "stop", checked
     for u in V:
         for v in V:
             for f in F:
@@ -669,6 +670,7 @@ def _reference_H(R):
                 el_add_into(rhs, circ(d[u, v], e[f]))
                 if circ(e[u], d[v, f]) != rhs:
                     yield "fail", "mixed Leibniz fails: %s,%s,%s" % (u, v, f)
+                yield "stop", checked
     for iu, u in enumerate(V):
         for w in V[iu:]:
             if (u, w) not in inner:
@@ -679,6 +681,7 @@ def _reference_H(R):
                 el_add_into(lhs, act(e[w], act(e[u], e[x])))
                 if lhs != el_scale(e[x], Scalar.from_int(2) * inner[u, w]):
                     yield "fail", "square law fails: %s,%s on %s" % (u, w, x)
+                yield "stop", checked
     yield "end", checked
 
 
@@ -692,6 +695,31 @@ def test_H_matches_reference_loop(case):
         for cap, report in _reference_reports(_reference_H(R)).items():
             rep = check_H_axioms(R, max_failures=cap)
             assert (rep.ok, rep.checked, rep.failures) == report, (case, cap)
+
+
+def _doubled(name, n, x, y):
+    """The catalog algebra `name` with <x n y> and <y n x> doubled."""
+    R = catalog.build(name)
+    products = dict(R.products)
+    for key in ((n, x, y), (n, y, x)):
+        products[key] = el_scale(products[key], Scalar.from_int(2))
+    return ReducedAlgebra(R.basis, R.L, products)
+
+
+@pytest.mark.parametrize("args, first, checked", [
+    (("S2", 1, "D1", "Db1"), "derivation law fails: A2 on D1 o Db1", 675),
+    (("K2", 0, "D1", "Db1"), "square law fails: D1,D1 on Db1", 106)])
+def test_H_stops_once_full_after_the_triples(args, first, checked):
+    """Tables that first fail H after the triples: the Report stops at
+    the failure that fills it, with `checked` at that failure's position,
+    as the reference loop that stops gives at every cap."""
+    R = _doubled(*args)
+    for cap, report in _reference_reports(_reference_H(R)).items():
+        rep = check_H_axioms(R, max_failures=cap)
+        assert (rep.ok, rep.checked, rep.failures) == report, cap
+    rep = check_H_axioms(R, max_failures=1)
+    assert (rep.checked, rep.failures) == (checked, [first])
+    assert check_H_axioms(R, max_failures=10 ** 6).checked > checked
 
 
 def _w6_table():
@@ -744,14 +772,16 @@ def test_P_work_does_not_grow_with_the_bounds(monkeypatch):
 def test_n4alpha0_mutant_reports_are_pinned():
     """P(2,2) and H on the sign mutants of N4alpha(0), all 199 at
     max_failures=1 and every 20th at max_failures=20: (ok, checked,
-    failures) match, by digest, what the loops over every triple gave."""
+    failures) match, by digest, what the loops over every triple gave,
+    but for three H Reports at max_failures=20 that fill at a mixed-Leibniz
+    failure, where H stops and so counts fewer."""
     mutants = list(catalog.build("N4alpha", 0).sign_mutations())
     assert len(mutants) == 199
     for cap, sample, digest in (
             (1, mutants, "ebd6e6777fdc05becbe3462596d7b53b"
                          "15fe4c7c6ab5d91450409eae95ab2ed5"),
-            (20, mutants[::20], "8bdac366f6d554c8a91cdb5374c73c6f"
-                                "5c2697eee51fb939d59762dba8482e42")):
+            (20, mutants[::20], "6fb0ad8ed1e1381b3432a3b5a584130d"
+                                "d67567800bfad1c70a7f0d1c0d4505bf")):
         lines = []
         for label, M in sample:
             for name, rep in (
@@ -769,8 +799,11 @@ def test_n4alpha0_mutant_reports_are_pinned():
             digest, cap
 
 
+# 13 H Reports of K3 and S2 mutants fill at their derivation-law or
+# square-law failure; since H stops there, only their `checked` differs
+# from the per-call digest
 PH_REPORTS_SHA256 = \
-    "53893247e399b86b91e94d27b6a0cfe8887e95f9ffe1de803261775c5ee604a7"
+    "04df924e86f2cf464d2934bf14e32f46ef7538af473e4260f0e17863c7c8ef94"
 
 
 def test_PH_reports_are_pinned():

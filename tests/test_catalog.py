@@ -56,6 +56,9 @@ def test_alpha_coercion():
     half = build("N4alpha", "1/2")
     assert half is build("N4alpha", Fraction(1, 2))
     assert half is build("N4alpha", Scalar.from_fraction(Fraction(1, 2)))
+    # the default alpha is the symbol a, under one cache entry
+    assert build("N4alpha") is build("N4alpha", "a")
+    assert build("N4alpha") is build("N4alpha", ALPHA)
 
 
 def test_golden_files_are_byte_stable():

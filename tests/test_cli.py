@@ -310,27 +310,27 @@ def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
         assert err.startswith("error: cannot parse")
 
 
+def _table_doc(weights: dict, prods=()):
+    """The document of the basis {id: weight}, with L first, whose
+    products are the L-rows <L 1 b> = <b 1 L> = wt(b) b and then prods,
+    each (n, a, b, {basis: coeff})."""
+    rows = [(1, "L", b, {b: w}) for b, w in weights.items()]
+    rows += [(1, b, "L", {b: w}) for b, w in weights.items() if b != "L"]
+    return {"basis": [{"id": b, "weight": w, "parity": 1 if "/" in w else 0}
+                      for b, w in weights.items()],
+            "L": "L",
+            "products": [{"n": n, "a": a, "b": b,
+                          "terms": [{"coeff": c, "basis": t}
+                                    for t, c in el.items()]}
+                         for n, a, b, el in list(rows) + list(prods)]}
+
+
 def _off_span_doc():
     """L; u, v of weight 3/2; x of weight 1; with the L-rows,
     <u 1 v> = <v 1 u> = x and <u 0 v> = L + x, which leaves span(L)."""
-    weights = {"L": "2", "u": "3/2", "v": "3/2", "x": "1"}
-    prods = []
-    for b, w in weights.items():
-        prods.append({"n": 1, "a": "L", "b": b,
-                      "terms": [{"coeff": w, "basis": b}]})
-        if b != "L":
-            prods.append({"n": 1, "a": b, "b": "L",
-                          "terms": [{"coeff": w, "basis": b}]})
-    prods += [{"n": 1, "a": "u", "b": "v",
-               "terms": [{"coeff": "1", "basis": "x"}]},
-              {"n": 1, "a": "v", "b": "u",
-               "terms": [{"coeff": "1", "basis": "x"}]},
-              {"n": 0, "a": "u", "b": "v",
-               "terms": [{"coeff": "1", "basis": "L"},
-                         {"coeff": "1", "basis": "x"}]}]
-    return {"basis": [{"id": b, "weight": w, "parity": 1 if "/" in w else 0}
-                      for b, w in weights.items()],
-            "L": "L", "products": prods}
+    return _table_doc({"L": "2", "u": "3/2", "v": "3/2", "x": "1"},
+                      [(1, "u", "v", {"x": "1"}), (1, "v", "u", {"x": "1"}),
+                       (0, "u", "v", {"L": "1", "x": "1"})])
 
 
 @pytest.mark.parametrize("cmd", ["simplicity", "invariants"])
@@ -350,6 +350,37 @@ def test_verify_H_reports_off_span_table(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(path), "--axioms", "H")
     assert code == 1 and err == ""
     assert "  u . v is not in span(L)\n" in out
+
+
+def test_simplicity_on_a_degenerate_inner_product(tmp_path, capsys):
+    """{L, V1} with only the L-rows: V1 . V1 = 0, so V1 is the witness."""
+    path = tmp_path / "lv.json"
+    path.write_text(json.dumps(_table_doc({"L": "2", "V1": "3/2"})))
+    assert run(capsys, "simplicity", str(path)) == (
+        1, "not simple; degenerate inner product\nwitness: (1)*V1\n", "")
+    code, out, _ = run(capsys, "simplicity", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["witness"] == {"V1": "1"}
+
+
+def test_simplicity_on_a_proper_ideal(tmp_path, capsys):
+    """{L, A} with <L 1 A> = <A 1 L> = A: A spans an ideal without L."""
+    path = tmp_path / "la.json"
+    path.write_text(json.dumps(_table_doc({"L": "2", "A": "1"})))
+    code, out, _ = run(capsys, "simplicity", str(path))
+    assert code == 1
+    assert out.splitlines()[0] == "not simple; proper ideal generated by A"
+
+
+def test_verify_H_needs_a_physical_algebra(tmp_path, capsys):
+    """Vir + Vir, on L and the second Virasoro vector W, has two
+    weight-2 vectors, so H does not apply."""
+    path = tmp_path / "virvir.json"
+    path.write_text(json.dumps(_table_doc(
+        {"L": "2", "W": "2"}, [(1, "W", "W", {"W": "2"})])))
+    code, out, err = run(capsys, "verify", str(path), "--axioms", "H")
+    assert (code, out) == (2, "")
+    assert "H axioms need a physical algebra" in err
 
 
 @pytest.mark.parametrize("cmd", ["simplicity", "invariants"])

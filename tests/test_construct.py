@@ -13,7 +13,8 @@ import pytest
 import confsalg
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
 from confsalg import catalog
-from confsalg.algebra import check_P_axioms, check_H_axioms, is_simple
+from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
+                              check_H_axioms, is_simple)
 from confsalg.clifford import Clifford
 from confsalg.construct import (assemble_wedge_form, wedge_lookup,
                                 BuilderSpec, build_from_spec,
@@ -183,6 +184,21 @@ def test_f_extension_two_dim_radical():
 def test_f_extension_rejects_odd_dimensional_radical():
     with pytest.raises(InconsistentSpec):
         build_f_extension(s2(), [w3_unit((0, 1, 2))])
+
+
+def test_f_extension_rejects_a_degenerate_base():
+    """{L, V1} with only the L-rows has a zero Gram matrix on V, which
+    the solver for the dual basis rejects."""
+    three_halves = Scalar.from_fraction(Fraction(3, 2))
+    base = ReducedAlgebra(
+        [BasisVector("L", Fraction(2), 0),
+         BasisVector("V1", Fraction(3, 2), 1)], "L",
+        {(1, "L", "L"): {"L": Scalar.from_int(2)},
+         (1, "L", "V1"): {"V1": three_halves},
+         (1, "V1", "L"): {"V1": three_halves}})
+    with pytest.raises(InconsistentSpec) as info:
+        build_f_extension(base, [])
+    assert str(info.value) == "degenerate inner product on the base"
 
 
 # SHA-256 of to_json() of the extension with the full F (no radical), and

@@ -2,6 +2,7 @@
 characteristic polynomials."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
@@ -58,9 +59,14 @@ def test_coordinates_small_cases():
     # in a larger space: (2, 3, 5) = 2 (1, 0, 1) + 3 (0, 1, 1)
     coords = coordinates(sparse([[1, 0, 1], [0, 1, 1]]), 3)
     assert coords({0: S(2), 1: S(3), 2: S(5)}) == {0: S(2), 1: S(3)}
-    # dependent bases are caught by the caller's check, not by the solver
-    for basis in ([[1, 2], [1, 2]], [[1, 0], [0, 1], [2, 3]]):
-        assert row_space(sparse(basis), 2).dim < len(basis)
+    # the solver rejects a dependent basis, a zero vector included
+    for basis in ([[1, 2], [1, 2]], [[1, 0], [0, 1], [2, 3]], [[0, 0]]):
+        with pytest.raises(ValueError):
+            coordinates(sparse(basis), 2)
+    # and gives None outside the span: (0, 1, 0) is not in it
+    assert coords({1: ONE}) is None
+    empty = coordinates([], 2)
+    assert empty({}) == {} and empty({0: ONE}) is None
 
 
 def test_charpoly_companion():
@@ -169,6 +175,33 @@ def test_coordinates_dependence_check(A):
     if not dependent:
         coords = coordinates(basis, nrows)
         assert [coords(b) for b in basis] == [{k: ONE} for k in range(ncols)]
+
+
+@given(matrices(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_coordinates_checks_itself(A, data):
+    """coordinates raises ValueError exactly on a dependent basis; over an
+    independent one its map gives None exactly for an x outside the span,
+    and the coefficients of x otherwise.  x is drawn either as a
+    combination of the basis or as any vector."""
+    basis, nrows = columns(A), len(A)
+    span = row_space(basis, nrows)
+    if span.dim < len(basis):
+        with pytest.raises(ValueError):
+            coordinates(basis, nrows)
+        return
+    coords = coordinates(basis, nrows)
+    if data.draw(st.booleans()):
+        x = combination(basis, sparse([data.draw(st.lists(
+            entries, min_size=len(basis), max_size=len(basis)))])[0])
+    else:
+        x = sparse([data.draw(st.lists(entries, min_size=nrows,
+                                       max_size=nrows))])[0]
+    y = coords(x)
+    if span.contains(x):
+        assert y is not None and combination(basis, y) == x
+    else:
+        assert y is None
 
 
 @given(st.one_of(matrices(3, 3), matrices()), st.data())
