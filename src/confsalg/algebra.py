@@ -113,7 +113,20 @@ class Report:
             "\n".join("  " + f for f in self.failures))
 
 
-PHYSICAL_WEIGHTS = {Fraction(2), Fraction(3, 2), Fraction(1), Fraction(1, 2)}
+# The weights of L, the supercharges V, the currents A and the fermions F
+W_L, W_V, W_A, W_F = Fraction(2), Fraction(3, 2), Fraction(1), Fraction(1, 2)
+PHYSICAL_WEIGHTS = {W_L, W_V, W_A, W_F}
+
+
+def physical_basis(vnames, na: int, nf: int) -> list:
+    """The basis of a physical algebra: L, then vnames at weight 3/2,
+    A1..A<na> at 1 and F1..F<nf> at 1/2, each odd exactly when its weight
+    is half-integral."""
+    return ([BasisVector("L", W_L, 0)]
+            + [BasisVector(v, W_V, 1) for v in vnames]
+            + [BasisVector("A%d" % k, W_A, 0) for k in range(1, na + 1)]
+            + [BasisVector("F%d" % k, W_F, 1) for k in range(1, nf + 1)])
+
 
 # Largest product index a table may store.  The checkers loop over every n
 # up to the largest stored one; the catalog tables stop at n = 1.
@@ -313,7 +326,7 @@ class ReducedAlgebra:
     def inner_gram(self) -> list:
         """The inner products (u, v) = u . v on the weight-3/2 space as
         sparse rows: row i is {j: (V_i, V_j)}."""
-        V = [self.basis_element(b) for b in self.space(Fraction(3, 2))]
+        V = [self.basis_element(b) for b in self.space(W_V)]
         return [{j: c for j, v in enumerate(V)
                  if (c := self.coeff_of_L(self.bullet(u, v)))} for u in V]
 
@@ -612,7 +625,7 @@ def require_axioms(R: ReducedAlgebra, exc_type, prefix: str) -> None:
 def is_physical_shape(R: ReducedAlgebra) -> bool:
     if any(b.weight not in PHYSICAL_WEIGHTS for b in R.basis):
         return False
-    if len(R.space(Fraction(2))) != 1:
+    if len(R.space(W_L)) != 1:
         return False
     for b in R.basis:
         want = 0 if b.weight.denominator == 1 else 1
@@ -664,9 +677,9 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     ids = [b.id for b in R.basis]
     els = {a: R.basis_element(a) for a in ids}
     par = {b.id: b.parity for b in R.basis}
-    V = R.space(Fraction(3, 2))
-    A = R.space(Fraction(1))
-    F = R.space(Fraction(1, 2))
+    V = R.space(W_V)
+    A = R.space(W_A)
+    F = R.space(W_F)
     # the products of two basis vectors are read from the tables
     C, B, no = R.circ_table, R.bullet_table, {}
 
@@ -805,8 +818,8 @@ def ideal_closure(R: ReducedAlgebra, seeds) -> Subspace:
 def f3_subspace(R: ReducedAlgebra) -> list:
     """The weight-1/2 elements annihilated by every triple of successive
     odd-product actions from the weight-3/2 space."""
-    F = R.space(Fraction(1, 2))
-    V = R.space(Fraction(3, 2))
+    F = R.space(W_F)
+    V = R.space(W_V)
     if not F:
         return []
     # one row per (v1, v2, v3, r): the coefficient of basis vector r in
@@ -838,7 +851,7 @@ def null_pairs(R: ReducedAlgebra):
     """(pairs, odd) where pairs = [(D1, Db1), ...] and odd is the leftover
     orthonormal generator id or None.  Raises if V is not named by the
     null-basis convention."""
-    V = R.space(Fraction(3, 2))
+    V = R.space(W_V)
     ds, dbs, odd = {}, {}, None
     for v in V:
         if v.startswith("Db"):
@@ -887,7 +900,7 @@ def form_V3(R: ReducedAlgebra):
     """Gram matrix of the invariant form
     (u1^u2^u3, v1^v2^v3) = u3 . (u2 . (u1 . (v1 o (v2 o v3)))) on the third
     wedge power of V, on the lexicographic triple basis, as sparse rows."""
-    V = R.space(Fraction(3, 2))
+    V = R.space(W_V)
     triples = [tuple(map(R.basis_element, (V[i], V[j], V[k])))
                for i in range(len(V))
                for j in range(i + 1, len(V))
@@ -926,7 +939,7 @@ def is_simple(R: ReducedAlgebra) -> SimplicityResult:
     cen = center(R)
     if cen:
         return SimplicityResult(False, "nonzero center", cen[0])
-    V = R.space(Fraction(3, 2))
+    V = R.space(W_V)
     if V:
         ker = kernel(R.inner_gram(), len(V))
         if ker:

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA, ScalarParseError, parse
 from .linalg import Subspace, charpoly, el_add_into, row_space, tpoly_str
-from .algebra import (BasisVector, ReducedAlgebra, form_V3, form_V_wedge_V,
-                      is_simple)
+from .algebra import (W_F, W_V, ReducedAlgebra, form_V3, form_V_wedge_V,
+                      is_simple, physical_basis)
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
                         CK6_SPEC, _wedge3_basis)
 from .reconstruct import change_conformal_vector
@@ -34,7 +34,7 @@ class InvalidParams(ValueError):
 
 
 def _vir() -> ReducedAlgebra:
-    return ReducedAlgebra([BasisVector("L", Fraction(2), 0)], "L",
+    return ReducedAlgebra(physical_basis((), 0, 0), "L",
                           {(1, "L", "L"): {"L": Scalar.from_int(2)}})
 
 
@@ -237,8 +237,8 @@ def triple_form_condition(R: ReducedAlgebra):
     of the returned scalar is the nondegeneracy condition of the pairing;
     it decides simplicity on the N4alpha family only (the pairing vanishes
     identically on W2 and N4, which are simple)."""
-    V = R.space(Fraction(3, 2))
-    F = R.space(Fraction(1, 2))
+    V = R.space(W_V)
+    F = R.space(W_F)
     if len(V) != 4 or not F:
         return None
     vals = {}

@@ -24,13 +24,9 @@ from math import comb
 from .scalars import Scalar, ZERO, ONE, MINUS_ONE, HALF
 from .linalg import (Subspace, coordinates, el_add_into, el_scale, kernel,
                      row_space)
-from .algebra import BasisVector, ReducedAlgebra, require_axioms, is_simple
+from .algebra import (W_A, W_F, W_V, ReducedAlgebra, is_simple,
+                      physical_basis, require_axioms)
 from .clifford import Clifford
-
-W_L = Fraction(2)
-W_V = Fraction(3, 2)
-W_A = Fraction(1)
-W_F = Fraction(1, 2)
 
 
 class InconsistentSpec(Exception):
@@ -221,16 +217,13 @@ class _Builder:
 
     def build(self) -> ReducedAlgebra:
         one, vrows, a_chosen, f_chosen = self.select_basis()
-        names = ["L"] + list(self.cl.gen_names)
-        names += ["A%d" % (k + 1) for k in range(len(a_chosen))]
-        names += ["F%d" % (k + 1) for k in range(len(f_chosen))]
-        weights = [W_L] + [W_V] * len(vrows) + [W_A] * len(a_chosen) + \
-                  [W_F] * len(f_chosen)
+        basis = physical_basis(self.cl.gen_names, len(a_chosen),
+                               len(f_chosen))
+        names = [b.id for b in basis]
         classes = [one] + vrows + a_chosen + f_chosen
         self.names = names
-        self.weights = {n: w for n, w in zip(names, weights)}
-        self.parities = {n: (0 if w.denominator == 1 else 1)
-                         for n, w in self.weights.items()}
+        self.weights = {b.id: b.weight for b in basis}
+        self.parities = {b.id: b.parity for b in basis}
         # coordinates in the named basis; select_basis added each class to
         # its span, so the classes are independent
         self.coords = coordinates(classes, self.cl.dim)
@@ -242,9 +235,6 @@ class _Builder:
         for nm in names:
             if self.weights[nm] == W_A:
                 self._fill_A(nm)
-
-        basis = [BasisVector(nm, self.weights[nm], self.parities[nm])
-                 for nm in names]
         return ReducedAlgebra(basis, "L", self.table)
 
     def to_reduced(self, cls: dict) -> dict:
@@ -512,17 +502,14 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # the chosen units complete the null rows to a basis
     nnull = len(nullsub.rows)
     coords = coordinates(nullsub.rows + [units[k] for k in chosen], nwa)
+    basis = physical_basis(V, na, nf)
+    anames = [b.id for b in basis if b.weight == W_A]
+    fnames = [b.id for b in basis if b.weight == W_F]
 
     def a_coords(wvec: dict) -> dict:
-        return {"A%d" % (k - nnull + 1): c
+        return {anames[k - nnull]: c
                 for k, c in coords(wvec).items() if k >= nnull}
 
-    anames = ["A%d" % (k + 1) for k in range(na)]
-    fnames = ["F%d" % (l + 1) for l in range(nf)]
-    basis = [BasisVector("L", W_L, 0)]
-    basis += [BasisVector(v, W_V, 1) for v in V]
-    basis += [BasisVector(a, W_A, 0) for a in anames]
-    basis += [BasisVector(f, W_F, 1) for f in fnames]
     weights = {b.id: b.weight for b in basis}
     par = {b.id: b.parity for b in basis}
 

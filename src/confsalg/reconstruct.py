@@ -46,8 +46,8 @@ from math import comb, factorial
 
 from .scalars import Scalar, ONE, TWO, HALF
 from .linalg import coordinates, el_add_into, el_scale, kernel
-from .algebra import (BasisVector, ReducedAlgebra, Report, check_bounds,
-                      coeff_G, require_axioms)
+from .algebra import (W_A, W_F, W_L, W_V, ReducedAlgebra, Report,
+                      check_bounds, coeff_G, physical_basis, require_axioms)
 
 
 @lru_cache(maxsize=256)
@@ -428,10 +428,11 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
 
     The new reduced subspace is the kernel of L_a(2) on a window of
     d-degrees, and its weight-w part is the kernel of L_a(2) stacked on
-    L_a(1) - w.  Products are read back through the d^(0) coordinates of
-    the window over the d^(j)-shifted new basis.  All of it runs on flat
-    elements, so the window of d-degrees below k is the flat indices below
-    k*N."""
+    L_a(1) - w; the parts must be one vector at weight 2, which becomes
+    L_a, and N vectors in all.  Products are read back through the d^(0)
+    coordinates of the window over the d^(j)-shifted new basis.  All of it
+    runs on flat elements, so the window of d-degrees below k is the flat
+    indices below k*N."""
     if isinstance(RA, ReducedAlgebra):
         RA = ReconstructedAlgebra(RA)
     R, N, product = RA.R, RA.N, RA.product
@@ -471,30 +472,22 @@ def change_conformal_vector(RA, alpha: Scalar) -> ReducedAlgebra:
 
     # weight decomposition of the kernel under the new L_(1)
     op1 = [window(product(La, {c: ONE}, 1), kdeg + 2) for c in range(nwin)]
-    new_basis, new_els = [], []
-    counters = {}
-    for wt, prefix in ((Fraction(2), "L"), (Fraction(3, 2), "V"),
-                       (Fraction(1), "A"), (Fraction(1, 2), "F")):
+    parts = []
+    for wt in (W_L, W_V, W_A, W_F):
         lam = Scalar.from_fraction(wt)
         shifted = []
         for c, col in enumerate(op1):
             col = dict(col)
             el_add_into(col, {c: ONE}, -lam)
             shifted.append(col)
-        for vec in kernel(op2 + rows_of(shifted), nwin):
-            if prefix == "L":
-                nm = "L"
-            else:
-                counters[prefix] = counters.get(prefix, 0) + 1
-                nm = "%s%d" % (prefix, counters[prefix])
-            par = 0 if wt.denominator == 1 else 1
-            new_basis.append(BasisVector(nm, wt, par))
-            new_els.append(vec)
-    if len(new_basis) != N:
+        parts.append(kernel(op2 + rows_of(shifted), nwin))
+    lpart, vpart, apart, fpart = parts
+    if len(lpart) != 1 or sum(map(len, parts)) != N:
         raise AxiomVFails("new weights are not physical")
-    # normalize the weight-2 vector to L_a itself
-    lpos = next(k for k, b in enumerate(new_basis) if b.weight == 2)
-    new_els[lpos] = La
+    new_basis = physical_basis(["V%d" % k for k in range(1, len(vpart) + 1)],
+                               len(apart), len(fpart))
+    # the weight-2 vector is L_a itself
+    new_els = [La] + vpart + apart + fpart
     names = [b.id for b in new_basis]
     els = dict(zip(names, new_els))
 

@@ -16,7 +16,7 @@ from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
                               require_axioms,
                               ideal_closure, quotient, f3_subspace,
                               is_simple, null_pairs, alpha_matrix,
-                              form_V_wedge_V)
+                              form_V_wedge_V, physical_basis)
 from confsalg.reconstruct import check_C_axioms
 from confsalg import algebra, catalog
 
@@ -284,6 +284,17 @@ def test_product_n_bilinearity():
 def test_physical_shape():
     assert is_physical_shape(catalog.build("K2"))
     assert is_physical_shape(vir())
+
+
+def test_physical_basis_layout():
+    """L, the named weight-3/2 vectors, then A1.. and F1..; the parity is
+    read here from twice the weight, not from the layout's own rule."""
+    basis = physical_basis(("D1", "Db1"), 2, 1)
+    assert [(b.id, b.weight) for b in basis] == [
+        ("L", 2), ("D1", Fraction(3, 2)), ("Db1", Fraction(3, 2)),
+        ("A1", 1), ("A2", 1), ("F1", Fraction(1, 2))]
+    assert all(b.parity == (2 * b.weight) % 2 for b in basis)
+    assert physical_basis((), 0, 0) == vir().basis
 
 
 def test_axiom_checkers_accept_virasoro():

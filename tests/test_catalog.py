@@ -103,9 +103,22 @@ def test_iso_check_rejects_non_maps():
     f = {b.id: {b.id: ONE} for b in R.basis}
     assert iso_check(R, R, f)
     bad = dict(f)
-    bad["D1"] = {"Db1": ONE}          # not closed under the products
+    bad["D1"] = {"Db1": ONE}          # D1 and Db1 share an image
     assert not iso_check(R, R, bad)
     assert not iso_check(R, build("K3"), f)
+
+
+@pytest.mark.parametrize("src,img", [
+    # <D1 0 Db1> = L, but 2*D1 . Db1 = 2L: a product is not preserved
+    ("D1", {"D1": Scalar.from_int(2)}),
+    # independent images, but L does not go to L
+    ("L", {"L": Scalar.from_int(2)}),
+])
+def test_iso_check_rejects_non_homomorphisms(src, img):
+    R = build("K2")
+    f = {b.id: {b.id: ONE} for b in R.basis}
+    f[src] = img
+    assert not iso_check(R, R, f)
 
 
 # -- invariants -------------------------------------------------------------

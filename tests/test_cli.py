@@ -4,8 +4,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from confsalg import catalog, cli
 from confsalg.cli import main
-from confsalg import catalog
+from confsalg.construct import InconsistentSpec, UnderdeterminedSpec
 
 
 def run(capsys, *argv):
@@ -36,6 +37,22 @@ def test_build_errors(capsys):
     assert run(capsys, "build", "N4alpha", "--alpha", "1+")[0] == 2
 
 
+def _raise(exc):
+    def patched(*args, **kwargs):
+        raise exc("no solution")
+    return patched
+
+
+@pytest.mark.parametrize("module,name,exc,argv", [
+    (catalog, "build", InconsistentSpec, ["build", "K2"]),
+    (cli, "exclusion_sweep", UnderdeterminedSpec, ["exclude", "--dimv", "6"]),
+], ids=["build", "exclude"])
+def test_solver_errors_exit_3(capsys, monkeypatch, module, name, exc, argv):
+    """A solver inconsistency exits 3 with the error on stderr only."""
+    monkeypatch.setattr(module, name, _raise(exc))
+    assert run(capsys, *argv) == (3, "", "error: no solution\n")
+
+
 def test_verify_ok_and_failing(tmp_path, capsys):
     good = tmp_path / "k2.json"
     run(capsys, "build", "K2", "-o", str(good))
@@ -63,6 +80,21 @@ def test_verify_input_errors(tmp_path, capsys):
     good = tmp_path / "vir.json"
     run(capsys, "build", "Vir", "-o", str(good))
     assert run(capsys, "verify", str(good), "--axioms", "Q")[0] == 2
+    dup = _vir_doc()
+    dup["basis"] *= 2
+    junk.write_text(json.dumps(dup))
+    assert run(capsys, "verify", str(junk)) == (
+        2, "", "error: cannot parse %s: duplicate basis ids\n" % junk)
+
+
+def test_verify_P_on_an_odd_conformal_vector(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({
+        "basis": [{"id": "L", "weight": "3/2", "parity": 1}],
+        "L": "L", "products": []}))
+    code, out, err = run(capsys, "verify", str(path), "--axioms", "P")
+    assert (code, err) == (1, "")
+    assert "  conformal vector must be even of weight 2\n" in out
 
 
 @pytest.mark.parametrize("axioms,runs", [
@@ -172,6 +204,14 @@ def test_isocheck(tmp_path, capsys):
     code, out, _ = run(capsys, "isocheck", str(pa), str(pb),
                        "--map", str(mp))
     assert code == 0 and "isomorphism verified" in out
+
+    # the identity is a linear bijection fixing L, but the products of
+    # N4alpha(2) and N4alpha(-2) differ
+    ident = tmp_path / "ident.json"
+    ident.write_text(json.dumps({b.id: {b.id: "1"}
+                                 for b in catalog.build("N4alpha", 2).basis}))
+    assert run(capsys, "isocheck", str(pa), str(pb), "--map", str(ident)) \
+        == (1, "not an isomorphism\n", "")
 
     bad = tmp_path / "badmap.json"
     bad.write_text(json.dumps({"L": {"L": "1"}}))

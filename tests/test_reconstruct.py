@@ -17,6 +17,7 @@ from confsalg.reconstruct import (ReconstructedAlgebra, binom_ff,
                                   mode_bracket, change_conformal_vector,
                                   NotN4Shape, AxiomVFails)
 from confsalg import catalog
+import confsalg.reconstruct as reconstruct_mod
 from test_algebra import (_reference_cases, _reference_reports, _scalar,
                           _w6_table)
 
@@ -483,6 +484,61 @@ def test_change_errors_are_pinned(name, exc, message):
         change_conformal_vector(catalog.build(name), ONE)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def _patched_change(monkeypatch, name, patch):
+    """change_conformal_vector(N4alpha(0), 1) with reconstruct.<name>
+    replaced by patch(original)."""
+    monkeypatch.setattr(reconstruct_mod, name,
+                        patch(getattr(reconstruct_mod, name)))
+    return change_conformal_vector(catalog.build("N4alpha", 0), ONE)
+
+
+def _dependent(coordinates):
+    def patched(basis, ncols):
+        raise ValueError("dependent")
+    return patched
+
+
+def _off_span(coordinates):
+    return lambda basis, ncols: lambda x: None
+
+
+@pytest.mark.parametrize("patch,message", [
+    (_dependent, "derivatives of the new basis are dependent"),
+    (_off_span, "product outside the span of the new basis"),
+], ids=["dependent", "off-span"])
+def test_change_reports_the_solver_outcomes(monkeypatch, patch, message):
+    with pytest.raises(AxiomVFails) as info:
+        _patched_change(monkeypatch, "coordinates", patch)
+    assert str(info.value) == message
+
+
+def _reweighted(moves):
+    """A patch of `kernel` that passes the result of its i-th call through
+    moves[i]: call 1 is the whole new subspace, calls 2-5 its parts of
+    weight 2, 3/2, 1 and 1/2."""
+    def patch(kernel):
+        calls = []
+
+        def patched(rows, ncols):
+            calls.append(ncols)
+            out = kernel(rows, ncols)
+            return moves[len(calls)](out) if len(calls) in moves else out
+        return patched
+    return patch
+
+
+@pytest.mark.parametrize("moves", [
+    # no weight-2 vector; a weight-1 vector counted twice keeps N
+    {2: lambda out: [], 4: lambda out: out + out[:1]},
+    # two weight-2 vectors; one weight-3/2 vector fewer keeps N
+    {2: lambda out: out * 2, 3: lambda out: out[1:]},
+], ids=["no-L", "two-L"])
+def test_change_needs_one_weight_2_vector(monkeypatch, moves):
+    with pytest.raises(AxiomVFails) as info:
+        _patched_change(monkeypatch, "kernel", _reweighted(moves))
+    assert str(info.value) == "new weights are not physical"
 
 
 def test_change_at_zero_reproduces_the_base_profile():
