@@ -354,8 +354,16 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     invariance of the triple pairing.
 
     `j0_vectors` are sparse elements keyed by position in the lexicographic
-    triple basis of the wedge cube of V.  Every operator below is a list of
-    sparse columns: column c is {row: entry}.
+    triple basis of the wedge cube of V; a zero entry is dropped.  Every
+    operator below is a list of sparse columns: column c is {row: entry}.
+
+    The weight-1 part is the formal span of the base A and the products
+    v . f modulo N, the common kernel of the V-action MV and the map
+    SG: u -> u o a.  N is invariant under the derivation action D_b of
+    every formal b: `act_F` makes MF the contragredient action, the Gram
+    form is invariant and `der_column` is the Leibniz rule, so
+    MV(D_b x) = [MV(b), MV(x)], MF(D_b x) = [MF(b), MF(x)] and
+    SG(D_b x) = MF(b) SG(x) - SG(x) MV(b).
     """
     V = base.space(W_V)
     A0 = base.space(W_A)
@@ -368,7 +376,8 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # column l of jmat is J(w3-basis element t, f_l) over t: the kernel
     # vectors of J0, independent by construction, so jmat_coords solves
     # jmat x = rhs, or gives None when it has no solution
-    jmat = kernel(j0_vectors, nw)
+    jmat = kernel([{k: c for k, c in v.items() if c} for v in j0_vectors],
+                  nw)
     nf = len(jmat)
     jmat_coords = coordinates(jmat, nw)
 
@@ -411,10 +420,11 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
 
     # The weight-1 space is spanned by the base A and the formal products
     # v . f.  Each formal element carries three forced operators: its action
-    # on V, its action on F, and the map u -> u o a into F.  An element is
-    # zero exactly when all three vanish and the same stays true under the
-    # derivation action of everything else (such elements span an ideal
-    # missing L, hence die in the simple target).
+    # MV on V, its action MF = act_F(derive_W3(MV)) on F, and the map SG:
+    # u -> u o a into F.  MF is linear in MV, so an element is zero exactly
+    # when MV and SG vanish.  Such elements span an ideal missing L, hence
+    # die in the simple target; the identities in the docstring make their
+    # span N invariant under every D_b.
     na0 = len(A0)
     formal = [("base", a) for a in A0]
     formal += [("vf", kv, l) for kv in range(nv) for l in range(nf)]
@@ -455,10 +465,10 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
             MFs.append(MF)
             SGs.append(SG)
 
-    # the encoding of formal element k: one row per operator entry
+    # the encoding of formal element k: one row per entry of MV and SG
     erows = {}
     for k in range(nwa):
-        for op, M in enumerate((MVs[k], MFs[k], SGs[k])):
+        for op, M in enumerate((MVs[k], SGs[k])):
             for c, col in enumerate(M):
                 for r, v in col.items():
                     erows.setdefault((op, r, c), {})[k] = v
@@ -478,30 +488,14 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
                           for m, c in MFs[b][l].items()})
         return out
 
-    ders = [[der_column(b, x) for x in range(nwa)] for b in range(nwa)]
     units = [{x: ONE} for x in range(nwa)]
-
-    # The largest derivation-invariant subspace N of the encoding kernel is
-    # a fixpoint: the next N is {x in N : D_b x in N for every b}, the
-    # kernel of the stacked rows of x -> N.reduce(x) and x -> N.reduce(D_b x).
     nullsub = row_space(kernel(erows.values(), nwa), nwa)
-    while True:
-        rows = {}
-        for i, images in enumerate([units] + ders):
-            for x, img in enumerate(images):
-                for r, c in nullsub.reduce(img).items():
-                    rows.setdefault((i, r), {})[x] = c
-        nxt = row_space(kernel(rows.values(), nwa), nwa)
-        if nxt.dim == nullsub.dim:
-            break
-        nullsub = nxt
-
-    span = row_space(nullsub.rows, nwa)
-    chosen = [k for k in range(nwa) if span.add(units[k])]
+    nullrows = nullsub.rows
+    chosen = [k for k in range(nwa) if nullsub.add(units[k])]
     na = len(chosen)
     # the chosen units complete the null rows to a basis
-    nnull = len(nullsub.rows)
-    coords = coordinates(nullsub.rows + [units[k] for k in chosen], nwa)
+    nnull = len(nullrows)
+    coords = coordinates(nullrows + [units[k] for k in chosen], nwa)
     basis = physical_basis(V, na, nf)
     anames = [b.id for b in basis if b.weight == W_A]
     fnames = [b.id for b in basis if b.weight == W_F]
@@ -544,7 +538,7 @@ def build_f_extension(base: ReducedAlgebra, j0_vectors) -> ReducedAlgebra:
     # A . A through the derivation action on the formal span, both orders
     for a1, k1 in zip(anames, chosen):
         for a2, k2 in zip(anames, chosen):
-            _store(table, (0, a1, a2), a_coords(ders[k1][k2]))
+            _store(table, (0, a1, a2), a_coords(der_column(k1, k2)))
 
     R = ReducedAlgebra(basis, "L", table)
     require_axioms(R, InconsistentSpec, "extension violates axioms:\n")

@@ -286,6 +286,21 @@ def test_physical_shape():
     assert is_physical_shape(vir())
 
 
+def test_physical_weight_with_the_wrong_parity():
+    """{L, F1} with F1 even at weight 1/2: every weight is physical, the
+    parity is not, so the shape is not physical and H does not apply."""
+    half = Scalar.from_fraction(Fraction(1, 2))
+    R = ReducedAlgebra([BasisVector("L", Fraction(2), 0),
+                        BasisVector("F1", Fraction(1, 2), 0)], "L",
+                       {(1, "L", "L"): {"L": Scalar.from_int(2)},
+                        (1, "L", "F1"): {"F1": half},
+                        (1, "F1", "L"): {"F1": half}})
+    assert not is_physical_shape(R)
+    assert check_H_axioms(R).failures == [
+        "not of physical shape "
+        "(weights, parities or product indices are off)"]
+
+
 def test_physical_basis_layout():
     """L, the named weight-3/2 vectors, then A1.. and F1..; the parity is
     read here from twice the weight, not from the layout's own rule."""

@@ -90,6 +90,12 @@ def test_extend_v_map_detects_mismatch():
     assert extend_v_map(R0, R2, phi) is None
 
 
+def test_extend_v_map_needs_a_spanning_closure():
+    """L alone closes to span(L) under the products of S2."""
+    R = build("S2")
+    assert extend_v_map(R, R, {"L": {"L": ONE}}) is None
+
+
 def test_swap_map_symbolic():
     Rp = build("N4alpha", ALPHA)
     Rm = build("N4alpha", -ALPHA)

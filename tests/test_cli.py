@@ -423,6 +423,18 @@ def test_verify_H_needs_a_physical_algebra(tmp_path, capsys):
     assert "H axioms need a physical algebra" in err
 
 
+def test_verify_H_needs_the_physical_parity(tmp_path, capsys):
+    """{L, F1} with F1 even at weight 1/2: the weights are physical, the
+    parity is not, so H does not apply."""
+    doc = _table_doc({"L": "2", "F1": "1/2"})
+    doc["basis"][1]["parity"] = 0
+    path = tmp_path / "even_f.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--axioms", "H")
+    assert (code, out) == (2, "")
+    assert "H axioms need a physical algebra" in err
+
+
 @pytest.mark.parametrize("cmd", ["simplicity", "invariants"])
 def test_non_algebra_gets_no_verdict(tmp_path, capsys, cmd):
     """K2's <D1 0 Db1> term L sign mutant fails P(2,2); neither command

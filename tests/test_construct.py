@@ -16,6 +16,7 @@ from confsalg import catalog
 from confsalg.algebra import (BasisVector, ReducedAlgebra, check_P_axioms,
                               check_H_axioms, is_simple)
 from confsalg.clifford import Clifford
+from confsalg.reconstruct import check_C_axioms
 from confsalg.construct import (assemble_wedge_form, wedge_lookup,
                                 BuilderSpec, build_from_spec,
                                 build_f_extension, iota_cl4_span,
@@ -199,6 +200,33 @@ def test_f_extension_rejects_a_degenerate_base():
     with pytest.raises(InconsistentSpec) as info:
         build_f_extension(base, [])
     assert str(info.value) == "degenerate inner product on the base"
+
+
+def j0_family(lam):
+    """J0(lam) = span{e0 + lam e3, lam e1 - e2}, with e0..e3 the triples of
+    `_wedge3_basis(4)`: the J0 that S2's weight-1 action leaves invariant
+    form this projective line, since Lambda^3 V is two isomorphic doublets.
+    lam = 0 gives W2's J0, written here with its zero entries."""
+    return [{0: ONE, 3: lam}, {1: lam, 2: -ONE}]
+
+
+def test_f_extension_drops_zero_entries_of_J0():
+    R = build_f_extension(s2(), j0_family(ZERO))
+    with open(catalog.golden_path("W2")) as fh:
+        assert R.to_json() == fh.read()
+
+
+@pytest.mark.parametrize("lam", [S(2), ALPHA], ids=["2", "a"])
+def test_f_extension_on_the_J0_family(lam):
+    """Off lam = 0 the family still builds W2's invariants: a simple
+    12-dimensional algebra that passes P, H and C."""
+    R = build_f_extension(s2(), j0_family(lam))
+    assert catalog.invariant_signature(R) == {
+        "dims": {"1/2": 2, "1": 5, "3/2": 4, "2": 1},
+        "charpoly": "t^6-2*t^5-4*t^4+8*t^3", "simple": True}
+    assert check_P_axioms(R, 2, 2).ok
+    assert check_H_axioms(R).ok
+    assert check_C_axioms(R, 2, 2, 1).ok
 
 
 # SHA-256 of to_json() of the extension with the full F (no radical), and
