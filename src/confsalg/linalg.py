@@ -3,9 +3,10 @@ sparse row echelon form.
 
 A sparse element is a dict {key: Scalar} that never stores a zero value;
 `el_add_into` and `el_scale` keep that invariant, and every accumulation of
-sparse elements goes through them, but for two copies of `el_add_into`'s
-loop that `reconstruct.ReconstructedAlgebra.product` and its `_add_into`
-inline for speed and that keep the same invariant.  Scalars are
+sparse elements goes through them, but for one copy of `el_add_into`'s
+loop, inlined for speed in `reconstruct.ReconstructedAlgebra.monomial_into`
+(the one monomial kernel, which adds memo entries and formed products in
+place) and keeping the same invariant.  Scalars are
 canonical, so two sparse elements are equal exactly when the dicts are
 `==`, and an element is zero exactly when the dict is empty.
 

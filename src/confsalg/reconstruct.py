@@ -12,14 +12,16 @@ d^(k) a, in the divided powers of d (the translation generator), has the
 flat index k*N + p.  A flat element is a sparse element {index: Scalar}
 (the invariant of `linalg`: no zero is stored).  One table, keyed by the
 position pairs (a, b) with a nonzero product, holds for each m the nonzero
-a_(m) b = sum_j d^(j) (...) with the `coeff_G` factors applied, and
-`ReconstructedAlgebra.product` is the one kernel that multiplies flat
-elements from it.  The binomial factors of the derivative rules come from
-a small int -> Scalar cache.  `ReducedAlgebra.vector` of an element of the
-reduced algebra is its flat element of degree 0.
+a_(m) b = sum_j d^(j) (...) with the `coeff_G` factors applied.
+`ReconstructedAlgebra.monomial_into` is the one monomial kernel, out += c
+d^(j) (ix_(n) iy) in place for two monomials, and `product`, on flat
+elements, is a loop of it over term pairs.  The binomial factors of the
+derivative rules come from a small int -> Scalar cache.
+`ReducedAlgebra.vector` of an element of the reduced algebra is its flat
+element of degree 0.
 
 Each `ReconstructedAlgebra` keeps a memo of the nonzero products of two
-monomials, keyed by (ix, iy, n), and `product` scales and sums its entries.
+monomials, keyed by (ix, iy, n), whose entries the kernel scales and adds.
 Only monomials of d-degree at most R.max_n() + 1 enter it, that is the flat
 indices below (max_n + 2)*N, and a nonzero product needs n <= k + l +
 max_n, so its size is set by the table, not by the bounds a caller such
@@ -27,7 +29,8 @@ as `check_C_axioms` runs at.  The rarely repeated products of monomials
 of higher degree are formed afresh on each call.
 
 `check_C_axioms` is the second of the two oracles; P, in `algebra`, is the
-first.  It joins the table itself and never calls `algebra`'s joins.  Like
+first.  It joins the table itself, reads every monomial product from the
+memo through the kernel, and never calls `algebra`'s joins.  Like
 P and H it counts every instance of its full loops up to the stop, so a
 passing Report has `checked` = 3N + N^2 (n_max + 1) (1 + (d_max + 1)^2 +
 (N + d_max)(m_max + 1)).  What
@@ -94,83 +97,85 @@ class ReconstructedAlgebra:
 
     def product(self, x: dict, y: dict, n: int) -> dict:
         """x_(n) y for flat elements and a natural number n: the sum of
-        cx cy (ix_(n) iy) over the terms cx ix of x and cy iy of y.  A pair
-        of monomials of d-degree at most R.max_n() + 1 is read from the
-        memo, or formed by `_add_into` and stored there when nonzero; any
-        other pair is added into the result as it is formed.  The dict
-        returned is new on each call."""
+        cx cy (ix_(n) iy) over the terms cx ix of x and cy iy of y, each
+        added by `monomial_into`.  The dict returned is new on each call."""
         if n < 0:
             raise ValueError("products are defined for natural n")
-        memo, bound, add_into = self._memo, self._memo_bound, self._add_into
-        past = (n + 1) * self.N
-        out = {}
+        into, past, out = self.monomial_into, (n + 1) * self.N, {}
         for ix, cx in x.items():
-            if ix >= past:
-                # (d^(k) a)_(n) vanishes for k > n
-                continue
-            for iy, cy in y.items():
-                if ix >= bound or iy >= bound:
-                    add_into(out, ix, iy, n, cx, cy)
-                    continue
-                key = (ix, iy, n)
-                terms = memo.get(key)
-                if terms is None:
-                    acc = {}
-                    add_into(acc, ix, iy, n, ONE, ONE)
-                    if not acc:
-                        continue
-                    terms = memo[key] = tuple(acc.items())
-                c = cy if cx is ONE else cx * cy
-                if c is not ONE:
-                    terms = [(p, v * c) for p, v in terms]
-                if not out:
-                    out = dict(terms)
-                    continue
+            # (d^(k) a)_(n) vanishes for k > n
+            if ix < past:
+                for iy, cy in y.items():
+                    into(out, ix, iy, n, cy if cx is ONE else cx * cy)
+        return out
+
+    def monomial_into(self, out: dict, ix: int, iy: int, n: int, c: Scalar,
+                      j: int = 0):
+        """out += c d^(j) (ix_(n) iy) for the monomials at flat indices ix
+        and iy and a natural n: the one monomial kernel, and the one loop of
+        this module that adds terms into a sparse element in place.  A pair
+        of monomials of d-degree at most R.max_n() + 1 is read from the
+        memo; a miss is summed from the rows of `_rows` into a new entry,
+        stored when nonzero, and then added.  Any other pair is added from
+        its rows as they are formed.  d^(j) d^(i) = C(i+j, i) d^(i+j) on
+        divided powers."""
+        N, bound = self.N, self._memo_bound
+        memoed = ix < bound and iy < bound
+        terms = self._memo.get((ix, iy, n)) if memoed else None
+        if terms is not None:
+            rows, sink, shift = ((0, c, terms),), out, j
+        elif memoed:
+            rows, sink, shift = self._rows(ix, iy, n, ONE, 0), {}, 0
+        else:
+            rows, sink, shift = self._rows(ix, iy, n, c, j), out, 0
+        while True:
+            for base, f, terms in rows:
                 for p, v in terms:
-                    old = out.get(p)
+                    p += base
+                    if f is not ONE:
+                        v = v * f
+                    if shift:
+                        v = v * _int(comb(p // N + shift, shift))
+                        p += shift * N
+                    old = sink.get(p)
                     if old is not None:
                         v = old + v
                         if not v:
-                            del out[p]
+                            del sink[p]
                             continue
-                    out[p] = v
-        return out
+                    sink[p] = v
+            if sink is out or not sink:
+                return
+            # the new memo entry, now added into out
+            terms = self._memo[ix, iy, n] = tuple(sink.items())
+            rows, sink, shift = ((0, c, terms),), out, j
 
-    def _add_into(self, out: dict, ix: int, iy: int, n: int, cx: Scalar,
-                  cy: Scalar):
-        """out += cx cy (ix_(n) iy) for the monomials at flat indices ix
-        and iy, ix of d-degree k <= n, by
+    def _rows(self, ix: int, iy: int, n: int, c: Scalar, j: int) -> list:
+        """c d^(j) (ix_(n) iy) by the product formula, for the monomials at
+        flat indices ix and iy, as rows (base, f, terms): the sum over the
+        rows of f v at flat index base + p for the terms (p, v).  It is
         (d^(k) a)_(n) d^(l) b
-            = (-1)^k C(n, k) sum_j C(n-k, j) d^(l-j) (a_(n-k-j) b)
-        and d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers."""
+            = (-1)^k C(n, k) sum_h C(n-k, h) d^(l-h) (a_(n-k-h) b)
+        with d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers, so each row
+        is one stored d^(i) (a_(n-k-h) b) moved to d-degree i + l - h + j."""
         N = self.N
         k, pa = divmod(ix, N)
         l, pb = divmod(iy, N)
-        rows = self._table.get((pa, pb))
-        if rows is None:
-            return
+        table, out = self._table.get((pa, pb)), []
+        if table is None:
+            return out
         top = n - k
         sign_k = comb(n, k) if k % 2 == 0 else -comb(n, k)
-        c = cx * cy
-        for j in range(min(l, top) + 1):
-            row = rows.get(top - j)
-            if row is None:
-                continue
-            s = l - j
-            mult = sign_k * comb(top, j)
-            for i, terms in row:
-                f = _int(mult * comb(i + s, i)) * c
-                base = (i + s) * N
-                for p, v in terms:
-                    key = base + p
-                    v = v * f
-                    old = out.get(key)
-                    if old is not None:
-                        v = old + v
-                        if not v:
-                            del out[key]
-                            continue
-                    out[key] = v
+        for m, row in table.items():
+            h = top - m
+            if 0 <= h <= l:
+                s = l - h
+                mult = sign_k * comb(top, h)
+                for i, terms in row:
+                    f = _int(mult * comb(i + s, i) * comb(i + s + j, j))
+                    out.append(((i + s + j) * N,
+                                f if c is ONE else f * c, terms))
+        return out
 
     def shift(self, x: dict, j: int) -> dict:
         """d^(j) x for a flat element x."""
@@ -190,13 +195,14 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                    d_max: int = 4, max_failures: int = 20) -> Report:
     """(C1), (C2), (C3) and the conformal-vector operator identities.
 
-    Every product goes through `RA.product` on flat elements, whose index
-    k*N + p is the monomial d^(k) of the basis vector at position p, and is
-    formed only where some entry of `RA._table` reaches; an instance that
-    no product reaches is counted as checked without being visited.  Below
-    N is `R.max_n()`.  For basis vectors a and b, a_(m) b has d-degree at
-    most N - m, and by the product formula (d^(k) a)_(m) y is zero unless
-    k <= m <= k + N + deg y.
+    Every product of two monomials, d^(k) a at flat index k*N + p(a), goes
+    through `RA.monomial_into`, which reads it from the memo and adds it in
+    place, scaled, into a sum; it is formed only where some entry of
+    `RA._table` reaches, and an instance that no product reaches is counted
+    as checked without being visited.  Below N is `R.max_n()` and
+    reach[a][b] the largest m of a stored a_(m) b.  a_(m) b has d-degree at
+    most N - m, and (d^(k) a)_(m) d^(l) b is zero unless k <= m <= k + l +
+    reach[a][b].
 
     (C1) runs over all basis pairs; both sides vanish unless a_(n-1) b is
     stored, at 1 <= n <= N + 1.  On a basis pair it cannot fail: the
@@ -209,24 +215,24 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     d_max, and visits those with a stored product either way; on any other
     pair both sides vanish.  At shifts (k, l) it is live only at n <= N +
     k + l: past that (d^(k) a)_(n) d^(l) b vanishes, and so does each
-    d^(j) (y_(n+j) x) on the right, whose sum therefore stops at j = k + l
-    + N - n.
+    d^(j) (y_(n+j) x) on the right, which the kernel adds with its d^(j)
+    shift for l <= n + j <= k + l + reach[b][a].
 
     (C3) runs over all basis triples (a, b, c).  Only a = ids[0] is
     d-shifted, by d^(k) for k <= d_max.  That is a cost shortcut, not a
     consequence of (C1), which compares the product kernel with itself:
     `test_C_shift_of_ids0_loses_no_verdict` checks that shifting every a
     reaches the same verdicts (ROADMAP item 9).  The identity is joined one
-    pair (a, b) at a time into sums keyed by (position(c), k, m, n):
+    pair (a, b) at a time, and the kernel adds each monomial product
+    straight into the sum of its instance (position(c), k, m, n):
         term 1: each stored b_(n) c, then (d^(k) a)_(m) of its terms;
         term 2: each (d^(k) a)_(m) c, then b_(n) of its terms;
         term 3: each (d^(k) a)_(j) b, then (.)_(s) c, s = m + n - j, for
-                the c its terms reach; (d^(i) t)_(s) c needs i <= s <= i + N.
-    Each m, n or s runs only as far as the largest stored index of the pair
-    it reads, at most N.  On basis triples (C3) is live only at m + n <=
-    2N: term 1 needs n <= N and m <= N + deg(b_(n) c) <= 2N - n, term 2 the
-    same with m and n swapped, and term 3 j <= N and s <= N + deg(a_(j) b)
-    <= 2N - j.
+                the c its terms reach.
+    Each m, n or s runs, per monomial, only where reach lets its product be
+    nonzero.  On basis triples (C3) is live only at m + n <= 2N: term 1
+    needs n <= N and m <= N + deg(b_(n) c) <= 2N - n, term 2 the same with
+    m and n swapped, and term 3 j <= N and s <= N + deg(a_(j) b) <= 2N - j.
 
     Failures come in the order of the loops over (a, b, c, k, m, n), and
     `checked` counts the instances of those loops up to the failure that
@@ -241,12 +247,10 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     rep = Report(max_failures=max_failures)
     ids, N, table, product = RA.ids, RA.N, RA._table, RA.product
     top = R.max_n()
-    # right[p]: the q with some p_(m) q in the table, and reach[p, q] its
-    # largest m
-    right = [[] for _ in ids]
-    reach = {pair: max(table[pair]) for pair in sorted(table)}
-    for pa, pb in reach:
-        right[pa].append(pb)
+    # reach[p][q]: the largest m of the stored p_(m) q, for the q with one
+    pairs, reach = sorted(table), [{} for _ in ids]
+    for pa, pb in pairs:
+        reach[pa][pb] = max(table[pa, pb])
 
     # conformal vector: L_(0) = d, L_(1) = weight, L_(2) on derivatives
     Lel = {RA.pos[R.L]: ONE}
@@ -275,7 +279,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     # (C1): (d a)_(n) b = -n a_(n-1) b; both sides vanish unless a_(n-1) b
     # is stored, so only the stored pairs at 1 <= n <= N + 1 are visited
     base, width = rep.checked, n_max + 1
-    for pa, pb in reach:
+    for pa, pb in pairs:
         for n in range(1, min(n_max, top + 1) + 1):
             rhs = el_scale(product({pa: ONE}, {pb: ONE}, n - 1), _int(-n))
             if product({N + pa: ONE}, {pb: ONE}, n) != rhs and rep.fail(
@@ -286,23 +290,24 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
 
     # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x), over
     # the pairs with a stored product either way; past n = k + l + N both
-    # sides vanish
+    # sides vanish, and each product is formed only where reach allows
     base, D = rep.checked, d_max + 1
-    for pa, pb in sorted(set(reach) | {(pb, pa) for pa, pb in reach}):
+    into, signs = RA.monomial_into, (_int(-1), ONE)
+    for pa, pb in sorted(set(pairs) | {(pb, pa) for pa, pb in pairs}):
         a, b = ids[pa], ids[pb]
         pq = R.parity(a) * R.parity(b)
+        rab, rba = reach[pa].get(pb, -1), reach[pb].get(pa, -1)
         for k in range(D):
-            x = {k * N + pa: ONE}
+            ix = k * N + pa
             for l in range(D):
-                y, live = {l * N + pb: ONE}, k + l + top
-                yx = [product(y, x, p) for p in range(live + 1)]
+                iy, live = l * N + pb, k + l + top
                 for n in range(min(n_max, live) + 1):
-                    rhs = {}
-                    for j, t in enumerate(yx[n:]):
-                        if t:
-                            el_add_into(rhs, RA.shift(t, j), _int(
-                                -1 if (j + n + 1 + pq) % 2 else 1))
-                    if product(x, y, n) != rhs and rep.fail(
+                    lhs, rhs = {}, {}
+                    if k <= n <= k + l + rab:
+                        into(lhs, ix, iy, n, ONE)
+                    for j in range(max(0, l - n), k + l + rba - n + 1):
+                        into(rhs, iy, ix, n + j, signs[(j + n + pq) % 2], j)
+                    if lhs != rhs and rep.fail(
                             "(C2) fails: a=%s b=%s k=%d l=%d n=%d"
                             % (a, b, k, l, n)):
                         rep.checked = base + (((pa * N + pb) * D + k) * D
@@ -312,58 +317,67 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
 
     # (C3): a_(m)(b_(n)c) = (-1)^{pq} b_(n)(a_(m)c)
     #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c, joined one pair (a, b) at a
-    # time into sums keyed by (position(c), k, m, n)
+    # time: `into` adds each monomial product straight into the sum of its
+    # instance (pc, k, m, n), keyed by that instance's offset in the loops
     W = (m_max + 1) * width
+    # bcs[pb]: (pc, n, terms of b_(n) c) for each stored b_(n) c, n <= n_max
+    bcs = [[(pc, n, [(i * N + p, i, p, v) for i, terms in row
+                     for p, v in terms])
+            for pc in reach[pb] for n, row in table[pb, pc].items()
+            if n <= n_max] for pb in range(N)]
+    negc = [[_int(-comb(m, j)) for m in range(m_max + 1)]
+            for j in range(m_max + 1)]
     for pa, a in enumerate(ids):
-        K = d_max + 1 if pa == 0 else 1
-        xas = [{k * N + pa: ONE} for k in range(K)]
-        acs = [[(pc, m, z) for pc in right[pa]
-                for m in range(k, min(m_max, k + reach[pa, pc]) + 1)
-                if (z := product(xa, {pc: ONE}, m))]
-               for k, xa in enumerate(xas)]
+        K, ra = d_max + 1 if pa == 0 else 1, reach[pa]
+        # acs[k]: (pc, m, terms of (d^(k) a)_(m) c) for the nonzero ones
+        acs = [[(pc, m, [(iz, iz // N, iz % N, v) for iz, v in z.items()])
+                for pc, r in ra.items()
+                for m in range(k, min(m_max, k + r) + 1)
+                if (z := product({k * N + pa: ONE}, {pc: ONE}, m))]
+               for k in range(K)]
         for pb, b in enumerate(ids):
-            xb = {pb: ONE}
             t2_sign = _int(1 if R.parity(a) * R.parity(b) % 2 else -1)
-            acc = {}
-            for k, xa in enumerate(xas):
-                # term 1: each stored b_(n) c, then a_(m) of its terms
-                for pc in right[pb]:
-                    for n, row in table[pb, pc].items():
-                        y = {i * N + p: v for i, terms in row
-                             for p, v in terms if (pa, p) in reach}
-                        if n > n_max or not y:
-                            continue
-                        hi = max(ix // N + reach[pa, ix % N] for ix in y)
-                        for m in range(k, min(m_max, k + hi) + 1):
-                            el_add_into(acc.setdefault((pc, k, m, n), {}),
-                                        product(xa, y, m))
-                # term 2: each a_(m) c, then b_(n) of its terms
+            rb, acc = reach[pb], {}
+            for k in range(K):
+                ia = k * N + pa
+                # term 1: (d^(k) a)_(m) of each term d^(l) p of b_(n) c,
+                # nonzero at k <= m <= k + l + reach[a][p]
+                for pc, n, y in bcs[pb]:
+                    off = (pc * K + k) * W + n
+                    for iy, l, p, v in y:
+                        for m in range(k, min(m_max, k + l + ra.get(
+                                p, -l - 1)) + 1):
+                            into(acc.setdefault(off + m * width, {}),
+                                 ia, iy, m, v)
+                # term 2: b_(n) of each term d^(l) p of (d^(k) a)_(m) c,
+                # nonzero at n <= l + reach[b][p]
                 for pc, m, z in acs[k]:
-                    hi = max((ix // N + reach[pb, ix % N] for ix in z
-                              if (pb, ix % N) in reach), default=-1)
-                    for n in range(min(n_max, hi) + 1):
-                        el_add_into(acc.setdefault((pc, k, m, n), {}),
-                                    product(xb, z, n), t2_sign)
-                # term 3: each a_(j) b, then (.)_(s) c for the c it reaches
-                for j in range(k, min(m_max, k + reach.get((pa, pb), -1)) + 1):
-                    u, tops = product(xa, xb, j), {}
-                    for ix in u:
-                        for pc in right[ix % N]:
-                            tops[pc] = max(tops.get(pc, 0),
-                                           ix // N + reach[ix % N, pc])
-                    for pc, hi in tops.items():
-                        for s in range(min(u) // N,
-                                       min(hi, m_max + n_max - j) + 1):
-                            v = product(u, {pc: ONE}, s)
-                            for m in range(max(j, s + j - n_max),
-                                           min(m_max, s + j) + 1 if v else 0):
-                                el_add_into(
-                                    acc.setdefault((pc, k, m, s + j - m), {}),
-                                    v, _int(-comb(m, j)))
-            for pc, k, m, n in sorted(key for key, el in acc.items() if el):
+                    off = (pc * K + k) * W + m * width
+                    for iz, l, p, v in z:
+                        v = v * t2_sign
+                        for n in range(min(n_max, l + rb.get(p, -l - 1)) + 1):
+                            into(acc.setdefault(off + n, {}), pb, iz, n, v)
+                # term 3: (.)_(s) c of each term d^(i) p of (d^(k) a)_(j) b,
+                # nonzero at i <= s <= i + reach[p][c], into each (m, n)
+                # with m + n = s + j times negc[j][m] = -C(m, j)
+                for j in range(k, min(m_max, k + ra.get(pb, -1)) + 1):
+                    for iu, w in product({ia: ONE}, {pb: ONE}, j).items():
+                        i, p = divmod(iu, N)
+                        for pc, r in reach[p].items():
+                            off = (pc * K + k) * W
+                            for s in range(i, min(i + r, m_max + n_max - j)
+                                           + 1):
+                                for m in range(max(j, s + j - n_max),
+                                               min(m_max, s + j) + 1):
+                                    into(acc.setdefault(
+                                        off + m * width + s + j - m, {}),
+                                        iu, pc, s, w * negc[j][m])
+            for key in sorted(key for key, el in acc.items() if el):
+                pck, mn = divmod(key, W)
+                pc, k = divmod(pck, K)
                 if rep.fail("(C3) fails: a=%s b=%s c=%s k=%d m=%d n=%d"
-                            % (a, b, ids[pc], k, m, n)):
-                    rep.checked += (pc * K + k) * W + m * width + n + 1
+                            % ((a, b, ids[pc], k) + divmod(mn, width))):
+                    rep.checked += key + 1
                     return rep
             rep.checked += N * K * W
     return rep

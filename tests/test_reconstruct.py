@@ -67,19 +67,19 @@ def test_products_extend_to_derivatives():
 
 @pytest.mark.parametrize("name", ["Vir", "K2", "S2"])
 def test_full_products_store_no_zero(name):
-    # the sparse invariant on every product that C(1,1,1) forms through the
-    # flat kernel: no zero coefficient
+    # the sparse invariant on every sum that C(1,1,1) adds a monomial
+    # product into through the kernel, products included: no zero
+    # coefficient
     RA = reconstruct(catalog.build(name))
-    product = RA.product
+    into = RA.monomial_into
     seen = []
 
-    def checked(x, y, n):
-        out = product(x, y, n)
+    def checked(out, *args):
+        into(out, *args)
         assert all(out.values())
         seen.append(bool(out))
-        return out
 
-    RA.product = checked
+    RA.monomial_into = checked
     assert check_C_axioms(RA, 1, 1, 1).ok
     assert any(seen)
 
@@ -292,10 +292,11 @@ def test_passing_C_reports_count_the_full_grid(case):
 
 def test_C_work_does_not_grow_with_the_bounds(monkeypatch):
     """CK6 stores n <= 1, so no term of (C1)-(C3) on it reaches past m, n
-    <= 3 at d_max = 1: C(4,4,1) and C(64,64,1) form the same products, and
-    every instance of the full loops is counted."""
-    calls, real = [], ReconstructedAlgebra.product
-    monkeypatch.setattr(ReconstructedAlgebra, "product",
+    <= 3 at d_max = 1: C(4,4,1) and C(64,64,1) make the same calls to the
+    monomial kernel, through which every product of C goes, and every
+    instance of the full loops is counted."""
+    calls, real = [], ReconstructedAlgebra.monomial_into
+    monkeypatch.setattr(ReconstructedAlgebra, "monomial_into",
                         lambda *args: calls.append(1) or real(*args))
     ck6, work = catalog.build("CK6"), []
     for bound in (4, 64):
@@ -392,6 +393,26 @@ def test_C_rejects_a_wrong_memo_entry():
     assert not rep.ok
     assert rep.failures[:2] == ["(C1) fails: a=D1 b=Db1 n=1",
                                 "(C2) fails: a=D1 b=Db1 k=0 l=0 n=0"]
+
+
+def test_C3_reads_the_memo():
+    """(C3) adds the memo's entries into its sums, not a copy of them: with
+    one sign of CK6's D1_(0) Db1 memo entry flipped and a cap that lets the
+    check run on, (C3) fails on 171 instances after the (C1) and (C2)
+    failures."""
+    RA = reconstruct(catalog.build("CK6"))
+    assert check_C_axioms(RA, 2, 1, 1).ok
+    key = (RA.pos["D1"], RA.pos["Db1"], 0)
+    (p, v), *rest = RA._memo[key]
+    RA._memo[key] = ((p, -v), *rest)
+    assert check_C_axioms(RA, 2, 1, 1, max_failures=4).failures == [
+        "(C1) fails: a=D1 b=Db1 n=1",
+        "(C2) fails: a=D1 b=Db1 k=0 l=0 n=0",
+        "(C2) fails: a=Db1 b=D1 k=0 l=0 n=0",
+        "(C3) fails: a=L b=D1 c=Db1 k=0 m=1 n=0"]
+    rep = check_C_axioms(RA, 2, 1, 1, max_failures=1000)
+    assert rep.checked == _C_grid(RA.R, 2, 1, 1)
+    assert sum(f.startswith("(C3)") for f in rep.failures) == 171
 
 
 @pytest.mark.parametrize("name", ["K2", "S2"])
@@ -539,6 +560,46 @@ def test_change_needs_one_weight_2_vector(monkeypatch, moves):
     with pytest.raises(AxiomVFails) as info:
         _patched_change(monkeypatch, "kernel", _reweighted(moves))
     assert str(info.value) == "new weights are not physical"
+
+
+def _self_product(n, skip, value):
+    """A patch of ReconstructedAlgebra.product: the product of an element
+    with itself at n gives value(x) once `skip` such products have been
+    formed.  change_conformal_vector forms L_a (n) L_a first, at n = 1 and
+    n = 2, and later each new basis vector with itself, L_a first."""
+    def patch(real):
+        calls = []
+
+        def patched(self, x, y, k):
+            if x is y and k == n:
+                calls.append(k)
+                if len(calls) > skip:
+                    return value(x)
+            return real(self, x, y, k)
+        return patched
+    return patch
+
+
+def _off_window(real):
+    """A patch of ReconstructedAlgebra.product whose L_a (2) c, for the
+    window vectors c, lies past the window."""
+    return lambda self, x, y, n: \
+        {10 ** 6: ONE} if x is not y and n == 2 else real(self, x, y, n)
+
+
+@pytest.mark.parametrize("patch,message", [
+    (_self_product(1, 0, lambda x: {}), "L_(1) L != 2L for the new vector"),
+    (_self_product(2, 0, dict), "higher self-products of the new vector"),
+    (_off_window, "operator leaves the window"),
+    (_self_product(2, 1, dict), "L_(2) L nonzero"),
+    (_self_product(2, 2, dict), "second product V1, V1 not primary"),
+], ids=["L1", "L2-L3", "window", "L2 of L", "not primary"])
+def test_change_reports_axiom_V_failures(monkeypatch, patch, message):
+    monkeypatch.setattr(ReconstructedAlgebra, "product",
+                        patch(ReconstructedAlgebra.product))
+    with pytest.raises(AxiomVFails) as info:
+        change_conformal_vector(catalog.build("N4alpha", 0), ONE)
+    assert str(info.value) == message
 
 
 def test_change_at_zero_reproduces_the_base_profile():
