@@ -4,9 +4,9 @@ sparse row echelon form.
 A sparse element is a dict {key: Scalar} that never stores a zero value;
 `el_add_into` and `el_scale` keep that invariant, and every accumulation of
 sparse elements goes through them, but for one copy of `el_add_into`'s
-loop, inlined for speed in `reconstruct.ReconstructedAlgebra.monomial_into`
-(the one monomial kernel, which adds memo entries and formed products in
-place) and keeping the same invariant.  Scalars are
+loop, inlined for speed in `reconstruct._add_into` (out += c d^(j) x on
+flat elements, through which every monomial product is formed from the
+table and added into a sum) and keeping the same invariant.  Scalars are
 canonical, so two sparse elements are equal exactly when the dicts are
 `==`, and an element is zero exactly when the dict is empty.
 

@@ -11,26 +11,27 @@ each basis id its position p in the basis of N vectors, and the monomial
 d^(k) a, in the divided powers of d (the translation generator), has the
 flat index k*N + p.  A flat element is a sparse element {index: Scalar}
 (the invariant of `linalg`: no zero is stored).  One table, keyed by the
-position pairs (a, b) with a nonzero product, holds for each m the nonzero
-a_(m) b = sum_j d^(j) (...) with the `coeff_G` factors applied.
-`ReconstructedAlgebra.monomial_into` is the one monomial kernel, out += c
-d^(j) (ix_(n) iy) in place for two monomials, and `product`, on flat
-elements, is a loop of it over term pairs.  The binomial factors of the
-derivative rules come from a small int -> Scalar cache.
+position pairs (a, b) with a nonzero product, holds for each m the terms of
+the nonzero a_(m) b, flat, with the `coeff_G` factors applied.
+`ReconstructedAlgebra.monomial` gives the terms of the product of two
+monomials, `monomial_into`, the one monomial kernel, adds c d^(j) of them
+in place, and `product`, on flat elements, is a loop of it over term pairs.
+One loop, `_add_into`, adds c d^(j) x into a sum, for the formation of a
+product from table rows and for its addition alike.  The binomial factors
+of the derivative rules come from a small int -> Scalar cache.
 `ReducedAlgebra.vector` of an element of the reduced algebra is its flat
 element of degree 0.
 
-Each `ReconstructedAlgebra` keeps a memo of the nonzero products of two
-monomials, keyed by (ix, iy, n), whose entries the kernel scales and adds.
-Only monomials of d-degree at most R.max_n() + 1 enter it, that is the flat
-indices below (max_n + 2)*N, and a nonzero product needs n <= k + l +
-max_n, so its size is set by the table, not by the bounds a caller such
-as `check_C_axioms` runs at.  The rarely repeated products of monomials
-of higher degree are formed afresh on each call.
+Each `ReconstructedAlgebra` keeps a memo of the products of two monomials,
+keyed by (ix, iy, n), with () for a zero.  Only monomials of d-degree at
+most R.max_n() + 1 enter it, the flat indices below (max_n + 2)*N, and a
+product zero by degree (n < k or n > k + l + max_n) is never formed, so
+its size is set by the table, not by the bounds a caller such as
+`check_C_axioms` runs at.  Products of higher degree are formed per call.
 
 `check_C_axioms` is the second of the two oracles; P, in `algebra`, is the
-first.  It joins the table itself, reads every monomial product from the
-memo through the kernel, and never calls `algebra`'s joins.  Like
+first.  It joins the table itself, reads every monomial product through
+`monomial`, and never calls `algebra`'s joins.  Like
 P and H it counts every instance of its full loops up to the stop, so a
 passing Report has `checked` = 3N + N^2 (n_max + 1) (1 + (d_max + 1)^2 +
 (N + d_max)(m_max + 1)).  What
@@ -68,6 +69,26 @@ def binom_ff(m: int, j: int) -> Fraction:
     return Fraction(num, factorial(j))
 
 
+def _add_into(out: dict, terms, c: Scalar, j: int, N: int):
+    """out += c d^(j) x in place, for the flat element x with the terms (p,
+    v): the one loop here that adds into a sparse element, which forms
+    monomial products and adds them.  d^(j) d^(i) = C(i+j, i) d^(i+j) on
+    divided powers."""
+    for p, v in terms:
+        if c is not ONE:
+            v = v * c
+        if j:
+            v = v * _int(comb(p // N + j, j))
+            p += j * N
+        old = out.get(p)
+        if old is not None:
+            v = old + v
+            if not v:
+                del out[p]
+                continue
+        out[p] = v
+
+
 class ReconstructedAlgebra:
     """K[d]-span of a reduced algebra with the full (n)-products.
 
@@ -76,10 +97,10 @@ class ReconstructedAlgebra:
     def __init__(self, R: ReducedAlgebra):
         self.R = R
         self.ids = [b.id for b in R.basis]
-        self.N = len(self.ids)
+        self.N = N = len(self.ids)
         self.pos = pos = R.index
-        # table[(pa, pb)][m] = [(j, [(pc, coefficient)])]: a_(m) b is the
-        # sum over j of d^(j) of these elements
+        # table[(pa, pb)][m]: the terms (i*N + pc, v) of a_(m) b = sum_i
+        # d^(i) (...), the stored products times their coeff_G factors
         self._table = table = {}
         for (nj, a, b), el in R.products.items():
             pa, pb = pos[a], pos[b]
@@ -88,12 +109,13 @@ class ReconstructedAlgebra:
                 if g:
                     g = Scalar.from_fraction(g)
                     table.setdefault((pa, pb), {}).setdefault(
-                        nj - j, []).append(
-                            (j, [(pos[x], c * g) for x, c in el.items()]))
-        # _memo[(ix, iy, n)]: the terms of a nonzero ix_(n) iy, for flat
-        # indices below _memo_bound, the monomials of d-degree <= max_n + 1
+                        nj - j, []).extend(
+                            (j * N + pos[x], c * g) for x, c in el.items())
+        # _memo[(ix, iy, n)]: the terms of ix_(n) iy, () for a zero, for ix
+        # and iy below _memo_bound, the monomials of d-degree <= max_n + 1
         self._memo = {}
-        self._memo_bound = (R.max_n() + 2) * self.N
+        self._top = R.max_n()
+        self._memo_bound = (self._top + 2) * N
 
     def product(self, x: dict, y: dict, n: int) -> dict:
         """x_(n) y for flat elements and a natural number n: the sum of
@@ -101,87 +123,54 @@ class ReconstructedAlgebra:
         added by `monomial_into`.  The dict returned is new on each call."""
         if n < 0:
             raise ValueError("products are defined for natural n")
-        into, past, out = self.monomial_into, (n + 1) * self.N, {}
+        into, out = self.monomial_into, {}
         for ix, cx in x.items():
-            # (d^(k) a)_(n) vanishes for k > n
-            if ix < past:
-                for iy, cy in y.items():
-                    into(out, ix, iy, n, cy if cx is ONE else cx * cy)
+            for iy, cy in y.items():
+                into(out, ix, iy, n, cy if cx is ONE else cx * cy)
         return out
+
+    def monomial(self, ix: int, iy: int, n: int) -> tuple:
+        """The terms (p, v) of ix_(n) iy for the monomials at flat indices
+        ix and iy and a natural n, () for a zero: () if k > n or n > k + l
+        + R.max_n() for (d^(k) a)_(n) d^(l) b, else read from the memo or
+        formed by `_form` and, below the bound, stored."""
+        terms = self._memo.get((ix, iy, n))
+        if terms is None:
+            k, l = ix // self.N, iy // self.N
+            if k > n or n > k + l + self._top:
+                return ()
+            terms = self._form(ix, iy, n)
+            if ix < self._memo_bound and iy < self._memo_bound:
+                self._memo[ix, iy, n] = terms
+        return terms
 
     def monomial_into(self, out: dict, ix: int, iy: int, n: int, c: Scalar,
                       j: int = 0):
-        """out += c d^(j) (ix_(n) iy) for the monomials at flat indices ix
-        and iy and a natural n: the one monomial kernel, and the one loop of
-        this module that adds terms into a sparse element in place.  A pair
-        of monomials of d-degree at most R.max_n() + 1 is read from the
-        memo; a miss is summed from the rows of `_rows` into a new entry,
-        stored when nonzero, and then added.  Any other pair is added from
-        its rows as they are formed.  d^(j) d^(i) = C(i+j, i) d^(i+j) on
-        divided powers."""
-        N, bound = self.N, self._memo_bound
-        memoed = ix < bound and iy < bound
-        terms = self._memo.get((ix, iy, n)) if memoed else None
-        if terms is not None:
-            rows, sink, shift = ((0, c, terms),), out, j
-        elif memoed:
-            rows, sink, shift = self._rows(ix, iy, n, ONE, 0), {}, 0
-        else:
-            rows, sink, shift = self._rows(ix, iy, n, c, j), out, 0
-        while True:
-            for base, f, terms in rows:
-                for p, v in terms:
-                    p += base
-                    if f is not ONE:
-                        v = v * f
-                    if shift:
-                        v = v * _int(comb(p // N + shift, shift))
-                        p += shift * N
-                    old = sink.get(p)
-                    if old is not None:
-                        v = old + v
-                        if not v:
-                            del sink[p]
-                            continue
-                    sink[p] = v
-            if sink is out or not sink:
-                return
-            # the new memo entry, now added into out
-            terms = self._memo[ix, iy, n] = tuple(sink.items())
-            rows, sink, shift = ((0, c, terms),), out, j
+        """out += c d^(j) (ix_(n) iy) in place: the one monomial kernel,
+        which adds the terms of `monomial`."""
+        _add_into(out, self.monomial(ix, iy, n), c, j, self.N)
 
-    def _rows(self, ix: int, iy: int, n: int, c: Scalar, j: int) -> list:
-        """c d^(j) (ix_(n) iy) by the product formula, for the monomials at
-        flat indices ix and iy, as rows (base, f, terms): the sum over the
-        rows of f v at flat index base + p for the terms (p, v).  It is
+    def _form(self, ix: int, iy: int, n: int) -> tuple:
+        """The terms of ix_(n) iy, for k <= n, by the product formula
         (d^(k) a)_(n) d^(l) b
             = (-1)^k C(n, k) sum_h C(n-k, h) d^(l-h) (a_(n-k-h) b)
-        with d^(s) d^(i) = C(i+s, i) d^(i+s) on divided powers, so each row
-        is one stored d^(i) (a_(n-k-h) b) moved to d-degree i + l - h + j."""
+        on the rows a_(m) b of the table."""
         N = self.N
         k, pa = divmod(ix, N)
         l, pb = divmod(iy, N)
-        table, out = self._table.get((pa, pb)), []
-        if table is None:
-            return out
-        top = n - k
+        row, out = self._table.get((pa, pb), {}), {}
         sign_k = comb(n, k) if k % 2 == 0 else -comb(n, k)
-        for m, row in table.items():
-            h = top - m
-            if 0 <= h <= l:
-                s = l - h
-                mult = sign_k * comb(top, h)
-                for i, terms in row:
-                    f = _int(mult * comb(i + s, i) * comb(i + s + j, j))
-                    out.append(((i + s + j) * N,
-                                f if c is ONE else f * c, terms))
-        return out
+        for h in range(min(l, n - k) + 1):
+            ab = row.get(n - k - h)
+            if ab:
+                _add_into(out, ab, _int(sign_k * comb(n - k, h)), l - h, N)
+        return tuple(out.items())
 
     def shift(self, x: dict, j: int) -> dict:
-        """d^(j) x for a flat element x."""
-        N = self.N
-        return {ix + j * N: v * _int(comb(ix // N + j, j))
-                for ix, v in x.items()}
+        """d^(j) x for a flat element x, as a new dict."""
+        out = {}
+        _add_into(out, x.items(), ONE, j, self.N)
+        return out
 
 
 def reconstruct(R: ReducedAlgebra) -> ReconstructedAlgebra:
@@ -195,9 +184,10 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                    d_max: int = 4, max_failures: int = 20) -> Report:
     """(C1), (C2), (C3) and the conformal-vector operator identities.
 
-    Every product of two monomials, d^(k) a at flat index k*N + p(a), goes
-    through `RA.monomial_into`, which reads it from the memo and adds it in
-    place, scaled, into a sum; it is formed only where some entry of
+    Every product of two monomials, d^(k) a at flat index k*N + p(a), is
+    read through `RA.monomial`, from the memo, and added into a sum in
+    place, scaled, by `RA.monomial_into` or, in (C2), by `_add_into` with
+    its d^(j) shift.  A product is taken only where some entry of
     `RA._table` reaches, and an instance that no product reaches is counted
     as checked without being visited.  Below N is `R.max_n()` and
     reach[a][b] the largest m of a stored a_(m) b.  a_(m) b has d-degree at
@@ -208,15 +198,16 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     stored, at 1 <= n <= N + 1.  On a basis pair it cannot fail: the
     product formula builds (d a)_(n) b from the same table row as a_(n-1) b,
     with the factor -n.  What it still compares is two entries of the
-    product memo, (d a, b, n) and (a, b, n - 1), so it catches a memo entry
-    that went wrong.
+    product memo, `RA.monomial` of (d a, b, n) and of (a, b, n - 1), so it
+    catches a memo entry that went wrong.
 
     (C2) runs over all basis pairs, shifted by d^(k) and d^(l) for k, l <=
     d_max, and visits those with a stored product either way; on any other
     pair both sides vanish.  At shifts (k, l) it is live only at n <= N +
     k + l: past that (d^(k) a)_(n) d^(l) b vanishes, and so does each
-    d^(j) (y_(n+j) x) on the right, which the kernel adds with its d^(j)
-    shift for l <= n + j <= k + l + reach[b][a].
+    d^(j) (y_(n+j) x) on the right.  Each y_(m) x, nonzero at l <= m <= k +
+    l + reach[b][a], is taken once for all n at these shifts, and added
+    with each of its d^(j) shifts.
 
     (C3) runs over all basis triples (a, b, c).  Only a = ids[0] is
     d-shifted, by d^(k) for k <= d_max.  That is a cost shortcut, not a
@@ -245,26 +236,24 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
         RA = ReconstructedAlgebra(RA)
     R = RA.R
     rep = Report(max_failures=max_failures)
-    ids, N, table, product = RA.ids, RA.N, RA._table, RA.product
-    top = R.max_n()
+    ids, N, table, monomial = RA.ids, RA.N, RA._table, RA.monomial
+    top, pL = R.max_n(), RA.pos[R.L]
     # reach[p][q]: the largest m of the stored p_(m) q, for the q with one
     pairs, reach = sorted(table), [{} for _ in ids]
     for pa, pb in pairs:
         reach[pa][pb] = max(table[pa, pb])
 
     # conformal vector: L_(0) = d, L_(1) = weight, L_(2) on derivatives
-    Lel = {RA.pos[R.L]: ONE}
     for pa, a in enumerate(ids):
-        ael = {pa: ONE}
         rep.checked += 3
-        if product(Lel, ael, 0) != {N + pa: ONE}:
+        if dict(monomial(pL, pa, 0)) != {N + pa: ONE}:
             rep.fail("L_(0) is not d on %s" % a)
         w = Scalar.from_fraction(R.weight(a))
-        if product(Lel, ael, 1) != ({pa: w} if w else {}):
+        if dict(monomial(pL, pa, 1)) != ({pa: w} if w else {}):
             rep.fail("L_(1) eigenvalue wrong on %s" % a)
         ok2 = True
         for k in range(0, d_max + 1):
-            got = product(Lel, {k * N + pa: ONE}, 2)
+            got = dict(monomial(pL, k * N + pa, 2))
             # on divided powers: L_(2) d^{(k)} a = (k-1+2w) d^{(k-1)} a
             coeff = k - 1 + 2 * R.weight(a)
             want = {} if (k == 0 or not coeff) else \
@@ -281,8 +270,8 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     base, width = rep.checked, n_max + 1
     for pa, pb in pairs:
         for n in range(1, min(n_max, top + 1) + 1):
-            rhs = el_scale(product({pa: ONE}, {pb: ONE}, n - 1), _int(-n))
-            if product({N + pa: ONE}, {pb: ONE}, n) != rhs and rep.fail(
+            rhs = {p: v * _int(-n) for p, v in monomial(pa, pb, n - 1)}
+            if dict(monomial(N + pa, pb, n)) != rhs and rep.fail(
                     "(C1) fails: a=%s b=%s n=%d" % (ids[pa], ids[pb], n)):
                 rep.checked = base + (pa * N + pb) * width + n + 1
                 return rep
@@ -290,9 +279,8 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
 
     # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x), over
     # the pairs with a stored product either way; past n = k + l + N both
-    # sides vanish, and each product is formed only where reach allows
-    base, D = rep.checked, d_max + 1
-    into, signs = RA.monomial_into, (_int(-1), ONE)
+    # sides vanish, and each product is taken only where reach allows
+    base, D, signs = rep.checked, d_max + 1, (_int(-1), ONE)
     for pa, pb in sorted(set(pairs) | {(pb, pa) for pa, pb in pairs}):
         a, b = ids[pa], ids[pb]
         pq = R.parity(a) * R.parity(b)
@@ -301,13 +289,15 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
             ix = k * N + pa
             for l in range(D):
                 iy, live = l * N + pb, k + l + top
+                # yx[m] = (d^(l) b)_(m) d^(k) a, zero past m = k + l + rba
+                yx = [monomial(iy, ix, m) for m in range(k + l + rba + 1)]
                 for n in range(min(n_max, live) + 1):
-                    lhs, rhs = {}, {}
-                    if k <= n <= k + l + rab:
-                        into(lhs, ix, iy, n, ONE)
+                    rhs = {}
                     for j in range(max(0, l - n), k + l + rba - n + 1):
-                        into(rhs, iy, ix, n + j, signs[(j + n + pq) % 2], j)
-                    if lhs != rhs and rep.fail(
+                        _add_into(rhs, yx[n + j],
+                                  signs[(j + n + pq) % 2], j, N)
+                    lhs = monomial(ix, iy, n) if k <= n <= k + l + rab else ()
+                    if dict(lhs) != rhs and rep.fail(
                             "(C2) fails: a=%s b=%s k=%d l=%d n=%d"
                             % (a, b, k, l, n)):
                         rep.checked = base + (((pa * N + pb) * D + k) * D
@@ -319,10 +309,9 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c, joined one pair (a, b) at a
     # time: `into` adds each monomial product straight into the sum of its
     # instance (pc, k, m, n), keyed by that instance's offset in the loops
-    W = (m_max + 1) * width
+    W, into = (m_max + 1) * width, RA.monomial_into
     # bcs[pb]: (pc, n, terms of b_(n) c) for each stored b_(n) c, n <= n_max
-    bcs = [[(pc, n, [(i * N + p, i, p, v) for i, terms in row
-                     for p, v in terms])
+    bcs = [[(pc, n, [(iy, iy // N, iy % N, v) for iy, v in row])
             for pc in reach[pb] for n, row in table[pb, pc].items()
             if n <= n_max] for pb in range(N)]
     negc = [[_int(-comb(m, j)) for m in range(m_max + 1)]
@@ -330,10 +319,10 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     for pa, a in enumerate(ids):
         K, ra = d_max + 1 if pa == 0 else 1, reach[pa]
         # acs[k]: (pc, m, terms of (d^(k) a)_(m) c) for the nonzero ones
-        acs = [[(pc, m, [(iz, iz // N, iz % N, v) for iz, v in z.items()])
+        acs = [[(pc, m, [(iz, iz // N, iz % N, v) for iz, v in z])
                 for pc, r in ra.items()
                 for m in range(k, min(m_max, k + r) + 1)
-                if (z := product({k * N + pa: ONE}, {pc: ONE}, m))]
+                if (z := monomial(k * N + pa, pc, m))]
                for k in range(K)]
         for pb, b in enumerate(ids):
             t2_sign = _int(1 if R.parity(a) * R.parity(b) % 2 else -1)
@@ -361,7 +350,7 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
                 # nonzero at i <= s <= i + reach[p][c], into each (m, n)
                 # with m + n = s + j times negc[j][m] = -C(m, j)
                 for j in range(k, min(m_max, k + ra.get(pb, -1)) + 1):
-                    for iu, w in product({ia: ONE}, {pb: ONE}, j).items():
+                    for iu, w in monomial(ia, pb, j):
                         i, p = divmod(iu, N)
                         for pc, r in reach[p].items():
                             off = (pc * K + k) * W

@@ -292,11 +292,11 @@ def test_passing_C_reports_count_the_full_grid(case):
 
 def test_C_work_does_not_grow_with_the_bounds(monkeypatch):
     """CK6 stores n <= 1, so no term of (C1)-(C3) on it reaches past m, n
-    <= 3 at d_max = 1: C(4,4,1) and C(64,64,1) make the same calls to the
-    monomial kernel, through which every product of C goes, and every
-    instance of the full loops is counted."""
-    calls, real = [], ReconstructedAlgebra.monomial_into
-    monkeypatch.setattr(ReconstructedAlgebra, "monomial_into",
+    <= 3 at d_max = 1: C(4,4,1) and C(64,64,1) make the same calls to
+    `monomial`, through which every product of C goes, and every instance
+    of the full loops is counted."""
+    calls, real = [], ReconstructedAlgebra.monomial
+    monkeypatch.setattr(ReconstructedAlgebra, "monomial",
                         lambda *args: calls.append(1) or real(*args))
     ck6, work = catalog.build("CK6"), []
     for bound in (4, 64):
@@ -364,9 +364,10 @@ def test_product_matches_the_formula_on_monomials(case):
 
 
 def test_memo_is_bounded_by_the_table():
-    """The memo holds only nonzero monomial products of d-degree at most
-    max_n + 1, so it holds the same entries after C at d_max = 2 as at
-    d_max = 5, and no n past k + l + max_n."""
+    """The memo holds only monomial products of d-degree at most max_n + 1,
+    so it holds the same entries after C at d_max = 2 as at d_max = 5, and
+    no n past k + l + max_n.  A zero product is stored as (), and no stored
+    term is zero."""
     R = catalog.build("K3")
     top, memos = R.max_n(), []
     for d_max in (2, 5):
@@ -374,10 +375,44 @@ def test_memo_is_bounded_by_the_table():
         assert check_C_axioms(RA, 3, 3, d_max).ok
         bound, N = (top + 2) * RA.N, RA.N
         for (ix, iy, n), terms in RA._memo.items():
-            assert ix < bound and iy < bound and terms
+            assert ix < bound and iy < bound
             assert n <= ix // N + iy // N + top
+            assert type(terms) is tuple and all(v for _, v in terms)
         memos.append(RA._memo)
     assert memos[0] == memos[1] and len(memos[0]) > 0
+    assert () in memos[0].values()
+
+
+def test_a_second_C_forms_no_product(monkeypatch):
+    """The memo records zero products too, so a second C(2,1,1) on the same
+    reconstruction of CK6 forms nothing by the product formula and gives an
+    equal Report."""
+    formed, real = [], ReconstructedAlgebra._form
+    monkeypatch.setattr(ReconstructedAlgebra, "_form",
+                        lambda *args: formed.append(1) or real(*args))
+    RA, reports = reconstruct(catalog.build("CK6")), []
+    for _ in range(2):
+        del formed[:]
+        rep = check_C_axioms(RA, 2, 1, 1)
+        reports.append((rep.ok, rep.checked, rep.failures, len(formed)))
+    assert reports[0][:3] == reports[1][:3] and reports[0][0]
+    assert reports[0][3] > 0 and reports[1][3] == 0
+
+
+@pytest.mark.parametrize("name", ["K2", "S2"])
+def test_a_full_memo_leaves_mutant_reports_unchanged(name):
+    """A failing sign mutant gets the same Report from a fresh
+    reconstruction as from one whose memo a run of C with no cap on the
+    failures has filled, at a cap of 20 and of 3."""
+    for label, M in catalog.build(name).sign_mutations():
+        full = reconstruct(M)
+        check_C_axioms(full, 2, 2, 1, max_failures=10 ** 6)
+        for cap in (20, 3):
+            fresh = check_C_axioms(reconstruct(M), 2, 2, 1, max_failures=cap)
+            again = check_C_axioms(full, 2, 2, 1, max_failures=cap)
+            assert not fresh.ok, label
+            assert (again.ok, again.checked, again.failures) == \
+                (fresh.ok, fresh.checked, fresh.failures), label
 
 
 def test_C_rejects_a_wrong_memo_entry():
