@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb
 
 from . import scalars
@@ -614,8 +615,12 @@ def _quadratic_coeffs(weights: list, m_max: int, n_max: int):
 def require_axioms(R: ReducedAlgebra, exc_type, prefix: str) -> None:
     """The one gate between a table and a verdict: raise
     exc_type(prefix + summary of the failing Report) unless R passes
-    P(2,2), and then H when R has physical shape."""
-    rep = check_P_axioms(R, 2, 2)
+    P(b,b), and then H when R has physical shape.  b = 2 max_n, at least 2
+    and at most MAX_N: past m + n = 2 max_n every P instance is vacuous, so
+    P(2,2) is complete on a physical table (max_n 1), and a table with a
+    stored n above MAX_N / 2 is checked to MAX_N only."""
+    b = min(max(2, 2 * R.max_n()), MAX_N)
+    rep = check_P_axioms(R, b, b)
     if rep.ok and is_physical_shape(R):
         rep = check_H_axioms(R)
     if not rep.ok:
@@ -900,11 +905,8 @@ def form_V3(R: ReducedAlgebra):
     """Gram matrix of the invariant form
     (u1^u2^u3, v1^v2^v3) = u3 . (u2 . (u1 . (v1 o (v2 o v3)))) on the third
     wedge power of V, on the lexicographic triple basis, as sparse rows."""
-    V = R.space(W_V)
-    triples = [tuple(map(R.basis_element, (V[i], V[j], V[k])))
-               for i in range(len(V))
-               for j in range(i + 1, len(V))
-               for k in range(j + 1, len(V))]
+    triples = [tuple(map(R.basis_element, t))
+               for t in combinations(R.space(W_V), 3)]
 
     def pair(u, v):
         x = R.circ(v[0], R.circ(v[1], v[2]))

@@ -12,15 +12,14 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, IMAG, ALPHA, ScalarParseError, parse
+from .scalars import (Scalar, ZERO, ONE, MINUS_ONE, IMAG, ALPHA,
+                      ScalarParseError, parse)
 from .linalg import Subspace, charpoly, el_add_into, row_space, tpoly_str
 from .algebra import (W_F, W_V, ReducedAlgebra, form_V3, form_V_wedge_V,
                       is_simple, physical_basis)
 from .construct import (BuilderSpec, build_from_spec, build_f_extension,
                         CK6_SPEC, _wedge3_basis)
 from .reconstruct import change_conformal_vector
-
-NAMES = ("Vir", "K1", "K2", "K3", "S2", "W2", "N4", "N4alpha", "CK6")
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -33,41 +32,31 @@ class InvalidParams(ValueError):
     pass
 
 
-def _vir() -> ReducedAlgebra:
-    return ReducedAlgebra(physical_basis((), 0, 0), "L",
-                          {(1, "L", "L"): {"L": Scalar.from_int(2)}})
-
-
 # J0 = Span{D1 ^ Db1 ^ D2, D1 ^ D2 ^ Db2} over the triple basis in
 # lexicographic order of (D1, Db1, D2, Db2)
 _W2_J0 = ((0, 1, 2), (0, 2, 3))
 
+# name -> recipe(alpha), in catalog order; alpha is None except for N4alpha
+_RECIPES = {
+    "Vir": lambda _: ReducedAlgebra(
+        physical_basis((), 0, 0), "L",
+        {(1, "L", "L"): {"L": Scalar.from_int(2)}}),
+    "K1": lambda _: build_from_spec(BuilderSpec.from_alpha(0, True, [])),
+    "K2": lambda _: build_from_spec(
+        BuilderSpec.from_alpha(1, False, [[ZERO]])),
+    "K3": lambda _: build_from_spec(
+        BuilderSpec.from_alpha(1, True, [[ZERO]])),
+    "S2": lambda _: build_from_spec(BuilderSpec.from_alpha(
+        2, False, [[ZERO, MINUS_ONE], [MINUS_ONE, ZERO]], [(0, 0), (1, 1)])),
+    "W2": lambda _: build_f_extension(
+        build("S2"), [{_wedge3_basis(4).index(t): ONE} for t in _W2_J0]),
+    "N4": lambda _: change_conformal_vector(build("N4alpha", 0), ONE),
+    "N4alpha": lambda alpha: build_from_spec(BuilderSpec.from_alpha(
+        2, False, [[ZERO, alpha], [alpha, ZERO]])),
+    "CK6": lambda _: build_from_spec(CK6_SPEC),
+}
 
-def _build(name: str, alpha) -> ReducedAlgebra:
-    if name == "Vir":
-        return _vir()
-    if name == "K1":
-        return build_from_spec(BuilderSpec.from_alpha(0, True, []))
-    if name == "K2":
-        return build_from_spec(BuilderSpec.from_alpha(1, False, [[ZERO]]))
-    if name == "K3":
-        return build_from_spec(BuilderSpec.from_alpha(1, True, [[ZERO]]))
-    if name == "S2":
-        m1 = Scalar.from_int(-1)
-        return build_from_spec(BuilderSpec.from_alpha(
-            2, False, [[ZERO, m1], [m1, ZERO]], [(0, 0), (1, 1)]))
-    if name == "W2":
-        w3 = _wedge3_basis(4)
-        return build_f_extension(build("S2"),
-                                 [{w3.index(t): ONE} for t in _W2_J0])
-    if name == "N4alpha":
-        return build_from_spec(BuilderSpec.from_alpha(
-            2, False, [[ZERO, alpha], [alpha, ZERO]]))
-    if name == "N4":
-        return change_conformal_vector(build("N4alpha", 0), ONE)
-    if name == "CK6":
-        return build_from_spec(CK6_SPEC)
-    raise UnknownName("no catalog algebra named %r" % name)
+NAMES = tuple(_RECIPES)
 
 
 _cache = {}
@@ -85,7 +74,7 @@ def build(name: str, alpha=None) -> ReducedAlgebra:
         raise InvalidParams("%s takes no parameter" % name)
     key = (name, str(alpha) if alpha is not None else None)
     if key not in _cache:
-        _cache[key] = _build(name, alpha)
+        _cache[key] = _RECIPES[name](alpha)
     return _cache[key]
 
 

@@ -68,17 +68,6 @@ def charpoly(A):
     return coeffs
 
 
-def tpoly_mul(x, y):
-    out = [ZERO] * (len(x) + len(y) - 1)
-    for j, cx in enumerate(x):
-        if not cx:
-            continue
-        for k, cy in enumerate(y):
-            if cy:
-                out[j + k] = out[j + k] + cx * cy
-    return out
-
-
 def tpoly_str(coeffs) -> str:
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):

@@ -14,8 +14,8 @@ flat index k*N + p.  A flat element is a sparse element {index: Scalar}
 position pairs (a, b) with a nonzero product, holds for each m the terms of
 the nonzero a_(m) b, flat, with the `coeff_G` factors applied.
 `ReconstructedAlgebra.monomial` gives the terms of the product of two
-monomials, `monomial_into`, the one monomial kernel, adds c d^(j) of them
-in place, and `product`, on flat elements, is a loop of it over term pairs.
+monomials, `monomial_into`, the one monomial kernel, adds c times them in
+place, and `product`, on flat elements, is a loop of it over term pairs.
 One loop, `_add_into`, adds c d^(j) x into a sum, for the formation of a
 product from table rows and for its addition alike.  The binomial factors
 of the derivative rules come from a small int -> Scalar cache.
@@ -92,7 +92,14 @@ def _add_into(out: dict, terms, c: Scalar, j: int, N: int):
 class ReconstructedAlgebra:
     """K[d]-span of a reduced algebra with the full (n)-products.
 
-    `pos` maps each basis id to its position and `ids` reads it back."""
+    `pos` maps each basis id to its position and `ids` reads it back.
+
+    The memo's degree bound stays because a memo without it is hardly
+    faster and much larger.  On CK6 (2 vCPUs, Python 3.11.7), C(4,4,4)
+    took 0.463-0.499 s of CPU without the bound and 0.485-0.515 s with it,
+    five runs each, while max RSS rose from 21.4 to 29.7 MB (44,772 memo
+    entries against 11,823), and at C(8,8,8) from 21.7 to 73.0 MB
+    (228,606 entries)."""
 
     def __init__(self, R: ReducedAlgebra):
         self.R = R
@@ -144,11 +151,10 @@ class ReconstructedAlgebra:
                 self._memo[ix, iy, n] = terms
         return terms
 
-    def monomial_into(self, out: dict, ix: int, iy: int, n: int, c: Scalar,
-                      j: int = 0):
-        """out += c d^(j) (ix_(n) iy) in place: the one monomial kernel,
-        which adds the terms of `monomial`."""
-        _add_into(out, self.monomial(ix, iy, n), c, j, self.N)
+    def monomial_into(self, out: dict, ix: int, iy: int, n: int, c: Scalar):
+        """out += c (ix_(n) iy) in place: the one monomial kernel, which
+        adds the terms of `monomial`."""
+        _add_into(out, self.monomial(ix, iy, n), c, 0, self.N)
 
     def _form(self, ix: int, iy: int, n: int) -> tuple:
         """The terms of ix_(n) iy, for k <= n, by the product formula

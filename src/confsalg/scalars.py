@@ -325,6 +325,15 @@ class Scalar:
         return out
 
     def _add(self, other):
+        """The exact sum, on a miss of the operation table.  The branches
+        for two constants here, in `_mul` and in `__truediv__` stay for
+        long processes and for identity.  Cold benchmark passes barely see
+        them (`family` median 0.921 s with them, 0.915 s without, five
+        runs each), but once the key table is full, as in the test suite,
+        every new constant takes them: tier-1 ran 60-62 s with them and
+        64-67 s without (2 vCPUs, Python 3.11.7).  And the ZERO returned
+        below is what makes x + (-x) the object ZERO for an unkeyed
+        constant x."""
         x, y = self.num, other.num
         if not y:
             return self

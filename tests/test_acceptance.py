@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA
-from confsalg.linalg import charpoly, tpoly_mul
+from confsalg.linalg import charpoly
 from confsalg.algebra import (check_P_axioms, check_H_axioms,
                               is_simple_physical, form_V_wedge_V)
 from confsalg.construct import (assemble_wedge_form, wedge_lookup,
@@ -21,6 +21,7 @@ from confsalg import catalog
 from confsalg.catalog import (build, swap_map, iso_check, golden_path,
                               invariant_signature, triple_form_condition,
                               NAMES)
+from test_linalg import tpoly_mul
 
 
 def all_nine():

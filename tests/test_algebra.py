@@ -1058,6 +1058,18 @@ def test_gate_skips_H_on_a_table_of_non_physical_shape():
     require_axioms(R, Rejected, "never raised: ")
 
 
+def test_gate_runs_P_to_twice_the_largest_stored_n():
+    """The w = 6 table stores <W 9 W>, so the gate runs P(18,18), where
+    the identity fails; P(2,2) alone would let it through."""
+    R = _w6_table()
+    assert check_P_axioms(R, 2, 2).ok
+    with pytest.raises(Rejected) as info:
+        require_axioms(R, Rejected, "w6: ")
+    assert str(info.value).startswith(
+        "w6: FAILED (2278 instances checked, 20 failures)\n"
+        "  identity fails: a=L b=W c=W m=3 n=7\n")
+
+
 def test_gate_raises_the_given_type_with_the_prefix():
     mutant = dict(catalog.build("K2").sign_mutations())["<D1 0 Db1> term L"]
     with pytest.raises(Rejected) as info:

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from confsalg import catalog, cli
 from confsalg.cli import main
 from confsalg.construct import InconsistentSpec, UnderdeterminedSpec
+from test_algebra import _w6_table
 
 
 def run(capsys, *argv):
@@ -447,6 +448,20 @@ def test_non_algebra_gets_no_verdict(tmp_path, capsys, cmd):
     assert err.startswith("error: %s is not a conformal superalgebra: "
                           "FAILED (628 instances checked, 18 failures)\n"
                           "  skew fails: <D1 0 Db1>\n" % path)
+
+
+@pytest.mark.parametrize("cmd", ["simplicity", "invariants"])
+def test_table_failing_P_at_its_stored_degree_gets_no_verdict(tmp_path,
+                                                              capsys, cmd):
+    """The w = 6 table passes P(2,2) and P(4,4) but stores <W 9 W>, so the
+    gate runs P(18,18), which fails; neither command may call it simple."""
+    path = tmp_path / "w6.json"
+    path.write_text(_w6_table().to_json())
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s is not a conformal superalgebra: "
+                          "FAILED (2278 instances checked, 20 failures)\n"
+                          "  identity fails: a=L b=W c=W m=3 n=7\n" % path)
 
 
 SEEDS = {name: catalog.build(name).to_json() for name in ("Vir", "K1")}

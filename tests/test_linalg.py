@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, ALPHA, IMAG
 from confsalg.linalg import (kernel, coordinates, charpoly, row_space,
-                             tpoly_mul, tpoly_str, Subspace,
-                             el_add_into)
+                             tpoly_str, Subspace, el_add_into)
 
 
 def S(n):
@@ -78,6 +77,19 @@ def test_charpoly_companion():
 
 def test_charpoly_of_empty_matrix():
     assert tpoly_str(charpoly([])) == "1"
+
+
+def tpoly_mul(x, y):
+    """The product of two polynomials in t, low-first coefficient lists, as
+    `charpoly` returns them; the tests build expected polynomials with it."""
+    out = [ZERO] * (len(x) + len(y) - 1)
+    for j, cx in enumerate(x):
+        if not cx:
+            continue
+        for k, cy in enumerate(y):
+            if cy:
+                out[j + k] = out[j + k] + cx * cy
+    return out
 
 
 def test_tpoly_mul():
