@@ -10,43 +10,45 @@ The textual grammar accepted by `parse` (and emitted by `Scalar.__str__`)
 consists of integer literals, the literals `i` (imaginary unit) and `a` (the
 parameter), the operators `+ - * / ^` and parentheses.
 
-Value keys.  The checkers add and multiply a few dozen to a few hundred
-distinct values hundreds of thousands of times, so `+` and `*` are read
-from tables.  Each Scalar gets an integer `key` when it is built: the index
-of its value in a key table, assigned the first time the value is seen and
-never reused, reassigned or evicted.  The value is written as integers:
-(p, q, d) for a constant, the coefficients' (p, q, d) in a row for a
-polynomial, and the rows of numerator and denominator for a quotient.  Two
-tables map a pair of operand keys to the sum and to the product.  Both
-hold the first Scalar of each value, so a result is one object per value.
-A miss, or an operand without a key, runs `_add` or `_mul`, the exact
-arithmetic below, and stores the result when it has a key.  The negative
-of a keyed value is its product with MINUS_ONE, so it is a table read too.
+One Scalar per value.  `Scalar(num, den)` canonicalises its value, writes
+it as integers ((p, q, d) for a constant, the coefficients' (p, q, d) in a
+row for a polynomial, the two rows for a quotient) and looks them up in
+`_LIVE`, a dict of weak references: it returns the live Scalar of that
+value when there is one, and registers the new one otherwise.  An entry
+goes when its Scalar dies.  Equal values are therefore the same object, so
+`==` and `hash` are the object defaults, and unpickling or copying a Scalar
+returns the live Scalar of its value in the process that does it.
 
-This is exact because a Scalar is canonical and never changes: equal
-values have equal integers, so equal keys, and a sum or product depends on
-the operand values alone.  `==` compares keys when both operands have one
-and compares structurally otherwise; `hash` is structural, so it does not
-depend on whether a Scalar has a key.  Keys belong to the process that
-assigned them: a pickled Scalar carries only its value and gets its key
-where it is unpickled.
+Operation tables.  The checkers add and multiply a few dozen to a few
+hundred distinct values hundreds of thousands of times, so `+` and `*` are
+read from two tables keyed by the operand pair (x, y).  A miss runs `_add`
+or `_mul`, the exact arithmetic below, and stores the result when the
+operands and the result are small: no integer of the value reaches
+KEY_HEIGHT in absolute value and it has at most KEY_INTS integers (eight
+coefficients in numerator and denominator), which is decided once, when
+the Scalar is made.  This keeps one-off values, such as the intermediate
+entries of a large characteristic polynomial, out of the tables.  A table
+that holds OP_CAP entries is emptied before the next one goes in, so a
+long process keeps the pairs it meets now, not its first ones.  The
+negative of x is x * MINUS_ONE, a table read too; `_mul` scales a quotient
+by a constant without taking a gcd.  This is exact because a Scalar is
+canonical and never changes, so a result depends on the operand values
+alone, and a table holds its operands, so no pair outlives its Scalars.
 
-A value gets no key, and takes `_add` and `_mul` every time, when one of
-its integers reaches KEY_HEIGHT in absolute value, when it has more than
-KEY_INTS integers (eight coefficients in numerator and denominator), or
-when KEY_CAP keys are taken.  Each operation table stops growing at OP_CAP
-entries.  The height and length bounds keep one-off values, such as the
-intermediate entries of a large characteristic polynomial, from filling
-the key table.  Full tables add at most 2 MiB: tracemalloc measures 1.73
-MiB with every key on a value of the maximal length and height.  A pass of
-the benchmark's `family` workload takes 319 keys, 1,223 sums and 1,115
-products; `ck6` and `classify` take under 50 keys.
+A full table keeps at most 3 * OP_CAP Scalars alive.  With every one of
+them distinct and of the maximal length, both full tables add 14.9 MiB
+under tracemalloc (a test holds 16 MiB); after C(4,4,4) on CK6 and 40
+builds of N4alpha in one process they hold 95 KiB.  A pass of the
+benchmark's `family` workload (seed 1) stores 1,189 sums and 1,008
+products and ends with 313 live Scalars; `ck6` and `classify` end with
+under 50.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 import re
+import weakref
 
 
 class GaussRat:
@@ -136,10 +138,6 @@ def _padd(x, y):
     return _pnorm(out)
 
 
-def _pneg(x):
-    return tuple(-c for c in x)
-
-
 def _pmul(x, y):
     if not x or not y:
         return ()
@@ -183,19 +181,17 @@ def _pgcd(x, y):
 
 
 # ---------------------------------------------------------------------------
-# value keys and the operation tables
+# interned values and the operation tables
 # ---------------------------------------------------------------------------
 
-# bounds of the key and operation tables (module docstring)
-KEY_CAP = 1024
+# bounds of the values that enter an operation table (module docstring)
 OP_CAP = 2048
 KEY_HEIGHT = 1 << 12
 KEY_INTS = 24
 
-_KEYS = {}       # value -> key
-_KEYED = []      # key -> the first Scalar of that value
-_ADD = {}        # (key, key) -> sum, one of _KEYED
-_MUL = {}        # (key, key) -> product, one of _KEYED
+_LIVE = {}      # value -> weak reference to the one live Scalar of it
+_ADD = {}       # (x, y) -> x + y, for small x, y and x + y
+_MUL = {}       # (x, y) -> x * y, likewise
 
 
 def _flat(poly):
@@ -205,50 +201,26 @@ def _flat(poly):
     return tuple(out)
 
 
-def _key(scalar):
-    """The key of scalar's value, assigned on first sight; None when the
-    value is too high or too long, or the key table is full."""
-    num, den = scalar.num, scalar.den
-    if len(num) == 1 and len(den) == 1:
-        # a constant, the common case: bound its three integers directly
-        c = num[0]
-        if not (-KEY_HEIGHT < c.p < KEY_HEIGHT and
-                -KEY_HEIGHT < c.q < KEY_HEIGHT and c.d < KEY_HEIGHT):
-            return None
-        value = (c.p, c.q, c.d)
-    else:
-        if len(den) > 1:
-            value = (_flat(num), _flat(den))
-            ints = value[0] + value[1]
-        else:
-            value = ints = _flat(num)
-        if ints and (len(ints) > KEY_INTS or max(ints) >= KEY_HEIGHT or
-                     min(ints) <= -KEY_HEIGHT):
-            return None
-    key = _KEYS.get(value)
-    if key is None and len(_KEYED) < KEY_CAP:
-        key = _KEYS[value] = len(_KEYED)
-        _KEYED.append(scalar)
-    return key
+class _Ref(weakref.ref):
+    """A weak reference to a Scalar that carries its value, so that the
+    value's entry in _LIVE goes when the Scalar dies."""
+
+    __slots__ = ("value",)
 
 
-def _remember(table, pair, out):
-    """Store out under pair when both operands and out are keyed and table
-    has room; return the first Scalar of out's value when out is keyed."""
-    if out.key is None or None in pair:
-        return out
-    out = _KEYED[out.key]
-    if len(table) < OP_CAP:
-        table[pair] = out
-    return out
+def _drop(ref, live=_LIVE):
+    # a new Scalar of the value may have taken the entry already
+    if live.get(ref.value) is ref:
+        del live[ref.value]
 
 
 class Scalar:
-    """An element of Q(i)(a), canonical at all times."""
+    """An element of Q(i)(a), canonical at all times and the one live
+    Scalar of its value, so that equal Scalars are the same object."""
 
-    __slots__ = ("num", "den", "key")
+    __slots__ = ("num", "den", "small", "__weakref__")
 
-    def __init__(self, num, den=(GR_ONE,), _canon=True):
+    def __new__(cls, num, den=(GR_ONE,), _canon=True):
         if _canon:
             num = _pnorm(num)
             den = _pnorm(den)
@@ -272,12 +244,32 @@ class Scalar:
                     den = _pscale(den, inv)
                 if len(den) == 1:
                     den = (GR_ONE,)
+        if len(den) > 1:
+            value = (_flat(num), _flat(den))
+            ints = value[0] + value[1]
+        elif len(num) == 1:
+            # a constant, the common case
+            c = num[0]
+            value = ints = (c.p, c.q, c.d)
+        else:
+            value = ints = _flat(num)
+        ref = _LIVE.get(value)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.num = num
         self.den = den
-        self.key = _key(self)
+        self.small = not ints or (len(ints) <= KEY_INTS and
+                                  max(ints) < KEY_HEIGHT and
+                                  min(ints) > -KEY_HEIGHT)
+        ref = _LIVE[value] = _Ref(self, _drop)
+        ref.value = value
+        return self
 
     def __reduce__(self):
-        # keys are local to the process: unpickling assigns a fresh one
+        # unpickling and copying return the live Scalar of the value
         return (Scalar, (self.num, self.den))
 
     # -- constructors -------------------------------------------------------
@@ -311,29 +303,30 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        pair = (self.key, other.key)
-        out = _ADD.get(pair)
+        out = _ADD.get((self, other))
         if out is None:
-            out = _remember(_ADD, pair, self._add(other))
+            out = self._add(other)
+            if self.small and other.small and out.small:
+                if len(_ADD) >= OP_CAP:
+                    _ADD.clear()
+                _ADD[self, other] = out
         return out
 
     def __mul__(self, other):
-        pair = (self.key, other.key)
-        out = _MUL.get(pair)
+        out = _MUL.get((self, other))
         if out is None:
-            out = _remember(_MUL, pair, self._mul(other))
+            out = self._mul(other)
+            if self.small and other.small and out.small:
+                if len(_MUL) >= OP_CAP:
+                    _MUL.clear()
+                _MUL[self, other] = out
         return out
 
     def _add(self, other):
         """The exact sum, on a miss of the operation table.  The branches
-        for two constants here, in `_mul` and in `__truediv__` stay for
-        long processes and for identity.  Cold benchmark passes barely see
-        them (`family` median 0.921 s with them, 0.915 s without, five
-        runs each), but once the key table is full, as in the test suite,
-        every new constant takes them: tier-1 ran 60-62 s with them and
-        64-67 s without (2 vCPUs, Python 3.11.7).  And the ZERO returned
-        below is what makes x + (-x) the object ZERO for an unkeyed
-        constant x."""
+        for two constants here, in `_mul` and in `__truediv__` skip the
+        polynomial loops, which a sum or product of two constants does not
+        need."""
         x, y = self.num, other.num
         if not y:
             return self
@@ -352,9 +345,7 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self):
-        if self.key is not None:
-            return self * MINUS_ONE
-        return Scalar(_pneg(self.num), self.den, _canon=False)
+        return self * MINUS_ONE
 
     def _mul(self, other):
         if other is ONE:
@@ -368,6 +359,10 @@ class Scalar:
             if len(x) == 1 and len(y) == 1:
                 return Scalar((x[0] * y[0],), _canon=False)
             return Scalar(_pmul(x, y))
+        if len(y) == 1 and len(other.den) == 1:
+            # a quotient times a constant, a unit: no gcd to take, which
+            # keeps -x cheap for every x
+            return Scalar(_pscale(x, y[0]), self.den, _canon=False)
         return Scalar(_pmul(x, y), _pmul(self.den, other.den))
 
     def inv(self) -> "Scalar":
@@ -398,16 +393,6 @@ class Scalar:
             base = base * base
             k >>= 1
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if self.key is not None and other.key is not None:
-            return self.key == other.key
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     # -- substitution -------------------------------------------------------
 

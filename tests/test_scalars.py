@@ -1,4 +1,6 @@
 """Field laws and grammar round trips for the exact scalar type."""
+import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -7,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import confsalg
 from confsalg import scalars as scalars_mod
@@ -153,7 +155,7 @@ def test_pow():
     assert (x ** -2) * x * x == ONE
 
 
-# -- value keys and the operation tables -----------------------------------
+# -- interned values and the operation tables -------------------------------
 
 
 @st.composite
@@ -164,32 +166,24 @@ def quotients(draw):
 
 
 def _same(x, y):
-    """x and y are the same canonical value, compared without keys."""
-    return x.num == y.num and x.den == y.den and hash(x) == hash(y)
+    """x and y are the same canonical value, compared structurally."""
+    return x.num == y.num and x.den == y.den
 
 
 @contextmanager
 def _room(n=64):
-    """n more keys and n more entries in each operation table, for values
-    made inside the block; earlier tests may have filled the tables.  Keys
-    are still assigned in order, so none is reused."""
+    """n more entries in each operation table before it is emptied, so that
+    a value stored inside the block is still there on a second look."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars_mod, "KEY_CAP", len(scalars_mod._KEYED) + n)
         mp.setattr(scalars_mod, "OP_CAP", n + max(len(scalars_mod._ADD),
                                                   len(scalars_mod._MUL)))
         yield
-
-
-def _copy(x):
-    """A new Scalar of x's value, keyed if the value has room."""
-    return Scalar(x.num, x.den)
 
 
 @given(quotients(), quotients())
 @settings(max_examples=150, deadline=None)
 def test_tables_match_the_reference_path(x, y):
     with _room():
-        x, y = _copy(x), _copy(y)
         for _ in range(2):          # the second round reads the tables
             assert _same(x * y, x._mul(y)) and x * y == x._mul(y)
             assert _same(x + y, x._add(y)) and x + y == x._add(y)
@@ -198,52 +192,14 @@ def test_tables_match_the_reference_path(x, y):
 
 
 @given(quotients(), quotients())
-@settings(max_examples=60, deadline=None)
-def test_keyed_and_unkeyed_copies_agree(x, y):
-    with _room():
-        x = _copy(x)
-        assume(x.key is not None)
-        u = _copy(x)
-        u.key = None
-        assert u == x and x == u and hash(u) == hash(x)
-        assert (u == y) == (x == y)
-        assert _same(u * y, x * y) and _same(y + u, y + x)
-
-
-def _fresh(n=1):
-    """A constant whose value has no key yet."""
-    while (n, 0, 4091) in scalars_mod._KEYS:
-        n += 1
-    return Scalar.from_gauss(GaussRat(n, 0, 4091))
-
-
-@given(quotients())
-@settings(max_examples=30, deadline=None)
-def test_full_key_table_leaves_new_values_unkeyed(x):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars_mod, "KEY_CAP", len(scalars_mod._KEYED))
-        z = _fresh()
-        assert z.key is None
-        w = z * z + IMAG
-        assert w.key is None
-        for y in (x, ONE, z, w):
-            assert _same(z * y, z._mul(y)) and _same(y * z, y._mul(z))
-            assert _same(z + y, z._add(y)) and _same(y + z, y._add(z))
-            assert (z == y) == _same(z, y)
-
-
-def test_high_values_get_no_key():
-    with _room():
-        big = Scalar.from_int(2 ** 40)
-        assert big.key is None
-        assert (big * ALPHA + ONE).key is None
-        assert Scalar.from_int(scalars_mod.KEY_HEIGHT).key is None
-        assert Scalar.from_int(scalars_mod.KEY_HEIGHT - 1).key is not None
-        for y in (ONE, IMAG, ALPHA, big):
-            assert _same(big * y, big._mul(y))
-            assert _same(big + y, big._add(y))
-        assert big * Scalar.from_fraction(Fraction(1, 2 ** 40)) == ONE
-        assert big - big == ZERO
+@settings(max_examples=100, deadline=None)
+def test_one_scalar_per_value(x, y):
+    assert Scalar(x.num, x.den) is x
+    assert Scalar(x.num, x.den, _canon=False) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    assert (x == y) == _same(x, y) and (x != y) != _same(x, y)
+    assert (x + y) - y is x and (x * IMAG) * -IMAG is x
 
 
 def _python(script):
@@ -255,55 +211,111 @@ def _python(script):
                           capture_output=True, check=True).stdout
 
 
-def test_keys_do_not_leave_the_process():
-    """A Scalar pickled with a large key is re-keyed by the interpreter
-    that unpickles it."""
+def test_values_pickled_elsewhere_unpickle_to_the_live_scalar():
+    """Values pickled by another interpreter, after it made other values
+    and filled its tables, are this interpreter's Scalars of those values."""
     data = _python(
         "import pickle, sys\n"
-        "from confsalg.scalars import Scalar, parse\n"
-        "for n in range(300):\n"
-        "    Scalar.from_int(1000 + n)\n"
-        "x = parse('(7*a+3)/(a-5)')\n"
-        "assert x.key >= 300, x.key\n"
-        "sys.stdout.buffer.write(pickle.dumps((str(x), x)))\n")
-    out = _python(
-        "import pickle\n"
-        "from confsalg.scalars import parse, ONE, IMAG, ALPHA\n"
-        "text, x = pickle.loads(bytes.fromhex(%r))\n"
-        "y = parse(text)\n"
-        "assert x == y and y == x and hash(x) == hash(y)\n"
-        "assert x.key == y.key\n"
-        "assert x + ONE == parse('(%%s)+1' %% text)\n"
-        "assert x * IMAG == parse('(%%s)*i' %% text)\n"
-        "assert ALPHA * x - x * ALPHA == parse('0')\n"
-        "print('ok')\n" % data.hex())
-    assert out == b"ok\n"
+        "from confsalg.scalars import Scalar, parse, ALPHA\n"
+        "for n in range(3000):\n"
+        "    Scalar.from_int(1000 + n) * ALPHA\n"
+        "xs = [parse(t) for t in ('(7*a+3)/(a-5)', '2/3-i', 'a^2+a')]\n"
+        "sys.stdout.buffer.write(pickle.dumps([(str(x), x) for x in xs]))\n")
+    for text, x in pickle.loads(data):
+        assert x is parse(text)
+        assert x + ONE is parse("(%s)+1" % text)
+        assert x * IMAG is parse("(%s)*i" % text)
+        assert ALPHA * x - x * ALPHA is ZERO
+        assert -x is parse("-(%s)" % text)
+
+
+def _fresh(d=4091, n=1):
+    """A constant n/d whose value has no live Scalar yet."""
+    while (n, 0, d) in scalars_mod._LIVE:
+        n += 1
+    return Scalar.from_gauss(GaussRat(n, 0, d))
+
+
+def test_dropped_values_leave_the_intern_table():
+    x = _fresh()
+    value = (x.num[0].p, 0, 4091)
+    ref = scalars_mod._LIVE[value]
+    assert ref() is x
+    del x
+    gc.collect()
+    assert value not in scalars_mod._LIVE and ref() is None
+    y = Scalar.from_gauss(GaussRat(value[0], 0, 4091))
+    assert scalars_mod._LIVE[value]() is y
+    scalars_mod._drop(ref)          # a late callback of the dead Scalar
+    assert scalars_mod._LIVE[value]() is y
+
+
+def test_high_and_long_values_enter_no_table(monkeypatch):
+    big = Scalar.from_int(scalars_mod.KEY_HEIGHT)
+    long = ALPHA ** (scalars_mod.KEY_INTS // 3)
+    assert not big.small and not long.small and not (big * ALPHA).small
+    assert Scalar.from_int(scalars_mod.KEY_HEIGHT - 1).small
+    assert (ALPHA ** (scalars_mod.KEY_INTS // 3 - 1)).small
+    for x in (big, long):
+        for y in (ONE, IMAG, ALPHA, big):
+            assert _same(x * y, x._mul(y)) and _same(x + y, x._add(y))
+            assert (x, y) not in scalars_mod._MUL
+            assert (x, y) not in scalars_mod._ADD
+    assert big * Scalar.from_fraction(Fraction(1, scalars_mod.KEY_HEIGHT)) \
+        is ONE
+    assert big - big is ZERO
+    # the negative of a quotient takes no gcd
+    q = (big * ALPHA + ONE) / (ALPHA - big)
+    monkeypatch.setattr(scalars_mod, "_pgcd", None)
+    assert _same(-q, Scalar(tuple(-c for c in q.num), q.den, _canon=False))
+    assert -(-q) is q
+
+
+def test_full_tables_are_emptied_not_frozen():
+    """Once a table is full, a new small result still goes in."""
+    keep = [Scalar.from_fraction(Fraction(k, 4093)) for k in range(2000)]
+    assert len(keep) == len(set(keep)) == 2000
+    x = _fresh()
+    y = _fresh(n=x.num[0].p + 1)
+    total = x + y
+    assert scalars_mod._ADD[x, y] is total
+    for m in range(1, scalars_mod.OP_CAP + 2):
+        z = _fresh(4079, m)
+        product = z * IMAG
+    assert scalars_mod._MUL[z, IMAG] is product
+    assert len(scalars_mod._MUL) <= scalars_mod.OP_CAP
 
 
 def test_full_tables_stay_within_the_memory_bound():
-    """Fill the key table with the longest and highest values it admits and
-    both operation tables to their caps; the growth traced by tracemalloc
-    stays within the 2 MiB that the module docstring states."""
+    """Fill both operation tables with entries whose operands and result
+    are distinct values of the largest length a table admits and near its
+    largest height, which keeps the most alive; the growth traced by
+    tracemalloc stays within the 16 MiB that the module docstring states."""
     out = _python(
         "import gc, tracemalloc\n"
         "tracemalloc.start()\n"
         "from confsalg import scalars as s\n"
-        "from confsalg.scalars import Scalar, GaussRat, ZERO, ONE\n"
+        "from confsalg.scalars import Scalar, GaussRat, TWO\n"
         "gc.collect()\n"
         "base = tracemalloc.get_traced_memory()[0]\n"
-        "h = s.KEY_HEIGHT - 1\n"
-        "terms = s.KEY_INTS // 3\n"
-        "values = []\n"
+        "h = s.KEY_HEIGHT // 2 - 1\n"
+        "def big(n):\n"
+        "    ps = [h - n % 2000, h - n // 2000]\n"
+        "    ps += [h - k for k in range(2, s.KEY_INTS // 3)]\n"
+        "    cs = [GaussRat(p, k - h) for k, p in enumerate(ps)]\n"
+        "    return Scalar(tuple(cs))\n"
         "n = 0\n"
-        "while len(s._KEYED) < s.KEY_CAP:\n"
+        "while len(s._ADD) < s.OP_CAP:\n"
+        "    x, y = big(n), big(n + 1)\n"
+        "    n += 2\n"
+        "    assert x.small and y.small and (x + y).small\n"
+        "while len(s._MUL) < s.OP_CAP:\n"
+        "    x = big(n)\n"
         "    n += 1\n"
-        "    v = Scalar(tuple(GaussRat(h - n, k - h) for k in range(terms)))\n"
-        "    assert v.key is not None and len(v.num) == terms\n"
-        "    values += [v, -v]\n"
-        "for v in values:\n"
-        "    v + ZERO, ZERO + v, v + (-v), v * ONE, ONE * v, v * ZERO\n"
+        "    assert (TWO * x).small\n"
         "assert len(s._ADD) == len(s._MUL) == s.OP_CAP\n"
-        "del values, v\n"
+        "assert len(s._LIVE) >= 5 * s.OP_CAP\n"
+        "del x, y\n"
         "gc.collect()\n"
         "print(tracemalloc.get_traced_memory()[0] - base)\n")
-    assert int(out) <= 2 * 2 ** 20
+    assert int(out) <= 16 * 2 ** 20
