@@ -27,21 +27,22 @@ operands and the result are small: no integer of the value reaches
 KEY_HEIGHT in absolute value and it has at most KEY_INTS integers (eight
 coefficients in numerator and denominator), which is decided once, when
 the Scalar is made.  This keeps one-off values, such as the intermediate
-entries of a large characteristic polynomial, out of the tables.  A table
-that holds OP_CAP entries is emptied before the next one goes in, so a
-long process keeps the pairs it meets now, not its first ones.  The
+entries of a large characteristic polynomial, out of the tables.  The
 negative of x is x * MINUS_ONE, a table read too; `_mul` scales a quotient
 by a constant without taking a gcd.  This is exact because a Scalar is
 canonical and never changes, so a result depends on the operand values
 alone, and a table holds its operands, so no pair outlives its Scalars.
 
-A full table keeps at most 3 * OP_CAP Scalars alive.  With every one of
-them distinct and of the maximal length, both full tables add 14.9 MiB
-under tracemalloc (a test holds 16 MiB); after C(4,4,4) on CK6 and 40
-builds of N4alpha in one process they hold 95 KiB.  A pass of the
-benchmark's `family` workload (seed 1) stores 1,189 sums and 1,008
-products and ends with 313 live Scalars; `ck6` and `classify` end with
-under 50.
+`_HELD` is the set of the operands and results in the tables.  Both tables
+and `_HELD` are emptied before an entry goes in when one table holds OP_CAP
+entries or `_HELD` could pass HOLD_CAP Scalars.  So a long process keeps
+the pairs it meets now, not its first ones, and full tables add at most 2
+MiB (1.83 MiB under tracemalloc with every value of the maximal length and
+height).  A pass of the benchmark's `family` workload (seed 1) stores 1,189
+sums and 1,008 products and ends with 313 live Scalars.  Each new value
+costs about 0.7 us (weak reference, `_LIVE` entry, `_drop`), so `charpoly`
+of a random 9x9 matrix, where few values repeat, is 45% slower than
+without interning.
 """
 from __future__ import annotations
 
@@ -184,14 +185,16 @@ def _pgcd(x, y):
 # interned values and the operation tables
 # ---------------------------------------------------------------------------
 
-# bounds of the values that enter an operation table (module docstring)
-OP_CAP = 2048
+# bounds of the operation tables and their values (module docstring)
+OP_CAP = 2048       # entries of each table
+HOLD_CAP = 1024     # Scalars that both tables keep alive
 KEY_HEIGHT = 1 << 12
 KEY_INTS = 24
 
 _LIVE = {}      # value -> weak reference to the one live Scalar of it
 _ADD = {}       # (x, y) -> x + y, for small x, y and x + y
 _MUL = {}       # (x, y) -> x * y, likewise
+_HELD = set()   # the operands and results in _ADD and _MUL
 
 
 def _flat(poly):
@@ -203,7 +206,9 @@ def _flat(poly):
 
 class _Ref(weakref.ref):
     """A weak reference to a Scalar that carries its value, so that the
-    value's entry in _LIVE goes when the Scalar dies."""
+    value's entry in _LIVE goes when the Scalar dies.  A WeakValueDictionary,
+    whose get and set run in Python, made a new constant in 2.3-2.5 us, not
+    1.4 us (2 vCPUs, Python 3.11)."""
 
     __slots__ = ("value",)
 
@@ -212,6 +217,16 @@ def _drop(ref, live=_LIVE):
     # a new Scalar of the value may have taken the entry already
     if live.get(ref.value) is ref:
         del live[ref.value]
+
+
+def _store(table, x, y, out):
+    """table[x, y] = out, emptying both tables first when they are full."""
+    if len(table) >= OP_CAP or len(_HELD) > HOLD_CAP - 3:
+        _ADD.clear()
+        _MUL.clear()
+        _HELD.clear()
+    table[x, y] = out
+    _HELD.update((x, y, out))
 
 
 class Scalar:
@@ -307,9 +322,7 @@ class Scalar:
         if out is None:
             out = self._add(other)
             if self.small and other.small and out.small:
-                if len(_ADD) >= OP_CAP:
-                    _ADD.clear()
-                _ADD[self, other] = out
+                _store(_ADD, self, other, out)
         return out
 
     def __mul__(self, other):
@@ -317,9 +330,7 @@ class Scalar:
         if out is None:
             out = self._mul(other)
             if self.small and other.small and out.small:
-                if len(_MUL) >= OP_CAP:
-                    _MUL.clear()
-                _MUL[self, other] = out
+                _store(_MUL, self, other, out)
         return out
 
     def _add(self, other):

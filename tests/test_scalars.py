@@ -172,11 +172,13 @@ def _same(x, y):
 
 @contextmanager
 def _room(n=64):
-    """n more entries in each operation table before it is emptied, so that
-    a value stored inside the block is still there on a second look."""
+    """n more entries in each operation table, and room for their Scalars,
+    before the tables are emptied, so that a value stored inside the block
+    is still there on a second look."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scalars_mod, "OP_CAP", n + max(len(scalars_mod._ADD),
                                                   len(scalars_mod._MUL)))
+        mp.setattr(scalars_mod, "HOLD_CAP", 3 * n + len(scalars_mod._HELD))
         yield
 
 
@@ -272,7 +274,8 @@ def test_high_and_long_values_enter_no_table(monkeypatch):
 
 
 def test_full_tables_are_emptied_not_frozen():
-    """Once a table is full, a new small result still goes in."""
+    """Once a table is full, or its entries keep HOLD_CAP Scalars alive, a
+    new small result still goes in, and the tables keep no more."""
     keep = [Scalar.from_fraction(Fraction(k, 4093)) for k in range(2000)]
     assert len(keep) == len(set(keep)) == 2000
     x = _fresh()
@@ -282,40 +285,47 @@ def test_full_tables_are_emptied_not_frozen():
     for m in range(1, scalars_mod.OP_CAP + 2):
         z = _fresh(4079, m)
         product = z * IMAG
+        assert len(scalars_mod._HELD) <= scalars_mod.HOLD_CAP
     assert scalars_mod._MUL[z, IMAG] is product
+    for u in keep[:64]:             # 4,096 sums of under 200 values
+        for w in keep[:64]:
+            total = u + w
+    assert scalars_mod._ADD[u, w] is total
+    held = {v for table in (scalars_mod._ADD, scalars_mod._MUL)
+            for pair, out in table.items() for v in (*pair, out)}
+    assert held <= scalars_mod._HELD
+    assert len(scalars_mod._ADD) <= scalars_mod.OP_CAP
     assert len(scalars_mod._MUL) <= scalars_mod.OP_CAP
 
 
 def test_full_tables_stay_within_the_memory_bound():
-    """Fill both operation tables with entries whose operands and result
-    are distinct values of the largest length a table admits and near its
-    largest height, which keeps the most alive; the growth traced by
-    tracemalloc stays within the 16 MiB that the module docstring states."""
+    """Fill both operation tables with the longest and highest values they
+    admit, up to HOLD_CAP Scalars and OP_CAP entries each; the growth traced
+    by tracemalloc stays within the 2 MiB that the module docstring states."""
     out = _python(
         "import gc, tracemalloc\n"
         "tracemalloc.start()\n"
         "from confsalg import scalars as s\n"
-        "from confsalg.scalars import Scalar, GaussRat, TWO\n"
+        "from confsalg.scalars import Scalar, GaussRat, ZERO, ONE\n"
         "gc.collect()\n"
         "base = tracemalloc.get_traced_memory()[0]\n"
-        "h = s.KEY_HEIGHT // 2 - 1\n"
-        "def big(n):\n"
-        "    ps = [h - n % 2000, h - n // 2000]\n"
-        "    ps += [h - k for k in range(2, s.KEY_INTS // 3)]\n"
-        "    cs = [GaussRat(p, k - h) for k, p in enumerate(ps)]\n"
-        "    return Scalar(tuple(cs))\n"
+        "h = s.KEY_HEIGHT - 1\n"
+        "terms = s.KEY_INTS // 3\n"
+        "values = []\n"
         "n = 0\n"
-        "while len(s._ADD) < s.OP_CAP:\n"
-        "    x, y = big(n), big(n + 1)\n"
-        "    n += 2\n"
-        "    assert x.small and y.small and (x + y).small\n"
-        "while len(s._MUL) < s.OP_CAP:\n"
-        "    x = big(n)\n"
+        "while len(s._HELD) < s.HOLD_CAP - 8:\n"
         "    n += 1\n"
-        "    assert (TWO * x).small\n"
-        "assert len(s._ADD) == len(s._MUL) == s.OP_CAP\n"
-        "assert len(s._LIVE) >= 5 * s.OP_CAP\n"
-        "del x, y\n"
+        "    v = Scalar(tuple(GaussRat(h - n, k - h) for k in range(terms)))\n"
+        "    assert v.small and len(v.num) == terms and -(-v) is v\n"
+        "    values += [v, -v]\n"
+        "for v in values:\n"
+        "    if len(s._ADD) < s.OP_CAP - 2:\n"
+        "        v + ZERO, ZERO + v, v + (-v)\n"
+        "    if len(s._MUL) < s.OP_CAP - 2:\n"
+        "        v * ONE, ONE * v, v * ZERO\n"
+        "assert min(len(s._ADD), len(s._MUL)) > s.OP_CAP - 3\n"
+        "assert len(s._HELD) > s.HOLD_CAP - 8\n"
+        "del values, v\n"
         "gc.collect()\n"
         "print(tracemalloc.get_traced_memory()[0] - base)\n")
-    assert int(out) <= 16 * 2 ** 20
+    assert int(out) <= 2 * 2 ** 20
