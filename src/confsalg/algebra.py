@@ -180,21 +180,29 @@ def _mul(table: dict, x: dict, y: dict) -> dict:
     return out
 
 
-def _rows(entries) -> dict:
-    """The join index {x: {y: [(n, el), ...]}} of entries ((n, x, y), el)."""
+def _join_index(entries, pos) -> dict:
+    """The join index {pa: {pb: ((n, pt, c), ...)}} of entries ((n, a, b),
+    el): a term (n, pt, c) for each term c t of each <a n b>, every id given
+    by its basis position in pos.  One flat tuple per pair keeps the index
+    small; a stored product has about one term."""
     out = {}
-    for (n, x, y), el in entries:
-        out.setdefault(x, {}).setdefault(y, []).append((n, el))
+    for (n, a, b), el in entries:
+        row = out.setdefault(pos[a], {})
+        pb = pos[b]
+        row[pb] = row.get(pb, ()) + tuple((n, pos[t], c)
+                                          for t, c in el.items())
     return out
 
 
 class ReducedAlgebra:
     """A finite-dimensional reduced subspace with its indexed products.
 
-    `__init__` also builds `_by_n`, {n: {(a, b): <a n b>}}, and `_rows`,
-    {a: {b: [(n, <a n b>), ...]}}, the index P's joins read (`_join`).  The
-    derived products read the read-only tables `circ_table`, built on first
-    use, and `bullet_table`, the stored <0> products."""
+    `__init__` also builds `_by_n`, {n: {(a, b): <a n b>}}.  P's joins
+    (`_join`) read `join_index`, the stored products keyed by basis
+    position, and `weight_at`, built on first use, so a table rejected
+    before the quadratic identity never builds them.  The derived products
+    read the read-only tables `circ_table`, built on first use, and
+    `bullet_table`, the stored <0> products."""
 
     def __init__(self, basis, L: str, products=None):
         self.basis = list(basis)
@@ -209,25 +217,28 @@ class ReducedAlgebra:
                 raise ValueError("basis vector %r has parity %r"
                                  % (b.id, b.parity))
         self.products = {}
+        index = self.index
         if products:
             for (n, a, b), el in products.items():
                 if not 0 <= n <= MAX_N:
                     raise ValueError("product <%s %d %s>: n outside 0..%d"
                                      % (a, n, b, MAX_N))
-                unknown = [x for x in (a, b, *el) if x not in self.index]
-                if unknown:
+                if not (a in index and b in index
+                        and el.keys() <= index.keys()):
+                    unknown = [x for x in (a, b, *el) if x not in index]
                     raise ValueError("product <%s %d %s> names ids outside "
                                      "the basis: %r" % (a, n, b, unknown))
-                el = {k: v for k, v in el.items() if v}
+                # an element with no zero is kept as given, not copied
+                if not all(el.values()):
+                    el = {k: v for k, v in el.items() if v}
                 if el:
                     self.products[(n, a, b)] = el
-        # the table is not changed after construction; _by_n and _rows hold
-        # the same elements
+        # the table is not changed after construction, and neither are the
+        # elements it shares with the caller; _by_n holds the same elements
         self._by_n = {}
         for (n, a, b), el in self.products.items():
             self._by_n.setdefault(n, {})[a, b] = el
         self._max_n = max(self._by_n, default=0)
-        self._rows = _rows(self.products.items())
 
     # -- basic lookups ------------------------------------------------------
 
@@ -274,6 +285,19 @@ class ReducedAlgebra:
         keyed by positions avoid hashing Fractions."""
         weights = sorted(self.weight_dims())
         return weights, {b.id: weights.index(b.weight) for b in self.basis}
+
+    @cached_property
+    def weight_at(self) -> list:
+        """The position of its weight in `weight_positions`, for each basis
+        position; read only."""
+        pos = self.weight_positions[1]
+        return [pos[b.id] for b in self.basis]
+
+    @cached_property
+    def join_index(self) -> dict:
+        """{pa: {pb: ((n, pt, c), ...)}}: the terms c t of each stored
+        <a n b>, a, b and t given by basis position; read only."""
+        return _join_index(self.products.items(), self.index)
 
     @cached_property
     def circ_table(self) -> dict:
@@ -390,8 +414,8 @@ class ReducedAlgebra:
                           key=lambda k: (k[0], self.index[k[1]],
                                          self.index[k[2]])):
             for t in sorted(self.products[key], key=lambda t: self.index[t]):
-                # __init__ copies every element, so only the mutated one
-                # needs a copy here
+                # the elements are never changed, so the mutant shares all
+                # but the mutated one, which is copied here
                 prods = dict(self.products)
                 prods[key] = el = dict(prods[key])
                 el[t] = -el[t]
@@ -456,43 +480,60 @@ def _graded_asymmetric(table: dict, f: int, par: dict) -> list:
     return bad
 
 
-def _join(rows: dict, a: str, b: str, coeffs, odd: int, R,
-          width: int) -> dict:
-    """The three terms of an identity on (a, b, c), for every c at once,
-    joined over the index `rows`, {x: {y: [(n, <x n y>), ...]}}:
+def _join(R, index: dict, pa: int, pb: int, coeffs, odd: int, width: int,
+          left: dict = None) -> dict:
+    """The three terms of an identity on (a, b, c), for every c at once, a
+    and b given by basis position, joined over a join index `index`
+    (`ReducedAlgebra.join_index`'s form); the rows of a are read from
+    `left` when it is given:
 
-        term 1: each stored <b i c>, then each <a o t> for its terms t;
-        term 2: each stored <a i c>, then each <b o t>, with the sign
-                (-1)^(|a||b| + 1) on the coefficient ct of t;
-        term 3: each stored <a i b>, then each <t o c>.
+        term 1: each term ct t of a stored <b i c>, then <a o t>;
+        term 2: each term ct t of a stored <a i c>, then <b o t>;
+        term 3: each term ct t of a stored <a i b>, then <t o c>.
 
-    Each adds k * ct * <. o .> at key position(c) * width + off for each
-    (off, k) in coeffs(term, x, y, i, o), x and y the weight positions of
-    the inner pair.  Returns {key: sum} over the keys a term reached."""
-    pos, wpos = R.index, R.weight_positions[1]
-    ra, rb, out = rows.get(a, {}), rows.get(b, {}), {}
-    for term, x, inner, outer in ((1, b, rb, ra), (2, a, ra, rb)):
-        wx = wpos[x]
-        for c, prods in inner.items():
-            base, wc = pos[c] * width, wpos[c]
-            for i, el in prods:
-                for t, ct in el.items():
-                    oels = outer.get(t)
-                    if oels and term == 2 and not odd:
-                        ct = -ct
-                    for o, oel in oels or ():
-                        for off, k in coeffs(term, wx, wc, i, o):
-                            el_add_into(out.setdefault(base + off, {}), oel,
-                                        k * ct)
-    wa, wb = wpos[a], wpos[b]
-    for i, el in ra.get(b, ()):
-        for t, ct in el.items():
-            for c, prods in rows.get(t, {}).items():
-                base = pos[c] * width
-                for o, oel in prods:
-                    for off, k in coeffs(3, wa, wb, i, o):
-                        el_add_into(out.setdefault(base + off, {}), oel,
-                                    k * ct)
+    Each term v u of the outer product adds k ct v u at key position(c) *
+    width + off for each (off, k) in coeffs(term, x, y, i)[o], x and y the
+    weight positions of the inner pair; coeffs gives None for an i with no
+    coefficient at any o.  Term 2 is asked for as term -2 when a and b are
+    not both odd, and its coefficients then carry the sign
+    (-1)^(|a||b| + 1).  The sums are kept in one flat dict keyed key * dim
+    + position(u), where a cancelled sum stays until the end.  Returns
+    {key: whether its sum is nonzero} over every key that a term reached."""
+    wat, dim, acc = R.weight_at, R.dim, {}
+    get = acc.get
+    ra, rb = (index if left is None else left).get(pa, {}), index.get(pb, {})
+    for term, x, inner, outer in ((1, wat[pb], rb, ra),
+                                  (2 if odd else -2, wat[pa], ra, rb)):
+        for pc, prods in inner.items():
+            base, y = pc * width, wat[pc]
+            for i, pt, ct in prods:
+                outs = outer.get(pt)
+                lists = outs and coeffs(term, x, y, i)
+                for o, pu, v in outs if lists else ():
+                    for off, k in lists[o]:
+                        f = ct if k is ONE else k * ct
+                        q = (base + off) * dim + pu
+                        v_f = v if f is ONE else v * f
+                        s = get(q)
+                        acc[q] = v_f if s is None else s + v_f
+    wa, wb = wat[pa], wat[pb]
+    for i, pt, ct in ra.get(pb, ()):
+        lists = coeffs(3, wa, wb, i)
+        for pc, prods in index.get(pt, {}).items() if lists else ():
+            base = pc * width
+            for o, pu, v in prods:
+                for off, k in lists[o]:
+                    f = ct if k is ONE else k * ct
+                    q = (base + off) * dim + pu
+                    v_f = v if f is ONE else v * f
+                    s = get(q)
+                    acc[q] = v_f if s is None else s + v_f
+    out = {}
+    for q, s in acc.items():
+        if s:
+            out[q // dim] = True
+        else:
+            out.setdefault(q // dim, False)
     return out
 
 
@@ -502,9 +543,10 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     and the conformal-vector conditions, over all basis triples.
 
     The quadratic identity is joined one pair (a, b) at a time by `_join`
-    over `R._rows`, instance (c, m, n) at key (position(c) * (m_max + 1) +
-    m) * (n_max + 1) + n; an instance no term reaches holds unvisited, so
-    the cost does not grow with the bounds.  Failures come in key order,
+    over `R.join_index`, instance (c, m, n) at key (position(c) * (m_max +
+    1) + m) * (n_max + 1) + n.  An instance no term reaches holds
+    unvisited, so the cost does not grow with the bounds, and only the
+    reached keys whose sum is nonzero fail.  Failures come in key order,
     that of the full loop over a, b, c, m, n.  `checked` counts the
     instances of that loop, all of them or those up to a stop: the failure
     that fills the Report or, for a Report full before the identity, the
@@ -523,7 +565,8 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
 
     # skew symmetry; the identity holds for (n, a, b) exactly when it holds
     # for (n, b, a), so the stored products find every failing pair
-    rep.checked += (R.max_n() + 1) * R.dim ** 2
+    top = R.max_n()
+    rep.checked += (top + 1) * R.dim ** 2
     bad = {(n, a, b) for n, table in R._by_n.items()
            for a, b in _graded_asymmetric(table, n + 1, par)}
     for n, a, b in sorted(bad, key=lambda k: (k[0], idx[k[1]], idx[k[2]])):
@@ -551,14 +594,14 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     if rep.full:
         rep.checked += 1
         return rep
-    coeffs = _quadratic_coeffs(R.weight_positions[0], m_max, n_max)
+    coeffs = _quadratic_coeffs(R.weight_positions[0], m_max, n_max, top)
     width = (m_max + 1) * (n_max + 1)
-    grid = rep.checked
-    for a in ids:
-        for b in ids:
-            acc = _join(R._rows, a, b, coeffs, par[a] * par[b], R, width)
-            at = grid + 1 + (idx[a] * R.dim + idx[b]) * R.dim * width
-            for key in sorted(k for k, el in acc.items() if el):
+    index, grid = R.join_index, rep.checked
+    for pa, a in enumerate(ids):
+        for pb, b in enumerate(ids):
+            sums = _join(R, index, pa, pb, coeffs, par[a] * par[b], width)
+            at = grid + 1 + (pa * R.dim + pb) * R.dim * width
+            for key in sorted(k for k, nonzero in sums.items() if nonzero):
                 m, n = divmod(key % width, n_max + 1)
                 if rep.fail("identity fails: a=%s b=%s c=%s m=%d n=%d"
                             % (a, b, ids[key // width], m, n)):
@@ -569,23 +612,26 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
 
 
 @lru_cache(maxsize=None)
-def _g_scalar(wx: Fraction, wy: Fraction, p: int, q: int, j: int) -> Scalar:
-    return Scalar.from_fraction(comb(p, j) * coeff_G(wx, wy, q, j))
+def _g_scalar(wx: Fraction, wy: Fraction, p: int, q: int, j: int,
+              sign: int) -> Scalar:
+    return Scalar.from_fraction(sign * comb(p, j) * coeff_G(wx, wy, q, j))
 
 
 @lru_cache(maxsize=None)
 def _f_scalar(wx: Fraction, wy: Fraction, m: int, n: int, j: int) -> Scalar:
-    return Scalar.from_fraction(coeff_F(wx, wy, m, n, j))
+    return Scalar.from_fraction(-coeff_F(wx, wy, m, n, j))
 
 
-def _quadratic_coeffs(weights: list, m_max: int, n_max: int):
+def _quadratic_coeffs(weights: list, m_max: int, n_max: int, top: int):
     """The coefficients of the quadratic identity as `_join` reads them:
-    coeffs(term, x, y, i, o) lists the (m * (n_max + 1) + n, k) over the
-    (m, n) in bounds that the product indices (i, o) reach, with k != 0,
-    x and y being positions in `weights`:
+    coeffs(term, x, y, i)[o], for o <= top, lists the (m * (n_max + 1) +
+    n, k) over the (m, n) in bounds that the product indices (i, o) reach,
+    with k != 0, x and y being positions in `weights`; it is None when no
+    o has one:
 
         term 1 at m = o + j, n = i - j:  k = C(m, j) coeff_G(wb, wc, n, j);
-        term 2 at m = i - j, n = o + j:  k = C(n, j) coeff_G(wa, wc, m, j);
+        term 2 at m = i - j, n = o + j:  k = C(n, j) coeff_G(wa, wc, m, j),
+                                         and -k as term -2;
         term 3 at m + n = i + o:         k = -coeff_F(wa, wb, m, n, i).
 
     Lists are made on first use, from Scalars that `_g_scalar` and
@@ -593,33 +639,42 @@ def _quadratic_coeffs(weights: list, m_max: int, n_max: int):
     are visited, whatever the bounds."""
     w = n_max + 1
 
-    @lru_cache(maxsize=None)
-    def coeffs(term, x, y, i, o):
-        wx, wy = weights[x], weights[y]
+    def pairs(term, wx, wy, i, o):
         if term == 3:
             s = i + o
-            return tuple((m * w + s - m, -k)
+            return tuple((m * w + s - m, k)
                          for m in range(max(0, s - n_max), min(m_max, s) + 1)
                          if (k := _f_scalar(wx, wy, m, s - m, i)))
         pmax, qmax = (m_max, n_max) if term == 1 else (n_max, m_max)
         out = []
         for j in range(max(0, i - qmax), min(i, pmax - o) + 1):
             p, q = o + j, i - j
-            if k := _g_scalar(wx, wy, p, q, j):
+            if k := _g_scalar(wx, wy, p, q, j, -1 if term < 0 else 1):
                 out.append((p * w + q if term == 1 else q * w + p, k))
         return tuple(out)
 
+    @lru_cache(maxsize=None)
+    def coeffs(term, x, y, i):
+        lists = tuple(pairs(term, weights[x], weights[y], i, o)
+                      for o in range(top + 1))
+        return lists if any(lists) else None
+
     return coeffs
+
+
+def gate_bound(R: ReducedAlgebra) -> int:
+    """The bound b of the gate's P(b,b): 2 max_n, at least 2 and at most
+    MAX_N.  Past m + n = 2 max_n every P instance is vacuous, so P(2,2) is
+    complete on a physical table (max_n 1), and a table with a stored n
+    above MAX_N / 2 is checked to MAX_N only."""
+    return min(max(2, 2 * R.max_n()), MAX_N)
 
 
 def require_axioms(R: ReducedAlgebra, exc_type, prefix: str) -> None:
     """The one gate between a table and a verdict: raise
     exc_type(prefix + summary of the failing Report) unless R passes
-    P(b,b), and then H when R has physical shape.  b = 2 max_n, at least 2
-    and at most MAX_N: past m + n = 2 max_n every P instance is vacuous, so
-    P(2,2) is complete on a physical table (max_n 1), and a table with a
-    stored n above MAX_N / 2 is checked to MAX_N only."""
-    b = min(max(2, 2 * R.max_n()), MAX_N)
+    P(b,b), b = `gate_bound(R)`, and then H when R has physical shape."""
+    b = gate_bound(R)
     rep = check_P_axioms(R, b, b)
     if rep.ok and is_physical_shape(R):
         rep = check_H_axioms(R)
@@ -640,23 +695,26 @@ def is_physical_shape(R: ReducedAlgebra) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _derived_coeffs(term, x, y, i, o) -> tuple:
-    """`_join`'s coefficients of a o (b o c) - (a o b) o c on the o table,
-    index f = 0, and a . (b . c) - (-1)^(|a||b|) b . (a . c) - (a . b) . c
-    on the . table, f = 1, at key offset f."""
-    if term == 2 and i == 0:
-        return ()
-    return ((i, MINUS_ONE if term == 3 else ONE),)
+def _derived_coeffs(term, x, y, i):
+    """`_join`'s coefficients of a o (b o c) - (a o b) o c on the o index,
+    whose products carry the index f = 0, and of a . (b . c) -
+    (-1)^(|a||b|) b . (a . c) - (a . b) . c on the . index, f = 1, at key
+    offset f; the o identity has no term 2."""
+    if abs(term) == 2 and i == 0:
+        return None
+    k = MINUS_ONE if term in (-2, 3) else ONE
+    return (((0, k),), ()) if i == 0 else ((), ((1, k),))
 
 
 @lru_cache(maxsize=None)
-def _derivation_coeffs(term, x, y, i, o) -> tuple:
+def _derivation_coeffs(term, x, y, i):
     """`_join`'s coefficients of a . (x o y) - x o (a . y) - (a . x) o y on
-    the pair (a, x), over the o (index 0) and . (index 1) tables indexed
-    as one; for an even a, `_join` gives the second term its minus sign."""
-    if (i, o) != ((0, 1) if term == 1 else (1, 0)):
-        return ()
-    return ((0, MINUS_ONE if term == 3 else ONE),)
+    the pair (a, x), a of weight 1 and so even: a's rows are read from the
+    . index (index 1) and all others from the o index (index 0), so every
+    path has its coefficient.  Term 1 reaches a row of a's, terms -2 and 3
+    an o row."""
+    k = MINUS_ONE if term in (-2, 3) else ONE
+    return ((), ((0, k),)) if term == 1 else (((0, k),), ())
 
 
 def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
@@ -665,15 +723,17 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     the Leibniz rules and the Clifford-square law.
 
     o-associativity and the .-Jacobi identity are joined by `_join` one
-    pair (a, b) at a time, over the o and the . table, the triple (a, b, c)
-    at keys 2 * position(c) + f, f = 0 for o and 1 for .; the derivation
-    law one pair (a, x) at a time, keyed by y.  A triple no term reaches
-    holds unvisited.  Failures come in the order of the full loops, and
-    H stops at the failure that fills the Report in any section: `checked`
-    counts the instances of the full loops, all of them or those up to
-    that one, and a Report full before the triples stops at the first
-    one.  Graded symmetry visits only the stored o and . pairs, each
-    against its swap, and counts all dim**2."""
+    pair (a, b) at a time, over join indexes of the o and the . table, the
+    triple (a, b, c) at keys 2 * position(c) + f, f = 0 for o and 1 for .;
+    the derivation law one pair (a, x) at a time over the same two
+    indexes, keyed by position(y).  A triple no term reaches holds
+    unvisited, and only the reached keys whose sum is nonzero fail.
+    Failures come in the order of the full loops, and H stops at the
+    failure that fills the Report in any section: `checked` counts the
+    instances of the full loops, all of them or those up to that one, and
+    a Report full before the triples stops at the first one.  Graded
+    symmetry visits only the stored o and . pairs, each against its swap,
+    and counts all dim**2."""
     rep = Report(max_failures=max_failures)
     if not is_physical_shape(R):
         rep.fail("not of physical shape "
@@ -718,17 +778,17 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     if rep.full:
         rep.checked += 1
         return rep
-    tables = list(enumerate((C, B)))
-    rows = [_rows(((f, x, y), el) for (x, y), el in table.items())
-            for f, table in tables]
+    circ, dot = (_join_index((((f, x, y), el)
+                              for (x, y), el in table.items()), idx)
+                 for f, table in enumerate((C, B)))
     grid = rep.checked
-    for a in ids:
-        for b in ids:
+    for pa, a in enumerate(ids):
+        for pb, b in enumerate(ids):
             odd = par[a] * par[b]
-            acc = _join(rows[0], a, b, _derived_coeffs, odd, R, 2)
-            acc.update(_join(rows[1], a, b, _derived_coeffs, odd, R, 2))
-            at = grid + 1 + (idx[a] * R.dim + idx[b]) * R.dim
-            for key in sorted(k for k, el in acc.items() if el):
+            sums = _join(R, circ, pa, pb, _derived_coeffs, odd, 2)
+            sums.update(_join(R, dot, pa, pb, _derived_coeffs, odd, 2))
+            at = grid + 1 + (pa * R.dim + pb) * R.dim
+            for key in sorted(k for k, nonzero in sums.items() if nonzero):
                 rep.fail("%s fails: %s,%s,%s" % (
                     ("o-associativity", ".-Jacobi")[key % 2], a, b,
                     ids[key // 2]))
@@ -741,14 +801,12 @@ def check_H_axioms(R: ReducedAlgebra, max_failures: int = 20) -> Report:
     # pair (a, x) at a time
     grid = rep.checked
     rep.checked += len(A) * R.dim ** 2
-    both = _rows(((f, x, y), el) for f, table in tables
-                 for (x, y), el in table.items())
     for ia, a in enumerate(A):
-        for x in ids:
-            acc = _join(both, a, x, _derivation_coeffs, par[a] * par[x],
-                        R, 1)
-            at = grid + 1 + (ia * R.dim + idx[x]) * R.dim
-            for key in sorted(k for k, el in acc.items() if el):
+        for px, x in enumerate(ids):
+            sums = _join(R, circ, idx[a], px, _derivation_coeffs,
+                         par[a] * par[x], 1, left=dot)
+            at = grid + 1 + (ia * R.dim + px) * R.dim
+            for key in sorted(k for k, nonzero in sums.items() if nonzero):
                 if rep.fail("derivation law fails: %s on %s o %s"
                             % (a, x, ids[key])):
                     rep.checked = at + key

@@ -14,7 +14,7 @@ import sys
 from .scalars import parse as parse_scalar
 from .algebra import (ReducedAlgebra, check_bounds, check_P_axioms,
                       check_H_axioms, is_simple, is_physical_shape,
-                      require_axioms)
+                      gate_bound, require_axioms)
 from .construct import (InconsistentSpec, UnderdeterminedSpec,
                         exclusion_sweep)
 from .reconstruct import check_C_axioms
@@ -73,10 +73,15 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _given(bound, default: int) -> int:
+    return default if bound is None else bound
+
+
 def cmd_verify(args) -> int:
     try:
-        check_bounds({"--" + flag: getattr(args, flag)
-                      for flag in ("mmax", "nmax", "dmax")})
+        check_bounds({"--" + flag: value
+                      for flag in ("mmax", "nmax", "dmax")
+                      if (value := getattr(args, flag)) is not None})
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc))
     R = _load_algebra(args.path)
@@ -89,15 +94,19 @@ def cmd_verify(args) -> int:
     reports = {}
     for a in axioms:
         if a == "P":
-            reports["P"] = check_P_axioms(R, args.mmax, args.nmax)
+            # an unset P bound is the gate's, at least 4: P(4,4) would pass
+            # a table whose identity first fails past m + n = 8
+            b = max(4, gate_bound(R))
+            reports["P"] = check_P_axioms(R, _given(args.mmax, b),
+                                          _given(args.nmax, b))
         elif a == "H":
             if not is_physical_shape(R):
                 raise CliError(EXIT_INPUT,
                                "H axioms need a physical algebra")
             reports["H"] = check_H_axioms(R)
         else:
-            reports["C"] = check_C_axioms(R, args.mmax, args.nmax,
-                                          args.dmax)
+            reports["C"] = check_C_axioms(R, _given(args.mmax, 4),
+                                          _given(args.nmax, 4), args.dmax)
     ok = all(r.ok for r in reports.values())
     doc = {a: {"ok": r.ok, "checked": r.checked, "failures": r.failures}
            for a, r in reports.items()}
@@ -241,8 +250,8 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check axioms of an algebra file")
     sp.add_argument("path")
     sp.add_argument("--axioms", default="P,H")
-    sp.add_argument("--mmax", type=int, default=4)
-    sp.add_argument("--nmax", type=int, default=4)
+    sp.add_argument("--mmax", type=int)
+    sp.add_argument("--nmax", type=int)
     sp.add_argument("--dmax", type=int, default=4)
     add_format(sp)
     sp.set_defaults(func=cmd_verify)

@@ -3,10 +3,12 @@ sparse row echelon form.
 
 A sparse element is a dict {key: Scalar} that never stores a zero value;
 `el_add_into` and `el_scale` keep that invariant, and every accumulation of
-sparse elements goes through them, but for one copy of `el_add_into`'s
-loop, inlined for speed in `reconstruct._add_into` (out += c d^(j) x on
-flat elements, through which every monomial product is formed from the
-table and added into a sum) and keeping the same invariant.  Scalars are
+sparse elements goes through them, but for two loops inlined for speed.
+`reconstruct._add_into` (out += c d^(j) x on flat elements, through which
+every monomial product is formed from the table and added into a sum)
+keeps the same invariant.  `algebra._join`'s flat accumulator does not: it
+keeps a sum that cancels to zero until the end, where it only asks which
+sums are nonzero, and it never hands its dict on as an element.  Scalars are
 canonical, so two sparse elements are equal exactly when the dicts are
 `==`, and an element is zero exactly when the dict is empty.
 

@@ -364,6 +364,8 @@ def _seeded_table(rng):
 def _reference_cases(case):
     if case == "not skew":
         return [_not_skew()]
+    if case == "w6 table":
+        return [_w6_table()]
     if case == "seeded tables":
         rng = random.Random(20)
         return [_seeded_table(rng) for _ in range(50)]
@@ -495,11 +497,13 @@ def _reference_P(R, m_max, n_max):
 
 
 def _P_join(R, m_max, n_max, a, b) -> dict:
-    """check_P_axioms' join on the pair (a, b): {key: sum} over the keys
-    (position(c) * (m_max + 1) + m) * (n_max + 1) + n it reaches."""
-    coeffs = algebra._quadratic_coeffs(R.weight_positions[0], m_max, n_max)
-    return algebra._join(R._rows, a, b, coeffs, R.parity(a) * R.parity(b),
-                         R, (m_max + 1) * (n_max + 1))
+    """check_P_axioms' join on the pair (a, b): {key: whether its sum is
+    nonzero} over the keys (position(c) * (m_max + 1) + m) * (n_max + 1) +
+    n it reaches."""
+    coeffs = algebra._quadratic_coeffs(R.weight_positions[0], m_max, n_max,
+                                       R.max_n())
+    return algebra._join(R, R.join_index, R.index[a], R.index[b], coeffs,
+                         R.parity(a) * R.parity(b), (m_max + 1) * (n_max + 1))
 
 
 def _live_thirds(R, a, b, m_max=2, n_max=2) -> set:
@@ -510,17 +514,20 @@ def _live_thirds(R, a, b, m_max=2, n_max=2) -> set:
 
 
 @pytest.mark.parametrize("case", catalog.NAMES + (
-    "K2 mutants", "K3 mutants", "S2 mutants", "not skew"))
+    "K2 mutants", "K3 mutants", "S2 mutants", "not skew", "seeded tables",
+    "w6 table"))
 def test_live_thirds_hold_every_nonzero_term(case):
     """P and H visit only the instances their joins reach: for P the live
     thirds c of each pair (a, b) at the (m, n) reached, for H the triples
     of o-associativity and the .-Jacobi identity and the (a, x, y) of the
     derivation law.  That is sound only if no term of those identities is
-    nonzero at any other instance."""
+    nonzero at any other instance.  P is joined at (2, 2), (1, 3) and the
+    gate's bound."""
     for R in _reference_cases(case):
         ids = [b.id for b in R.basis]
         pair = _pair_products(R)
-        for m_max, n_max in ((2, 2), (1, 3)):
+        bound = algebra.gate_bound(R)
+        for m_max, n_max in ((2, 2), (1, 3), (bound, bound)):
             width = (m_max + 1) * (n_max + 1)
             for a in ids:
                 for b in ids:
@@ -534,22 +541,19 @@ def test_live_thirds_hold_every_nonzero_term(case):
                             R, pair, a, b, c, m, n)[1], (case, a, b, c, m, n)
         if not is_physical_shape(R):
             continue
-        C, B = R.circ_table, R.bullet_table
-        rows = [algebra._rows(((f, x, y), el) for (x, y), el in table.items())
-                for f, table in enumerate((C, B))]
-        both = algebra._rows(((f, x, y), el)
-                             for f, table in enumerate((C, B))
-                             for (x, y), el in table.items())
+        circ, dot = (algebra._join_index(
+            (((f, x, y), el) for (x, y), el in table.items()), R.index)
+            for f, table in enumerate((R.circ_table, R.bullet_table)))
         e = {x: R.basis_element(x) for x in ids}
         o = {(x, y): R.circ(e[x], e[y]) for x in ids for y in ids}
         d = {(x, y): R.bullet(e[x], e[y]) for x in ids for y in ids}
-        for a in ids:
-            for b in ids:
+        for pa, a in enumerate(ids):
+            for pb, b in enumerate(ids):
                 odd = R.parity(a) * R.parity(b)
                 reached = set()
-                for f in (0, 1):
+                for index in (circ, dot):
                     reached.update(algebra._join(
-                        rows[f], a, b, algebra._derived_coeffs, odd, R, 2))
+                        R, index, pa, pb, algebra._derived_coeffs, odd, 2))
                 for ic, c in enumerate(ids):
                     if 2 * ic not in reached:
                         assert not R.circ(e[a], o[b, c]) and \
@@ -559,9 +563,11 @@ def test_live_thirds_hold_every_nonzero_term(case):
                             not R.bullet(e[b], d[a, c]) and \
                             not R.bullet(d[a, b], e[c]), (case, a, b, c)
         for a in R.space(Fraction(1)):
-            for x in ids:
-                reached = algebra._join(both, a, x, algebra._derivation_coeffs,
-                                        R.parity(a) * R.parity(x), R, 1)
+            for px, x in enumerate(ids):
+                reached = algebra._join(R, circ, R.index[a], px,
+                                        algebra._derivation_coeffs,
+                                        R.parity(a) * R.parity(x), 1,
+                                        left=dot)
                 for iy, y in enumerate(ids):
                     if iy not in reached:
                         assert not R.bullet(e[a], o[x, y]) and \
@@ -773,25 +779,25 @@ def test_w6_table_P_reports_are_pinned():
 
 def test_P_work_does_not_grow_with_the_bounds(monkeypatch):
     """CK6 stores n <= 1, so the joins reach no instance beyond m, n <= 2:
-    from P(2,2) to P(64,64) they join the same products and add the same
-    terms, and every instance is counted."""
-    joins, adds = [], []
-    real_coeffs, real_add = algebra._quadratic_coeffs, algebra.el_add_into
+    from P(2,2) to P(64,64) they join the same products and make the same
+    scalar products, and every instance is counted."""
+    joins, muls = [], []
+    real_coeffs, real_mul = algebra._quadratic_coeffs, Scalar.__mul__
 
     def counting_coeffs(*args):
         coeffs = real_coeffs(*args)
         return lambda *key: joins.append(key) or coeffs(*key)
 
     monkeypatch.setattr(algebra, "_quadratic_coeffs", counting_coeffs)
-    monkeypatch.setattr(algebra, "el_add_into",
-                        lambda *args: adds.append(1) or real_add(*args))
+    monkeypatch.setattr(Scalar, "__mul__",
+                        lambda x, y: muls.append(1) or real_mul(x, y))
     ck6, work = catalog.build("CK6"), []
     for bound in (2, 4, 64):
-        del joins[:], adds[:]
+        del joins[:], muls[:]
         rep = check_P_axioms(ck6, bound, bound)
         assert rep.ok and rep.checked == check_well_formed(ck6).checked + \
             2 * 32 ** 2 + 33 + 32 ** 3 * (bound + 1) ** 2
-        work.append((len(joins), len(adds)))
+        work.append((len(joins), len(muls)))
     assert work[0] == work[1] == work[2] and min(work[0]) > 0
 
 

@@ -464,6 +464,29 @@ def test_table_failing_P_at_its_stored_degree_gets_no_verdict(tmp_path,
                           "  identity fails: a=L b=W c=W m=3 n=7\n" % path)
 
 
+def test_verify_P_defaults_to_the_gate_bound(tmp_path, capsys):
+    """An unset --mmax or --nmax runs P at the gate's bound when that is
+    above 4: the w = 6 table passes P(4,4) but fails P(18,18), and a
+    physical table (gate bound 2) keeps P(4,4)."""
+    path = tmp_path / "w6.json"
+    path.write_text(_w6_table().to_json())
+    code, out, _ = run(capsys, "verify", str(path), "--axioms", "P")
+    assert code == 1
+    assert out.startswith("P: FAILED (2278 instances checked, 20 failures)\n"
+                          "  identity fails: a=L b=W c=W m=3 n=7\n")
+    assert run(capsys, "verify", str(path), "--axioms", "P",
+               "--mmax", "4", "--nmax", "4")[:2] == (
+        0, "P: ok (247 instances checked)\n")
+    code, out, _ = run(capsys, "verify", str(path), "--axioms", "P",
+                       "--mmax", "4")
+    assert code == 1 and "m=4 n=6" in out
+    k2 = tmp_path / "k2.json"
+    k2.write_text(catalog.build("K2").to_json())
+    assert run(capsys, "verify", str(k2), "--axioms", "P") == run(
+        capsys, "verify", str(k2), "--axioms", "P", "--mmax", "4",
+        "--nmax", "4")
+
+
 SEEDS = {name: catalog.build(name).to_json() for name in ("Vir", "K1")}
 LITERAL = st.text(alphabet="0123456789ia()+-*/^ ", max_size=24)
 JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
