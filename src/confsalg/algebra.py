@@ -129,8 +129,9 @@ def physical_basis(vnames, na: int, nf: int) -> list:
             + [BasisVector("F%d" % k, W_F, 1) for k in range(1, nf + 1)])
 
 
-# Largest product index a table may store.  The checkers loop over every n
-# up to the largest stored one; the catalog tables stop at n = 1.
+# Largest checker bound.  A table may store n up to MAX_N // 2, so that P's
+# complete bound, twice the largest stored n, is one the checkers accept;
+# the catalog tables stop at n = 1.
 MAX_N = 64
 
 
@@ -220,9 +221,9 @@ class ReducedAlgebra:
         index = self.index
         if products:
             for (n, a, b), el in products.items():
-                if not 0 <= n <= MAX_N:
+                if not 0 <= n <= MAX_N // 2:
                     raise ValueError("product <%s %d %s>: n outside 0..%d"
-                                     % (a, n, b, MAX_N))
+                                     % (a, n, b, MAX_N // 2))
                 if not (a in index and b in index
                         and el.keys() <= index.keys()):
                     unknown = [x for x in (a, b, *el) if x not in index]
@@ -537,10 +538,13 @@ def _join(R, index: dict, pa: int, pb: int, coeffs, odd: int, width: int,
     return out
 
 
-def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
+def check_P_axioms(R: ReducedAlgebra, m_max: int | None = None,
+                   n_max: int | None = None,
                    max_failures: int = 20) -> Report:
     """Skew symmetry, the quadratic identity for m <= m_max and n <= n_max,
-    and the conformal-vector conditions, over all basis triples.
+    and the conformal-vector conditions, over all basis triples.  An unset
+    bound is the complete one, 2 max_n and at least 2: past m + n = 2
+    max_n every instance of the identity is vacuous.
 
     The quadratic identity is joined one pair (a, b) at a time by `_join`
     over `R.join_index`, instance (c, m, n) at key (position(c) * (m_max +
@@ -557,6 +561,9 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
     and reports the failing pairs in the order (n, a, b) of the full loop;
     a pair with no stored product either way holds and is counted as
     checked without being visited."""
+    top = R.max_n()
+    m_max = max(2, 2 * top) if m_max is None else m_max
+    n_max = max(2, 2 * top) if n_max is None else n_max
     check_bounds({"m_max": m_max, "n_max": n_max})
     rep = check_well_formed(R, max_failures)
     ids = [b.id for b in R.basis]
@@ -565,7 +572,6 @@ def check_P_axioms(R: ReducedAlgebra, m_max: int = 4, n_max: int = 4,
 
     # skew symmetry; the identity holds for (n, a, b) exactly when it holds
     # for (n, b, a), so the stored products find every failing pair
-    top = R.max_n()
     rep.checked += (top + 1) * R.dim ** 2
     bad = {(n, a, b) for n, table in R._by_n.items()
            for a, b in _graded_asymmetric(table, n + 1, par)}
@@ -662,20 +668,11 @@ def _quadratic_coeffs(weights: list, m_max: int, n_max: int, top: int):
     return coeffs
 
 
-def gate_bound(R: ReducedAlgebra) -> int:
-    """The bound b of the gate's P(b,b): 2 max_n, at least 2 and at most
-    MAX_N.  Past m + n = 2 max_n every P instance is vacuous, so P(2,2) is
-    complete on a physical table (max_n 1), and a table with a stored n
-    above MAX_N / 2 is checked to MAX_N only."""
-    return min(max(2, 2 * R.max_n()), MAX_N)
-
-
 def require_axioms(R: ReducedAlgebra, exc_type, prefix: str) -> None:
     """The one gate between a table and a verdict: raise
     exc_type(prefix + summary of the failing Report) unless R passes
-    P(b,b), b = `gate_bound(R)`, and then H when R has physical shape."""
-    b = gate_bound(R)
-    rep = check_P_axioms(R, b, b)
+    P at its complete bounds, and then H when R has physical shape."""
+    rep = check_P_axioms(R)
     if rep.ok and is_physical_shape(R):
         rep = check_H_axioms(R)
     if not rep.ok:

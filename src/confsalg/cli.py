@@ -14,7 +14,7 @@ import sys
 from .scalars import parse as parse_scalar
 from .algebra import (ReducedAlgebra, check_bounds, check_P_axioms,
                       check_H_axioms, is_simple, is_physical_shape,
-                      gate_bound, require_axioms)
+                      require_axioms)
 from .construct import (InconsistentSpec, UnderdeterminedSpec,
                         exclusion_sweep)
 from .reconstruct import check_C_axioms
@@ -94,11 +94,7 @@ def cmd_verify(args) -> int:
     reports = {}
     for a in axioms:
         if a == "P":
-            # an unset P bound is the gate's, at least 4: P(4,4) would pass
-            # a table whose identity first fails past m + n = 8
-            b = max(4, gate_bound(R))
-            reports["P"] = check_P_axioms(R, _given(args.mmax, b),
-                                          _given(args.nmax, b))
+            reports["P"] = check_P_axioms(R, args.mmax, args.nmax)
         elif a == "H":
             if not is_physical_shape(R):
                 raise CliError(EXIT_INPUT,

@@ -7,6 +7,7 @@ from functools import lru_cache, partial
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confsalg.scalars import Scalar, ZERO, ONE, IMAG, ALPHA
 from confsalg.algebra import (coeff_G, coeff_F, BasisVector, ReducedAlgebra,
@@ -521,12 +522,12 @@ def test_live_thirds_hold_every_nonzero_term(case):
     thirds c of each pair (a, b) at the (m, n) reached, for H the triples
     of o-associativity and the .-Jacobi identity and the (a, x, y) of the
     derivation law.  That is sound only if no term of those identities is
-    nonzero at any other instance.  P is joined at (2, 2), (1, 3) and the
-    gate's bound."""
+    nonzero at any other instance.  P is joined at (2, 2), (1, 3) and its
+    complete bound."""
     for R in _reference_cases(case):
         ids = [b.id for b in R.basis]
         pair = _pair_products(R)
-        bound = algebra.gate_bound(R)
+        bound = max(2, 2 * R.max_n())
         for m_max, n_max in ((2, 2), (1, 3), (bound, bound)):
             width = (m_max + 1) * (n_max + 1)
             for a in ids:
@@ -754,15 +755,22 @@ def test_H_stops_once_full_after_the_triples(args, first, checked):
     assert check_H_axioms(R, max_failures=10 ** 6).checked > checked
 
 
-def _w6_table():
-    """L of weight 2 and an even W of weight 6, with <L 1 L> = 2L,
-    <L 1 W> = <W 1 L> = 6W and <W 9 W> = L."""
-    six = Scalar.from_int(6)
+def _w_table(weight: Fraction, n: int):
+    """L of weight 2 and a W of the given weight, odd when that is
+    half-integral, with <L 1 L> = 2L, <L 1 W> = <W 1 L> = weight * W and
+    <W n W> = L."""
+    w = Scalar.from_fraction(weight)
     return ReducedAlgebra(
-        [BasisVector("L", Fraction(2), 0), BasisVector("W", Fraction(6), 0)],
+        [BasisVector("L", Fraction(2), 0),
+         BasisVector("W", weight, weight.denominator - 1)],
         "L", {(1, "L", "L"): {"L": Scalar.from_int(2)},
-              (1, "L", "W"): {"W": six}, (1, "W", "L"): {"W": six},
-              (9, "W", "W"): {"L": ONE}})
+              (1, "L", "W"): {"W": w}, (1, "W", "L"): {"W": w},
+              (n, "W", "W"): {"L": ONE}})
+
+
+def _w6_table():
+    """An even W of weight 6 with <W 9 W> = L."""
+    return _w_table(Fraction(6), 9)
 
 
 def test_w6_table_P_reports_are_pinned():
@@ -1074,6 +1082,53 @@ def test_gate_runs_P_to_twice_the_largest_stored_n():
     assert str(info.value).startswith(
         "w6: FAILED (2278 instances checked, 20 failures)\n"
         "  identity fails: a=L b=W c=W m=3 n=7\n")
+
+
+def test_a_stored_n_is_capped_at_32():
+    """A table may store n up to 32, so P's complete bound, twice the
+    largest stored n, is at most 64, the largest the checkers accept: on an
+    odd W of weight 35/2 with <W 32 W> = L, P at its unset bounds is
+    P(64,64), and the gate refuses the table."""
+    with pytest.raises(ValueError, match=r"<W 33 W>: n outside 0\.\.32$"):
+        _w_table(35 * H, 33)
+    R = _w_table(35 * H, 32)
+    unset, at_64 = check_P_axioms(R), check_P_axioms(R, 64, 64)
+    assert (unset.ok, unset.checked, unset.failures) == (
+        at_64.ok, at_64.checked, at_64.failures)
+    with pytest.raises(Rejected) as info:
+        require_axioms(R, Rejected, "w32: ")
+    assert str(info.value).startswith(
+        "w32: FAILED (14256 instances checked, 20 failures)\n"
+        "  identity fails: a=L b=W c=W m=3 n=30\n")
+
+
+def _assert_complete_at_twice_the_stored_n(R):
+    """Past b = 2 max_n (at least 2) no instance of P, or of C at d_max =
+    0, can fail: P at its unset bounds and C(b, b, 0) give the failures
+    that they give at b + 2."""
+    b, cap = max(2, 2 * R.max_n()), 10 ** 6
+
+    def outcome(rep):
+        return rep.ok, rep.failures
+
+    assert outcome(check_P_axioms(R, max_failures=cap)) == outcome(
+        check_P_axioms(R, b + 2, b + 2, cap))
+    assert outcome(check_C_axioms(R, b, b, 0, cap)) == outcome(
+        check_C_axioms(R, b + 2, b + 2, 0, cap))
+
+
+@pytest.mark.parametrize("case", (
+    "Vir", "K1", "K2", "K3", "S2", "W2", "w6 table"))
+def test_P_and_C_at_d_max_0_are_complete_at_twice_the_stored_n(case):
+    for R in _reference_cases(case):
+        _assert_complete_at_twice_the_stored_n(R)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_P_and_C_at_d_max_0_are_complete_on_seeded_tables(seed):
+    """Most seeded tables fail, so the failure lists compared are real."""
+    _assert_complete_at_twice_the_stored_n(_seeded_table(random.Random(seed)))
 
 
 def test_gate_raises_the_given_type_with_the_prefix():

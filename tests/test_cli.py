@@ -464,10 +464,30 @@ def test_table_failing_P_at_its_stored_degree_gets_no_verdict(tmp_path,
                           "  identity fails: a=L b=W c=W m=3 n=7\n" % path)
 
 
-def test_verify_P_defaults_to_the_gate_bound(tmp_path, capsys):
-    """An unset --mmax or --nmax runs P at the gate's bound when that is
-    above 4: the w = 6 table passes P(4,4) but fails P(18,18), and a
-    physical table (gate bound 2) keeps P(4,4)."""
+def test_a_stored_n_above_32_is_an_input_error(tmp_path, capsys):
+    """<W 33 W> is refused on load; <W 32 W> loads, and the gate's P(64,64)
+    refuses it."""
+    def doc(n):
+        return json.dumps(_table_doc({"L": "2", "W": "35/2"},
+                                     [(n, "W", "W", {"L": "1"})]))
+    w33, w32 = tmp_path / "w33.json", tmp_path / "w32.json"
+    w33.write_text(doc(33))
+    w32.write_text(doc(32))
+    code, out, err = run(capsys, "verify", str(w33))
+    assert code == 2 and out == ""
+    assert err == ("error: cannot parse %s: product <W 33 W>: n outside "
+                   "0..32\n" % w33)
+    code, out, err = run(capsys, "simplicity", str(w32))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s is not a conformal superalgebra: "
+                          "FAILED (14256 instances checked, 20 failures)\n"
+                          "  identity fails: a=L b=W c=W m=3 n=30\n" % w32)
+
+
+def test_verify_P_defaults_to_its_complete_bound(tmp_path, capsys):
+    """An unset --mmax or --nmax runs P at its complete bound, twice the
+    largest stored n and at least 2: the w = 6 table passes P(4,4) but
+    fails P(18,18), and a physical table runs P(2,2)."""
     path = tmp_path / "w6.json"
     path.write_text(_w6_table().to_json())
     code, out, _ = run(capsys, "verify", str(path), "--axioms", "P")
@@ -483,8 +503,8 @@ def test_verify_P_defaults_to_the_gate_bound(tmp_path, capsys):
     k2 = tmp_path / "k2.json"
     k2.write_text(catalog.build("K2").to_json())
     assert run(capsys, "verify", str(k2), "--axioms", "P") == run(
-        capsys, "verify", str(k2), "--axioms", "P", "--mmax", "4",
-        "--nmax", "4")
+        capsys, "verify", str(k2), "--axioms", "P", "--mmax", "2",
+        "--nmax", "2") == (0, "P: ok (628 instances checked)\n", "")
 
 
 SEEDS = {name: catalog.build(name).to_json() for name in ("Vir", "K1")}
