@@ -136,10 +136,10 @@ MAX_N = 64
 
 
 def check_bounds(bounds: dict) -> None:
-    """Raise ValueError unless every named checker bound lies in
-    0..MAX_N."""
+    """Raise ValueError unless every named checker bound that is set lies
+    in 0..MAX_N."""
     for name, value in bounds.items():
-        if not 0 <= value <= MAX_N:
+        if value is not None and not 0 <= value <= MAX_N:
             raise ValueError("%s must lie in 0..%d" % (name, MAX_N))
 
 

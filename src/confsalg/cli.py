@@ -73,15 +73,10 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _given(bound, default: int) -> int:
-    return default if bound is None else bound
-
-
 def cmd_verify(args) -> int:
     try:
-        check_bounds({"--" + flag: value
-                      for flag in ("mmax", "nmax", "dmax")
-                      if (value := getattr(args, flag)) is not None})
+        check_bounds({"--" + flag: getattr(args, flag)
+                      for flag in ("mmax", "nmax", "dmax")})
     except ValueError as exc:
         raise CliError(EXIT_INPUT, str(exc))
     R = _load_algebra(args.path)
@@ -101,8 +96,7 @@ def cmd_verify(args) -> int:
                                "H axioms need a physical algebra")
             reports["H"] = check_H_axioms(R)
         else:
-            reports["C"] = check_C_axioms(R, _given(args.mmax, 4),
-                                          _given(args.nmax, 4), args.dmax)
+            reports["C"] = check_C_axioms(R, args.mmax, args.nmax, args.dmax)
     ok = all(r.ok for r in reports.values())
     doc = {a: {"ok": r.ok, "checked": r.checked, "failures": r.failures}
            for a, r in reports.items()}

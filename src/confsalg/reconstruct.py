@@ -186,7 +186,7 @@ def reconstruct(R: ReducedAlgebra) -> ReconstructedAlgebra:
 # -- axiom checks -----------------------------------------------------------
 
 
-def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
+def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
                    d_max: int = 4, max_failures: int = 20) -> Report:
     """(C1), (C2), (C3) and the conformal-vector operator identities.
 
@@ -198,7 +198,9 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     as checked without being visited.  Below N is `R.max_n()` and
     reach[a][b] the largest m of a stored a_(m) b.  a_(m) b has d-degree at
     most N - m, and (d^(k) a)_(m) d^(l) b is zero unless k <= m <= k + l +
-    reach[a][b].
+    reach[a][b].  So (C1) is live only at n <= N + 1, (C2) at n <= N +
+    2 d_max and (C3) at m + n <= 2N + d_max (below), and an unset m_max or
+    n_max is their complete bound, b = 2 (N + d_max) and at least 2.
 
     (C1) runs over all basis pairs; both sides vanish unless a_(n-1) b is
     stored, at 1 <= n <= N + 1.  On a basis pair it cannot fail: the
@@ -227,9 +229,10 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
         term 3: each (d^(k) a)_(j) b, then (.)_(s) c, s = m + n - j, for
                 the c its terms reach.
     Each m, n or s runs, per monomial, only where reach lets its product be
-    nonzero.  On basis triples (C3) is live only at m + n <= 2N: term 1
-    needs n <= N and m <= N + deg(b_(n) c) <= 2N - n, term 2 the same with
-    m and n swapped, and term 3 j <= N and s <= N + deg(a_(j) b) <= 2N - j.
+    nonzero.  At a's shift k (C3) is live only at m + n <= 2N + k: term 1
+    needs m <= k + N + deg(b_(n) c) <= k + 2N - n, term 2 n <= N +
+    deg((d^(k) a)_(m) c) <= 2N - m + k, and term 3 s + j <= N + j +
+    deg((d^(k) a)_(j) b) <= 2N + k.
 
     Failures come in the order of the loops over (a, b, c, k, m, n), and
     `checked` counts the instances of those loops up to the failure that
@@ -244,6 +247,8 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     rep = Report(max_failures=max_failures)
     ids, N, table, monomial = RA.ids, RA.N, RA._table, RA.monomial
     top, pL = R.max_n(), RA.pos[R.L]
+    m_max = max(2, 2 * (top + d_max)) if m_max is None else m_max
+    n_max = max(2, 2 * (top + d_max)) if n_max is None else n_max
     # reach[p][q]: the largest m of the stored p_(m) q, for the q with one
     pairs, reach = sorted(table), [{} for _ in ids]
     for pa, pb in pairs:
@@ -320,8 +325,9 @@ def check_C_axioms(RA, m_max: int = 4, n_max: int = 4,
     bcs = [[(pc, n, [(iy, iy // N, iy % N, v) for iy, v in row])
             for pc in reach[pb] for n, row in table[pb, pc].items()
             if n <= n_max] for pb in range(N)]
-    negc = [[_int(-comb(m, j)) for m in range(m_max + 1)]
-            for j in range(m_max + 1)]
+    # negc[j][m] = -C(m, j) for term 3's m, live only up to 2N + d_max
+    live = range(min(m_max, 2 * top + d_max) + 1)
+    negc = [[_int(-comb(m, j)) for m in live] for j in live]
     for pa, a in enumerate(ids):
         K, ra = d_max + 1 if pa == 0 else 1, reach[pa]
         # acs[k]: (pc, m, terms of (d^(k) a)_(m) c) for the nonzero ones

@@ -367,6 +367,8 @@ def _reference_cases(case):
         return [_not_skew()]
     if case == "w6 table":
         return [_w6_table()]
+    if case == "no products":
+        return [ReducedAlgebra([BasisVector("L", Fraction(2), 0)], "L")]
     if case == "seeded tables":
         rng = random.Random(20)
         return [_seeded_table(rng) for _ in range(50)]
@@ -1102,33 +1104,72 @@ def test_a_stored_n_is_capped_at_32():
         "  identity fails: a=L b=W c=W m=3 n=30\n")
 
 
-def _assert_complete_at_twice_the_stored_n(R):
-    """Past b = 2 max_n (at least 2) no instance of P, or of C at d_max =
-    0, can fail: P at its unset bounds and C(b, b, 0) give the failures
-    that they give at b + 2."""
-    b, cap = max(2, 2 * R.max_n()), 10 ** 6
+def _assert_complete_at_the_unset_bounds(R, d):
+    """Past b = 2 (max_n + d), at least 2, no instance of C at d_max = d
+    can fail, nor, at d = 0, any of P: at their unset bounds they give the
+    failures that they give at b + 2."""
+    b, cap = max(2, 2 * (R.max_n() + d)), 10 ** 6
 
     def outcome(rep):
         return rep.ok, rep.failures
 
-    assert outcome(check_P_axioms(R, max_failures=cap)) == outcome(
-        check_P_axioms(R, b + 2, b + 2, cap))
-    assert outcome(check_C_axioms(R, b, b, 0, cap)) == outcome(
-        check_C_axioms(R, b + 2, b + 2, 0, cap))
+    if d == 0:
+        assert outcome(check_P_axioms(R, max_failures=cap)) == outcome(
+            check_P_axioms(R, b + 2, b + 2, cap))
+    assert outcome(check_C_axioms(R, d_max=d, max_failures=cap)) == outcome(
+        check_C_axioms(R, b + 2, b + 2, d, cap))
 
 
-@pytest.mark.parametrize("case", (
-    "Vir", "K1", "K2", "K3", "S2", "W2", "w6 table"))
+COMPLETENESS_CASES = ("Vir", "K1", "K2", "K3", "S2", "W2", "w6 table",
+                      "K2 mutants", "K3 mutants", "S2 mutants")
+
+
+@pytest.mark.parametrize("case", COMPLETENESS_CASES)
 def test_P_and_C_at_d_max_0_are_complete_at_twice_the_stored_n(case):
     for R in _reference_cases(case):
-        _assert_complete_at_twice_the_stored_n(R)
+        _assert_complete_at_the_unset_bounds(R, 0)
+
+
+@pytest.mark.parametrize("case", COMPLETENESS_CASES)
+def test_C_at_d_max_1_and_2_is_complete_at_its_unset_bounds(case):
+    """(C2) at shifts (k, l) stays live up to n = max_n + k + l, past
+    twice the stored n."""
+    for R in _reference_cases(case):
+        for d in (1, 2):
+            _assert_complete_at_the_unset_bounds(R, d)
 
 
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=100, deadline=None)
 def test_P_and_C_at_d_max_0_are_complete_on_seeded_tables(seed):
     """Most seeded tables fail, so the failure lists compared are real."""
-    _assert_complete_at_twice_the_stored_n(_seeded_table(random.Random(seed)))
+    _assert_complete_at_the_unset_bounds(_seeded_table(random.Random(seed)),
+                                         0)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_C_at_d_max_1_and_2_is_complete_on_seeded_tables(seed):
+    R = _seeded_table(random.Random(seed))
+    for d in (1, 2):
+        _assert_complete_at_the_unset_bounds(R, d)
+
+
+@pytest.mark.parametrize("case", ("no products", "K2", "w6 table"))
+def test_unset_bounds_are_twice_max_n_plus_d_max(case):
+    """An unset bound of P, or of C at d_max = d, is b = 2 (max_n + d), at
+    least 2, with d = 0 for P: the Report, `checked` included, is the one
+    at (b, b).  A lone L with no stored product has max_n = 0, so b = 2
+    there at d = 0."""
+    (R,) = _reference_cases(case)
+    for d in range(3):
+        b = max(2, 2 * (R.max_n() + d))
+        pairs = [(check_C_axioms(R, d_max=d), check_C_axioms(R, b, b, d))]
+        if d == 0:
+            pairs.append((check_P_axioms(R), check_P_axioms(R, b, b)))
+        for unset, given_b in pairs:
+            assert (unset.ok, unset.checked, unset.failures) == (
+                given_b.ok, given_b.checked, given_b.failures), (case, d)
 
 
 def test_gate_raises_the_given_type_with_the_prefix():

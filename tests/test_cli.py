@@ -507,6 +507,33 @@ def test_verify_P_defaults_to_its_complete_bound(tmp_path, capsys):
         "--nmax", "2") == (0, "P: ok (628 instances checked)\n", "")
 
 
+def test_verify_C_defaults_to_its_complete_bound(tmp_path, capsys):
+    """An unset --mmax or --nmax runs C at its complete bound, b = 2
+    (max_n + d_max) and at least 2, where --dmax defaults to 4: K2 runs
+    C(10,10,4), and C(4,4,1) at --dmax 1.  b is worked out, not given, so
+    it may pass 64: on the w32 table C at --dmax 1 runs at b = 66 (28501
+    is the stop's position in the loops with n <= 66) and fails, while
+    --mmax 65 stays an input error."""
+    k2 = tmp_path / "k2.json"
+    k2.write_text(catalog.build("K2").to_json())
+    assert run(capsys, "verify", str(k2), "--axioms", "C") == run(
+        capsys, "verify", str(k2), "--axioms", "C", "--mmax", "10",
+        "--nmax", "10") == (0, "C: ok (20076 instances checked)\n", "")
+    assert run(capsys, "verify", str(k2), "--axioms", "C", "--dmax", "1") \
+        == run(capsys, "verify", str(k2), "--axioms", "C", "--mmax", "4",
+               "--nmax", "4", "--dmax", "1")
+    w32 = tmp_path / "w32.json"
+    w32.write_text(json.dumps(_table_doc({"L": "2", "W": "35/2"},
+                                         [(32, "W", "W", {"L": "1"})])))
+    code, out, _ = run(capsys, "verify", str(w32), "--axioms", "C",
+                       "--dmax", "1")
+    assert code == 1
+    assert out.startswith("C: FAILED (28501 instances checked, 20 failures)\n"
+                          "  (C3) fails: a=L b=W c=W k=0 m=3 n=0\n")
+    assert run(capsys, "verify", str(w32), "--axioms", "C",
+               "--mmax", "65") == (2, "", "error: --mmax must lie in 0..64\n")
+
+
 SEEDS = {name: catalog.build(name).to_json() for name in ("Vir", "K1")}
 LITERAL = st.text(alphabet="0123456789ia()+-*/^ ", max_size=24)
 JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
