@@ -325,7 +325,7 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
     bcs = [[(pc, n, [(iy, iy // N, iy % N, v) for iy, v in row])
             for pc in reach[pb] for n, row in table[pb, pc].items()
             if n <= n_max] for pb in range(N)]
-    # negc[j][m] = -C(m, j) for term 3's m, live only up to 2N + d_max
+    # negc[j][m] = -C(m, j) for term 3's m, live up to 2 max_n + d_max
     live = range(min(m_max, 2 * top + d_max) + 1)
     negc = [[_int(-comb(m, j)) for m in live] for j in live]
     for pa, a in enumerate(ids):

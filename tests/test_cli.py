@@ -511,9 +511,9 @@ def test_verify_C_defaults_to_its_complete_bound(tmp_path, capsys):
     """An unset --mmax or --nmax runs C at its complete bound, b = 2
     (max_n + d_max) and at least 2, where --dmax defaults to 4: K2 runs
     C(10,10,4), and C(4,4,1) at --dmax 1.  b is worked out, not given, so
-    it may pass 64: on the w32 table C at --dmax 1 runs at b = 66 (28501
-    is the stop's position in the loops with n <= 66) and fails, while
-    --mmax 65 stays an input error."""
+    it may pass 64: on an odd W of weight 35/2 with <W 32 W> = L, C at
+    --dmax 1 runs at b = 66 (28501 is the stop's position in the loops
+    with n <= 66) and fails, while --mmax 65 stays an input error."""
     k2 = tmp_path / "k2.json"
     k2.write_text(catalog.build("K2").to_json())
     assert run(capsys, "verify", str(k2), "--axioms", "C") == run(
