@@ -13,29 +13,30 @@ flat index k*N + p.  A flat element is a sparse element {index: Scalar}
 (the invariant of `linalg`: no zero is stored).  One table, keyed by the
 position pairs (a, b) with a nonzero product, holds for each m the terms of
 the nonzero a_(m) b, flat, with the `coeff_G` factors applied.
-`ReconstructedAlgebra.monomial` gives the terms of the product of two
-monomials, `monomial_into`, the one monomial kernel, adds c times them in
-place, and `product`, on flat elements, is a loop of it over term pairs.
-One loop, `_add_into`, adds c d^(j) x into a sum, for the formation of a
-product from table rows and for its addition alike.  The binomial factors
-of the derivative rules come from a small int -> Scalar cache.
+`ReconstructedAlgebra.row`, the one monomial kernel, gives the row of two
+monomials: a term (n, p, v) for each term of their nonzero product at each
+n, in increasing n, the form of `algebra`'s join index.  `product`, on
+flat elements, is a loop of it.  One loop, `_add_into`, adds c d^(j) x
+into a sum, for the formation of a row from the table and for the
+addition of products and shifts alike.  The binomial factors of the
+derivative rules come from a small int -> Scalar cache.
 `ReducedAlgebra.vector` of an element of the reduced algebra is its flat
 element of degree 0.
 
-Each `ReconstructedAlgebra` keeps a memo of the products of two monomials,
-keyed by (ix, iy, n), with () for a zero.  Only monomials of d-degree at
-most R.max_n() + 1 enter it, the flat indices below (max_n + 2)*N, and a
-product zero by degree (n < k or n > k + l + max_n) is never formed, so
-its size is set by the table, not by the bounds a caller such as
-`check_C_axioms` runs at.  Products of higher degree are formed per call.
+Each `ReconstructedAlgebra` keeps one memo of rows, keyed by the pair (ix,
+iy), each formed in one pass of the product formula over the table row of
+the pair, with () for a pair whose products all vanish.  Only monomials of
+d-degree at most R.max_n() + 1 enter it, the flat indices below (max_n +
+2)*N, so its size is set by the table, not by the bounds a caller such as
+`check_C_axioms` runs at.  Rows of higher degree are formed per call.
 
 `check_C_axioms` is the second of the two oracles; P, in `algebra`, is the
-first.  It joins the table itself, reads every monomial product through
-`monomial`, and never calls `algebra`'s joins.  Like
-P and H it counts every instance of its full loops up to the stop, so a
-passing Report has `checked` = 3N + N^2 (n_max + 1) (1 + (d_max + 1)^2 +
-(N + d_max)(m_max + 1)).  What
-it shares with P, and the test that pins each apart from both oracles:
+first.  It joins the table itself, reads every monomial product from a
+row, adds (C3)'s sums into one flat accumulator, and never calls
+`algebra`'s joins.  Like P and H it counts every instance of its full
+loops up to the stop, so a passing Report has `checked` = 3N + N^2 (n_max
++ 1) (1 + (d_max + 1)^2 + (N + d_max)(m_max + 1)).  What it shares with
+P, and the test that pins each apart from both oracles:
 `coeff_G` (test_coeff_G_solves_the_L2_recurrence, from the L_(2)
 recurrence), the loading of a `ReducedAlgebra`
 (test_json_round_trip_is_byte_identical, test_golden_files_are_byte_stable),
@@ -72,8 +73,8 @@ def binom_ff(m: int, j: int) -> Fraction:
 def _add_into(out: dict, terms, c: Scalar, j: int, N: int):
     """out += c d^(j) x in place, for the flat element x with the terms (p,
     v): the one loop here that adds into a sparse element, which forms
-    monomial products and adds them.  d^(j) d^(i) = C(i+j, i) d^(i+j) on
-    divided powers."""
+    monomial rows and adds products and shifts.  d^(j) d^(i) = C(i+j, i)
+    d^(i+j) on divided powers."""
     for p, v in terms:
         if c is not ONE:
             v = v * c
@@ -89,17 +90,38 @@ def _add_into(out: dict, terms, c: Scalar, j: int, N: int):
         out[p] = v
 
 
+def _add_at(acc: dict, base: int, stride: int, row: tuple, c: Scalar,
+            top: int):
+    """acc[base + n * stride + p] += c v in place for each term (n, p, v)
+    of a row with n <= top: the add of (C3)'s flat accumulator, where a sum
+    that cancels stays as a zero."""
+    get = acc.get
+    for n, p, v in row:
+        if n > top:
+            break
+        if c is not ONE:
+            v = v * c
+        p += base + n * stride
+        s = get(p)
+        acc[p] = v if s is None else s + v
+
+
+def _at(row: tuple, n: int) -> dict:
+    """The product at n of a row, as a flat element."""
+    return {p: v for m, p, v in row if m == n}
+
+
 class ReconstructedAlgebra:
     """K[d]-span of a reduced algebra with the full (n)-products.
 
     `pos` maps each basis id to its position and `ids` reads it back.
 
-    The memo's degree bound stays because a memo without it is hardly
+    The memo's degree bound stays because a memo without it is a little
     faster and much larger.  On CK6 (2 vCPUs, Python 3.11.7), C(4,4,4)
-    took 0.463-0.499 s of CPU without the bound and 0.485-0.515 s with it,
-    five runs each, while max RSS rose from 21.4 to 29.7 MB (44,772 memo
-    entries against 11,823), and at C(8,8,8) from 21.7 to 73.0 MB
-    (228,606 entries)."""
+    took 0.406 s of CPU without the bound and 0.458 s with it (least of
+    six processes each), while max RSS rose from 20.4 to 23.6 MB (13,125
+    memo rows of 48,275 terms against 4,725 of 11,958), and at C(8,8,8) it
+    rose from 20.5 to 42.4 MB (42,525 rows of 254,061 terms)."""
 
     def __init__(self, R: ReducedAlgebra):
         self.R = R
@@ -118,59 +140,59 @@ class ReconstructedAlgebra:
                     table.setdefault((pa, pb), {}).setdefault(
                         nj - j, []).extend(
                             (j * N + pos[x], c * g) for x, c in el.items())
-        # _memo[(ix, iy, n)]: the terms of ix_(n) iy, () for a zero, for ix
-        # and iy below _memo_bound, the monomials of d-degree <= max_n + 1
-        self._memo = {}
-        self._top = R.max_n()
-        self._memo_bound = (self._top + 2) * N
+        # _rows[(ix, iy)]: the row of ix and iy (see `row`), for ix and iy
+        # below _memo_bound, the monomials of d-degree <= max_n + 1
+        self._rows = {}
+        self._memo_bound = (R.max_n() + 2) * N
 
     def product(self, x: dict, y: dict, n: int) -> dict:
         """x_(n) y for flat elements and a natural number n: the sum of
         cx cy (ix_(n) iy) over the terms cx ix of x and cy iy of y, each
-        added by `monomial_into`.  The dict returned is new on each call."""
+        read from the row of (ix, iy).  The dict returned is new on each
+        call."""
         if n < 0:
             raise ValueError("products are defined for natural n")
-        into, out = self.monomial_into, {}
+        row, N, out = self.row, self.N, {}
         for ix, cx in x.items():
             for iy, cy in y.items():
-                into(out, ix, iy, n, cy if cx is ONE else cx * cy)
+                terms = _at(row(ix, iy), n)
+                if terms:
+                    _add_into(out, terms.items(),
+                              cy if cx is ONE else cx * cy, 0, N)
         return out
 
-    def monomial(self, ix: int, iy: int, n: int) -> tuple:
-        """The terms (p, v) of ix_(n) iy for the monomials at flat indices
-        ix and iy and a natural n, () for a zero: () if k > n or n > k + l
-        + R.max_n() for (d^(k) a)_(n) d^(l) b, else read from the memo or
-        formed by `_form` and, below the bound, stored."""
-        terms = self._memo.get((ix, iy, n))
-        if terms is None:
-            k, l = ix // self.N, iy // self.N
-            if k > n or n > k + l + self._top:
-                return ()
-            terms = self._form(ix, iy, n)
+    def row(self, ix: int, iy: int) -> tuple:
+        """The row ((n, p, v), ...) of the monomials at flat indices ix and
+        iy: a term (n, p, v) for each term v p of each nonzero ix_(n) iy,
+        in increasing n, () if all vanish.  Read from the memo, or formed
+        by `_form` and, below the bound, stored.  The one monomial kernel:
+        every product of two monomials is read from a row."""
+        row = self._rows.get((ix, iy))
+        if row is None:
+            row = self._form(ix, iy)
             if ix < self._memo_bound and iy < self._memo_bound:
-                self._memo[ix, iy, n] = terms
-        return terms
+                self._rows[ix, iy] = row
+        return row
 
-    def monomial_into(self, out: dict, ix: int, iy: int, n: int, c: Scalar):
-        """out += c (ix_(n) iy) in place: the one monomial kernel, which
-        adds the terms of `monomial`."""
-        _add_into(out, self.monomial(ix, iy, n), c, 0, self.N)
-
-    def _form(self, ix: int, iy: int, n: int) -> tuple:
-        """The terms of ix_(n) iy, for k <= n, by the product formula
+    def _form(self, ix: int, iy: int) -> tuple:
+        """The row of ix and iy, in one pass of the product formula
         (d^(k) a)_(n) d^(l) b
             = (-1)^k C(n, k) sum_h C(n-k, h) d^(l-h) (a_(n-k-h) b)
-        on the rows a_(m) b of the table."""
+        over the rows a_(m) b of the table: each adds into n = k + m + h
+        for every h <= l.  So the n of a row lie in k <= n <= k + l +
+        reach[a][b], the largest m of a stored a_(m) b."""
         N = self.N
         k, pa = divmod(ix, N)
         l, pb = divmod(iy, N)
-        row, out = self._table.get((pa, pb), {}), {}
-        sign_k = comb(n, k) if k % 2 == 0 else -comb(n, k)
-        for h in range(min(l, n - k) + 1):
-            ab = row.get(n - k - h)
-            if ab:
-                _add_into(out, ab, _int(sign_k * comb(n - k, h)), l - h, N)
-        return tuple(out.items())
+        rows, out = self._table.get((pa, pb), {}), {}
+        for h in range(l + 1):
+            for m, ab in rows.items():
+                n = k + m + h
+                c = comb(n, k) * comb(m + h, h)
+                _add_into(out.setdefault(n, {}), ab, _int(-c if k % 2 else c),
+                          l - h, N)
+        return tuple((n, p, v) for n in sorted(out)
+                     for p, v in out[n].items())
 
     def shift(self, x: dict, j: int) -> dict:
         """d^(j) x for a flat element x, as a new dict."""
@@ -191,48 +213,51 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
     """(C1), (C2), (C3) and the conformal-vector operator identities.
 
     Every product of two monomials, d^(k) a at flat index k*N + p(a), is
-    read through `RA.monomial`, from the memo, and added into a sum in
-    place, scaled, by `RA.monomial_into` or, in (C2), by `_add_into` with
-    its d^(j) shift.  A product is taken only where some entry of
-    `RA._table` reaches, and an instance that no product reaches is counted
-    as checked without being visited.  Below N is `R.max_n()` and
-    reach[a][b] the largest m of a stored a_(m) b.  a_(m) b has d-degree at
-    most N - m, and (d^(k) a)_(m) d^(l) b is zero unless k <= m <= k + l +
-    reach[a][b].  So (C1) is live only at n <= N + 1, (C2) at n <= N +
-    2 d_max and (C3) at m + n <= 2N + d_max (below), and an unset m_max or
-    n_max is their complete bound, b = 2 (N + d_max) and at least 2.
+    read from `RA.row` of the pair, the terms of its nonzero products at
+    every n, in increasing n.  A row is read only for a pair with an entry
+    of `RA._table`, and an instance that no row reaches is counted as
+    checked without being visited.  Below N is `R.max_n()` and reach[a][b]
+    the largest m of a stored a_(m) b.  a_(m) b has d-degree at most N - m,
+    and (d^(k) a)_(m) d^(l) b is zero unless k <= m <= k + l + reach[a][b],
+    so its row holds no m outside that.  So (C1) is live only at n <= N +
+    1, (C2) at n <= N + 2 d_max and (C3) at m + n <= 2N + d_max (below),
+    and an unset m_max or n_max is their complete bound, b = 2 (N + d_max)
+    and at least 2.
 
     (C1) runs over all basis pairs; both sides vanish unless a_(n-1) b is
     stored, at 1 <= n <= N + 1.  On a basis pair it cannot fail: the
     product formula builds (d a)_(n) b from the same table row as a_(n-1) b,
-    with the factor -n.  What it still compares is two entries of the
-    product memo, `RA.monomial` of (d a, b, n) and of (a, b, n - 1), so it
-    catches a memo entry that went wrong.
+    with the factor -n.  What it still compares is two memo entries, the
+    rows of (d a, b) and of (a, b), so it catches a memo entry that went
+    wrong.
 
     (C2) runs over all basis pairs, shifted by d^(k) and d^(l) for k, l <=
     d_max, and visits those with a stored product either way; on any other
     pair both sides vanish.  At shifts (k, l) it is live only at n <= N +
     k + l: past that (d^(k) a)_(n) d^(l) b vanishes, and so does each
-    d^(j) (y_(n+j) x) on the right.  Each y_(m) x, nonzero at l <= m <= k +
-    l + reach[b][a], is taken once for all n at these shifts, and added
-    with each of its d^(j) shifts.
+    d^(j) (y_(n+j) x) on the right.  The row of y and x, nonzero at l <= m
+    <= k + l + reach[b][a], is read once for all n at these shifts, and
+    each term of y_(m) x added with its d^(j) shift, j = m - n.
 
     (C3) runs over all basis triples (a, b, c).  Only a = ids[0] is
     d-shifted, by d^(k) for k <= d_max.  That is a cost shortcut, not a
     consequence of (C1), which compares the product kernel with itself:
     `test_C_shift_of_ids0_loses_no_verdict` checks that shifting every a
     reaches the same verdicts (ROADMAP item 9).  The identity is joined one
-    pair (a, b) at a time, and the kernel adds each monomial product
-    straight into the sum of its instance (position(c), k, m, n):
+    pair (a, b) at a time, and each term v u of a monomial product, times
+    its factor, is added straight into one flat dict at the key instance *
+    F + u, for the instance (position(c), k, m, n) and F past every flat
+    index a term reaches; a sum that cancels stays until the end:
         term 1: each stored b_(n) c, then (d^(k) a)_(m) of its terms;
-        term 2: each (d^(k) a)_(m) c, then b_(n) of its terms;
+        term 2: each (d^(k) a)_(m) c, then b_(n) of its terms, with the
+                sign (-1)^{|a||b|+1} taken into the rows of a once per a;
         term 3: each (d^(k) a)_(j) b, then (.)_(s) c, s = m + n - j, for
                 the c its terms reach.
-    Each m, n or s runs, per monomial, only where reach lets its product be
-    nonzero.  At a's shift k (C3) is live only at m + n <= 2N + k: term 1
-    needs m <= k + N + deg(b_(n) c) <= k + 2N - n, term 2 n <= N +
-    deg((d^(k) a)_(m) c) <= 2N - m + k, and term 3 s + j <= N + j +
-    deg((d^(k) a)_(j) b) <= 2N + k.
+    Each m, n or s runs, per monomial, over the nonzero products of its
+    row, which lie where reach lets them be nonzero.  At a's shift k (C3)
+    is live only at m + n <= 2N + k: term 1 needs m <= k + N + deg(b_(n) c)
+    <= k + 2N - n, term 2 n <= N + deg((d^(k) a)_(m) c) <= 2N - m + k, and
+    term 3 s + j <= N + j + deg((d^(k) a)_(j) b) <= 2N + k.
 
     Failures come in the order of the loops over (a, b, c, k, m, n), and
     `checked` counts the instances of those loops up to the failure that
@@ -245,26 +270,27 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
         RA = ReconstructedAlgebra(RA)
     R = RA.R
     rep = Report(max_failures=max_failures)
-    ids, N, table, monomial = RA.ids, RA.N, RA._table, RA.monomial
+    ids, N, table, row = RA.ids, RA.N, RA._table, RA.row
     top, pL = R.max_n(), RA.pos[R.L]
     m_max = max(2, 2 * (top + d_max)) if m_max is None else m_max
     n_max = max(2, 2 * (top + d_max)) if n_max is None else n_max
-    # reach[p][q]: the largest m of the stored p_(m) q, for the q with one
-    pairs, reach = sorted(table), [{} for _ in ids]
+    # stored[p]: {q: table row of p and q}, for the q with one
+    pairs, stored = sorted(table), [{} for _ in ids]
     for pa, pb in pairs:
-        reach[pa][pb] = max(table[pa, pb])
+        stored[pa][pb] = table[pa, pb]
 
     # conformal vector: L_(0) = d, L_(1) = weight, L_(2) on derivatives
     for pa, a in enumerate(ids):
         rep.checked += 3
-        if dict(monomial(pL, pa, 0)) != {N + pa: ONE}:
+        la = row(pL, pa)
+        if _at(la, 0) != {N + pa: ONE}:
             rep.fail("L_(0) is not d on %s" % a)
         w = Scalar.from_fraction(R.weight(a))
-        if dict(monomial(pL, pa, 1)) != ({pa: w} if w else {}):
+        if _at(la, 1) != ({pa: w} if w else {}):
             rep.fail("L_(1) eigenvalue wrong on %s" % a)
         ok2 = True
         for k in range(0, d_max + 1):
-            got = dict(monomial(pL, k * N + pa, 2))
+            got = _at(row(pL, k * N + pa), 2)
             # on divided powers: L_(2) d^{(k)} a = (k-1+2w) d^{(k-1)} a
             coeff = k - 1 + 2 * R.weight(a)
             want = {} if (k == 0 or not coeff) else \
@@ -280,9 +306,10 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
     # is stored, so only the stored pairs at 1 <= n <= N + 1 are visited
     base, width = rep.checked, n_max + 1
     for pa, pb in pairs:
+        ab, dab = row(pa, pb), row(N + pa, pb)
         for n in range(1, min(n_max, top + 1) + 1):
-            rhs = {p: v * _int(-n) for p, v in monomial(pa, pb, n - 1)}
-            if dict(monomial(N + pa, pb, n)) != rhs and rep.fail(
+            rhs = {p: v * _int(-n) for m, p, v in ab if m == n - 1}
+            if _at(dab, n) != rhs and rep.fail(
                     "(C1) fails: a=%s b=%s n=%d" % (ids[pa], ids[pb], n)):
                 rep.checked = base + (pa * N + pb) * width + n + 1
                 return rep
@@ -290,25 +317,26 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
 
     # (C2): x_(n) y = (-1)^{pq} sum_j (-1)^{j+n+1} d^{(j)} (y_(n+j) x), over
     # the pairs with a stored product either way; past n = k + l + N both
-    # sides vanish, and each product is taken only where reach allows
+    # sides vanish
     base, D, signs = rep.checked, d_max + 1, (_int(-1), ONE)
     for pa, pb in sorted(set(pairs) | {(pb, pa) for pa, pb in pairs}):
         a, b = ids[pa], ids[pb]
         pq = R.parity(a) * R.parity(b)
-        rab, rba = reach[pa].get(pb, -1), reach[pb].get(pa, -1)
+        ab, ba = pb in stored[pa], pa in stored[pb]
         for k in range(D):
             ix = k * N + pa
             for l in range(D):
                 iy, live = l * N + pb, k + l + top
-                # yx[m] = (d^(l) b)_(m) d^(k) a, zero past m = k + l + rba
-                yx = [monomial(iy, ix, m) for m in range(k + l + rba + 1)]
+                xy = row(ix, iy) if ab else ()
+                yx = row(iy, ix) if ba else ()
                 for n in range(min(n_max, live) + 1):
+                    # each term of y_(m) x, m = n + j, shifted by d^(j)
                     rhs = {}
-                    for j in range(max(0, l - n), k + l + rba - n + 1):
-                        _add_into(rhs, yx[n + j],
-                                  signs[(j + n + pq) % 2], j, N)
-                    lhs = monomial(ix, iy, n) if k <= n <= k + l + rab else ()
-                    if dict(lhs) != rhs and rep.fail(
+                    for m, p, v in yx:
+                        if m >= n:
+                            _add_into(rhs, ((p, v),), signs[(m + pq) % 2],
+                                      m - n, N)
+                    if _at(xy, n) != rhs and rep.fail(
                             "(C2) fails: a=%s b=%s k=%d l=%d n=%d"
                             % (a, b, k, l, n)):
                         rep.checked = base + (((pa * N + pb) * D + k) * D
@@ -318,62 +346,64 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
 
     # (C3): a_(m)(b_(n)c) = (-1)^{pq} b_(n)(a_(m)c)
     #       + sum_j C(m,j) (a_(j)b)_(m+n-j) c, joined one pair (a, b) at a
-    # time: `into` adds each monomial product straight into the sum of its
-    # instance (pc, k, m, n), keyed by that instance's offset in the loops
-    W, into = (m_max + 1) * width, RA.monomial_into
-    # bcs[pb]: (pc, n, terms of b_(n) c) for each stored b_(n) c, n <= n_max
-    bcs = [[(pc, n, [(iy, iy // N, iy % N, v) for iy, v in row])
-            for pc in reach[pb] for n, row in table[pb, pc].items()
-            if n <= n_max] for pb in range(N)]
-    # negc[j][m] = -C(m, j) for term 3's m, live up to 2 max_n + d_max
-    live = range(min(m_max, 2 * top + d_max) + 1)
-    negc = [[_int(-comb(m, j)) for m in live] for j in live]
+    # time into the flat dict acc, keyed (instance offset in the loops) * F
+    # + flat index, F past the d-degree 2 max_n + d_max of every term
+    W, F = (m_max + 1) * width, (2 * top + d_max + 1) * N
+    # bcs[pb]: (pc, n, iy, position, v) for each term v iy of each stored
+    # b_(n) c with n <= n_max, read from the table
+    bcs = [[(pc, n, iy, iy % N, v)
+            for pc, tab in stored[pb].items() for n, terms in tab.items()
+            if n <= n_max for iy, v in terms] for pb in range(N)]
+    # spread[j, t]: (m * width + n, -C(m, j)) for term 3's (m, n) in the
+    # bounds with m >= j and m + n = t
+    spread = {}
     for pa, a in enumerate(ids):
-        K, ra = d_max + 1 if pa == 0 else 1, reach[pa]
-        # acs[k]: (pc, m, terms of (d^(k) a)_(m) c) for the nonzero ones
-        acs = [[(pc, m, [(iz, iz // N, iz % N, v) for iz, v in z])
-                for pc, r in ra.items()
-                for m in range(k, min(m_max, k + r) + 1)
-                if (z := monomial(k * N + pa, pc, m))]
-               for k in range(K)]
+        K, sa = d_max + 1 if pa == 0 else 1, stored[pa]
+        # t2[|a||b|][k]: (offset of (c, k, m, 0) times F, iz, position, v)
+        # for each term v iz of each nonzero (d^(k) a)_(m) c, m <= m_max,
+        # with v times term 2's sign (-1)^{|a||b|+1}
+        ac = [[(((pc * K + k) * W + m * width) * F, iz, iz % N, v)
+               for pc in sa for m, iz, v in row(k * N + pa, pc)
+               if m <= m_max] for k in range(K)]
+        t2 = ([[(off, iz, p, -v) for off, iz, p, v in ak] for ak in ac], ac)
         for pb, b in enumerate(ids):
-            t2_sign = _int(1 if R.parity(a) * R.parity(b) % 2 else -1)
-            rb, acc = reach[pb], {}
+            sb, acc, ac2 = stored[pb], {}, t2[R.parity(a) * R.parity(b)]
+            get = acc.get
             for k in range(K):
                 ia = k * N + pa
-                # term 1: (d^(k) a)_(m) of each term d^(l) p of b_(n) c,
-                # nonzero at k <= m <= k + l + reach[a][p]
-                for pc, n, y in bcs[pb]:
-                    off = (pc * K + k) * W + n
-                    for iy, l, p, v in y:
-                        for m in range(k, min(m_max, k + l + ra.get(
-                                p, -l - 1)) + 1):
-                            into(acc.setdefault(off + m * width, {}),
-                                 ia, iy, m, v)
-                # term 2: b_(n) of each term d^(l) p of (d^(k) a)_(m) c,
-                # nonzero at n <= l + reach[b][p]
-                for pc, m, z in acs[k]:
-                    off = (pc * K + k) * W + m * width
-                    for iz, l, p, v in z:
-                        v = v * t2_sign
-                        for n in range(min(n_max, l + rb.get(p, -l - 1)) + 1):
-                            into(acc.setdefault(off + n, {}), pb, iz, n, v)
-                # term 3: (.)_(s) c of each term d^(i) p of (d^(k) a)_(j) b,
-                # nonzero at i <= s <= i + reach[p][c], into each (m, n)
-                # with m + n = s + j times negc[j][m] = -C(m, j)
-                for j in range(k, min(m_max, k + ra.get(pb, -1)) + 1):
-                    for iu, w in monomial(ia, pb, j):
-                        i, p = divmod(iu, N)
-                        for pc, r in reach[p].items():
-                            off = (pc * K + k) * W
-                            for s in range(i, min(i + r, m_max + n_max - j)
-                                           + 1):
-                                for m in range(max(j, s + j - n_max),
-                                               min(m_max, s + j) + 1):
-                                    into(acc.setdefault(
-                                        off + m * width + s + j - m, {}),
-                                        iu, pc, s, w * negc[j][m])
-            for key in sorted(key for key, el in acc.items() if el):
+                # term 1: (d^(k) a)_(m) of each term d^(l) p of b_(n) c
+                for pc, n, iy, p, v in bcs[pb]:
+                    if p in sa:
+                        _add_at(acc, ((pc * K + k) * W + n) * F, width * F,
+                                row(ia, iy), v, m_max)
+                # term 2: b_(n) of each term d^(l) p of (d^(k) a)_(m) c
+                for off, iz, p, v in ac2[k]:
+                    if p in sb:
+                        _add_at(acc, off, F, row(pb, iz), v, n_max)
+                # term 3: (.)_(s) c of each term w d^(i) p of (d^(k) a)_(j)
+                # b, into each (m, n) with m + n = s + j times -C(m, j)
+                for j, iu, w in row(ia, pb) if pb in sa else ():
+                    if j > m_max:
+                        break
+                    for pc in stored[iu % N]:
+                        off = (pc * K + k) * W
+                        for s, q, u in row(iu, pc):
+                            t = s + j
+                            if t > m_max + n_max:
+                                break
+                            cs = spread.get((j, t))
+                            if cs is None:
+                                cs = spread[j, t] = [
+                                    (m * width + t - m, _int(-comb(m, j)))
+                                    for m in range(max(j, t - n_max),
+                                                   min(m_max, t) + 1)]
+                            if w is not ONE:
+                                u = u * w
+                            for o, c in cs:
+                                o = (off + o) * F + q
+                                v, old = u * c, get(o)
+                                acc[o] = v if old is None else old + v
+            for key in sorted({q // F for q, v in acc.items() if v}):
                 pck, mn = divmod(key, W)
                 pc, k = divmod(pck, K)
                 if rep.fail("(C3) fails: a=%s b=%s c=%s k=%d m=%d n=%d"

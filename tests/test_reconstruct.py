@@ -67,21 +67,16 @@ def test_products_extend_to_derivatives():
 
 @pytest.mark.parametrize("name", ["Vir", "K2", "S2"])
 def test_full_products_store_no_zero(name):
-    # the sparse invariant on every sum that C(1,1,1) adds a monomial
-    # product into through the kernel, products included: no zero
-    # coefficient
+    # the sparse invariant on every row that C(1,1,1) leaves in the memo:
+    # no zero coefficient and no term twice, the n of a row increasing
     RA = reconstruct(catalog.build(name))
-    into = RA.monomial_into
-    seen = []
-
-    def checked(out, *args):
-        into(out, *args)
-        assert all(out.values())
-        seen.append(bool(out))
-
-    RA.monomial_into = checked
     assert check_C_axioms(RA, 1, 1, 1).ok
-    assert any(seen)
+    rows = list(RA._rows.values())
+    assert any(rows)
+    for row in rows:
+        assert [n for n, _, _ in row] == sorted(n for n, _, _ in row)
+        assert all(v for _, _, v in row)
+        assert len({(n, p) for n, p, _ in row}) == len(row)
 
 
 def central_virasoro():
@@ -293,10 +288,10 @@ def test_passing_C_reports_count_the_full_grid(case):
 def test_C_work_does_not_grow_with_the_bounds(monkeypatch):
     """CK6 stores n <= 1, so no term of (C1)-(C3) on it reaches past m, n
     <= 3 at d_max = 1: C(4,4,1) and C(64,64,1) make the same calls to
-    `monomial`, through which every product of C goes, and every instance
-    of the full loops is counted."""
-    calls, real = [], ReconstructedAlgebra.monomial
-    monkeypatch.setattr(ReconstructedAlgebra, "monomial",
+    `row`, from which every product of C is read, and every instance of the
+    full loops is counted."""
+    calls, real = [], ReconstructedAlgebra.row
+    monkeypatch.setattr(ReconstructedAlgebra, "row",
                         lambda *args: calls.append(1) or real(*args))
     ck6, work = catalog.build("CK6"), []
     for bound in (4, 64):
@@ -360,33 +355,32 @@ def test_product_matches_the_formula_on_monomials(case):
                 assert RA.product(x, y, n) == want
                 assert RA.product({ix: cx}, {iy: cy}, n) == \
                     el_scale(want, cx * cy)
-    assert 0 < len(RA._memo)
+    assert 0 < len(RA._rows)
 
 
 def test_memo_is_bounded_by_the_table():
-    """The memo holds only monomial products of d-degree at most max_n + 1,
-    so it holds the same entries after C at d_max = 2 as at d_max = 5, and
-    no n past k + l + max_n.  A zero product is stored as (), and no stored
-    term is zero."""
+    """The memo holds only the rows of monomials of d-degree at most max_n
+    + 1, so it holds the same entries after C at d_max = 2 as at d_max = 5,
+    and no n outside k <= n <= k + l + max_n.  No stored term is zero, and
+    C reads no row of a pair whose products all vanish."""
     R = catalog.build("K3")
     top, memos = R.max_n(), []
     for d_max in (2, 5):
         RA = reconstruct(R)
         assert check_C_axioms(RA, 3, 3, d_max).ok
         bound, N = (top + 2) * RA.N, RA.N
-        for (ix, iy, n), terms in RA._memo.items():
-            assert ix < bound and iy < bound
-            assert n <= ix // N + iy // N + top
-            assert type(terms) is tuple and all(v for _, v in terms)
-        memos.append(RA._memo)
+        for (ix, iy), row in RA._rows.items():
+            assert ix < bound and iy < bound and type(row) is tuple and row
+            for n, p, v in row:
+                assert ix // N <= n <= ix // N + iy // N + top and v
+        memos.append(RA._rows)
     assert memos[0] == memos[1] and len(memos[0]) > 0
-    assert () in memos[0].values()
 
 
 def test_a_second_C_forms_no_product(monkeypatch):
-    """The memo records zero products too, so a second C(2,1,1) on the same
-    reconstruction of CK6 forms nothing by the product formula and gives an
-    equal Report."""
+    """A row holds the products of a pair at every n, so a second C(2,1,1)
+    on the same reconstruction of CK6 forms nothing by the product formula
+    and gives an equal Report."""
     formed, real = [], ReconstructedAlgebra._form
     monkeypatch.setattr(ReconstructedAlgebra, "_form",
                         lambda *args: formed.append(1) or real(*args))
@@ -415,15 +409,21 @@ def test_a_full_memo_leaves_mutant_reports_unchanged(name):
                 (fresh.ok, fresh.checked, fresh.failures), label
 
 
+def _flip_D1_0_Db1(RA):
+    """Flip the sign of the first term of D1_(0) Db1 in its memo row."""
+    key = (RA.pos["D1"], RA.pos["Db1"])
+    (n, p, v), *rest = RA._rows[key]
+    assert n == 0
+    RA._rows[key] = ((n, p, -v), *rest)
+
+
 def test_C_rejects_a_wrong_memo_entry():
     """C reads the memoized products and does not trust them: one sign
-    flipped in the memo entry of D1_(0) Db1 on CK6 fails (C1), whose two
-    sides are two memo entries, and (C2)."""
+    flipped in the product D1_(0) Db1 of the memo row of D1 and Db1 on CK6
+    fails (C1), whose two sides are two memo rows, and (C2)."""
     RA = reconstruct(catalog.build("CK6"))
     assert check_C_axioms(RA, 2, 1, 1).ok
-    key = (RA.pos["D1"], RA.pos["Db1"], 0)
-    (p, v), *rest = RA._memo[key]
-    RA._memo[key] = ((p, -v), *rest)
+    _flip_D1_0_Db1(RA)
     rep = check_C_axioms(RA, 2, 1, 1)
     assert not rep.ok
     assert rep.failures[:2] == ["(C1) fails: a=D1 b=Db1 n=1",
@@ -431,15 +431,13 @@ def test_C_rejects_a_wrong_memo_entry():
 
 
 def test_C3_reads_the_memo():
-    """(C3) adds the memo's entries into its sums, not a copy of them: with
-    one sign of CK6's D1_(0) Db1 memo entry flipped and a cap that lets the
-    check run on, (C3) fails on 171 instances after the (C1) and (C2)
-    failures."""
+    """(C3) adds the memo's rows into its sums, not a copy of them: with
+    one sign of CK6's D1_(0) Db1 flipped in its memo row and a cap that
+    lets the check run on, (C3) fails on 171 instances after the (C1) and
+    (C2) failures."""
     RA = reconstruct(catalog.build("CK6"))
     assert check_C_axioms(RA, 2, 1, 1).ok
-    key = (RA.pos["D1"], RA.pos["Db1"], 0)
-    (p, v), *rest = RA._memo[key]
-    RA._memo[key] = ((p, -v), *rest)
+    _flip_D1_0_Db1(RA)
     assert check_C_axioms(RA, 2, 1, 1, max_failures=4).failures == [
         "(C1) fails: a=D1 b=Db1 n=1",
         "(C2) fails: a=D1 b=Db1 k=0 l=0 n=0",
