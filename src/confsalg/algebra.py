@@ -51,17 +51,13 @@ def coeff_G(da: Fraction, db: Fraction, n: int, j: int) -> Fraction:
     return Fraction(0)
 
 
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def coeff_F(da: Fraction, db: Fraction, m: int, n: int, t: int) -> Fraction:
+    """Term 3's coefficient of the quadratic identity, for m, n >= 0 and t
+    <= m + n, where both binomials have a natural upper index."""
     out = Fraction(0)
     for k in range(t + 1):
-        c = _comb0(m, t - k) * _comb0(m + n + k - t, k)
+        c = comb(m, t - k) * comb(m + n + k - t, k)
         if c:
             g = coeff_G(da, db, t - k, k)
             if g:
@@ -161,11 +157,21 @@ def _weight(value) -> Fraction:
 
 
 def _json_typed(value, kind: type, what: str):
-    """value when its type is exactly kind, int for a JSON integer or str
-    for a JSON string; floats, booleans and the other kinds are rejected."""
+    """value when its type is exactly kind, int for a JSON integer, str for
+    a JSON string or dict for a JSON object; floats, booleans and the other
+    kinds are rejected."""
     if type(value) is not kind:
         raise ValueError("%s must be a JSON %s, not %.40r" % (
-            what, "integer" if kind is int else "string", value))
+            what, {int: "integer", str: "string", dict: "object"}[kind],
+            value))
+    return value
+
+
+def _json_objects(value, what: str) -> list:
+    """value when it is a JSON array of objects."""
+    if type(value) is not list or any(type(x) is not dict for x in value):
+        raise ValueError("%s must be a JSON array of objects, not %.40r"
+                         % (what, value))
     return value
 
 
@@ -200,8 +206,9 @@ class ReducedAlgebra:
 
     `__init__` also builds `_by_n`, {n: {(a, b): <a n b>}}.  P's joins
     (`_join`) read `join_index`, the stored products keyed by basis
-    position, and `weight_at`, built on first use, so a table rejected
-    before the quadratic identity never builds them.  The derived products
+    position, and the weight position of each basis position from
+    `weight_positions`, both built on first use, so a table rejected before
+    the quadratic identity never builds them.  The derived products
     read the read-only tables `circ_table`, built on first use, and
     `bullet_table`, the stored <0> products."""
 
@@ -281,18 +288,12 @@ class ReducedAlgebra:
 
     @cached_property
     def weight_positions(self) -> tuple:
-        """(weights, pos): the distinct basis weights in increasing order
-        and {id: position of its weight in that list}; read only.  Tables
-        keyed by positions avoid hashing Fractions."""
+        """(weights, at): the distinct basis weights in increasing order
+        and, for each basis position, the position of its weight in that
+        list; read only.  Tables keyed by positions avoid hashing
+        Fractions."""
         weights = sorted(self.weight_dims())
-        return weights, {b.id: weights.index(b.weight) for b in self.basis}
-
-    @cached_property
-    def weight_at(self) -> list:
-        """The position of its weight in `weight_positions`, for each basis
-        position; read only."""
-        pos = self.weight_positions[1]
-        return [pos[b.id] for b in self.basis]
+        return weights, [weights.index(b.weight) for b in self.basis]
 
     @cached_property
     def join_index(self) -> dict:
@@ -304,10 +305,10 @@ class ReducedAlgebra:
     def circ_table(self) -> dict:
         """{(a, b): a o b} over the stored <a 1 b> whose weight sum is not 2;
         read only.  One reciprocal is made per pair of weights."""
-        weights, pos = self.weight_positions
+        (weights, at), index = self.weight_positions, self.index
         out, inv = {}, {}
         for (a, b), el in self._by_n.get(1, {}).items():
-            k = pos[a], pos[b]
+            k = at[index[a]], at[index[b]]
             if k not in inv:
                 d = weights[k[0]] + weights[k[1]] - 2
                 inv[k] = Scalar.from_fraction(1 / d) if d else ZERO
@@ -382,29 +383,34 @@ class ReducedAlgebra:
 
     @staticmethod
     def from_json(text: str) -> "ReducedAlgebra":
-        doc = json.loads(text)
-        basis = [BasisVector(_json_typed(b["id"], str, "basis id"),
-                             _weight(b["weight"]),
-                             _json_typed(b["parity"], int, "parity"))
-                 for b in doc["basis"]]
-        products = {}
-        for p in doc["products"]:
-            key = (_json_typed(p["n"], int, "product index n"),
-                   _json_typed(p["a"], str, "product id a"),
-                   _json_typed(p["b"], str, "product id b"))
-            if key in products:
-                raise ValueError("product <%s %d %s> is listed twice"
-                                 % (key[1], key[0], key[2]))
-            el = {}
-            for t in p["terms"]:
-                tb = _json_typed(t["basis"], str, "term basis")
-                if tb in el:
-                    raise ValueError("product <%s %d %s> lists term %s twice"
-                                     % (key[1], key[0], key[2], tb))
-                el[tb] = scalars.parse(t["coeff"])
-            products[key] = el
-        return ReducedAlgebra(basis, _json_typed(doc["L"], str, "L"),
-                              products)
+        doc = _json_typed(json.loads(text), dict, "the document")
+        try:
+            basis = [BasisVector(_json_typed(b["id"], str, "basis id"),
+                                 _weight(b["weight"]),
+                                 _json_typed(b["parity"], int, "parity"))
+                     for b in _json_objects(doc["basis"], "basis")]
+            products = {}
+            for p in _json_objects(doc["products"], "products"):
+                key = (_json_typed(p["n"], int, "product index n"),
+                       _json_typed(p["a"], str, "product id a"),
+                       _json_typed(p["b"], str, "product id b"))
+                if key in products:
+                    raise ValueError("product <%s %d %s> is listed twice"
+                                     % (key[1], key[0], key[2]))
+                el = {}
+                for t in _json_objects(p["terms"], "terms"):
+                    tb = _json_typed(t["basis"], str, "term basis")
+                    if tb in el:
+                        raise ValueError("product <%s %d %s> lists term %s "
+                                         "twice" % (key[1], key[0], key[2],
+                                                    tb))
+                    el[tb] = scalars.parse(_json_typed(t["coeff"], str,
+                                                       "term coeff"))
+                products[key] = el
+            L = _json_typed(doc["L"], str, "L")
+        except KeyError as exc:
+            raise ValueError("missing field %s" % exc) from None
+        return ReducedAlgebra(basis, L, products)
 
     # -- mutation helper (for sensitivity tests) ---------------------------
 
@@ -446,11 +452,11 @@ def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         if b.weight <= 0:
             rep.fail("basis vector %s has weight %s, not positive"
                      % (b.id, b.weight))
-    weights, pos = R.weight_positions
+    (weights, at), index = R.weight_positions, R.index
     par = {b.id: b.parity for b in R.basis}
     expected = {}
     for (n, a, b), el in R.products.items():
-        key = n, pos[a], pos[b]
+        key = n, at[index[a]], at[index[b]]
         if key not in expected:
             w = weights[key[1]] + weights[key[2]] - n - 1
             expected[key] = w, weights.index(w) if w in weights else -1
@@ -458,9 +464,9 @@ def check_well_formed(R: ReducedAlgebra, max_failures: int = 20) -> Report:
         p = (par[a] + par[b]) % 2
         rep.checked += len(el)
         for t in el:
-            if pos[t] != e:
+            if at[index[t]] != e:
                 rep.fail("<%s %d %s>: term %s has weight %s, expected %s"
-                         % (a, n, b, t, weights[pos[t]], w))
+                         % (a, n, b, t, weights[at[index[t]]], w))
             if par[t] != p:
                 rep.fail("<%s %d %s>: term %s has parity %d, expected %d"
                          % (a, n, b, t, par[t], p))
@@ -500,7 +506,7 @@ def _join(R, index: dict, pa: int, pb: int, coeffs, odd: int, width: int,
     (-1)^(|a||b| + 1).  The sums are kept in one flat dict keyed key * dim
     + position(u), where a cancelled sum stays until the end.  Returns
     {key: whether its sum is nonzero} over every key that a term reached."""
-    wat, dim, acc = R.weight_at, R.dim, {}
+    wat, dim, acc = R.weight_positions[1], R.dim, {}
     get = acc.get
     ra, rb = (index if left is None else left).get(pa, {}), index.get(pb, {})
     for term, x, inner, outer in ((1, wat[pb], rb, ra),

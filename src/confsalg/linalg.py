@@ -3,13 +3,15 @@ sparse row echelon form.
 
 A sparse element is a dict {key: Scalar} that never stores a zero value;
 `el_add_into` and `el_scale` keep that invariant, and every accumulation of
-sparse elements goes through them, but for three loops inlined for speed.
-`reconstruct._add_into` (out += c d^(j) x on flat elements, through which
-every row of monomial products is formed from the table, and products and
-shifts are added into a sum) keeps the same invariant.  The flat
-accumulators of `algebra._join` and of (C3), `reconstruct._add_at`, do
-not: each keeps a sum that cancels to zero until the end, where it only
-asks which sums are nonzero, and never hands its dict on as an element.
+sparse elements goes through them, but for five loops that add on their
+own for speed.  `reconstruct._add_into` (out += c d^(j) x on flat
+elements, through which every row of monomial products is formed, and
+products and shifts are added into a sum) keeps the same invariant.  The
+flat accumulators do not: the two adds of `algebra._join`, and in (C3)
+`reconstruct._add_at`, for its terms 1 and 2, and the inline add of its
+term 3.  Each keeps a sum that cancels to zero until the end, where it
+only asks which sums are nonzero, and never hands its dict on as an
+element.
 Scalars are canonical, so two sparse elements are equal exactly when the
 dicts are `==`, and an element is zero exactly when the dict is empty.
 

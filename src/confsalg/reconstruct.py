@@ -10,28 +10,29 @@ Inside, everything runs on integer indices.  `ReconstructedAlgebra` gives
 each basis id its position p in the basis of N vectors, and the monomial
 d^(k) a, in the divided powers of d (the translation generator), has the
 flat index k*N + p.  A flat element is a sparse element {index: Scalar}
-(the invariant of `linalg`: no zero is stored).  One table, keyed by the
-position pairs (a, b) with a nonzero product, holds for each m the terms of
-the nonzero a_(m) b, flat, with the `coeff_G` factors applied.
+(the invariant of `linalg`: no zero is stored).
 `ReconstructedAlgebra.row`, the one monomial kernel, gives the row of two
 monomials: a term (n, p, v) for each term of their nonzero product at each
 n, in increasing n, the form of `algebra`'s join index.  `product`, on
-flat elements, is a loop of it.  One loop, `_add_into`, adds c d^(j) x
-into a sum, for the formation of a row from the table and for the
-addition of products and shifts alike.  The binomial factors of the
+flat elements, is a loop of it.  The one table, `base`, holds the rows of
+the basis pairs with a nonzero product, built from `R.join_index` with
+the `coeff_G` factors applied.  One loop, `_add_into`, adds c d^(j) x
+into a sum, for the formation of a row from `base` and for the addition
+of products and shifts alike.  The binomial factors of the
 derivative rules come from a small int -> Scalar cache.
 `ReducedAlgebra.vector` of an element of the reduced algebra is its flat
 element of degree 0.
 
 Each `ReconstructedAlgebra` keeps one memo of rows, keyed by the pair (ix,
-iy), each formed in one pass of the product formula over the table row of
-the pair, with () for a pair whose products all vanish.  Only monomials of
+iy).  It starts with the rows of `base`; any other row is formed in one
+pass of the product formula over the row in `base` of the basis pair
+under it, with () for a pair whose products all vanish.  Only monomials of
 d-degree at most R.max_n() + 1 enter it, the flat indices below (max_n +
 2)*N, so its size is set by the table, not by the bounds a caller such as
 `check_C_axioms` runs at.  Rows of higher degree are formed per call.
 
 `check_C_axioms` is the second of the two oracles; P, in `algebra`, is the
-first.  It joins the table itself, reads every monomial product from a
+first.  It joins `base` itself, reads every monomial product from a
 row, adds (C3)'s sums into one flat accumulator, and never calls
 `algebra`'s joins.  Like P and H it counts every instance of its full
 loops up to the stop, so a passing Report has `checked` = 3N + N^2 (n_max
@@ -117,32 +118,35 @@ class ReconstructedAlgebra:
     `pos` maps each basis id to its position and `ids` reads it back.
 
     The memo's degree bound stays because a memo without it is a little
-    faster and much larger.  On CK6 (2 vCPUs, Python 3.11.7), C(4,4,4)
-    took 0.406 s of CPU without the bound and 0.458 s with it (least of
-    six processes each), while max RSS rose from 20.4 to 23.6 MB (13,125
-    memo rows of 48,275 terms against 4,725 of 11,958), and at C(8,8,8) it
-    rose from 20.5 to 42.4 MB (42,525 rows of 254,061 terms)."""
+    faster and much larger.  On CK6 (2 vCPUs, Python 3.11.7), C(10,10,4),
+    the CLI's default C, took 0.547 s of CPU without the bound and 0.657 s
+    with it (least of ten alternating processes; medians 0.786 and 0.832
+    s), while the CLI's max RSS rose from 20.5 to 23.9 MB (13,125 memo rows
+    of 48,275 terms against 4,725 of 11,958), and at C(8,8,8) from 20.7 to
+    42.6 MB (42,525 rows of 254,061 terms)."""
 
     def __init__(self, R: ReducedAlgebra):
         self.R = R
         self.ids = [b.id for b in R.basis]
         self.N = N = len(self.ids)
-        self.pos = pos = R.index
-        # table[(pa, pb)][m]: the terms (i*N + pc, v) of a_(m) b = sum_i
-        # d^(i) (...), the stored products times their coeff_G factors
-        self._table = table = {}
-        for (nj, a, b), el in R.products.items():
-            pa, pb = pos[a], pos[b]
-            for j in range(nj + 1):
-                g = coeff_G(R.weight(a), R.weight(b), nj - j, j)
-                if g:
-                    g = Scalar.from_fraction(g)
-                    table.setdefault((pa, pb), {}).setdefault(
-                        nj - j, []).extend(
-                            (j * N + pos[x], c * g) for x, c in el.items())
-        # _rows[(ix, iy)]: the row of ix and iy (see `row`), for ix and iy
-        # below _memo_bound, the monomials of d-degree <= max_n + 1
-        self._rows = {}
+        self.pos = R.index
+        # base[pa][pb]: the row of the basis pair (pa, pb), for each pair
+        # with a nonzero product, in increasing pb; a stored <a n b> adds
+        # its terms, times coeff_G, as d^(j) (...) at m = n - j
+        w, self.base = [b.weight for b in R.basis], [{} for _ in range(N)]
+        for pa, sa in R.join_index.items():
+            for pb in sorted(sa):
+                row = sorted(((nj - j, j * N + pt, c * Scalar.from_fraction(g))
+                              for nj, pt, c in sa[pb] for j in range(nj + 1)
+                              if (g := coeff_G(w[pa], w[pb], nj - j, j))),
+                             key=lambda t: t[:2])
+                if row:
+                    self.base[pa][pb] = tuple(row)
+        # _rows[(ix, iy)]: the row of ix and iy (see `row`), from the rows
+        # of base on, for ix and iy below _memo_bound, the monomials of
+        # d-degree <= max_n + 1
+        self._rows = {(pa, pb): row for pa, sa in enumerate(self.base)
+                      for pb, row in sa.items()}
         self._memo_bound = (R.max_n() + 2) * N
 
     def product(self, x: dict, y: dict, n: int) -> dict:
@@ -178,19 +182,19 @@ class ReconstructedAlgebra:
         """The row of ix and iy, in one pass of the product formula
         (d^(k) a)_(n) d^(l) b
             = (-1)^k C(n, k) sum_h C(n-k, h) d^(l-h) (a_(n-k-h) b)
-        over the rows a_(m) b of the table: each adds into n = k + m + h
-        for every h <= l.  So the n of a row lie in k <= n <= k + l +
-        reach[a][b], the largest m of a stored a_(m) b."""
+        over the terms of a_(m) b in the row of (a, b) in `base`: each
+        adds into n = k + m + h for every h <= l.  So the n of a row lie in
+        k <= n <= k + l + reach[a][b], the largest m of a stored a_(m) b."""
         N = self.N
         k, pa = divmod(ix, N)
         l, pb = divmod(iy, N)
-        rows, out = self._table.get((pa, pb), {}), {}
+        ab, out = self.base[pa].get(pb, ()), {}
         for h in range(l + 1):
-            for m, ab in rows.items():
+            for m, p, v in ab:
                 n = k + m + h
                 c = comb(n, k) * comb(m + h, h)
-                _add_into(out.setdefault(n, {}), ab, _int(-c if k % 2 else c),
-                          l - h, N)
+                _add_into(out.setdefault(n, {}), ((p, v),),
+                          _int(-c if k % 2 else c), l - h, N)
         return tuple((n, p, v) for n in sorted(out)
                      for p, v in out[n].items())
 
@@ -214,22 +218,22 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
 
     Every product of two monomials, d^(k) a at flat index k*N + p(a), is
     read from `RA.row` of the pair, the terms of its nonzero products at
-    every n, in increasing n.  A row is read only for a pair with an entry
-    of `RA._table`, and an instance that no row reaches is counted as
-    checked without being visited.  Below N is `R.max_n()` and reach[a][b]
-    the largest m of a stored a_(m) b.  a_(m) b has d-degree at most N - m,
-    and (d^(k) a)_(m) d^(l) b is zero unless k <= m <= k + l + reach[a][b],
-    so its row holds no m outside that.  So (C1) is live only at n <= N +
-    1, (C2) at n <= N + 2 d_max and (C3) at m + n <= 2N + d_max (below),
-    and an unset m_max or n_max is their complete bound, b = 2 (N + d_max)
-    and at least 2.
+    every n, in increasing n.  A row is read only for a pair whose basis
+    pair has a row in `RA.base`, and an instance that no row reaches is
+    counted as checked without being visited.  Below N is `R.max_n()` and
+    reach[a][b] the largest m of a stored a_(m) b.  a_(m) b has d-degree
+    at most N - m, and (d^(k) a)_(m) d^(l) b is zero unless k <= m <= k +
+    l + reach[a][b], so its row holds no m outside that.  So (C1) is live
+    only at n <= N + 1, (C2) at n <= N + 2 d_max and (C3) at m + n <= 2N +
+    d_max (below), and an unset m_max or n_max is their complete bound, b =
+    2 (N + d_max) and at least 2.
 
     (C1) runs over all basis pairs; both sides vanish unless a_(n-1) b is
     stored, at 1 <= n <= N + 1.  On a basis pair it cannot fail: the
-    product formula builds (d a)_(n) b from the same table row as a_(n-1) b,
-    with the factor -n.  What it still compares is two memo entries, the
-    rows of (d a, b) and of (a, b), so it catches a memo entry that went
-    wrong.
+    product formula builds (d a)_(n) b from the row of (a, b) in `base`,
+    which is a_(n-1) b's, with the factor -n.  What it still compares is
+    two memo entries, the rows of (d a, b) and of (a, b), so it catches a
+    memo entry that went wrong.
 
     (C2) runs over all basis pairs, shifted by d^(k) and d^(l) for k, l <=
     d_max, and visits those with a stored product either way; on any other
@@ -270,14 +274,11 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
         RA = ReconstructedAlgebra(RA)
     R = RA.R
     rep = Report(max_failures=max_failures)
-    ids, N, table, row = RA.ids, RA.N, RA._table, RA.row
-    top, pL = R.max_n(), RA.pos[R.L]
+    ids, N, stored, row = RA.ids, RA.N, RA.base, RA.row
+    top, pL, par = R.max_n(), R.index[R.L], [b.parity for b in R.basis]
     m_max = max(2, 2 * (top + d_max)) if m_max is None else m_max
     n_max = max(2, 2 * (top + d_max)) if n_max is None else n_max
-    # stored[p]: {q: table row of p and q}, for the q with one
-    pairs, stored = sorted(table), [{} for _ in ids]
-    for pa, pb in pairs:
-        stored[pa][pb] = table[pa, pb]
+    pairs = [(pa, pb) for pa, sa in enumerate(stored) for pb in sa]
 
     # conformal vector: L_(0) = d, L_(1) = weight, L_(2) on derivatives
     for pa, a in enumerate(ids):
@@ -285,14 +286,15 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
         la = row(pL, pa)
         if _at(la, 0) != {N + pa: ONE}:
             rep.fail("L_(0) is not d on %s" % a)
-        w = Scalar.from_fraction(R.weight(a))
+        wa = R.basis[pa].weight
+        w = Scalar.from_fraction(wa)
         if _at(la, 1) != ({pa: w} if w else {}):
             rep.fail("L_(1) eigenvalue wrong on %s" % a)
         ok2 = True
         for k in range(0, d_max + 1):
             got = _at(row(pL, k * N + pa), 2)
             # on divided powers: L_(2) d^{(k)} a = (k-1+2w) d^{(k-1)} a
-            coeff = k - 1 + 2 * R.weight(a)
+            coeff = k - 1 + 2 * wa
             want = {} if (k == 0 or not coeff) else \
                 {(k - 1) * N + pa: Scalar.from_fraction(coeff)}
             if got != want:
@@ -321,7 +323,7 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
     base, D, signs = rep.checked, d_max + 1, (_int(-1), ONE)
     for pa, pb in sorted(set(pairs) | {(pb, pa) for pa, pb in pairs}):
         a, b = ids[pa], ids[pb]
-        pq = R.parity(a) * R.parity(b)
+        pq = par[pa] * par[pb]
         ab, ba = pb in stored[pa], pa in stored[pb]
         for k in range(D):
             ix = k * N + pa
@@ -349,11 +351,10 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
     # time into the flat dict acc, keyed (instance offset in the loops) * F
     # + flat index, F past the d-degree 2 max_n + d_max of every term
     W, F = (m_max + 1) * width, (2 * top + d_max + 1) * N
-    # bcs[pb]: (pc, n, iy, position, v) for each term v iy of each stored
-    # b_(n) c with n <= n_max, read from the table
-    bcs = [[(pc, n, iy, iy % N, v)
-            for pc, tab in stored[pb].items() for n, terms in tab.items()
-            if n <= n_max for iy, v in terms] for pb in range(N)]
+    # bcs[pb]: (pc, n, iy, position, v) for each term v iy of each nonzero
+    # b_(n) c with n <= n_max, read from the row of (b, c) in RA.base
+    bcs = [[(pc, n, iy, iy % N, v) for pc, bc in sb.items()
+            for n, iy, v in bc if n <= n_max] for sb in stored]
     # spread[j, t]: (m * width + n, -C(m, j)) for term 3's (m, n) in the
     # bounds with m >= j and m + n = t
     spread = {}
@@ -367,7 +368,7 @@ def check_C_axioms(RA, m_max: int | None = None, n_max: int | None = None,
                if m <= m_max] for k in range(K)]
         t2 = ([[(off, iz, p, -v) for off, iz, p, v in ak] for ak in ac], ac)
         for pb, b in enumerate(ids):
-            sb, acc, ac2 = stored[pb], {}, t2[R.parity(a) * R.parity(b)]
+            sb, acc, ac2 = stored[pb], {}, t2[par[pa] * par[pb]]
             get = acc.get
             for k in range(K):
                 ia = k * N + pa

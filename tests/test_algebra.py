@@ -96,6 +96,23 @@ def test_coeff_F_top_term_reduces_to_G():
                 coeff_G(Fraction(3, 2), Fraction(3, 2), m, 0) * 1
 
 
+COEFF_F_SHA256 = \
+    "8921b909b18c79d30fc513242e16dc9d8b6eb4b91bc53c17fd538f8c8f5cb9cc"
+
+
+def test_coeff_F_is_pinned():
+    """coeff_F over the physical weights at m, n <= 4 and t <= m + n, the
+    range its callers use: 2,000 values, 776 of them nonzero."""
+    weights = sorted(algebra.PHYSICAL_WEIGHTS)
+    lines = ["%s %s %d %d %d %s" % (wa, wb, m, n, t,
+                                    coeff_F(wa, wb, m, n, t))
+             for wa in weights for wb in weights for m in range(5)
+             for n in range(5) for t in range(m + n + 1)]
+    assert sum(not line.endswith(" 0") for line in lines) == 776
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        COEFF_F_SHA256
+
+
 # -- element helpers --------------------------------------------------------
 
 

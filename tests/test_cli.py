@@ -351,6 +351,27 @@ def test_malformed_tables_are_input_errors(tmp_path, capsys, mutate):
         assert err.startswith("error: cannot parse")
 
 
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d.update(basis=d["basis"][0]), "basis must be"),
+    (lambda d: d["products"][0].update(terms=[5]), "terms must be"),
+    (lambda d: d["products"][0]["terms"][0].update(coeff=2),
+     "term coeff must be"),
+    (lambda d: json.dumps([d]), "the document must be"),
+    (lambda d: "null", "the document must be"),
+    (lambda d: d.pop("basis") and None, "missing field 'basis'"),
+    (lambda d: d["products"][0]["terms"][0].pop("coeff") and None,
+     "missing field 'coeff'"),
+], ids=["object-basis", "int-term", "int-coeff", "list-document",
+        "null-document", "missing-basis", "missing-coeff"])
+def test_malformed_json_names_the_field(tmp_path, capsys, mutate, field):
+    doc = _vir_doc()
+    path = tmp_path / "bad.json"
+    path.write_text(mutate(doc) or json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse") and field in err, err
+
+
 def _table_doc(weights: dict, prods=()):
     """The document of the basis {id: weight}, with L first, whose
     products are the L-rows <L 1 b> = <b 1 L> = wt(b) b and then prods,

@@ -358,6 +358,39 @@ def test_product_matches_the_formula_on_monomials(case):
     assert 0 < len(RA._rows)
 
 
+@pytest.mark.parametrize("case", catalog.NAMES + ("w6 table",))
+def test_the_memo_starts_with_the_rows_of_the_stored_pairs(case):
+    """Right after `reconstruct`, the memo holds the row of each basis pair
+    with a nonzero product and nothing else: the products the formula
+    gives at every n, in increasing (n, p), each the row in `RA.base`."""
+    (R,) = _C_cases(case)
+    RA, top, want = reconstruct(R), R.max_n(), {}
+    for pa in range(RA.N):
+        for pb in range(RA.N):
+            row = tuple((n, p, v) for n in range(top + 1) for p, v in sorted(
+                _reference_product(RA, {pa: ONE}, {pb: ONE}, n).items()))
+            if row:
+                want[pa, pb] = row
+    assert RA._rows == want and len(want) > 0
+    for (pa, pb), row in RA._rows.items():
+        assert RA.base[pa][pb] is row
+    assert sum(map(len, RA.base)) == len(want)
+
+
+def test_C_forms_no_row_of_a_stored_pair(monkeypatch):
+    """C reads the row of a stored basis pair from the memo it starts
+    with: C at d_max = 1 on CK6 forms other rows, but none of those."""
+    RA, formed = reconstruct(catalog.build("CK6")), []
+    real = ReconstructedAlgebra._form
+    monkeypatch.setattr(ReconstructedAlgebra, "_form",
+                        lambda RA, ix, iy: formed.append((ix, iy))
+                        or real(RA, ix, iy))
+    assert check_C_axioms(RA, d_max=1).ok
+    N = RA.N
+    assert formed and not [(ix, iy) for ix, iy in formed
+                           if ix < N and iy < N and real(RA, ix, iy)]
+
+
 def test_memo_is_bounded_by_the_table():
     """The memo holds only the rows of monomials of d-degree at most max_n
     + 1, so it holds the same entries after C at d_max = 2 as at d_max = 5,
