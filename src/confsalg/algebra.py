@@ -401,9 +401,9 @@ class ReducedAlgebra:
                 for t in _json_objects(p["terms"], "terms"):
                     tb = _json_typed(t["basis"], str, "term basis")
                     if tb in el:
-                        raise ValueError("product <%s %d %s> lists term %s "
-                                         "twice" % (key[1], key[0], key[2],
-                                                    tb))
+                        raise ValueError(
+                            "product <%s %d %s> lists term %s twice"
+                            % (key[1], key[0], key[2], tb))
                     el[tb] = scalars.parse(_json_typed(t["coeff"], str,
                                                        "term coeff"))
                 products[key] = el

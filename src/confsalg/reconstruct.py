@@ -136,12 +136,11 @@ class ReconstructedAlgebra:
         w, self.base = [b.weight for b in R.basis], [{} for _ in range(N)]
         for pa, sa in R.join_index.items():
             for pb in sorted(sa):
-                row = sorted(((nj - j, j * N + pt, c * Scalar.from_fraction(g))
-                              for nj, pt, c in sa[pb] for j in range(nj + 1)
-                              if (g := coeff_G(w[pa], w[pb], nj - j, j))),
-                             key=lambda t: t[:2])
+                row = [(nj - j, j * N + pt, c * Scalar.from_fraction(g))
+                       for nj, pt, c in sa[pb] for j in range(nj + 1)
+                       if (g := coeff_G(w[pa], w[pb], nj - j, j))]
                 if row:
-                    self.base[pa][pb] = tuple(row)
+                    self.base[pa][pb] = tuple(sorted(row, key=lambda t: t[:2]))
         # _rows[(ix, iy)]: the row of ix and iy (see `row`), from the rows
         # of base on, for ix and iy below _memo_bound, the monomials of
         # d-degree <= max_n + 1
